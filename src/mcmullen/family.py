@@ -247,3 +247,13 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
 
     iters[~escaped] = max_iter
     return escaped.reshape(shape), iters.reshape(shape)
+
+
+def critical_orbits_bulk(n, a, c, max_iter):
+    """iterate_orbits_bulk from both critical values c +- 2*sqrt(a) of elementwise
+    (a, c), a != 0, with threshold max(4, |c|, |a|): ((esc+, it+), (esc-, it-))."""
+    thr = np.maximum(4.0, np.maximum(np.abs(c), np.abs(a)))
+    root = np_principal_sqrt(a)
+    plus = iterate_orbits_bulk(n, a, c, c + 2.0 * root, max_iter, thr)
+    minus = iterate_orbits_bulk(n, a, c, c - 2.0 * root, max_iter, thr)
+    return plus, minus

@@ -7,8 +7,8 @@ scaled linearly by how fast it escaped. Dynamical slices iterate the pixel's poi
 itself and shade escapes in grayscale.
 
 Guarantees:
-  - the pixel value is a pure function of (n, slice, pixel center, config) — thread
-    count and row scheduling never change a byte of output;
+  - rows are rendered in fixed 16-row bands; the output is a pure function of the
+    inputs (n, slice, viewport, config);
   - a pixel equals bounded_color exactly when both orbits are classified bounded
     (escaped orbits always contribute at least one intensity step, so the bounded
     color is reserved for bounded orbits);
@@ -17,9 +17,9 @@ Guarantees:
 """
 from __future__ import annotations
 
+import cmath
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -27,19 +27,19 @@ import numpy as np
 
 from .family import (
     MapParams,
+    critical_orbits_bulk,
+    critical_values,
     escape_radius,
     iterate_orbit,
     iterate_orbits_bulk,
-    np_principal_sqrt,
-    principal_sqrt,
 )
 
 logger = logging.getLogger(__name__)
 
 RGB8 = tuple[int, int, int]
 
-# Rows are processed in fixed-size bands; the partition is a constant (never a
-# function of the thread count) so the work decomposition itself is deterministic.
+# Rows are processed in fixed-size bands, which bound the orbit kernel's temporaries
+# to O(width * _ROW_BAND) elements per call.
 _ROW_BAND = 16
 
 
@@ -100,6 +100,13 @@ class Viewport:
         return re + 1j * im
 
 
+def _finite(kind: str, name: str, value: complex) -> complex:
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{kind} requires a finite {name}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FixedC:
     """Parameter slice: c held fixed, the pixel point is a."""
@@ -107,7 +114,7 @@ class FixedC:
     c: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "c", _finite("FixedC", "c", self.c))
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ class FixedA:
     a: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", complex(self.a))
+        object.__setattr__(self, "a", _finite("FixedA", "a", self.a))
         if self.a == 0:
             raise ValueError("FixedA requires a != 0")
 
@@ -129,7 +136,7 @@ class Diagonal:
     t: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", complex(self.t))
+        object.__setattr__(self, "t", _finite("Diagonal", "t", self.t))
         if self.t == 0:
             raise ValueError("Diagonal requires t != 0")
 
@@ -162,27 +169,35 @@ class RenderConfig:
         object.__setattr__(self, "bounded_color", _check_rgb("bounded_color", self.bounded_color))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Image:
-    """Row-major RGB8 pixel grid."""
+    """RGB8 pixel grid. `pixels` is a read-only (height, width, 3) uint8 array; the
+    constructor accepts any array-like of width*height RGB triples in row-major order.
+    A read-only uint8 array is wrapped without a copy; anything else is copied."""
 
     width: int
     height: int
-    pixels: tuple[RGB8, ...]
+    pixels: np.ndarray
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
-        object.__setattr__(self, "pixels", tuple(tuple(px) for px in self.pixels))
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError(
-                f"pixel count {len(self.pixels)} != width*height {self.width * self.height}"
-            )
+        px = np.asarray(self.pixels)
+        if px.shape[-1:] != (3,) or px.size != 3 * self.width * self.height:
+            raise ValueError(f"expected {self.width * self.height} RGB triples, got {px.shape}")
+        px = px.reshape(self.height, self.width, 3)
+        if px.dtype != np.uint8 or px.flags.writeable:
+            if not (np.issubdtype(px.dtype, np.integer) and px.min() >= 0 and px.max() <= 255):
+                raise ValueError("pixel channels must be integers in [0, 255]")
+            px = px.astype(np.uint8)
+            px.flags.writeable = False
+        object.__setattr__(self, "pixels", px)
 
     def at(self, col: int, row: int) -> RGB8:
         if not (0 <= col < self.width and 0 <= row < self.height):
             raise IndexError(f"pixel ({col}, {row}) outside {self.width}x{self.height}")
-        return self.pixels[row * self.width + col]
+        r, g, b = self.pixels[row, col].tolist()
+        return (r, g, b)
 
 
 def _round_half_away(x: float) -> int:
@@ -228,18 +243,15 @@ def classify_pixel(n: int, slc: SliceSpec, point: complex, cfg: RenderConfig) ->
     if isinstance(slc, Dynamical):
         p = slc.params
         res = iterate_orbit(p, point, cfg.max_iter, escape_radius(p))
-        if not res.escaped:
-            return cfg.bounded_color
-        g = _round_half_away(255 * _intensity(res.iterations, cfg.max_iter))
-        return (g, g, g)
+        return _orbit_color((255, 255, 255), res.escaped, res.iterations, cfg)
 
     p = _resolve_params(n, slc, point)
     if p is None:
         return cfg.bounded_color
     thr = escape_radius(p)
-    root = principal_sqrt(p.a)
-    res_p = iterate_orbit(p, p.c + 2.0 * root, cfg.max_iter, thr)
-    res_m = iterate_orbit(p, p.c - 2.0 * root, cfg.max_iter, thr)
+    v_plus, v_minus = critical_values(p)
+    res_p = iterate_orbit(p, v_plus, cfg.max_iter, thr)
+    res_m = iterate_orbit(p, v_minus, cfg.max_iter, thr)
     col_p = _orbit_color(cfg.color_plus, res_p.escaped, res_p.iterations, cfg)
     col_m = _orbit_color(cfg.color_minus, res_m.escaped, res_m.iterations, cfg)
     return tuple(
@@ -250,11 +262,8 @@ def classify_pixel(n: int, slc: SliceSpec, point: complex, cfg: RenderConfig) ->
 def _color_block(escaped: np.ndarray, iters: np.ndarray, base: RGB8, cfg: RenderConfig) -> np.ndarray:
     """Vectorized _orbit_color over a flat block; returns float (len, 3)."""
     inten = np.minimum(1.0, np.maximum(iters, 1) / cfg.max_iter)
-    out = np.empty((escaped.size, 3), dtype=float)
-    for ch in range(3):
-        scaled = np.floor(base[ch] * inten + 0.5)
-        out[:, ch] = np.where(escaped, scaled, float(cfg.bounded_color[ch]))
-    return out
+    scaled = np.floor(np.multiply.outer(inten, np.array(base, dtype=float)) + 0.5)
+    return np.where(escaped[:, None], scaled, np.array(cfg.bounded_color, dtype=float))
 
 
 def _render_band(
@@ -269,11 +278,7 @@ def _render_band(
         p = slc.params
         thr = escape_radius(p)
         escaped, iters = iterate_orbits_bulk(p.n, p.a, p.c, pts, cfg.max_iter, thr)
-        inten = np.minimum(1.0, np.maximum(iters, 1) / cfg.max_iter)
-        gray = np.floor(255.0 * inten + 0.5)
-        block = np.empty((pts.size, 3), dtype=float)
-        for ch in range(3):
-            block[:, ch] = np.where(escaped, gray, float(cfg.bounded_color[ch]))
+        block = _color_block(escaped, iters, (255, 255, 255), cfg)
         return block.astype(np.uint8).reshape(row1 - row0, vp.width, 3), 0
 
     if isinstance(slc, FixedC):
@@ -291,10 +296,7 @@ def _render_band(
     zero_a = a == 0
     n_zero = int(np.count_nonzero(zero_a))
     a_safe = np.where(zero_a, 1.0 + 0.0j, a)
-    thr = np.maximum(4.0, np.maximum(np.abs(c), np.abs(a_safe)))
-    root = np_principal_sqrt(a_safe)
-    esc_p, it_p = iterate_orbits_bulk(n, a_safe, c, c + 2.0 * root, cfg.max_iter, thr)
-    esc_m, it_m = iterate_orbits_bulk(n, a_safe, c, c - 2.0 * root, cfg.max_iter, thr)
+    (esc_p, it_p), (esc_m, it_m) = critical_orbits_bulk(n, a_safe, c, cfg.max_iter)
     mean = (_color_block(esc_p, it_p, cfg.color_plus, cfg)
             + _color_block(esc_m, it_m, cfg.color_minus, cfg)) / 2.0
     block = np.floor(mean + 0.5)
@@ -303,57 +305,42 @@ def _render_band(
     return block.astype(np.uint8).reshape(row1 - row0, vp.width, 3), n_zero
 
 
-def render_slice(
-    n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig, threads: int = 1
-) -> Image:
+def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Image:
     """Classify every pixel center of the viewport. Rows are processed in fixed
-    16-row bands; `threads` only schedules those bands, so output bytes are identical
-    for any thread count."""
+    16-row bands, so the output is a pure function of the inputs."""
     if not isinstance(slc, Dynamical):
         if not isinstance(n, int) or isinstance(n, bool) or n < 3:
             raise ValueError(f"n must be an integer >= 3, got {n!r}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    bands = [(r, min(r + _ROW_BAND, vp.height)) for r in range(0, vp.height, _ROW_BAND)]
     grid = np.empty((vp.height, vp.width, 3), dtype=np.uint8)
     zero_total = 0
-    if threads == 1:
-        results = [_render_band(n, slc, vp, cfg, r0, r1) for r0, r1 in bands]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_render_band, n, slc, vp, cfg, r0, r1) for r0, r1 in bands]
-            results = [f.result() for f in futures]
-    for (r0, r1), (block, n_zero) in zip(bands, results):
+    for r0 in range(0, vp.height, _ROW_BAND):
+        r1 = min(r0 + _ROW_BAND, vp.height)
+        block, n_zero = _render_band(n, slc, vp, cfg, r0, r1)
         grid[r0:r1] = block
         zero_total += n_zero
     if zero_total:
         logger.info("render: %d pixel(s) at a = 0 rendered as bounded_color", zero_total)
-    flat = grid.reshape(-1, 3)
-    pixels = tuple((int(r), int(g), int(b)) for r, g, b in flat)
-    return Image(vp.width, vp.height, pixels)
+    grid.flags.writeable = False
+    return Image(vp.width, vp.height, grid)
 
 
 def draw_overlay(img: Image, vp: Viewport, curve: Sequence[complex], color: RGB8) -> Image:
     """New image with each curve point's nearest pixel recolored; points outside the
-    viewport (or non-finite) are skipped."""
+    viewport (or non-finite) are skipped. The input image is left unchanged."""
     color = _check_rgb("color", tuple(color))
-    pixels = list(img.pixels)
-    for z in curve:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            continue
-        hit = vp.pixel_of(z)
-        if hit is None:
-            continue
-        col, row = hit
-        pixels[row * img.width + col] = color
-    return Image(img.width, img.height, tuple(pixels))
+    z = np.asarray(curve, dtype=complex).ravel()
+    # The same floor mapping as Viewport.pixel_of. NaN fails every comparison and
+    # an infinite coordinate lands outside the view, so non-finite points drop out.
+    col = np.floor((z.real - vp.re_min) / vp.pixel_dx)
+    row = np.floor((vp.im_max - z.imag) / vp.pixel_dy)
+    hit = (col >= 0) & (col < vp.width) & (row >= 0) & (row < vp.height)
+    pixels = img.pixels.copy()
+    pixels[row[hit].astype(np.intp), col[hit].astype(np.intp)] = color
+    pixels.flags.writeable = False
+    return Image(img.width, img.height, pixels)
 
 
 def encode_ppm(img: Image) -> bytes:
     """Binary PPM (P6, maxval 255): ASCII header then row-major RGB byte triples."""
-    if len(img.pixels) != img.width * img.height:
-        raise ValueError("pixel count does not match image dimensions")
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    body = np.array(img.pixels, dtype=np.uint8).tobytes()
-    return header + body
+    return header + img.pixels.tobytes()

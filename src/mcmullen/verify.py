@@ -18,10 +18,10 @@ import numpy as np
 from .errors import HypothesisError, UnderSamplingError
 from .family import (
     MapParams,
+    critical_orbits_bulk,
     escape_radius,
     inner_radius,
     iterate_orbits_bulk,
-    np_principal_sqrt,
     pow_int,
     principal_arg,
 )
@@ -375,11 +375,7 @@ def verify_spine_locus(
     tested = dist > eps
     a_t = a[tested]
     if a_t.size:
-        c_t = t * a_t
-        thr = np.maximum(4.0, np.maximum(np.abs(c_t), np.abs(a_t)))
-        root = np_principal_sqrt(a_t)
-        esc_p, it_p = iterate_orbits_bulk(n, a_t, c_t, c_t + 2.0 * root, max_iter, thr)
-        esc_m, it_m = iterate_orbits_bulk(n, a_t, c_t, c_t - 2.0 * root, max_iter, thr)
+        (esc_p, it_p), (esc_m, it_m) = critical_orbits_bulk(n, a_t, t * a_t, max_iter)
         both = esc_p & esc_m
         failures = int(np.count_nonzero(~both))
         slack = (max_iter + 1 - np.maximum(it_p, it_m)) / (max_iter + 1)
@@ -431,7 +427,7 @@ def verify_vminus_sign(n: int, a: float, c: float) -> VerificationReport:
     claim_positive = regime in (1, 2)
     match = (v > 0.0) if claim_positive else (v <= 0.0)
     margin = v if claim_positive else -v
-    c_bound = a ** (1.0 / n) / max(4.0, a, c)
+    c_bound = inner_radius(MapParams(n, a, c))
     return VerificationReport(
         check_name="vminus-sign",
         params=_fmt_params(

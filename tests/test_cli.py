@@ -47,19 +47,25 @@ class TestRenderCommand:
         assert code == 0
         assert out.stat().st_size == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
 
-    def test_threads_flag_identical_bytes(self, tmp_path, capsys):
-        blobs = []
-        for t in ("1", "4"):
-            out = tmp_path / f"t{t}.ppm"
-            code, _, _ = run(
-                capsys,
-                "render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
-                "--view", "-16,-3,-6.5,6.5", "--size", "32x32",
-                "--out", str(out), "--threads", t,
-            )
-            assert code == 0
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t.ppm"
+        code, _, _ = run(
+            capsys,
+            "render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
+            "--view", "-16,-3,-6.5,6.5", "--size", "32x32",
+            "--out", str(out), "--threads", "1",
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_non_finite_slice_parameters(self, tmp_path, capsys):
+        out = tmp_path / "nf.ppm"
+        common = ["--view", "-1,1,-1,1", "--size", "4x4", "--out", str(out)]
+        assert run(capsys, "render", "--n", "4", "--slice", "fixed-c", "--c", "nan,0",
+                   *common)[0] == 2
+        assert run(capsys, "render", "--n", "4", "--slice", "diagonal", "--t", "inf,0",
+                   *common)[0] == 2
+        assert not out.exists()
 
     def test_missing_required_flags(self, tmp_path, capsys):
         out = tmp_path / "x.ppm"

@@ -64,6 +64,10 @@ class TestSliceSpecs:
         with pytest.raises(ValueError):
             Diagonal(0j)
         FixedC(0j)  # c = 0 is a legal slice; only a = 0 pixels are outside
+        for bad in (complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)):
+            for spec in (FixedC, FixedA, Diagonal):
+                with pytest.raises(ValueError):
+                    spec(bad)
 
     def test_render_config_defaults(self):
         cfg = RenderConfig()
@@ -140,11 +144,9 @@ class TestRenderSlice:
             want = classify_pixel(4, FixedC(6j), CENTER_VIEW.point_at(col, row), cfg)
             assert img.at(col, row) == want, (col, row)
 
-    def test_thread_count_never_changes_bytes(self):
+    def test_repeat_render_identical_bytes(self):
         cfg = RenderConfig(max_iter=64)
-        imgs = [
-            render_slice(4, FixedC(6j), CENTER_VIEW, cfg, threads=t) for t in (1, 2, 5)
-        ]
+        imgs = [render_slice(4, FixedC(6j), CENTER_VIEW, cfg) for _ in range(2)]
         blobs = {encode_ppm(im) for im in imgs}
         assert len(blobs) == 1
 
@@ -176,11 +178,25 @@ class TestRenderSlice:
 
 class TestImageAndEncoding:
     def test_image_validation(self):
-        with pytest.raises(ValueError):
-            Image(2, 2, ((0, 0, 0),) * 3)  # wrong count
-        img = Image(2, 2, ((0, 0, 0), (1, 2, 3), (4, 5, 6), (7, 8, 9)))
-        assert img.at(1, 0) == (1, 2, 3)
-        assert img.at(0, 1) == (4, 5, 6)
+        bad_inputs = (
+            ((0, 0, 0),) * 3,  # wrong count
+            np.zeros((2, 2, 2), dtype=np.uint8),  # not RGB triples
+            ((0, 0, 0),) * 3 + ((256, 0, 0),),  # channel out of range
+        )
+        for pixels in bad_inputs:
+            with pytest.raises(ValueError):
+                Image(2, 2, pixels)
+        tuples = ((0, 0, 0), (1, 2, 3), (4, 5, 6), (7, 8, 9))
+        for pixels in (tuples, np.array(tuples), np.array(tuples, dtype=np.uint8).reshape(2, 2, 3)):
+            img = Image(2, 2, pixels)
+            assert img.at(1, 0) == (1, 2, 3)
+            assert img.at(0, 1) == (4, 5, 6)
+            assert img.pixels.shape == (2, 2, 3) and img.pixels.dtype == np.uint8
+            with pytest.raises(ValueError):
+                img.pixels[0, 0, 0] = 1  # read-only
+            if isinstance(pixels, np.ndarray):
+                pixels[0] = 9  # the image holds its own copy of a writable input
+                assert img.at(0, 0) == (0, 0, 0)
 
     def test_ppm_layout(self):
         img = Image(2, 2, ((255, 0, 0), (0, 255, 0), (0, 0, 255), (9, 9, 9)))
@@ -192,19 +208,28 @@ class TestImageAndEncoding:
         img = render_slice(3, FixedC(0.5 + 0j), vp, RenderConfig(max_iter=8))
         blob = encode_ppm(img)
         assert len(blob) == len(b"P6\n17 13\n255\n") + 17 * 13 * 3
+        assert blob == b"P6\n17 13\n255\n" + img.pixels.tobytes()
+        assert not img.pixels.flags.writeable
 
     def test_draw_overlay(self):
         vp = Viewport(-2.0, 2.0, -2.0, 2.0, 16, 16)
         base = render_slice(3, FixedC(0.5 + 0j), vp, RenderConfig(max_iter=8))
-        curve = [vp.point_at(3, 4), vp.point_at(10, 10), 50 + 50j, complex(math.nan, 0)]
+        before = encode_ppm(base)
+        rng = np.random.default_rng(11)
+        scatter = list(rng.uniform(-2.5, 2.5, 64) + 1j * rng.uniform(-2.5, 2.5, 64))
+        curve = [vp.point_at(3, 4), vp.point_at(10, 10), 50 + 50j, complex(math.nan, 0),
+                 complex(math.inf, 0), -2.0 + 2.0j, *scatter]
         out = draw_overlay(base, vp, curve, (0, 255, 0))
         assert out.at(3, 4) == (0, 255, 0)
         assert out.at(10, 10) == (0, 255, 0)
-        # only the listed in-view points changed; out-of-view and non-finite skipped
-        changed = sum(
-            1
+        assert encode_ppm(base) == before  # the input image is unchanged
+        # exactly the in-view points' pixels changed (the base has no green), by the
+        # scalar Viewport.pixel_of mapping; out-of-view and non-finite skipped
+        changed = {
+            (col, row)
             for row in range(16)
             for col in range(16)
             if out.at(col, row) != base.at(col, row)
-        )
-        assert changed <= 2
+        }
+        want = {vp.pixel_of(z) for z in curve if math.isfinite(abs(z))} - {None}
+        assert changed == want
