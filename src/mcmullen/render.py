@@ -10,8 +10,7 @@ Guarantees:
   - rows are rendered in fixed 16-row bands; the output is a pure function of the
     inputs (n, slice, viewport, config);
   - a pixel equals bounded_color exactly when both orbits are classified bounded
-    (escaped orbits always contribute at least one intensity step, so the bounded
-    color is reserved for bounded orbits);
+    (an escaped orbit's channel with a nonzero base is at least 1, never the bounded 0);
   - the escape threshold is the per-pixel escape radius max(4, |c|, |a|), which
     varies across a slice.
 """
@@ -206,8 +205,7 @@ def _round_half_away(x: float) -> int:
 
 
 def _intensity(m: int, max_iter: int) -> float:
-    """Linear escape-rate shading, clamped to [0, 1]; at least one step so escaped
-    orbits never collapse to the bounded color."""
+    """Linear escape-rate shading clamped to [0, 1]; an escape at m = 0 counts as one step."""
     return min(1.0, max(m, 1) / max_iter)
 
 
@@ -215,7 +213,9 @@ def _orbit_color(base: RGB8, escaped: bool, m: int, cfg: RenderConfig) -> RGB8:
     if not escaped:
         return cfg.bounded_color
     inten = _intensity(m, cfg.max_iter)
-    return tuple(_round_half_away(ch * inten) for ch in base)  # type: ignore[return-value]
+    # A nonzero base channel stays >= 1: 255*m/max_iter rounds to 0 for max_iter > 510.
+    scaled = (max(min(ch, 1), _round_half_away(ch * inten)) for ch in base)
+    return tuple(scaled)  # type: ignore[return-value]
 
 
 def _resolve_params(n: int, slc: SliceSpec, point: complex) -> MapParams | None:
@@ -262,7 +262,7 @@ def classify_pixel(n: int, slc: SliceSpec, point: complex, cfg: RenderConfig) ->
 def _color_block(escaped: np.ndarray, iters: np.ndarray, base: RGB8, cfg: RenderConfig) -> np.ndarray:
     """Vectorized _orbit_color over a flat block; returns float (len, 3)."""
     inten = np.minimum(1.0, np.maximum(iters, 1) / cfg.max_iter)
-    scaled = np.floor(np.multiply.outer(inten, np.array(base, dtype=float)) + 0.5)
+    scaled = np.maximum(np.minimum(base, 1), np.floor(np.multiply.outer(inten, base) + 0.5))
     return np.where(escaped[:, None], scaled, np.array(cfg.bounded_color, dtype=float))
 
 

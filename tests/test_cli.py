@@ -2,6 +2,8 @@
 import pytest
 
 from mcmullen.cli import main
+from mcmullen.family import MapParams, escape_radius, iterate_orbit
+from mcmullen.render import Viewport
 from mcmullen.verify import CSV_HEADER
 
 
@@ -57,6 +59,28 @@ class TestRenderCommand:
         )
         assert code == 2
         assert not out.exists()
+
+    def test_bounded_count_at_large_max_iter(self, tmp_path, capsys):
+        # a zoom on a superattracting basin of the README's dynamical plane
+        p = MapParams(4, -13.122875503987459 + 2.008554506696609j, 6j)
+        vp = Viewport(-0.60, -0.50, -1.32, -1.22, 16, 16)
+        out = tmp_path / "m.ppm"
+        for max_iter in (511, 1000, 4096):
+            code, stdout, _ = run(
+                capsys,
+                "render", "--n", "4", "--slice", "dynamical",
+                "--a", "-13.122875503987459,2.008554506696609", "--c", "0,6",
+                "--view", "-0.60,-0.50,-1.32,-1.22", "--size", "16x16",
+                "--max-iter", str(max_iter), "--out", str(out),
+            )
+            assert code == 0
+            want = sum(
+                not iterate_orbit(p, vp.point_at(col, row), max_iter, escape_radius(p)).escaped
+                for row in range(16)
+                for col in range(16)
+            )
+            assert 0 < want < 256
+            assert f"bounded={want} " in stdout, (max_iter, stdout)
 
     def test_non_finite_slice_parameters(self, tmp_path, capsys):
         out = tmp_path / "nf.ppm"

@@ -1,4 +1,5 @@
 """Escape-time rendering: viewport math, pixel classification, deterministic images."""
+import itertools
 import logging
 import math
 
@@ -23,6 +24,8 @@ from mcmullen.render import _intensity, _round_half_away
 from mcmullen.solvers import fixed_critical_params
 
 CENTER_VIEW = Viewport(-16.0, -3.0, -6.5, 6.5, 120, 120)
+# Above 510 iterations 255*m/max_iter rounds to 0 for small m; 256 is the default.
+LARGE_MAX_ITERS = (256, 511, 1000, 4096)
 
 
 class TestViewport:
@@ -99,8 +102,8 @@ class TestRounding:
 
 class TestClassifyPixel:
     def test_center_pixels_show_one_bounded_orbit(self):
-        cfg = RenderConfig()
-        for s in fixed_critical_params(4, 6j):
+        for s, max_iter in itertools.product(fixed_critical_params(4, 6j), LARGE_MAX_ITERS):
+            cfg = RenderConfig(max_iter=max_iter)
             px = classify_pixel(4, FixedC(6j), s.a_j, cfg)
             parity_channel = 0 if s.k % 2 == 0 else 2  # red for plus, blue for minus
             other_channel = 2 - parity_channel
@@ -115,17 +118,18 @@ class TestClassifyPixel:
         assert classify_pixel(3, Diagonal(1 + 0j), 0j, cfg) == cfg.bounded_color
 
     def test_far_pixels_escape_fast_in_both_channels(self):
-        cfg = RenderConfig()
-        px = classify_pixel(4, FixedC(6j), 1000 + 1000j, cfg)
-        assert px[0] >= 1 and px[2] >= 1
+        for point, max_iter in itertools.product((1000 + 1000j, 100 + 0j), LARGE_MAX_ITERS):
+            px = classify_pixel(4, FixedC(6j), point, RenderConfig(max_iter=max_iter))
+            assert px[0] >= 1 and px[2] >= 1, (point, max_iter, px)  # both escape at m = 1
 
     def test_dynamical_grayscale(self):
-        cfg = RenderConfig()
         p = MapParams(4, -13.122875503987459 + 2.008554506696609j, 6j)
-        bounded = classify_pixel(0, Dynamical(p), -0.5528513714578666 - 1.2661645078316732j, cfg)
-        assert bounded == cfg.bounded_color
-        escaped = classify_pixel(0, Dynamical(p), 100 + 0j, cfg)
-        assert escaped[0] == escaped[1] == escaped[2] >= 1
+        for max_iter in LARGE_MAX_ITERS:
+            cfg = RenderConfig(max_iter=max_iter)
+            z = -0.5528513714578666 - 1.2661645078316732j
+            assert classify_pixel(0, Dynamical(p), z, cfg) == cfg.bounded_color
+            escaped = classify_pixel(0, Dynamical(p), 100 + 0j, cfg)  # escapes at m = 1
+            assert escaped[0] == escaped[1] == escaped[2] >= 1, (max_iter, escaped)
 
     def test_fixed_a_slice(self):
         cfg = RenderConfig()
@@ -149,6 +153,16 @@ class TestRenderSlice:
         imgs = [render_slice(4, FixedC(6j), CENTER_VIEW, cfg) for _ in range(2)]
         blobs = {encode_ppm(im) for im in imgs}
         assert len(blobs) == 1
+
+    def test_escapes_never_painted_bounded_at_large_max_iter(self):
+        vp = Viewport(90.0, 110.0, -10.0, 10.0, 24, 20)  # every orbit escapes at once
+        for max_iter in LARGE_MAX_ITERS[1:]:
+            cfg = RenderConfig(max_iter=max_iter)
+            img = render_slice(4, FixedC(6j), vp, cfg)
+            assert not (img.pixels == cfg.bounded_color).all(axis=-1).any(), max_iter
+            for col, row in ((0, 0), (23, 19), (12, 10)):
+                want = classify_pixel(4, FixedC(6j), vp.point_at(col, row), cfg)
+                assert img.at(col, row) == want
 
     def test_dynamical_render(self):
         p = MapParams(3, 1 + 0j, 0.25 + 0j)
