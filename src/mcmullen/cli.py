@@ -2,8 +2,9 @@
 critical-point centers, and spine-curve emission.
 
 Exit codes: 0 success (and, for `verify`, all checks passed); 1 I/O or solver
-failure; 2 flag errors or parameters outside a check's hypotheses (refused rather
-than reported as a misleading failure); 3 a verification ran and failed.
+failure; 2 flag errors, sizes above the memory budget, or parameters outside a
+check's hypotheses (refused rather than reported as a misleading failure); 3 a
+verification ran and failed.
 
 Complex flags are written "re,im" (a bare real is also accepted); --view is
 "re_min,re_max,im_min,im_max"; --size is "WIDTHxHEIGHT". All subcommands write CSV

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types and the memory budget shared across the package."""
+
+# Work whose memory grows with a caller-chosen size (render pixels, verify
+# lattices) estimates its peak bytes first and is refused above this budget.
+MEMORY_BUDGET_BYTES = 2**30
+
+
+def check_memory_budget(nbytes: int, what: str) -> None:
+    """Raise ValueError when an estimated allocation exceeds MEMORY_BUDGET_BYTES."""
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"{what} needs an estimated {nbytes / 2**20:.0f} MiB, above the "
+            f"{MEMORY_BUDGET_BYTES // 2**20} MiB memory budget"
+        )
 
 
 class PoleError(ValueError):

@@ -193,11 +193,55 @@ def iterate_orbit(p: MapParams, z0: complex, max_iter: int, threshold: float) ->
     return OrbitResult(False, max_iter, safe_abs(z))
 
 
+# The squared-modulus prefilter of iterate_orbits_bulk clears an orbit when
+# s = fl(fl(x*x) + fl(y*y)) <= thr2_lo = fl(fl(min(thr, 2**500)**2) * _SQ_MARGIN).
+# With u = 2**-53 and r = |z| exact, s >= r**2 * (1 - u)**2 and thr2_lo <=
+# thr**2 * (1 - 128u) * (1 + u)**2, so a cleared orbit has r <= thr * (1 - 60u),
+# and any np.abs within 16u of r (hypot is within 1u, NumPy's SIMD complex abs
+# within a few) reads at most thr. A cleared s is finite, so x and y are. A
+# product that underflows is off by at most 2**-1075, which is at most 2**-113
+# of thr2_lo since thr >= 2**-480 keeps thr**2 normal; capping thr at 2**500
+# keeps it finite and only clears fewer orbits. A threshold below 2**-480,
+# negative or nan gets thr2_lo = -1, which clears nothing: every orbit then
+# takes the exact test.
+_SQ_MARGIN = 1.0 - 2.0**-46
+_SQ_THR_MIN = 2.0**-480
+_SQ_THR_MAX = 2.0**500
+
+
+def _escapes(z, thr):
+    """The exact escape test: z is non-finite or |z| > thr, |z| as np.abs gives it."""
+    return ~np.isfinite(z) | (np.abs(z) > thr)
+
+
+def _prefilter_threshold(thr):
+    """thr2_lo of the squared-modulus prefilter (error bound above _SQ_MARGIN)."""
+    capped = np.square(np.minimum(thr, _SQ_THR_MAX))
+    return np.where(thr >= _SQ_THR_MIN, capped * _SQ_MARGIN, -1.0)
+
+
 def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
     """Vectorized iterate_orbit with elementwise (a, c, z0, threshold), broadcast together.
 
     Returns (escaped, iterations) boolean/int arrays of the broadcast shape, with the
-    same decision semantics as iterate_orbit. Deterministic regardless of chunking.
+    same decision rule as iterate_orbit: a non-finite start escapes at 0; at step
+    m = 1..max_iter a pole (z = 0) escapes at m - 1, a non-finite value or
+    |z| > threshold (strict, |z| as np.abs gives it) escapes at m; every other
+    orbit is bounded with iterations = max_iter. Deterministic regardless of
+    chunking or order: each element's arithmetic is the same whatever its position.
+
+    The working set holds only live orbits and shrinks when orbits leave. Three
+    shortcuts never change a result:
+    - after step 1 (which tests every orbit exactly, as most orbits of a wide
+      view leave there), a squared-modulus prefilter clears orbits well inside
+      the threshold (error bound at _SQ_MARGIN); the rest take the exact test;
+    - a pole is the step after z = 0: R(0) evaluates to a non-finite value (a / 0),
+      so it fails the exact test, and the pre-step z = 0 dates it at m - 1;
+    - an orbit whose z equals its Brent reference (z at steps 1, 2, 4, 8, ...)
+      is retired as bounded. The map is deterministic, so z repeats the states
+      from the reference on, each of which was nonzero and passed every test.
+      Signed zeros can differ between the two, but they change only the sign of
+      zero results, never a modulus, a pole or a finiteness test.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -208,43 +252,60 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
         np.asarray(threshold, dtype=float),
     )
     shape = z0.shape
-    a = a.ravel()
-    c = c.ravel()
-    thr = thr.ravel()
-    z = z0.ravel().astype(complex, copy=True)
-
-    iters = np.zeros(z.size, dtype=np.int64)
-    escaped = np.zeros(z.size, dtype=bool)
-    finite0 = np.isfinite(z.real) & np.isfinite(z.imag)
-    escaped[~finite0] = True
-    active = np.flatnonzero(finite0)
-
-    for step in range(1, max_iter + 1):
-        if active.size == 0:
-            break
-        za = z[active]
-        pole = za == 0
-        if pole.any():
-            hit = active[pole]
-            escaped[hit] = True
-            iters[hit] = step - 1
-            active = active[~pole]
-            za = z[active]
-            if active.size == 0:
+    z0 = z0.ravel()
+    finite = np.isfinite(z0)
+    iters = np.full(z0.size, -1, dtype=np.int64)  # -1 until the orbit escapes
+    iters[~finite] = 0
+    # Working set: the live orbits' index, z, a, c, thr and, from step 2 on,
+    # thr2_lo and the Brent reference; gathered once, then filtered by one mask.
+    if finite.all():
+        idx = np.arange(z0.size)
+        z, a, c, thr = z0, a.ravel(), c.ravel(), thr.ravel()
+    else:
+        idx = np.flatnonzero(finite)
+        z, a, c, thr = z0[idx], a.ravel()[idx], c.ravel()[idx], thr.ravel()[idx]
+    thr2_lo = ref = None
+    with np.errstate(all="ignore"):
+        for step in range(1, max_iter + 1):
+            if idx.size == 0:
                 break
-        with np.errstate(all="ignore"):
-            zn = pow_int(za, n)
-            znew = zn + a[active] / zn + c[active]
-        z[active] = znew
-        bad = ~(np.isfinite(znew.real) & np.isfinite(znew.imag))
-        with np.errstate(all="ignore"):
-            out = bad | (np.abs(znew) > thr[active])
-        if out.any():
-            hit = active[out]
-            escaped[hit] = True
-            iters[hit] = step
-            active = active[~out]
-
+            zn = pow_int(z, n)
+            znew = a / zn
+            znew += zn
+            znew += c
+            if step == 1:
+                esc = _escapes(znew, thr)
+                keep = ~esc
+                out = np.flatnonzero(esc)
+            else:
+                x, y = znew.real, znew.imag
+                s = x * x
+                s += y * y
+                keep = s <= thr2_lo
+                out = None
+                if not keep.all():
+                    cand = np.flatnonzero(~keep)
+                    esc = _escapes(znew[cand], thr[cand])
+                    keep[cand] = ~esc
+                    out = cand[esc]
+            shrink = out is not None and out.size > 0
+            if shrink:
+                iters[idx[out]] = step - (z[out] == 0)
+            if step > 1:
+                same = znew == ref
+                if same.any():
+                    shrink = True
+                    keep &= ~same
+            z = znew
+            if shrink:
+                idx, z, a, c, thr = idx[keep], z[keep], a[keep], c[keep], thr[keep]
+                if step > 1:
+                    thr2_lo, ref = thr2_lo[keep], ref[keep]
+            if step == 1:
+                thr2_lo = _prefilter_threshold(thr)
+            if step & (step - 1) == 0:
+                ref = z
+    escaped = iters >= 0
     iters[~escaped] = max_iter
     return escaped.reshape(shape), iters.reshape(shape)
 

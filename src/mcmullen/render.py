@@ -24,6 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .errors import check_memory_budget
 from .family import (
     MapParams,
     critical_orbits_bulk,
@@ -40,6 +41,12 @@ RGB8 = tuple[int, int, int]
 # Rows are processed in fixed-size bands, which bound the orbit kernel's temporaries
 # to O(width * _ROW_BAND) elements per call.
 _ROW_BAND = 16
+
+# Estimated peak bytes of a render: per pixel, the uint8 grid, the encoded PPM
+# and the CLI's bounded count (about 9 B measured); per point of one band, the
+# orbit kernel's arrays and the shading blocks (about 290 B measured).
+_PIXEL_BYTES = 16
+_BAND_POINT_BYTES = 512
 
 
 def _check_rgb(name: str, color: tuple) -> RGB8:
@@ -68,6 +75,12 @@ class Viewport:
             raise ValueError("width and height must be integers")
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be >= 1")
+        # A finite pixel size also means finite bounds (inf - x is inf).
+        if not (0.0 < self.pixel_dx < math.inf and 0.0 < self.pixel_dy < math.inf):
+            raise ValueError(
+                "viewport bounds and pixel size must be finite and positive, got "
+                f"pixel size {self.pixel_dx!r} x {self.pixel_dy!r}"
+            )
 
     @property
     def pixel_dx(self) -> float:
@@ -305,12 +318,19 @@ def _render_band(
     return block.astype(np.uint8).reshape(row1 - row0, vp.width, 3), n_zero
 
 
+def render_bytes(vp: Viewport) -> int:
+    """Estimated peak bytes of rendering, encoding and counting vp's pixels."""
+    return vp.width * (vp.height * _PIXEL_BYTES + min(vp.height, _ROW_BAND) * _BAND_POINT_BYTES)
+
+
 def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Image:
     """Classify every pixel center of the viewport. Rows are processed in fixed
-    16-row bands, so the output is a pure function of the inputs."""
+    16-row bands, so the output is a pure function of the inputs. A viewport whose
+    render_bytes exceed the memory budget raises ValueError before any allocation."""
     if not isinstance(slc, Dynamical):
         if not isinstance(n, int) or isinstance(n, bool) or n < 3:
             raise ValueError(f"n must be an integer >= 3, got {n!r}")
+    check_memory_budget(render_bytes(vp), f"a {vp.width}x{vp.height} render")
     grid = np.empty((vp.height, vp.width, 3), dtype=np.uint8)
     zero_total = 0
     for r0 in range(0, vp.height, _ROW_BAND):

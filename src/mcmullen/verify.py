@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import HypothesisError, UnderSamplingError
+from .errors import HypothesisError, UnderSamplingError, check_memory_budget
 from .family import (
     MapParams,
     critical_orbits_bulk,
@@ -37,6 +37,14 @@ from .spine import SpineSpec, spine_distances, spine_radii
 # annulus samples strictly off circle boundaries.
 BOUNDARY_INSET = 1e-6
 BOUNDARY_DILATION = 1e-6
+
+# Estimated peak bytes per sample point of a check: the points, their images and
+# the float temporaries, or the orbit kernel's arrays (at most about 200 B measured).
+_SAMPLE_BYTES = 512
+
+
+def _check_points(points: int, what: str) -> None:
+    check_memory_budget(points * _SAMPLE_BYTES, what)
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,7 @@ def verify_image_ellipse(
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
+    _check_points(4 * samples, f"image-ellipse with {samples} samples per piece")
     spec = ellipse_spec(p, 0)
     semi_major, semi_minor = axes if axes is not None else (spec.semi_major, spec.semi_minor)
     outer, inner, ray_hi, ray_lo = _uprime_boundary_pieces(p, k, samples, inset=0.0)
@@ -178,6 +187,7 @@ def verify_containment(p: MapParams, k: int, samples: int = 2000) -> Verificatio
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
+    _check_points(2 * samples, f"containment with {samples} samples")
     rect = u_prime_rect(p, k)
     half_sign = 1 if k % 2 == 0 else -1
     spec = ellipse_spec(p, half_sign)
@@ -250,6 +260,7 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
     """
     if boundary_samples < 256:
         raise ValueError(f"boundary_samples must be >= 256, got {boundary_samples}")
+    _check_points(boundary_samples, f"winding with {boundary_samples} boundary samples")
     n, c, wj = w.n, w.c, w.w_j
     hw = math.pi / (2 * n)
     th_c = principal_arg(wj)
@@ -326,6 +337,7 @@ def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) ->
         raise ValueError(f"grid must be >= 8, got {grid}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    _check_points(grid * grid, f"annulus with grid {grid}")
     s = escape_radius(p)
     t = inner_radius(p)
     n_out = grid // 2
@@ -364,6 +376,7 @@ def verify_spine_locus(
         raise ValueError("eps must be positive")
     if grid < 32:
         raise ValueError(f"grid must be >= 32, got {grid}")
+    _check_points(grid * grid, f"spine-locus with grid {grid}")
     t = complex(t)
     lo_r, hi_r = spine_radii(t)
     r_lo = max(lo_r - eps, 1e-9 * max(1.0, hi_r))

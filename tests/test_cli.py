@@ -111,6 +111,22 @@ class TestRenderCommand:
             capsys, "render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
             "--view", "-1,1,-1,1", "--size", "4by4", "--out", str(out),
         )[0] == 2
+        for view in ("0,inf,-5,5", "0,1e308,-1e308,1e308"):  # inf bound; pixel_dy overflows
+            code, _, err = run(
+                capsys, "render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
+                "--view", view, "--size", "8x8", "--out", str(out),
+            )
+            assert code == 2 and "viewport" in err
+        assert not out.exists()
+
+    def test_memory_budget_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "huge.ppm"
+        code, _, err = run(
+            capsys, "render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
+            "--view", "-5,5,-5,5", "--size", "100000x100000", "--out", str(out),
+        )
+        assert code == 2 and "memory budget" in err
+        assert not out.exists()
 
     def test_io_error_exit_1(self, capsys):
         code, _, err = run(
@@ -173,6 +189,16 @@ class TestVerifyCommand:
             "--eps", "0.25", "--samples", "32", "--max-iter", "100",
         )
         assert code == 0
+
+    def test_memory_budget_exit_2(self, capsys):
+        for argv in (
+            ("--check", "spine-locus", "--n", "20", "--t", "2,0", "--eps", "0.25"),
+            ("--check", "annulus", "--n", "4", "--a", "1,0", "--c", "0,6"),
+            ("--check", "winding", "--n", "4", "--c", "0,6"),
+            ("--check", "containment", "--n", "3", "--a", "1,0", "--c", "0.2,0"),
+        ):
+            code, out, err = run(capsys, "verify", *argv, "--samples", "100000000")
+            assert code == 2 and "memory budget" in err and out == ""
 
     def test_vminus_mismatch_exit_3(self, capsys):
         code, out, _ = run(

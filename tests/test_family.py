@@ -9,6 +9,7 @@ from mcmullen.errors import PoleError
 from mcmullen.family import (
     MapParams,
     OrbitResult,
+    critical_orbits_bulk,
     critical_points,
     critical_values,
     escape_radius,
@@ -17,6 +18,7 @@ from mcmullen.family import (
     involute,
     iterate_orbit,
     iterate_orbits_bulk,
+    np_principal_sqrt,
     pow_int,
     principal_arg,
     principal_root,
@@ -24,6 +26,8 @@ from mcmullen.family import (
     safe_abs,
     wrap_angle,
 )
+from mcmullen.family import _escapes, _prefilter_threshold
+from mcmullen.solvers import fixed_critical_params
 
 RNG = np.random.default_rng(20260816)
 
@@ -276,3 +280,195 @@ class TestOrbits:
         assert esc.shape == (2, 2) and iters.shape == (2, 2)
         assert bool(esc[0, 1]) and iters[0, 1] == 1
         assert bool(esc[1, 1]) and iters[1, 1] == 0  # pole at start
+
+
+def reference_orbits_bulk(n, a, c, z0, max_iter, threshold):
+    """Plain gather/scatter form of iterate_orbits_bulk, kept as its oracle: every
+    live orbit takes every step and the exact test, with no working set, prefilter
+    or cycle retirement."""
+    a, c, z0, thr = np.broadcast_arrays(
+        np.asarray(a, dtype=complex),
+        np.asarray(c, dtype=complex),
+        np.asarray(z0, dtype=complex),
+        np.asarray(threshold, dtype=float),
+    )
+    shape = z0.shape
+    a = a.ravel()
+    c = c.ravel()
+    thr = thr.ravel()
+    z = z0.ravel().astype(complex, copy=True)
+
+    iters = np.zeros(z.size, dtype=np.int64)
+    escaped = np.zeros(z.size, dtype=bool)
+    finite0 = np.isfinite(z.real) & np.isfinite(z.imag)
+    escaped[~finite0] = True
+    active = np.flatnonzero(finite0)
+
+    for step in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        za = z[active]
+        pole = za == 0
+        if pole.any():
+            hit = active[pole]
+            escaped[hit] = True
+            iters[hit] = step - 1
+            active = active[~pole]
+            za = z[active]
+            if active.size == 0:
+                break
+        with np.errstate(all="ignore"):
+            zn = pow_int(za, n)
+            znew = zn + a[active] / zn + c[active]
+        z[active] = znew
+        bad = ~(np.isfinite(znew.real) & np.isfinite(znew.imag))
+        with np.errstate(all="ignore"):
+            out = bad | (np.abs(znew) > thr[active])
+        if out.any():
+            hit = active[out]
+            escaped[hit] = True
+            iters[hit] = step
+            active = active[~out]
+
+    iters[~escaped] = max_iter
+    return escaped.reshape(shape), iters.reshape(shape)
+
+
+def assert_matches_reference(*args):
+    """iterate_orbits_bulk(*args) equals the oracle exactly; returns its result."""
+    esc, iters = iterate_orbits_bulk(*args)
+    want_esc, want_iters = reference_orbits_bulk(*args)
+    assert esc.dtype == want_esc.dtype and iters.dtype == want_iters.dtype
+    np.testing.assert_array_equal(esc, want_esc)
+    np.testing.assert_array_equal(iters, want_iters)
+    return esc, iters
+
+
+def lattice(center, half, size):
+    """size x size pixel-center lattice of the square of half-width `half`, flattened."""
+    t = (np.arange(size) + 0.5) / size * 2.0 - 1.0
+    return (center + half * (t[None, :] + 1j * t[:, None])).ravel()
+
+
+def critical_orbit_args(n, a, c, max_iter):
+    """The two argument tuples critical_orbits_bulk passes to iterate_orbits_bulk."""
+    thr = np.maximum(4.0, np.maximum(np.abs(c), np.abs(a)))
+    root = np_principal_sqrt(a)
+    return [(n, a, c, c + 2.0 * root, max_iter, thr), (n, a, c, c - 2.0 * root, max_iter, thr)]
+
+
+# Starting at z0 = 1 with a = -1, the first step gives z**n + a/z**n = 1 - 1 = 0
+# exactly, so z1 = c exactly: c places the first iterate anywhere, bit for bit.
+Z1_IS_C = dict(n=3, a=-1 + 0j, z0=1 + 0j)
+
+
+class TestBulkKernelOracle:
+    """iterate_orbits_bulk against the plain reference kernel: (escaped, iters)
+    exactly equal, on the paper's zooms and on every edge of the decision rule."""
+
+    @pytest.fixture(scope="class")
+    def center_args(self):
+        args = []
+        for spec in fixed_critical_params(4, 6j):
+            a = lattice(spec.a_j, 0.1, 64)
+            args += critical_orbit_args(4, a, np.full(a.shape, 6j), 1000)
+        return args
+
+    def test_center_zooms_both_critical_orbits(self, center_args):
+        bounded = 0
+        for args in center_args:
+            esc, _ = assert_matches_reference(*args)
+            bounded += int(np.count_nonzero(~esc))
+        assert bounded > 1000  # the zooms hold bounded orbits, which retirement serves
+
+    def test_critical_orbits_bulk_is_two_kernel_calls(self, center_args):
+        n, a, c, _, max_iter, _ = center_args[0]
+        plus, minus = critical_orbits_bulk(n, a, c, max_iter)
+        for got, args in zip((plus, minus), center_args[:2]):
+            want = reference_orbits_bulk(*args)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_readme_dynamical_plane(self):
+        p = MapParams(4, -13.122875503987459 + 2.008554506696609j, 6j)
+        z0 = lattice(0j, 2.0, 64)
+        esc, _ = assert_matches_reference(p.n, p.a, p.c, z0, 1000, escape_radius(p))
+        assert 0 < np.count_nonzero(~esc) < z0.size
+
+    def test_pole_and_non_finite_inputs(self):
+        nan, inf = math.nan, math.inf
+        z0 = np.array([0j, complex(nan, 0), complex(inf, 0), complex(0, -inf),
+                       complex(inf, nan), 1 + 0j, 0.5 + 0.5j, 1 + 0j])
+        a = np.array([1, 1, 1, 1, 1, -1, complex(nan, 0), complex(inf, 1)])
+        c = np.array([0, 0, 0, 0, 0, 0, 0, 0j])
+        for max_iter in (1, 2, 5):
+            esc, iters = assert_matches_reference(3, a, c, z0, max_iter, 4.0)
+            assert esc[:5].all() and not iters[:5].any()  # pole and non-finite starts
+            # z1 = 0 exactly: the pole met at step 2 dates the escape at 1; with
+            # one step allowed the orbit is bounded
+            assert (bool(esc[5]), int(iters[5])) == (max_iter > 1, 1)
+            assert bool(esc[6]) and iters[6] == 1  # non-finite a
+            assert bool(esc[7]) and iters[7] == 1
+
+    def test_threshold_is_exact_at_the_boundary(self):
+        # |3 + 4i| is exactly 5: on the threshold it stays, one ulp below it escapes
+        n, a, z0 = Z1_IS_C["n"], Z1_IS_C["a"], Z1_IS_C["z0"]
+        for thr, want in ((5.0, (False, 1)), (np.nextafter(5.0, 0.0), (True, 1))):
+            esc, iters = assert_matches_reference(n, a, 3 + 4j, z0, 1, thr)
+            assert (bool(esc), int(iters)) == want
+            res = iterate_orbit(MapParams(n, a, 3 + 4j), z0, 1, float(thr))
+            assert (res.escaped, res.iterations) == want
+
+    @pytest.mark.parametrize("scale", [0.3, 2.0**166, 1e51])
+    def test_second_iterates_within_ulps_of_the_threshold(self, scale):
+        # From step 2 on the prefilter runs. z1 = c from the lattice, z2 = R(c) as
+        # the kernel computes it, and thresholds from |z2| * (1 - 400u) to
+        # |z2| * (1 + 8u): both sides of the prefilter's margin (128u) and of the
+        # exact test. |z1| stays far below them. The scales put thr near 10, near
+        # 2**499 (inside the prefilter's range) and near 1e154 (above its cap).
+        rng = np.random.default_rng(int(np.log2(scale)) + 2000)
+        c = scale * rng.uniform(1.0, 2.0, 4000) * np.exp(1j * rng.uniform(0, 2 * math.pi, 4000))
+        n, a, z0 = Z1_IS_C["n"], Z1_IS_C["a"], Z1_IS_C["z0"]
+        zn = pow_int(c, n)
+        z2 = zn + a / zn + c
+        thr = np.abs(z2) * (1.0 + rng.integers(-400, 9, c.size) * 2.0**-53)
+        assert (np.abs(c) < thr / 2).all()
+        esc, iters = assert_matches_reference(n, a, c, z0, 3, thr)
+        assert (esc & (iters == 2)).any() and (iters > 2).any()
+
+    @pytest.mark.parametrize("thr", [5.0, 13.3, 1e-160, 2.0**-481, 2.0**-479, 2.0**499,
+                                     2.0**501, 1e154, 1e300, math.inf, math.nan, -5.0, 0.0])
+    def test_prefilter_never_clears_an_escape(self, thr):
+        # The prefilter's soundness on its own: moduli within 400 ulps of thr at
+        # many angles (exactly 45 degrees too), plus zero, tiny, huge and
+        # non-finite values. 1e-160 has a subnormal square.
+        rng = np.random.default_rng(7)
+        r = abs(thr) if math.isfinite(thr) and thr != 0 else 1.0
+        angle = np.concatenate([np.full(64, math.pi / 4), rng.uniform(0, 2 * math.pi, 4000)])
+        k = rng.integers(-400, 9, angle.size)
+        with np.errstate(all="ignore"):
+            z = r * (1.0 + k * 2.0**-53) * np.exp(1j * angle)
+        z = np.concatenate([z, [0j, 1e-300j, 5e-324 + 0j, complex(1e300, 1e300),
+                                complex(math.inf, 0), complex(math.nan, 1)]])
+        thr_arr = np.full(z.size, thr)
+        with np.errstate(all="ignore"):
+            cleared = z.real * z.real + z.imag * z.imag <= _prefilter_threshold(thr_arr)
+            assert not (cleared & _escapes(z, thr_arr)).any()
+        assert cleared.any() == (thr >= 2.0**-480)  # inf is served as 2**500
+
+    def test_permuted_and_chunked_inputs(self, center_args):
+        # Retirement assumes an orbit's arithmetic does not depend on its position
+        # in the working set; permuting or splitting the input must change nothing.
+        rng = np.random.default_rng(29)
+        for args in center_args[:2]:
+            n, a, c, z0, max_iter, thr = args
+            esc, iters = iterate_orbits_bulk(*args)
+            perm = rng.permutation(z0.size)
+            p_esc, p_iters = iterate_orbits_bulk(n, a[perm], c[perm], z0[perm], max_iter, thr[perm])
+            np.testing.assert_array_equal(p_esc, esc[perm])
+            np.testing.assert_array_equal(p_iters, iters[perm])
+            cuts = [0, 1, 8, 31, 500, 1777, z0.size]
+            parts = [iterate_orbits_bulk(n, a[i:j], c[i:j], z0[i:j], max_iter, thr[i:j])
+                     for i, j in zip(cuts, cuts[1:])]
+            np.testing.assert_array_equal(np.concatenate([e for e, _ in parts]), esc)
+            np.testing.assert_array_equal(np.concatenate([m for _, m in parts]), iters)

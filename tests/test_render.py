@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mcmullen.errors import MEMORY_BUDGET_BYTES
 from mcmullen.family import MapParams
 from mcmullen.render import (
     Diagonal,
@@ -20,7 +21,7 @@ from mcmullen.render import (
     encode_ppm,
     render_slice,
 )
-from mcmullen.render import _intensity, _round_half_away
+from mcmullen.render import _intensity, _round_half_away, render_bytes
 from mcmullen.solvers import fixed_critical_params
 
 CENTER_VIEW = Viewport(-16.0, -3.0, -6.5, 6.5, 120, 120)
@@ -36,6 +37,12 @@ class TestViewport:
             Viewport(-2.0, 2.0, 1.0, -1.0, 10, 10)  # reversed im
         with pytest.raises(ValueError):
             Viewport(-2.0, 2.0, -1.0, 1.0, 0, 10)
+        for bounds in ((0.0, math.inf, -5.0, 5.0), (-math.inf, 0.0, -5.0, 5.0),
+                       (0.0, 1.0, math.nan, 1.0),
+                       (0.0, 1e308, -1e308, 1e308),  # pixel_dy overflows
+                       (0.0, 5e-324, 0.0, 1.0)):  # pixel_dx underflows to 0
+            with pytest.raises(ValueError):
+                Viewport(*bounds, 8, 8)
 
     def test_point_at_pixel_centers(self):
         vp = Viewport(-2.0, 2.0, -1.0, 1.0, 4, 2)
@@ -180,6 +187,16 @@ class TestRenderSlice:
             render_slice(2, FixedC(0j), vp, RenderConfig())
         # a Dynamical slice carries its own n; the argument is ignored
         render_slice(0, Dynamical(MapParams(3, 1 + 0j, 0j)), vp, RenderConfig(max_iter=8))
+
+    def test_memory_budget(self):
+        # the benchmark's sizes fit; a huge view is refused before any allocation
+        for side in (200, 400, 600, 800):
+            assert render_bytes(Viewport(-1.0, 1.0, -1.0, 1.0, side, side)) < MEMORY_BUDGET_BYTES
+        for w, h in ((10**5, 10**5), (10**9, 1)):
+            vp = Viewport(-1.0, 1.0, -1.0, 1.0, w, h)
+            assert render_bytes(vp) > MEMORY_BUDGET_BYTES
+            with pytest.raises(ValueError, match="memory budget"):
+                render_slice(4, FixedC(6j), vp, RenderConfig())
 
     def test_zero_parameter_pixels_logged(self, caplog):
         vp = Viewport(-1.0, 1.0, -1.0, 1.0, 5, 5)  # center pixel lands exactly on 0

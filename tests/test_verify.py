@@ -19,7 +19,28 @@ from mcmullen.verify import (
     verify_winding,
     winding_turns,
 )
-from mcmullen.verify import _checked_winding
+from mcmullen.errors import MEMORY_BUDGET_BYTES
+from mcmullen.verify import _SAMPLE_BYTES, _checked_winding
+
+
+class TestMemoryBudget:
+    def test_huge_lattices_refused_before_allocation(self):
+        p = MapParams(4, 13 + 0j, 6j)
+        spec = fixed_critical_params(8, 6 + 0j)[0]
+        for call in (
+            lambda: verify_spine_locus(20, 2 + 0j, 0.25, grid=10**5),
+            lambda: verify_annulus_escape(p, grid=10**5),
+            lambda: verify_containment(p, 0, samples=10**9),
+            lambda: verify_winding(spec, boundary_samples=10**9),
+            lambda: verify_image_ellipse(p, 0, samples=10**9),
+        ):
+            with pytest.raises(ValueError, match="memory budget"):
+                call()
+
+    def test_benchmark_sizes_fit(self):
+        # spine-locus and annulus grids, winding and containment sample counts
+        for points in (300**2, 128**2, 65536, 2 * 200_000):
+            assert points * _SAMPLE_BYTES < MEMORY_BUDGET_BYTES
 
 
 class TestReportPlumbing:
