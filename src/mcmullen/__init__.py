@@ -4,6 +4,8 @@ ellipse halves, admissible parameter regions, the diagonal-slice spine), fixed
 critical-point solvers, and a sampling-based verification engine for containment,
 winding, and escape claims."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     HypothesisError,
     InconsistencyError,
@@ -86,71 +88,8 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+# Every name imported above is public; the imports are the only list of them.
 __all__ = [
-    "HypothesisError",
-    "InconsistencyError",
-    "PoleError",
-    "RootFindingError",
-    "UnderSamplingError",
-    "MapParams",
-    "OrbitResult",
-    "critical_points",
-    "critical_values",
-    "escape_radius",
-    "eval_map",
-    "inner_radius",
-    "involute",
-    "iterate_orbit",
-    "iterate_orbits_bulk",
-    "principal_arg",
-    "principal_root",
-    "principal_sqrt",
-    "wrap_angle",
-    "HalfEllipseSpec",
-    "PolarRect",
-    "WRegionSpec",
-    "ellipse_spec",
-    "half_ellipse_contains",
-    "half_ellipse_margin",
-    "k_of_j",
-    "l_c_rect",
-    "polar_contains",
-    "polar_margin",
-    "sector_index",
-    "u_prime_rect",
-    "v_rect",
-    "w_boundary_point",
-    "w_region_contains",
-    "Diagonal",
-    "Dynamical",
-    "FixedA",
-    "FixedC",
-    "Image",
-    "RenderConfig",
-    "SliceSpec",
-    "Viewport",
-    "classify_pixel",
-    "draw_overlay",
-    "encode_ppm",
-    "render_slice",
-    "diagonal_fixed_params",
-    "fixed_critical_params",
-    "poly_roots",
-    "SpineSpec",
-    "spine_distance",
-    "spine_distances",
-    "spine_point",
-    "spine_points",
-    "spine_radii",
-    "CSV_HEADER",
-    "VerificationReport",
-    "reports_to_csv",
-    "verify_annulus_escape",
-    "verify_containment",
-    "verify_image_ellipse",
-    "verify_spine_locus",
-    "verify_vminus_sign",
-    "verify_winding",
-    "winding_turns",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -28,7 +28,7 @@ from .errors import (
     UnderSamplingError,
 )
 from .family import MapParams, eval_map, inner_radius
-from .regions import l_c_rect, polar_contains, sector_index, w_region_contains
+from .regions import ellipse_semi_axes, l_c_rect, polar_contains, sector_index, w_region_contains
 from .render import (
     Diagonal,
     Dynamical,
@@ -92,6 +92,19 @@ def _parse_size(text: str) -> tuple[int, int]:
 _NEGATIVE_TUPLE = re.compile(r"^-\d[\d.,eEj+\-]*$")
 
 
+# The flags several subcommands share: name -> (type, help).
+_SHARED_FLAGS = {
+    "n": (int, "family exponent (integer >= 3)"),
+    "c": (_parse_complex, "parameter c as re,im"),
+    "a": (_parse_complex, "parameter a as re,im"),
+    "t": (_parse_complex, "slice slope t as re,im"),
+    "out": (str, "output file path"),
+    "samples": (int, "sample/grid count"),
+    "max-iter": (int, "iteration budget"),
+    "eps": (float, "neighborhood radius"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
@@ -106,19 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--n", type=int, default=None, help="family exponent (integer >= 3)")
-        sp.add_argument("--c", type=_parse_complex, default=None, help="parameter c as re,im")
-        sp.add_argument("--a", type=_parse_complex, default=None, help="parameter a as re,im")
-        sp.add_argument("--t", type=_parse_complex, default=None, help="slice slope t as re,im")
-        sp.add_argument("--out", type=str, default=None, help="output file path")
-        sp.add_argument("--samples", type=int, default=None, help="sample/grid count")
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                        help="iteration budget")
-        sp.add_argument("--eps", type=float, default=None, help="neighborhood radius")
+    def add_shared(sp: argparse.ArgumentParser, names: str) -> None:
+        """Add the shared flags a subcommand reads, so any other is refused."""
+        for name in names.split():
+            kind, help_text = _SHARED_FLAGS[name]
+            sp.add_argument(f"--{name}", type=kind, default=None, help=help_text)
 
     p_render = sub.add_parser("render", help="render a slice to a binary PPM image")
-    add_common(p_render)
+    add_shared(p_render, "n c a t out max-iter")
     p_render.add_argument(
         "--slice", choices=("fixed-c", "fixed-a", "diagonal", "dynamical"), default=None
     )
@@ -127,14 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--size", type=_parse_size, default=None, help="WIDTHxHEIGHT")
 
     p_verify = sub.add_parser("verify", help="run a certification check, emit CSV")
-    add_common(p_verify)
+    add_shared(p_verify, "n c a t out samples max-iter eps")
     p_verify.add_argument("--check", choices=_CHECKS, default=None)
 
     p_centers = sub.add_parser("centers", help="fixed-critical-point parameters as CSV")
-    add_common(p_centers)
+    add_shared(p_centers, "n c t out")
 
     p_spine = sub.add_parser("spine", help="sampled spine curve as CSV")
-    add_common(p_spine)
+    add_shared(p_spine, "t samples out")
 
     return parser
 
@@ -187,8 +195,14 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def _two_pow_n1(n: int) -> float:
+    """2**(n+1), twice the semi-axes at a = 0: inf at n = 1023, and from n = 1024 on
+    a HypothesisError, since no ellipse check can run there."""
+    return 2.0 * ellipse_semi_axes(n, 0.0)[0]
+
+
 def _mt1_hypotheses(n: int, c: complex) -> bool:
-    return abs(c) >= 6.0 and 4.0 * abs(c) + 8.0 <= 2.0 ** (n + 1)
+    return abs(c) >= 6.0 and 4.0 * abs(c) + 8.0 <= _two_pow_n1(n)
 
 
 def _containment_reports(args: argparse.Namespace):
@@ -220,9 +234,9 @@ def _containment_reports(args: argparse.Namespace):
         eps = args.eps if args.eps is not None else 0.1
         if c.real >= -(1.0 + eps):
             raise HypothesisError(f"requires c < -(1+eps) = {-(1.0 + eps)}, got c = {c.real}")
-        if 6.0 * abs(c) + 4.0 >= 2.0 ** (n + 1):
+        if 6.0 * abs(c) + 4.0 >= _two_pow_n1(n):
             raise HypothesisError(
-                f"requires 6|c|+4 < 2**(n+1): {6.0 * abs(c) + 4.0} vs {2.0 ** (n + 1)}"
+                f"requires 6|c|+4 < 2**(n+1): {6.0 * abs(c) + 4.0} vs {_two_pow_n1(n)}"
             )
         if not polar_contains(l_c_rect(c, eps), a):
             raise HypothesisError(

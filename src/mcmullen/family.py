@@ -143,16 +143,27 @@ def critical_points(p: MapParams) -> list[complex]:
     ]
 
 
+def critical_values_bulk(a, c):
+    """(c + 2*sqrt(a), c - 2*sqrt(a)) of elementwise (a, c), principal square root."""
+    root = np_principal_sqrt(a)
+    return c + 2.0 * root, c - 2.0 * root
+
+
 def critical_values(p: MapParams) -> tuple[complex, complex]:
-    """(v_plus, v_minus) = (c + 2*sqrt(a), c - 2*sqrt(a)), principal square root.
-    Even-k critical points map to v_plus, odd-k to v_minus."""
-    root = principal_sqrt(p.a)
-    return p.c + 2.0 * root, p.c - 2.0 * root
+    """(v_plus, v_minus) = critical_values_bulk(a, c). Even-k critical points map to
+    v_plus, odd-k to v_minus."""
+    v_plus, v_minus = critical_values_bulk(p.a, p.c)
+    return complex(v_plus), complex(v_minus)
+
+
+def escape_radius_bulk(a, c):
+    """max(4, |c|, |a|) of elementwise (a, c), |.| as np.abs gives it."""
+    return np.maximum(4.0, np.maximum(np.abs(c), np.abs(a)))
 
 
 def escape_radius(p: MapParams) -> float:
-    """s = max(4, |c|, |a|); orbits beyond modulus s grow at least like s**m."""
-    return max(4.0, abs(p.c), abs(p.a))
+    """s = escape_radius_bulk(a, c); orbits beyond modulus s grow at least like s**m."""
+    return float(escape_radius_bulk(p.a, p.c))
 
 
 def inner_radius(p: MapParams) -> float:
@@ -312,9 +323,9 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
 
 def critical_orbits_bulk(n, a, c, max_iter):
     """iterate_orbits_bulk from both critical values c +- 2*sqrt(a) of elementwise
-    (a, c), a != 0, with threshold max(4, |c|, |a|): ((esc+, it+), (esc-, it-))."""
-    thr = np.maximum(4.0, np.maximum(np.abs(c), np.abs(a)))
-    root = np_principal_sqrt(a)
-    plus = iterate_orbits_bulk(n, a, c, c + 2.0 * root, max_iter, thr)
-    minus = iterate_orbits_bulk(n, a, c, c - 2.0 * root, max_iter, thr)
+    (a, c), a != 0, with threshold escape_radius_bulk(a, c): ((esc+, it+), (esc-, it-))."""
+    thr = escape_radius_bulk(a, c)
+    v_plus, v_minus = critical_values_bulk(a, c)
+    plus = iterate_orbits_bulk(n, a, c, v_plus, max_iter, thr)
+    minus = iterate_orbits_bulk(n, a, c, v_minus, max_iter, thr)
     return plus, minus

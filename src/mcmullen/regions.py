@@ -6,12 +6,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import HypothesisError, InconsistencyError
 from .family import (
     MapParams,
+    critical_values_bulk,
     eval_map,
     principal_arg,
-    principal_sqrt,
     wrap_angle,
 )
 
@@ -61,7 +63,7 @@ def u_prime_rect(p: MapParams, k: int) -> PolarRect:
     radii (|a|**(1/n)/2, 2), center (psi + 2*k*pi)/(2n), halfwidth pi/(2n)."""
     if not 0 <= k <= 2 * p.n - 1:
         raise ValueError(f"k must be in 0..{2 * p.n - 1}, got {k}")
-    if abs(p.a) >= 4.0**p.n:
+    if abs(p.a) >= 4**p.n:  # an exact int comparison: 4.0**n overflows from n = 512
         raise HypothesisError(
             f"|a| = {abs(p.a)} >= 4**n collapses the rectangle (inner radius >= 2)"
         )
@@ -96,51 +98,77 @@ class HalfEllipseSpec:
         object.__setattr__(self, "center", complex(self.center))
 
 
+def ellipse_semi_axes(n: int, abs_a):
+    """(2**n + |a|/2**n, 2**n - |a|/2**n), elementwise in |a|: the semi-axes of the
+    image ellipse. Raises HypothesisError when 2**n overflows binary64 (n >= 1024)."""
+    try:
+        two_n = 2.0**n
+    except OverflowError:
+        raise HypothesisError(
+            f"n = {n} puts the ellipse semi-axes 2**n +- |a|/2**n beyond binary64"
+        ) from None
+    ratio = abs_a / two_n
+    return two_n + ratio, two_n - ratio
+
+
+def ellipse_frame(z, center, rotation, semi_major, semi_minor):
+    """Points z in the frame of an ellipse, elementwise: (x, y, q, radial), where
+    x + iy = (z - center) * exp(-i*rotation), q = (x/semi_major)**2 + (y/semi_minor)**2
+    is below 1 strictly inside, and radial = hypot(x, y) * (1/sqrt(q) - 1) is the
+    signed distance to the boundary along the ray from the center (semi_minor at the
+    center): exact on the boundary, a lower-magnitude proxy elsewhere."""
+    zp = (np.asarray(z, dtype=complex) - center) * np.exp(-1j * rotation)
+    x, y = zp.real, zp.imag
+    with np.errstate(all="ignore"):
+        q = (x / semi_major) ** 2 + (y / semi_minor) ** 2
+        # In place, so that at most two sample-sized temporaries live at once.
+        radial = 1.0 / np.sqrt(q)
+        radial -= 1.0
+        radial *= np.hypot(x, y)
+        radial = np.where(q > 0.0, radial, semi_minor)
+    return x, y, q, radial[()]
+
+
 def ellipse_spec(p: MapParams, half_sign: int = 0) -> HalfEllipseSpec:
     """Image ellipse of the critical rectangles: center c, rotation psi/2,
-    semi-axes 2**n +- |a|/2**n (so the foci sit at the critical values:
+    ellipse_semi_axes(n, |a|) (so the foci sit at the critical values:
     semi_major**2 - semi_minor**2 = 4|a|). half_sign +1 is the half containing
     c + 2*sqrt(a), -1 the half containing c - 2*sqrt(a)."""
-    two_n = 2.0**p.n
-    ratio = abs(p.a) / two_n
-    if ratio >= two_n:
+    semi_major, semi_minor = ellipse_semi_axes(p.n, abs(p.a))
+    if semi_minor <= 0.0:
         raise HypothesisError(f"|a| = {abs(p.a)} >= 4**n degenerates the minor axis")
     return HalfEllipseSpec(
         center=p.c,
         rotation=p.psi / 2.0,
-        semi_major=two_n + ratio,
-        semi_minor=two_n - ratio,
+        semi_major=semi_major,
+        semi_minor=semi_minor,
         half_sign=int(half_sign),
     )
 
 
-def half_ellipse_contains(spec: HalfEllipseSpec, z: complex) -> bool:
-    """Strict ellipse-interior membership, restricted to the selected half when
-    half_sign is nonzero; minor-axis points belong to both halves."""
-    zp = (complex(z) - spec.center) * cmath.exp(-1j * spec.rotation)
-    q = (zp.real / spec.semi_major) ** 2 + (zp.imag / spec.semi_minor) ** 2
-    if q >= 1.0:
-        return False
+def half_ellipse_membership(spec: HalfEllipseSpec, z):
+    """(half_ellipse_contains, half_ellipse_margin) of z from one frame transform."""
+    x, _, q, radial = ellipse_frame(z, spec.center, spec.rotation, spec.semi_major, spec.semi_minor)
     if spec.half_sign == 0:
-        return True
-    return zp.real * spec.half_sign >= 0.0
+        return q < 1.0, radial
+    side = x * spec.half_sign
+    inside = (q < 1.0) & (side >= 0.0)
+    del x, _, q  # frees the frame before the margins take their memory
+    return inside, np.minimum(radial, side)
 
 
-def half_ellipse_margin(spec: HalfEllipseSpec, z: complex) -> float:
-    """Signed margin to the region boundary: positive inside, negative outside.
-    The elliptical leg is measured radially along the ray from the center (exact on
-    the boundary, a lower-magnitude proxy elsewhere); for a half, the distance to the
-    minor axis is a second leg."""
-    zp = (complex(z) - spec.center) * cmath.exp(-1j * spec.rotation)
-    x, y = zp.real, zp.imag
-    q = (x / spec.semi_major) ** 2 + (y / spec.semi_minor) ** 2
-    if q == 0.0:
-        radial = spec.semi_minor
-    else:
-        radial = math.hypot(x, y) * (1.0 / math.sqrt(q) - 1.0)
-    if spec.half_sign == 0:
-        return radial
-    return min(radial, x * spec.half_sign)
+def half_ellipse_contains(spec: HalfEllipseSpec, z) -> bool:
+    """Strict ellipse-interior membership of a point or, elementwise, an array,
+    restricted to the selected half when half_sign is nonzero; minor-axis points
+    belong to both halves."""
+    return half_ellipse_membership(spec, z)[0]
+
+
+def half_ellipse_margin(spec: HalfEllipseSpec, z) -> float:
+    """Signed margin of a point or, elementwise, an array to the region boundary:
+    positive inside, negative outside. The elliptical leg is ellipse_frame's radial
+    margin; for a half, the distance to the minor axis is a second leg."""
+    return half_ellipse_membership(spec, z)[1]
 
 
 def l_c_rect(c: complex, eps: float) -> PolarRect:
@@ -257,6 +285,5 @@ def w_region_contains(w: WRegionSpec, a: complex) -> bool:
     a = complex(a)
     if a == 0:
         return False
-    root = principal_sqrt(a)
     rect = v_rect(w)
-    return polar_contains(rect, w.c + 2.0 * root) or polar_contains(rect, w.c - 2.0 * root)
+    return any(polar_contains(rect, v) for v in critical_values_bulk(a, w.c))

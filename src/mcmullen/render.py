@@ -231,19 +231,16 @@ def _orbit_color(base: RGB8, escaped: bool, m: int, cfg: RenderConfig) -> RGB8:
     return tuple(scaled)  # type: ignore[return-value]
 
 
-def _resolve_params(n: int, slc: SliceSpec, point: complex) -> MapParams | None:
-    """Concrete map for one parameter-slice pixel; None when the pixel sits at a = 0
-    (outside the family)."""
+def _slice_params(slc: SliceSpec, point):
+    """(a, c) of a parameter slice at a point or, elementwise, an array of points;
+    the held parameter is filled to the point's shape. Points at a = 0 lie outside
+    the family and are left to the caller."""
     if isinstance(slc, FixedC):
-        if point == 0:
-            return None
-        return MapParams(n, point, slc.c)
+        return point, np.full(np.shape(point), slc.c)
     if isinstance(slc, FixedA):
-        return MapParams(n, slc.a, point)
+        return np.full(np.shape(point), slc.a), point
     if isinstance(slc, Diagonal):
-        if point == 0:
-            return None
-        return MapParams(n, point, slc.t * point)
+        return point, slc.t * point
     raise TypeError(f"not a parameter slice: {slc!r}")
 
 
@@ -258,9 +255,10 @@ def classify_pixel(n: int, slc: SliceSpec, point: complex, cfg: RenderConfig) ->
         res = iterate_orbit(p, point, cfg.max_iter, escape_radius(p))
         return _orbit_color((255, 255, 255), res.escaped, res.iterations, cfg)
 
-    p = _resolve_params(n, slc, point)
-    if p is None:
+    a, c = _slice_params(slc, point)
+    if a == 0:
         return cfg.bounded_color
+    p = MapParams(n, a, c)
     thr = escape_radius(p)
     v_plus, v_minus = critical_values(p)
     res_p = iterate_orbit(p, v_plus, cfg.max_iter, thr)
@@ -294,18 +292,7 @@ def _render_band(
         block = _color_block(escaped, iters, (255, 255, 255), cfg)
         return block.astype(np.uint8).reshape(row1 - row0, vp.width, 3), 0
 
-    if isinstance(slc, FixedC):
-        a = pts
-        c = np.full(pts.shape, complex(slc.c))
-    elif isinstance(slc, FixedA):
-        a = np.full(pts.shape, complex(slc.a))
-        c = pts
-    elif isinstance(slc, Diagonal):
-        a = pts
-        c = slc.t * pts
-    else:  # pragma: no cover - SliceSpec is a closed union
-        raise TypeError(f"unknown slice kind: {slc!r}")
-
+    a, c = _slice_params(slc, pts)
     zero_a = a == 0
     n_zero = int(np.count_nonzero(zero_a))
     a_safe = np.where(zero_a, 1.0 + 0.0j, a)

@@ -19,6 +19,7 @@ from .errors import HypothesisError, UnderSamplingError, check_memory_budget
 from .family import (
     MapParams,
     critical_orbits_bulk,
+    critical_values,
     escape_radius,
     inner_radius,
     iterate_orbits_bulk,
@@ -27,7 +28,10 @@ from .family import (
 )
 from .regions import (
     WRegionSpec,
+    ellipse_frame,
+    ellipse_semi_axes,
     ellipse_spec,
+    half_ellipse_membership,
     u_prime_rect,
 )
 from .spine import SpineSpec, spine_distances, spine_radii
@@ -105,12 +109,6 @@ def _eval_grid(p: MapParams, z: np.ndarray) -> np.ndarray:
     return zn + p.a / zn + p.c
 
 
-def _ellipse_frame(center: complex, rotation: float, z: np.ndarray):
-    """Rotate samples into the ellipse frame; returns (x, y) coordinate arrays."""
-    zp = (np.asarray(z, dtype=complex) - center) * np.exp(-1j * rotation)
-    return zp.real, zp.imag
-
-
 def _uprime_boundary_pieces(
     p: MapParams, k: int, per_piece: int, inset: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -149,20 +147,17 @@ def verify_image_ellipse(
     _check_points(4 * samples, f"image-ellipse with {samples} samples per piece")
     spec = ellipse_spec(p, 0)
     semi_major, semi_minor = axes if axes is not None else (spec.semi_major, spec.semi_minor)
-    outer, inner, ray_hi, ray_lo = _uprime_boundary_pieces(p, k, samples, inset=0.0)
-
+    pts = np.concatenate(_uprime_boundary_pieces(p, k, samples, inset=0.0))
+    x, y, q, _ = ellipse_frame(
+        _eval_grid(p, pts), spec.center, spec.rotation, semi_major, semi_minor
+    )
+    m = 2 * samples  # the outer and inner arcs come first, then the two rays
     tol = 1e-8
-    arc_devs = []
-    for piece in (outer, inner):
-        x, y = _ellipse_frame(spec.center, spec.rotation, _eval_grid(p, piece))
-        arc_devs.append(np.abs((x / semi_major) ** 2 + (y / semi_minor) ** 2 - 1.0))
-    ray_devs = []
-    for piece in (ray_hi, ray_lo):
-        x, y = _ellipse_frame(spec.center, spec.rotation, _eval_grid(p, piece))
-        ray_devs.append(
-            np.maximum(np.abs(x) / semi_major, np.maximum(0.0, np.abs(y) - semi_minor) / semi_minor)
-        )
-    devs = np.concatenate(arc_devs + ray_devs)
+    devs = np.concatenate([
+        np.abs(q[:m] - 1.0),
+        np.maximum(np.abs(x[m:]) / semi_major,
+                   np.maximum(0.0, np.abs(y[m:]) - semi_minor) / semi_minor),
+    ])
     failures = int(np.count_nonzero(devs > tol))
     return VerificationReport(
         check_name="image-ellipse",
@@ -204,14 +199,7 @@ def verify_containment(p: MapParams, k: int, samples: int = 2000) -> Verificatio
     interior = (r_lattice[:, None] * np.exp(1j * t_lattice)[None, :]).ravel()
 
     pts = np.concatenate([boundary, interior])
-    x, y = _ellipse_frame(spec.center, spec.rotation, _eval_grid(p, pts))
-    q = (x / spec.semi_major) ** 2 + (y / spec.semi_minor) ** 2
-    side = x * half_sign
-    inside = (q < 1.0) & (side >= 0.0)
-    rr = np.hypot(x, y)
-    with np.errstate(divide="ignore"):
-        radial = np.where(q > 0.0, rr * (1.0 / np.sqrt(q) - 1.0), spec.semi_minor)
-    margins = np.minimum(radial, side)
+    inside, margins = half_ellipse_membership(spec, _eval_grid(p, pts))
     failures = int(np.count_nonzero(~inside))
     return VerificationReport(
         check_name="containment",
@@ -280,25 +268,19 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
     )
 
     half = (v - c) / 2.0
+    # The ellipse at each sample's parameter a(v) = ((v - c)/2)**2; for n >= 1024
+    # its semi-axes overflow, which refuses the check before the walk.
+    semi_major, semi_minor = ellipse_semi_axes(n, np.abs(half) ** 2)
     wjn = (wj - c) / 2.0
     xi = np.abs(half) ** (1.0 / n) * np.exp(1j * (th_c + np.angle(half / wjn) / n))
     turns, max_step = _checked_winding(v - xi)
     winding = round(turns)
 
     # Membership of v in (half-ellipse including minor axis) minus the open critical
-    # rectangle, at the pulled-back parameter a(v) = ((v - c)/2)**2 of each sample.
+    # rectangle, at the pulled-back parameter a(v) of each sample.
     a_vals = half * half
-    abs_a = np.abs(half) ** 2
-    two_n = 2.0**n
-    semi_major = two_n + abs_a / two_n
-    semi_minor = two_n - abs_a / two_n
     psi = np.angle(np.where(a_vals.imag == 0.0, a_vals.real + 0.0j, a_vals))
-    zp = (v - c) * np.exp(-0.5j * psi)
-    with np.errstate(all="ignore"):
-        q = (zp.real / semi_major) ** 2 + (zp.imag / semi_minor) ** 2
-        rr = np.abs(zp)
-        ell_margin = np.where(q > 0.0, rr * (1.0 / np.sqrt(q) - 1.0), semi_minor)
-    minor_axis_dist = np.abs(zp.real)
+    x, _, q, ell_margin = ellipse_frame(v, c, psi / 2.0, semi_major, semi_minor)
 
     r1 = np.abs(half) ** (2.0 / n) / 2.0
     rv = np.abs(v)
@@ -307,7 +289,7 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
 
     bad = (semi_minor <= 0.0) | ~np.isfinite(q)
     sample_fail = bad | (q >= 1.0) | (depth > 1e-9)
-    margins = np.minimum(np.minimum(ell_margin, -depth), minor_axis_dist)
+    margins = np.minimum(np.minimum(ell_margin, -depth), np.abs(x))  # |x|: minor-axis distance
     margins = np.where(bad, -1.0, margins)
     failures = int(np.count_nonzero(sample_fail))
     if winding != 1:
@@ -430,17 +412,18 @@ def verify_vminus_sign(n: int, a: float, c: float) -> VerificationReport:
     if not c > 0.0:
         raise HypothesisError(f"requires c > 0, got c = {c}")
     a_star = 0.25 ** (n / (n - 1.0))
-    v = c - 2.0 * math.sqrt(a)
+    p = MapParams(n, a, c)
+    v = critical_values(p)[1].real
     if a > a_star:
         regime = 1
-    elif c < 2.0 * math.sqrt(a):
+    elif v < 0.0:  # exactly when c < 2*sqrt(a): a float difference keeps the sign
         regime = 2
     else:
         regime = 3
     claim_positive = regime in (1, 2)
     match = (v > 0.0) if claim_positive else (v <= 0.0)
     margin = v if claim_positive else -v
-    c_bound = inner_radius(MapParams(n, a, c))
+    c_bound = inner_radius(p)
     return VerificationReport(
         check_name="vminus-sign",
         params=_fmt_params(

@@ -211,6 +211,17 @@ class TestVerifyCommand:
     def test_unknown_check(self, capsys):
         assert run(capsys, "verify", "--check", "nonsense", "--n", "3")[0] == 2
 
+    def test_overflowing_n_exit_2(self, capsys):
+        # 2**n overflows binary64 from n = 1024: refused with a message, before any solve
+        for argv in (
+            ("--check", "image-ellipse", "--n", "2000", "--a", "1", "--c", "0", "--samples", "16"),
+            ("--check", "winding", "--n", "1100", "--c", "6"),
+            ("--check", "containment", "--n", "1100", "--c", "6"),
+            ("--check", "containment", "--n", "1100", "--c", "-3", "--a", "2"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 2 and "binary64" in err and out == "", argv
+
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "report.csv"
         code, stdout, _ = run(
@@ -273,6 +284,27 @@ class TestSpineCommand:
 class TestTopLevel:
     def test_no_args(self, capsys):
         assert run(capsys)[0] == 2
+
+    def test_flags_a_subcommand_does_not_read_are_refused(self, tmp_path, capsys):
+        render = ("render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
+                  "--view", "-5,5,-5,5", "--size", "8x8", "--out", str(tmp_path / "r.ppm"))
+        for argv in (
+            (*render, "--samples", "9"),
+            (*render, "--eps", "0.1"),
+            ("centers", "--n", "3", "--c", "6", "--samples", "9"),
+            ("centers", "--n", "3", "--c", "6", "--a", "1"),
+            ("centers", "--n", "3", "--c", "6", "--max-iter", "9"),
+            ("centers", "--n", "3", "--c", "6", "--eps", "0.1"),
+            ("spine", "--t", "2", "--n", "5"),
+            ("spine", "--t", "2", "--c", "1"),
+            ("spine", "--t", "2", "--a", "1"),
+            ("spine", "--t", "2", "--max-iter", "9"),
+            ("spine", "--t", "2", "--eps", "0.1"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and "unrecognized arguments" in err and out == "", argv
+        assert not (tmp_path / "r.ppm").exists()
+        assert run(capsys, *render)[0] == 0
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -1,0 +1,36 @@
+"""The package namespace: every public name importable from `mcmullen`."""
+import types
+
+import mcmullen
+
+# The public names of the package as of the single-listing change to __init__.py;
+# each must stay importable from the top level.
+PUBLIC_NAMES = (
+    "HypothesisError", "InconsistencyError", "PoleError", "RootFindingError",
+    "UnderSamplingError", "MapParams", "OrbitResult", "critical_points", "critical_values",
+    "escape_radius", "eval_map", "inner_radius", "involute", "iterate_orbit",
+    "iterate_orbits_bulk", "principal_arg", "principal_root", "principal_sqrt", "wrap_angle",
+    "HalfEllipseSpec", "PolarRect", "WRegionSpec", "ellipse_spec", "half_ellipse_contains",
+    "half_ellipse_margin", "k_of_j", "l_c_rect", "polar_contains", "polar_margin",
+    "sector_index", "u_prime_rect", "v_rect", "w_boundary_point", "w_region_contains",
+    "Diagonal", "Dynamical", "FixedA", "FixedC", "Image", "RenderConfig", "SliceSpec",
+    "Viewport", "classify_pixel", "draw_overlay", "encode_ppm", "render_slice",
+    "diagonal_fixed_params", "fixed_critical_params", "poly_roots", "SpineSpec",
+    "spine_distance", "spine_distances", "spine_point", "spine_points", "spine_radii",
+    "CSV_HEADER", "VerificationReport", "reports_to_csv", "verify_annulus_escape",
+    "verify_containment", "verify_image_ellipse", "verify_spine_locus", "verify_vminus_sign",
+    "verify_winding", "winding_turns", "__version__",
+)
+
+
+def test_public_names_importable():
+    for name in PUBLIC_NAMES:
+        assert name in mcmullen.__all__, name  # so `from mcmullen import *` brings it
+        assert hasattr(mcmullen, name), name
+
+
+def test_all_lists_each_name_once_and_no_modules():
+    assert len(mcmullen.__all__) == len(set(mcmullen.__all__))
+    for name in mcmullen.__all__:
+        assert not isinstance(getattr(mcmullen, name), types.ModuleType), name
+        assert not name.startswith("_") or name == "__version__", name

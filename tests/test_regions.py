@@ -18,6 +18,7 @@ from mcmullen.regions import (
     HalfEllipseSpec,
     PolarRect,
     WRegionSpec,
+    ellipse_semi_axes,
     ellipse_spec,
     half_ellipse_contains,
     half_ellipse_margin,
@@ -32,6 +33,18 @@ from mcmullen.regions import (
     w_region_contains,
 )
 from mcmullen.solvers import fixed_critical_params
+
+
+def oracle_half_ellipse(spec: HalfEllipseSpec, z: complex) -> tuple[bool, float]:
+    """Pure-Python (contains, margin), written independently of the array code."""
+    zp = (complex(z) - spec.center) * cmath.exp(-1j * spec.rotation)
+    x, y = zp.real, zp.imag
+    q = (x / spec.semi_major) ** 2 + (y / spec.semi_minor) ** 2
+    radial = spec.semi_minor if q == 0.0 else math.hypot(x, y) * (1.0 / math.sqrt(q) - 1.0)
+    if spec.half_sign == 0:
+        return q < 1.0, radial
+    side = x * spec.half_sign
+    return q < 1.0 and side >= 0.0, min(radial, side)
 
 
 class TestPolarRect:
@@ -115,6 +128,10 @@ class TestUPrimeRect:
             u_prime_rect(p, 6)
         with pytest.raises(HypothesisError):
             u_prime_rect(MapParams(3, 64.0 + 0j, 0j), 0)  # |a| = 4**3
+        # exact for every n, also where 4.0**n overflows (n >= 512)
+        with pytest.raises(HypothesisError):
+            u_prime_rect(MapParams(511, 2.0**1022 + 0j, 0j), 0)  # |a| = 4**511
+        assert u_prime_rect(MapParams(600, 1e300 + 0j, 0j), 0).r_outer == 2.0
 
 
 class TestEllipse:
@@ -124,6 +141,9 @@ class TestEllipse:
         assert e.semi_minor == 15.625
         assert e.center == 6j
         assert e.rotation == pytest.approx(math.pi / 4, rel=1e-14)
+        major, minor = ellipse_semi_axes(4, np.array([6.0, 0.0]))  # elementwise in |a|
+        assert major.tolist() == [16.375, 16.0] and minor.tolist() == [15.625, 16.0]
+        assert ellipse_semi_axes(1023, 1.0) == (2.0**1023, 2.0**1023)
 
     def test_focal_identity(self):
         rng = np.random.default_rng(41)
@@ -169,6 +189,28 @@ class TestEllipse:
             assert not half_ellipse_contains(e, e.center + on * (1 + 1e-9))
             assert half_ellipse_contains(e, e.center + on * (1 - 1e-9))
         assert half_ellipse_margin(e, e.center) == 1.0  # semi_minor at the center
+        assert isinstance(half_ellipse_margin(e, e.center), float)  # a point gives a scalar
+
+    def test_array_inputs_match_scalar_oracle(self):
+        rng = np.random.default_rng(47)
+        for half_sign in (-1, 0, 1):
+            e = HalfEllipseSpec(1 - 2j, 0.7, 3.0, 1.5, half_sign)
+            z = e.center + rng.uniform(-4, 4, (30, 40)) + 1j * rng.uniform(-4, 4, (30, 40))
+            z[0, :3] = [e.center, e.center + 1.5j * cmath.exp(0.7j), e.center + 10]
+            inside = half_ellipse_contains(e, z)
+            margin = half_ellipse_margin(e, z)
+            assert inside.shape == margin.shape == z.shape
+            # the center: semi_minor from the ellipse, 0 from the minor axis of a half
+            assert inside[0, 0] and margin[0, 0] == (1.5 if half_sign == 0 else 0.0)
+            for (i, j), w in np.ndenumerate(z):
+                want_in, want_margin = oracle_half_ellipse(e, w)
+                # a point alone (scalar NumPy arithmetic) or in an array (SIMD loops)
+                alone = (half_ellipse_contains(e, w), half_ellipse_margin(e, w))
+                for got_in, got_margin in ((inside[i, j], margin[i, j]), alone):
+                    assert got_margin == pytest.approx(want_margin, rel=1e-12, abs=1e-12)
+                    if abs(want_margin) > 1e-12:  # off the boundary, rounding cannot flip it
+                        assert got_in == want_in, w
+            assert inside.any() and not inside.all()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -177,6 +219,11 @@ class TestEllipse:
             HalfEllipseSpec(0j, 0.0, 2.0, 1.0, 2)
         with pytest.raises(HypothesisError):
             ellipse_spec(MapParams(3, 64 + 0j, 0j))
+        for n in (1024, 2000):  # 2**n overflows binary64
+            with pytest.raises(HypothesisError, match="binary64"):
+                ellipse_semi_axes(n, 1.0)
+            with pytest.raises(HypothesisError, match="binary64"):
+                ellipse_spec(MapParams(n, 1 + 0j, 0j))
 
     def test_map_sends_uprime_into_parity_half(self):
         # geometric glue: the k-th rectangle maps into the half-ellipse of the

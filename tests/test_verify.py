@@ -6,6 +6,7 @@ import pytest
 
 from mcmullen.errors import HypothesisError, UnderSamplingError
 from mcmullen.family import MapParams
+from mcmullen.regions import WRegionSpec
 from mcmullen.solvers import fixed_critical_params
 from mcmullen.verify import (
     CSV_HEADER,
@@ -41,6 +42,19 @@ class TestMemoryBudget:
         # spine-locus and annulus grids, winding and containment sample counts
         for points in (300**2, 128**2, 65536, 2 * 200_000):
             assert points * _SAMPLE_BYTES < MEMORY_BUDGET_BYTES
+
+
+class TestOverflowingN:
+    def test_ellipse_checks_refuse_n_from_1024(self):
+        # w = 1 is a fixed critical point of (n, a = 1, c = -1) for every n
+        w = WRegionSpec(c=-1 + 0j, n=1100, j=0, w_j=1 + 0j, a_j=1 + 0j, k=0)
+        for call in (
+            lambda: verify_image_ellipse(MapParams(2000, 1 + 0j, 0j), 0, samples=16),
+            lambda: verify_containment(MapParams(1100, 1 + 0j, -1 + 0j), 0, samples=64),
+            lambda: verify_winding(w, boundary_samples=256),
+        ):
+            with pytest.raises(HypothesisError, match="binary64"):
+                call()
 
 
 class TestReportPlumbing:
