@@ -195,14 +195,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _two_pow_n1(n: int) -> float:
-    """2**(n+1), twice the semi-axes at a = 0: inf at n = 1023, and from n = 1024 on
-    a HypothesisError, since no ellipse check can run there."""
-    return 2.0 * ellipse_semi_axes(n, 0.0)[0]
-
-
 def _mt1_hypotheses(n: int, c: complex) -> bool:
-    return abs(c) >= 6.0 and 4.0 * abs(c) + 8.0 <= _two_pow_n1(n)
+    # 2 ** (n + 1) is an int, so the comparison is exact and cannot overflow
+    return abs(c) >= 6.0 and 4.0 * abs(c) + 8.0 <= 2 ** (n + 1)
 
 
 def _containment_reports(args: argparse.Namespace):
@@ -234,9 +229,9 @@ def _containment_reports(args: argparse.Namespace):
         eps = args.eps if args.eps is not None else 0.1
         if c.real >= -(1.0 + eps):
             raise HypothesisError(f"requires c < -(1+eps) = {-(1.0 + eps)}, got c = {c.real}")
-        if 6.0 * abs(c) + 4.0 >= _two_pow_n1(n):
+        if 6.0 * abs(c) + 4.0 >= 2 ** (n + 1):
             raise HypothesisError(
-                f"requires 6|c|+4 < 2**(n+1): {6.0 * abs(c) + 4.0} vs {_two_pow_n1(n)}"
+                f"requires 6|c|+4 < 2**(n+1): {6.0 * abs(c) + 4.0} vs {2 ** (n + 1)}"
             )
         if not polar_contains(l_c_rect(c, eps), a):
             raise HypothesisError(
@@ -266,6 +261,8 @@ def _containment_reports(args: argparse.Namespace):
 def _cmd_verify(args: argparse.Namespace) -> int:
     _require(args.check is not None, "--check is required")
     check = args.check
+    if check in ("containment", "winding") and args.n is not None:
+        ellipse_semi_axes(args.n, 0.0)  # refuses n >= 1024 before any center is solved
 
     if check == "image-ellipse":
         _require(args.n is not None and args.a is not None and args.c is not None,

@@ -125,7 +125,7 @@ def ellipse_frame(z, center, rotation, semi_major, semi_minor):
         radial = 1.0 / np.sqrt(q)
         radial -= 1.0
         radial *= np.hypot(x, y)
-        radial = np.where(q > 0.0, radial, semi_minor)
+        radial = np.where(q == 0.0, semi_minor, radial)  # a NaN q gives a NaN margin
     return x, y, q, radial[()]
 
 
@@ -157,17 +157,19 @@ def half_ellipse_membership(spec: HalfEllipseSpec, z):
     return inside, np.minimum(radial, side)
 
 
-def half_ellipse_contains(spec: HalfEllipseSpec, z) -> bool:
-    """Strict ellipse-interior membership of a point or, elementwise, an array,
-    restricted to the selected half when half_sign is nonzero; minor-axis points
-    belong to both halves."""
+def half_ellipse_contains(spec: HalfEllipseSpec, z):
+    """Strict ellipse-interior membership of a point (np.bool_) or, elementwise, an
+    array, restricted to the selected half when half_sign is nonzero; minor-axis
+    points belong to both halves. Public API: callers that need the margin as well
+    use half_ellipse_membership, which transforms z once."""
     return half_ellipse_membership(spec, z)[0]
 
 
-def half_ellipse_margin(spec: HalfEllipseSpec, z) -> float:
-    """Signed margin of a point or, elementwise, an array to the region boundary:
-    positive inside, negative outside. The elliptical leg is ellipse_frame's radial
-    margin; for a half, the distance to the minor axis is a second leg."""
+def half_ellipse_margin(spec: HalfEllipseSpec, z):
+    """Signed margin of a point (np.float64) or, elementwise, an array to the region
+    boundary: positive inside, negative outside. The elliptical leg is
+    ellipse_frame's radial margin; for a half, the distance to the minor axis is a
+    second leg. Public API, like half_ellipse_contains."""
     return half_ellipse_membership(spec, z)[1]
 
 

@@ -196,18 +196,23 @@ class TestEllipse:
         for half_sign in (-1, 0, 1):
             e = HalfEllipseSpec(1 - 2j, 0.7, 3.0, 1.5, half_sign)
             z = e.center + rng.uniform(-4, 4, (30, 40)) + 1j * rng.uniform(-4, 4, (30, 40))
-            z[0, :3] = [e.center, e.center + 1.5j * cmath.exp(0.7j), e.center + 10]
+            z[0, :5] = [e.center, e.center + 1.5j * cmath.exp(0.7j), e.center + 10,
+                        complex(math.nan, 0), complex(math.inf, 1)]
             inside = half_ellipse_contains(e, z)
             margin = half_ellipse_margin(e, z)
             assert inside.shape == margin.shape == z.shape
             # the center: semi_minor from the ellipse, 0 from the minor axis of a half
             assert inside[0, 0] and margin[0, 0] == (1.5 if half_sign == 0 else 0.0)
+            # a NaN point is outside with a NaN margin, an infinite one infinitely far
+            assert not inside[0, 3] and math.isnan(margin[0, 3])
+            assert not inside[0, 4] and margin[0, 4] == -math.inf
             for (i, j), w in np.ndenumerate(z):
                 want_in, want_margin = oracle_half_ellipse(e, w)
                 # a point alone (scalar NumPy arithmetic) or in an array (SIMD loops)
                 alone = (half_ellipse_contains(e, w), half_ellipse_margin(e, w))
                 for got_in, got_margin in ((inside[i, j], margin[i, j]), alone):
-                    assert got_margin == pytest.approx(want_margin, rel=1e-12, abs=1e-12)
+                    assert got_margin == pytest.approx(want_margin, rel=1e-12, abs=1e-12,
+                                                       nan_ok=True)
                     if abs(want_margin) > 1e-12:  # off the boundary, rounding cannot flip it
                         assert got_in == want_in, w
             assert inside.any() and not inside.all()

@@ -162,55 +162,27 @@ class TestClassifyPixel:
 
 README_A = -13.122875503987459 + 2.008554506696609j  # a center of FixedC(6j) at n = 4
 
-
-def _square(center: complex, half: float) -> Viewport:
-    return Viewport(center.real - half, center.real + half,
-                    center.imag - half, center.imag + half, 60, 60)
-
-
-# Every slice kind through the slice resolver, each on a 60x60 view where some
-# orbits stay bounded and the escape times vary: (n, slice, view).
+# Every slice kind through the slice resolver: (n, slice, view).
 CLASSIFIER_CASES = (
-    (4, FixedC(6j), _square(README_A, 0.1)),
-    (8, Diagonal(2 + 0j), _square(-0.1504314704595051 - 0.22836973266318705j, 0.05)),
-    (3, FixedA(1 + 0j), _square(-2.5 + 0.8j, 0.2)),
-    # the README dynamical plane around its bounded point w_j
-    (4, Dynamical(MapParams(4, README_A, 6j)),
-     _square(-0.5528513714578666 - 1.2661645078316732j, 0.05)),
+    (4, FixedC(6j), CENTER_VIEW),
+    (8, Diagonal(2 + 0j), Viewport(-1.0, 1.0, -1.0, 1.0, 60, 60)),
+    (3, FixedA(1 + 0j), Viewport(-3.0, 3.0, -3.0, 3.0, 60, 60)),
+    # the README dynamical plane
+    (4, Dynamical(MapParams(4, README_A, 6j)), Viewport(-2.0, 2.0, -2.0, 2.0, 60, 60)),
 )
-# (case, max_iter) -> (row, col) of the pixels where render_slice and classify_pixel
-# disagree: chaotic orbits, which a last-bit difference between Python's complex
-# product and NumPy's array product sends apart. Each is a pixel whose scalar
-# color changes one ulp away.
-CLASSIFIER_MISMATCHES = {
-    (0, 256): {(11, 43)},
-    (0, 1000): {(54, 43), (56, 45)},
-    (2, 1000): {(21, 20)},
-}
-
-
-def _ulp_neighbors(z: complex):
-    for toward in (-math.inf, math.inf):
-        yield complex(np.nextafter(z.real, toward), z.imag)
-        yield complex(z.real, np.nextafter(z.imag, toward))
 
 
 class TestRenderSlice:
     def test_matches_scalar_classifier(self):
-        cases = enumerate(CLASSIFIER_CASES)
-        for (i, (n, slc, vp)), max_iter in itertools.product(cases, (256, 1000)):
+        for (n, slc, vp), max_iter in itertools.product(CLASSIFIER_CASES, (256, 1000)):
             cfg = RenderConfig(max_iter=max_iter)
             img = render_slice(n, slc, vp, cfg)
             want = [
                 [classify_pixel(n, slc, vp.point_at(col, row), cfg) for col in range(vp.width)]
                 for row in range(vp.height)
             ]
-            bad = {tuple(rc) for rc in np.argwhere((img.pixels != np.array(want)).any(axis=-1))}
-            assert bad == CLASSIFIER_MISMATCHES.get((i, max_iter), set()), (slc, max_iter)
-            for row, col in bad:
-                z = vp.point_at(col, row)
-                here = classify_pixel(n, slc, z, cfg)
-                assert any(classify_pixel(n, slc, w, cfg) != here for w in _ulp_neighbors(z))
+            bad = np.argwhere((img.pixels != np.array(want)).any(axis=-1))
+            assert bad.size == 0, (slc, max_iter, bad[:10].tolist())
 
     def test_repeat_render_identical_bytes(self):
         cfg = RenderConfig(max_iter=64)
