@@ -315,21 +315,16 @@ def _cmd_centers(args: argparse.Namespace) -> int:
         (args.c is None) != (args.t is None),
         "exactly one of --c or --t is required",
     )
-    lines = ["j,k,re_w,im_w,re_a,im_a,residual"]
+    n = args.n
     if args.c is not None:
-        for spec in fixed_critical_params(args.n, args.c):
-            w, a = spec.w_j, spec.a_j
-            residual = abs(eval_map(MapParams(args.n, a, args.c), w) - w)
-            lines.append(
-                f"{spec.j},{spec.k},{w.real!r},{w.imag!r},{a.real!r},{a.imag!r},{residual!r}"
-            )
+        rows = [(s.w_j, s.a_j, s.k, args.c) for s in fixed_critical_params(n, args.c)]
     else:
-        for j, (w, a) in enumerate(diagonal_fixed_params(args.n, args.t)):
-            k = sector_index(args.n, w, a)
-            residual = abs(eval_map(MapParams(args.n, a, args.t * a), w) - w)
-            lines.append(
-                f"{j},{k},{w.real!r},{w.imag!r},{a.real!r},{a.imag!r},{residual!r}"
-            )
+        pairs = diagonal_fixed_params(n, args.t)
+        rows = [(w, a, sector_index(n, w, a), args.t * a) for w, a in pairs]
+    lines = ["j,k,re_w,im_w,re_a,im_a,residual"]
+    for j, (w, a, k, c) in enumerate(rows):
+        residual = abs(eval_map(MapParams(n, a, c), w) - w)
+        lines.append(f"{j},{k},{w.real!r},{w.imag!r},{a.real!r},{a.imag!r},{residual!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -137,6 +137,11 @@ def ellipse_spec(p: MapParams, half_sign: int = 0) -> HalfEllipseSpec:
     semi_major, semi_minor = ellipse_semi_axes(p.n, abs(p.a))
     if semi_minor <= 0.0:
         raise HypothesisError(f"|a| = {abs(p.a)} >= 4**n degenerates the minor axis")
+    if semi_minor == semi_major:
+        raise HypothesisError(
+            f"|a|/2**n = {abs(p.a) / 2.0**p.n:.3e} is below half an ulp of 2**n = "
+            f"{2.0**p.n:.6g}, so both semi-axes round to the same float"
+        )
     return HalfEllipseSpec(
         center=p.c,
         rotation=p.psi / 2.0,

@@ -5,29 +5,33 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InconsistencyError, RootFindingError
+from .errors import InconsistencyError, RootFindingError, check_memory_budget
 from .family import MapParams, eval_map, pow_int
 from .regions import WRegionSpec, sector_index
 
 # Coefficients are given highest degree first, like numpy.polyval.
 PolyCoeffs = Sequence[complex]
 
-_JITTER_SEED = 0x5EED
+_MAX_SWEEPS = 200
+# Peak bytes per d**2, measured with tracemalloc: 17 for one Aberth sweep (the d x d
+# complex reciprocal matrix and its zero mask), 24 for the d x d comparison of the
+# centers dedupe that follows it; the budget takes the larger.
+_BYTES_PER_D2 = 24
 
 
-def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12, max_iter: int = 200) -> list[complex]:
+def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12) -> list[complex]:
     """All d roots (with multiplicity) of a degree-d polynomial, via simultaneous
     Aberth-Ehrlich iteration.
 
-    Initial guesses sit on a ring of radius 1 + max|coeff|/|lead| with deterministic
-    pseudo-random angular jitter (fixed seed), so output is reproducible. Each
-    returned root r satisfies |p(r)| <= tol * (1 + max coefficient modulus), else
-    RootFindingError carries the best residuals. Roots are sorted by (Re, Im).
+    Initial guesses sit evenly on the circle of radius |c_0/c_d|**(1/d), the geometric
+    mean of the root moduli (radius 1 when the constant term is 0), at angles
+    (2*pi*k + 0.7)/d, so output is reproducible. Each returned root r satisfies
+    |p(r)| <= tol * (1 + max coefficient modulus), else RootFindingError carries the
+    best residuals. Roots are sorted by (Re, Im).
     """
     c = [complex(x) for x in coeffs]
     if len(c) < 2:
@@ -37,26 +41,26 @@ def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12, max_iter: int = 200) -> l
     if tol <= 0:
         raise ValueError("tol must be positive")
     d = len(c) - 1
+    check_memory_budget(_BYTES_PER_D2 * d * d, f"root finding at degree {d}")
     coeff_arr = np.array(c, dtype=complex)
     max_mod = float(np.max(np.abs(coeff_arr)))
     monic = coeff_arr / coeff_arr[0]
     deriv = monic[:-1] * np.arange(d, 0, -1)
 
-    radius = 1.0 + max(abs(x) for x in c[1:]) / abs(c[0])
-    rng = random.Random(_JITTER_SEED)
-    theta = np.array([2.0 * math.pi * (k + 0.05 + 0.9 * rng.random()) / d for k in range(d)])
-    z = radius * np.exp(1j * theta)
+    radius = abs(c[-1] / c[0]) ** (1.0 / d) if c[-1] != 0 else 1.0
+    z = radius * np.exp(1j * (2.0 * math.pi * np.arange(d) + 0.7) / d)
 
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_MAX_SWEEPS):
             pv = np.polyval(monic, z)
             dv = np.polyval(deriv, z)
             dv = np.where(dv == 0, 1e-300, dv)
             w = pv / dv
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
-            diff = np.where(diff == 0, 1e-300, diff)
-            s = (1.0 / diff).sum(axis=1) - 1.0
+            diff[diff == 0] = 1e-300
+            s = np.divide(1.0, diff, out=diff).sum(axis=1) - 1.0
+            del diff
             denom = 1.0 - w * s
             denom = np.where(denom == 0, 1e-300, denom)
             delta = w / denom
@@ -68,20 +72,33 @@ def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12, max_iter: int = 200) -> l
     if np.any(~np.isfinite(residuals)) or np.any(residuals > bound):
         worst = np.sort(residuals)[-min(3, d):]
         raise RootFindingError(
-            f"no convergence within {max_iter} iterations: worst residuals {list(worst)} "
+            f"no convergence within {_MAX_SWEEPS} iterations: worst residuals {list(worst)} "
             f"exceed bound {bound:.3e}"
         )
     return sorted((complex(r) for r in z), key=lambda r: (r.real, r.imag))
 
 
-def _dedupe_by_value(pairs: list[tuple[complex, complex]], tol: float) -> list[tuple[complex, complex]]:
-    """Drop (w, a) pairs whose a-value repeats an already-kept one within relative tol."""
-    kept: list[tuple[complex, complex]] = []
-    for w, a in pairs:
-        if any(abs(a - b) <= tol * max(1.0, abs(a), abs(b)) for _, b in kept):
-            continue
-        kept.append((w, a))
-    return kept
+def _centers(n: int, coeffs: PolyCoeffs, dedupe_tol: float) -> list[tuple[complex, complex]]:
+    """The slices' one centers pipeline: roots w != 0 of coeffs, paired with
+    a = w**(2n); a pair is dropped when its a equals an already kept pair's a within
+    relative dedupe_tol (|a - b| <= dedupe_tol * max(1, |a|, |b|)). The kept pairs are
+    sorted by (Re a, Im a), where Re parts equal within that tolerance count as equal,
+    so each conjugate pair of a-values is adjacent with Im a < 0 first."""
+    if dedupe_tol <= 0:
+        raise ValueError("dedupe_tol must be positive")
+    pairs = [(w, pow_int(w, 2 * n)) for w in poly_roots(coeffs) if w != 0]
+    a = np.array([b for _, b in pairs], dtype=complex)
+    scale = dedupe_tol * np.maximum(1.0, np.abs(a))
+    # close[i, j]: pair j < i has an a-value within tolerance of pair i's
+    close = np.tril(np.abs(a[:, None] - a[None, :]) <= np.maximum.outer(scale, scale), -1)
+    keep = np.ones(a.size, dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):  # only pairs near an earlier one
+        keep[i] = not (close[i] & keep).any()
+    kept = np.flatnonzero(keep)
+    by_re = kept[np.argsort(a.real[kept], kind="stable")]
+    tied = np.diff(a.real[by_re]) <= np.maximum(scale[by_re[1:]], scale[by_re[:-1]])
+    group = np.concatenate([[0], np.cumsum(~tied)])
+    return [pairs[i] for i in by_re[np.lexsort((a.imag[by_re], group))]]
 
 
 def fixed_critical_params(n: int, c: complex, dedupe_tol: float = 1e-9) -> list[WRegionSpec]:
@@ -98,12 +115,7 @@ def fixed_critical_params(n: int, c: complex, dedupe_tol: float = 1e-9) -> list[
     c = complex(c)
     if c == 0:
         raise ValueError("c must be nonzero")
-    if dedupe_tol <= 0:
-        raise ValueError("dedupe_tol must be positive")
-    coeffs = [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, c]
-    roots = poly_roots(coeffs)
-    pairs = [(w, pow_int(w, 2 * n)) for w in roots if w != 0]
-    kept = sorted(_dedupe_by_value(pairs, dedupe_tol), key=lambda p: (p[1].real, p[1].imag))
+    kept = _centers(n, [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, c], dedupe_tol)
     if abs(c) >= 1.0 and len(kept) != n:
         raise InconsistencyError(
             f"expected {n} distinct fixed-critical parameters for |c| >= 1, found {len(kept)}"
@@ -133,9 +145,7 @@ def diagonal_fixed_params(
     if not cmath.isfinite(t):
         raise ValueError("t must be finite")
     coeffs = [t] + [0j] * (n - 1) + [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j]
-    roots = poly_roots(coeffs)
-    pairs = [(w, pow_int(w, 2 * n)) for w in roots if w != 0]
-    kept = sorted(_dedupe_by_value(pairs, dedupe_tol), key=lambda p: (p[1].real, p[1].imag))
+    kept = _centers(n, coeffs, dedupe_tol)
     for w, a in kept:
         residual = abs(eval_map(MapParams(n, a, t * a), w) - w)
         if not residual <= 1e-8:

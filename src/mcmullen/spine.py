@@ -6,10 +6,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .family import np_principal_sqrt, principal_sqrt
 
@@ -67,24 +65,23 @@ def spine_points(s: SpineSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, base + spread, base - spread
 
 
-@lru_cache(maxsize=32)
-def _curve_tree(t: complex, samples: int) -> cKDTree:
-    _, plus, minus = spine_points(SpineSpec(t, samples))
-    pts = np.concatenate([plus, minus])
-    return cKDTree(np.column_stack([pts.real, pts.imag]))
-
-
 def spine_distance(s: SpineSpec, a: complex) -> float:
     """Sampled distance from a to the spine: the minimum of |a - p| over both branch
     curves on the theta lattice. Over-estimates the true distance by at most the
     local curve step."""
-    a = complex(a)
-    d, _ = _curve_tree(s.t, s.samples).query([a.real, a.imag])
-    return float(d)
+    return float(spine_distances(s, np.array([a]))[0])
 
 
 def spine_distances(s: SpineSpec, a: np.ndarray) -> np.ndarray:
-    """Vectorized spine_distance over an array of parameters."""
+    """Vectorized spine_distance over an array of parameters. Each call builds one
+    k-d tree over both branch curves; SciPy is imported here, so that only a distance
+    query pays for it."""
+    from scipy.spatial import cKDTree
+
+    _, plus, minus = spine_points(s)
+    pts = np.concatenate([plus, minus])
+    xy = np.column_stack([pts.real, pts.imag])
+    tree = cKDTree(xy, balanced_tree=False, compact_nodes=False)
     a = np.asarray(a, dtype=complex).ravel()
-    d, _ = _curve_tree(s.t, s.samples).query(np.column_stack([a.real, a.imag]))
+    d, _ = tree.query(np.column_stack([a.real, a.imag]))
     return d

@@ -222,6 +222,24 @@ class TestVerifyCommand:
             code, out, err = run(capsys, "verify", *argv)
             assert code == 2 and "binary64" in err and out == "", argv
 
+    def test_equal_semi_axes_exit_2(self, capsys):
+        # |a|/2**n below half an ulp of 2**n rounds both semi-axes to 2**n
+        for argv in (
+            ("--check", "image-ellipse", "--n", "30", "--a", "1", "--c", "0", "--samples", "16"),
+            ("--check", "containment", "--n", "30", "--c", "6", "--samples", "64"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 2 and out == "", argv
+            assert "below half an ulp of 2**n" in err and "same float" in err, argv
+
+    def test_winding_at_large_n_reports(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--check", "winding", "--n", "300", "--c", "6",
+            "--samples", "4096",
+        )
+        assert code in (0, 3)
+        assert len(out.strip().splitlines()) == 1 + 300
+
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "report.csv"
         code, stdout, _ = run(
@@ -254,6 +272,17 @@ class TestCentersCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 6
         assert {line.split(",")[0] for line in lines[1:]} == {"0", "1", "2", "3", "4"}
+
+    def test_large_n_rows(self, capsys):
+        code, out, _ = run(capsys, "centers", "--n", "300", "--c", "0,6")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + 300
+        assert max(float(line.split(",")[6]) for line in lines[1:]) <= 1e-8
+
+    def test_memory_budget_exit_2(self, capsys):
+        code, out, err = run(capsys, "centers", "--n", "5000", "--t", "2")
+        assert code == 2 and "memory budget" in err and out == ""
 
     def test_exactly_one_of_c_or_t(self, capsys):
         assert run(capsys, "centers", "--n", "3")[0] == 2

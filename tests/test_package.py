@@ -1,5 +1,9 @@
 """The package namespace: every public name importable from `mcmullen`."""
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import mcmullen
 
@@ -34,3 +38,17 @@ def test_all_lists_each_name_once_and_no_modules():
     for name in mcmullen.__all__:
         assert not isinstance(getattr(mcmullen, name), types.ModuleType), name
         assert not name.startswith("_") or name == "__version__", name
+
+
+def test_import_leaves_scipy_unloaded():
+    # SciPy is imported by the spine distance query alone, not by the package or CLI
+    src = str(Path(mcmullen.__file__).resolve().parents[1])
+    code = (
+        "import sys; import numpy as np; import mcmullen, mcmullen.cli; "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m); "
+        "d = mcmullen.spine_distances(mcmullen.SpineSpec(2 + 0j), np.array([0.5j, 3 + 0j])); "
+        "assert d[0] < 1e-12 and abs(d[1] - (3 - 1.8660254037844386)) < 1e-12, d"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -145,6 +145,11 @@ class TestEllipse:
         assert major.tolist() == [16.375, 16.0] and minor.tolist() == [15.625, 16.0]
         assert ellipse_semi_axes(1023, 1.0) == (2.0**1023, 2.0**1023)
 
+    def test_equal_semi_axes_refused(self):
+        with pytest.raises(HypothesisError, match="half an ulp"):
+            ellipse_spec(MapParams(30, 1 + 0j, 0j))
+        assert ellipse_spec(MapParams(20, 1 + 0j, 0j)).semi_minor < 2.0**20
+
     def test_focal_identity(self):
         rng = np.random.default_rng(41)
         for _ in range(50):

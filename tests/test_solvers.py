@@ -95,6 +95,17 @@ class TestPolyRoots:
         with pytest.raises(ValueError):
             poly_roots([1, 1], tol=0.0)
 
+    def test_zero_constant_term(self):
+        # the seed circle's radius |c_0/c_d|**(1/d) is 0 here; radius 1 is used instead
+        assert poly_roots([1, -1, 0]) == pytest.approx([0j, 1 + 0j], abs=1e-12)
+        assert poly_roots([1, 0, -4, 0]) == pytest.approx([-2 + 0j, 0j, 2 + 0j], abs=1e-12)
+        assert poly_roots([2, 3, 0, 0]) == pytest.approx([-1.5, 0j, 0j], abs=1e-7)
+
+    def test_memory_budget(self):
+        # each sweep forms d x d complex matrices: refused before any is allocated
+        with pytest.raises(ValueError, match="memory budget"):
+            poly_roots([1] + [0] * 9998 + [-1])
+
     def test_nonconvergence_error_carries_residuals(self):
         # an out-of-reach bound produces the error path with residual payload
         # (roots +-sqrt(2) are irrational, so the residual floor is ~1e-16, not 0)
@@ -204,3 +215,45 @@ class TestDiagonalFixedParams:
             diagonal_fixed_params(2, 1 + 0j)
         with pytest.raises(ValueError):
             diagonal_fixed_params(3, 0j)
+
+
+def assert_conjugate_pairs_adjacent(a_values):
+    """Non-real a-values of a real slice come in conjugate pairs: each pair must be
+    adjacent in the output, with Im a < 0 first."""
+    i = 0
+    while i < len(a_values):
+        a = a_values[i]
+        if abs(a.imag) <= 1e-9 * max(1.0, abs(a)):
+            i += 1
+            continue
+        assert a.imag < 0, (i, a)
+        assert a_values[i + 1] == pytest.approx(a.conjugate(), rel=1e-9), (i, a)
+        i += 2
+
+
+class TestCentersOrder:
+    @pytest.mark.parametrize("n", [8, 48, 190])
+    def test_conjugate_pairs_adjacent_real_c(self, n):
+        assert_conjugate_pairs_adjacent([s.a_j for s in fixed_critical_params(n, 6 + 0j)])
+
+    @pytest.mark.parametrize("n", [8, 48, 190])
+    def test_conjugate_pairs_adjacent_real_t(self, n):
+        assert_conjugate_pairs_adjacent([a for _, a in diagonal_fixed_params(n, 2 + 0j)])
+
+    def test_frozen_n8_c6_order(self):
+        assert [s.k for s in fixed_critical_params(8, 6 + 0j)] == [1, 15, 3, 13, 5, 11, 7, 9]
+
+
+class TestLargeN:
+    """Slice polynomials far above degree 256, at the default residual bound."""
+
+    @pytest.mark.parametrize("c", [6 + 0j, 6j])
+    def test_fixed_c_counts(self, c):
+        for n in (300, 512, 1000):
+            specs = fixed_critical_params(n, c)
+            assert len(specs) == n
+            assert sorted(s.k for s in specs) == sorted({s.k for s in specs})
+
+    def test_diagonal_counts(self):
+        assert len(diagonal_fixed_params(300, 2 + 0j)) == 599
+        assert len(diagonal_fixed_params(600, 2 + 0j)) == 1199

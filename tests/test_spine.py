@@ -116,6 +116,15 @@ class TestSpineDistance:
         for i in range(0, 50, 7):
             assert d[i] == pytest.approx(spine_distance(s, complex(pts[i])), rel=1e-12)
 
+    def test_matches_brute_force(self):
+        s = SpineSpec(1 + 0.5j, 1024)
+        _, plus, minus = spine_points(s)
+        curve = np.concatenate([plus, minus])
+        rng = np.random.default_rng(67)
+        pts = rng.uniform(-3, 6, 40) + 1j * rng.uniform(-4, 4, 40)
+        want = np.abs(pts[:, None] - curve[None, :]).min(axis=1)
+        np.testing.assert_allclose(spine_distances(s, pts), want, rtol=1e-14)
+
     def test_origin_allowed(self):
         # distance from the puncture a = 0 is well-defined (the curve avoids 0)
         assert spine_distance(SpineSpec(1 + 0j, 1024), 0j) > 0.17
