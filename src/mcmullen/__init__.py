@@ -72,6 +72,7 @@ from .spine import (
     spine_point,
     spine_points,
     spine_radii,
+    spine_within,
 )
 from .verify import (
     CSV_HEADER,

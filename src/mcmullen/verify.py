@@ -34,7 +34,7 @@ from .regions import (
     half_ellipse_membership,
     u_prime_rect,
 )
-from .spine import SpineSpec, spine_distances, spine_radii
+from .spine import SpineSpec, spine_radii, spine_within
 
 # Relative inward inset for sampling the boundary of an open region whose exact
 # boundary maps onto the assertion boundary, and relative dilation for keeping
@@ -354,8 +354,8 @@ def verify_spine_locus(
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if grid < 32:
         raise ValueError(f"grid must be >= 32, got {grid}")
     _check_points(grid * grid, f"spine-locus with grid {grid}")
@@ -366,8 +366,7 @@ def verify_spine_locus(
     radii = np.linspace(r_lo, r_hi, grid)
     theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     a = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    dist = spine_distances(SpineSpec(t), a)
-    tested = dist > eps
+    tested = ~spine_within(SpineSpec(t), a, eps)
     a_t = a[tested]
     if a_t.size:
         (esc_p, it_p), (esc_m, it_m) = critical_orbits_bulk(n, a_t, t * a_t, max_iter)

@@ -180,6 +180,16 @@ class TestVerifyCommand:
         assert code == 0
         assert out.strip().splitlines()[1].endswith(",true")
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_spine_locus_non_finite_eps_exit_2(self, capsys, eps):
+        code, out, err = run(
+            capsys, "verify", "--check", "spine-locus", "--n", "20", "--t", "2,0",
+            f"--eps={eps}", "--samples", "32", "--max-iter", "50",
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite and positive" in err
+
     def test_spine_locus_requires_eps(self, capsys):
         assert run(
             capsys, "verify", "--check", "spine-locus", "--n", "20", "--t", "2,0",

@@ -52,3 +52,28 @@ def test_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    # spine-locus asks spine_within, which needs no k-d tree; no other subcommand
+    # reaches the spine distance query either
+    src = str(Path(mcmullen.__file__).resolve().parents[1])
+    runs = [
+        ["verify", "--check", "spine-locus", "--n", "20", "--t", "2,0", "--eps", "0.25",
+         "--samples", "32", "--max-iter", "50"],
+        ["render", "--n", "4", "--slice", "fixed-c", "--c", "0,6", "--view", "-1,1,-1,1",
+         "--size", "8x8"],
+        ["centers", "--n", "3", "--c", "6,0"],
+        ["spine", "--t", "2,0", "--samples", "16"],
+    ]
+    code = "import sys; from mcmullen.cli import main; codes = []\n"
+    for i, argv in enumerate(runs):
+        code += f"codes.append(main({argv + ['--out', str(tmp_path / str(i))]!r}))\n"
+    code += (
+        "assert codes == [0, 0, 0, 0], codes\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / str(i)).stat().st_size > 0 for i in range(len(runs)))
