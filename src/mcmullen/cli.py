@@ -152,6 +152,12 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _given(**kwargs):
+    """The keyword arguments whose flag was given; the library's own defaults
+    apply to the rest."""
+    return {name: value for name, value in kwargs.items() if value is not None}
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -183,7 +189,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     re_min, re_max, im_min, im_max = args.view
     width, height = args.size
     vp = Viewport(re_min, re_max, im_min, im_max, width, height)
-    cfg = RenderConfig(max_iter=args.max_iter if args.max_iter is not None else 256)
+    cfg = RenderConfig(**_given(max_iter=args.max_iter))
 
     t0 = time.perf_counter()
     img = render_slice(args.n, slc, vp, cfg)
@@ -206,13 +212,13 @@ def _containment_reports(args: argparse.Namespace):
     real c < -1 with a in its admissible polar rectangle, or small real c > 0 with
     odd n. Anything else is refused."""
     n, c = args.n, args.c
-    samples = args.samples if args.samples is not None else 2000
+    sizes = _given(samples=args.samples)
 
     if _mt1_hypotheses(n, c):
         specs = fixed_critical_params(n, c)
         if args.a is None:
             return [
-                verify_containment(MapParams(n, spec.a_j, c), spec.k, samples)
+                verify_containment(MapParams(n, spec.a_j, c), spec.k, **sizes)
                 for spec in specs
             ]
         hits = [spec for spec in specs if w_region_contains(spec, args.a)]
@@ -221,7 +227,7 @@ def _containment_reports(args: argparse.Namespace):
                 f"a = {args.a} lies in none of the {len(specs)} admissible parameter "
                 "regions for these (n, c)"
             )
-        return [verify_containment(MapParams(n, args.a, c), hits[0].k, samples)]
+        return [verify_containment(MapParams(n, args.a, c), hits[0].k, **sizes)]
 
     _require(args.a is not None, "--check containment requires --a outside the large-|c| regime")
     a = args.a
@@ -237,7 +243,7 @@ def _containment_reports(args: argparse.Namespace):
             raise HypothesisError(
                 f"a = {a} is outside the admissible polar rectangle for c = {c}, eps = {eps}"
             )
-        return [verify_containment(MapParams(n, a, c), 0, samples)]
+        return [verify_containment(MapParams(n, a, c), 0, **sizes)]
 
     if c.imag == 0.0 and c.real > 0.0:
         if n % 2 == 0:
@@ -250,7 +256,7 @@ def _containment_reports(args: argparse.Namespace):
         bound = inner_radius(p)
         if not c.real < bound:
             raise HypothesisError(f"requires c < |a|**(1/n)/max(4,|a|,|c|) = {bound:.6g}")
-        return [verify_containment(p, n, samples)]
+        return [verify_containment(p, n, **sizes)]
 
     raise HypothesisError(
         "containment hypotheses not satisfied: need |c| >= 6 with 4|c|+8 <= 2**(n+1), "
@@ -268,8 +274,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _require(args.n is not None and args.a is not None and args.c is not None,
                  "--check image-ellipse requires --n, --a, --c")
         p = MapParams(args.n, args.a, args.c)
-        samples = args.samples if args.samples is not None else 1000
-        reports = [verify_image_ellipse(p, k, samples) for k in range(2 * args.n)]
+        sizes = _given(samples=args.samples)
+        reports = [verify_image_ellipse(p, k, **sizes) for k in range(2 * args.n)]
     elif check == "containment":
         _require(args.n is not None and args.c is not None,
                  "--check containment requires --n and --c")
@@ -282,22 +288,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"winding requires |c| >= 6 and 4|c|+8 <= 2**(n+1); "
                 f"got |c| = {abs(args.c):.6g}, n = {args.n}"
             )
-        samples = args.samples if args.samples is not None else 4096
+        sizes = _given(boundary_samples=args.samples)
         specs = fixed_critical_params(args.n, args.c)
-        reports = [verify_winding(spec, samples) for spec in specs]
+        reports = [verify_winding(spec, **sizes) for spec in specs]
     elif check == "annulus":
         _require(args.n is not None and args.a is not None and args.c is not None,
                  "--check annulus requires --n, --a, --c")
         p = MapParams(args.n, args.a, args.c)
-        grid = args.samples if args.samples is not None else 64
-        max_iter = args.max_iter if args.max_iter is not None else 1000
-        reports = [verify_annulus_escape(p, grid, max_iter)]
+        sizes = _given(grid=args.samples, max_iter=args.max_iter)
+        reports = [verify_annulus_escape(p, **sizes)]
     elif check == "spine-locus":
         _require(args.n is not None and args.t is not None and args.eps is not None,
                  "--check spine-locus requires --n, --t, --eps")
-        grid = args.samples if args.samples is not None else 200
-        max_iter = args.max_iter if args.max_iter is not None else 200
-        reports = [verify_spine_locus(args.n, args.t, args.eps, grid, max_iter)]
+        sizes = _given(grid=args.samples, max_iter=args.max_iter)
+        reports = [verify_spine_locus(args.n, args.t, args.eps, **sizes)]
     else:  # vminus-sign
         _require(args.n is not None and args.a is not None and args.c is not None,
                  "--check vminus-sign requires --n, --a, --c")
@@ -331,8 +335,7 @@ def _cmd_centers(args: argparse.Namespace) -> int:
 
 def _cmd_spine(args: argparse.Namespace) -> int:
     _require(args.t is not None, "--t is required")
-    samples = args.samples if args.samples is not None else 8192
-    spec = SpineSpec(args.t, samples)
+    spec = SpineSpec(args.t, **_given(samples=args.samples))
     theta, plus, minus = spine_points(spec)
     lines = ["theta,branch,re,im"]
     for th, z in zip(theta, plus):

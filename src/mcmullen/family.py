@@ -82,6 +82,20 @@ def pow_int(z, n: int):
     return result
 
 
+def check_exponent(n) -> None:
+    """Raise ValueError unless the family exponent n is an int >= 3 (not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 3:
+        raise ValueError(f"n must be an integer >= 3, got {n!r}")
+
+
+def check_slope(t) -> complex:
+    """The slope t of c = t*a as a complex if finite and nonzero, else ValueError."""
+    t = complex(t)
+    if t == 0 or not cmath.isfinite(t):
+        raise ValueError(f"t must be finite and nonzero, got {t!r}")
+    return t
+
+
 @dataclass(frozen=True)
 class MapParams:
     """One member of the family z -> z**n + a/z**n + c."""
@@ -91,10 +105,7 @@ class MapParams:
     c: complex
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise TypeError(f"n must be an int, got {type(self.n).__name__}")
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
+        check_exponent(self.n)
         a = complex(self.a)
         c = complex(self.c)
         if a == 0:

@@ -80,7 +80,8 @@ def u_prime_rect(p: MapParams, k: int) -> PolarRect:
 class HalfEllipseSpec:
     """An ellipse centered at `center` with its major axis rotated by `rotation`,
     cut by the minor axis: half_sign +1/-1 selects one open half (minor axis included
-    in both), 0 the full ellipse."""
+    in both), 0 the full ellipse. Equal semi-axes (a circle) are accepted: the image
+    ellipse rounds to one once |a|/2**n is below half an ulp of 2**n."""
 
     center: complex
     rotation: float
@@ -89,9 +90,9 @@ class HalfEllipseSpec:
     half_sign: int
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.semi_minor < self.semi_major):
+        if not (0.0 < self.semi_minor <= self.semi_major):
             raise ValueError(
-                f"need 0 < semi_minor < semi_major, got ({self.semi_minor}, {self.semi_major})"
+                f"need 0 < semi_minor <= semi_major, got ({self.semi_minor}, {self.semi_major})"
             )
         if self.half_sign not in (-1, 0, 1):
             raise ValueError(f"half_sign must be -1, 0, or +1, got {self.half_sign}")
@@ -132,16 +133,12 @@ def ellipse_frame(z, center, rotation, semi_major, semi_minor):
 def ellipse_spec(p: MapParams, half_sign: int = 0) -> HalfEllipseSpec:
     """Image ellipse of the critical rectangles: center c, rotation psi/2,
     ellipse_semi_axes(n, |a|) (so the foci sit at the critical values:
-    semi_major**2 - semi_minor**2 = 4|a|). half_sign +1 is the half containing
-    c + 2*sqrt(a), -1 the half containing c - 2*sqrt(a)."""
+    semi_major**2 - semi_minor**2 = 4|a| before rounding; once |a|/2**n is below
+    half an ulp of 2**n both semi-axes round to 2**n). half_sign +1 is the half
+    containing c + 2*sqrt(a), -1 the half containing c - 2*sqrt(a)."""
     semi_major, semi_minor = ellipse_semi_axes(p.n, abs(p.a))
     if semi_minor <= 0.0:
         raise HypothesisError(f"|a| = {abs(p.a)} >= 4**n degenerates the minor axis")
-    if semi_minor == semi_major:
-        raise HypothesisError(
-            f"|a|/2**n = {abs(p.a) / 2.0**p.n:.3e} is below half an ulp of 2**n = "
-            f"{2.0**p.n:.6g}, so both semi-axes round to the same float"
-        )
     return HalfEllipseSpec(
         center=p.c,
         rotation=p.psi / 2.0,
@@ -225,11 +222,10 @@ class WRegionSpec:
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "w_j", complex(self.w_j))
         object.__setattr__(self, "a_j", complex(self.a_j))
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
+        p = MapParams(self.n, self.a_j, self.c)  # checks n, a_j and c
         if not 0 <= self.k <= 2 * self.n - 1:
             raise ValueError(f"k must be in 0..{2 * self.n - 1}, got {self.k}")
-        residual = abs(eval_map(MapParams(self.n, self.a_j, self.c), self.w_j) - self.w_j)
+        residual = abs(eval_map(p, self.w_j) - self.w_j)
         if not residual <= 1e-8:
             raise ValueError(
                 f"w_j is not fixed by the member (n={self.n}, a_j={self.a_j}, c={self.c}): "

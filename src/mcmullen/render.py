@@ -20,13 +20,15 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
 from .errors import check_memory_budget
 from .family import (
     MapParams,
+    check_exponent,
+    check_slope,
     critical_orbits_bulk,
     critical_values,
     escape_radius,
@@ -47,12 +49,6 @@ _ROW_BAND = 16
 # orbit kernel's arrays and the shading blocks (about 290 B measured).
 _PIXEL_BYTES = 16
 _BAND_POINT_BYTES = 512
-
-
-def _check_rgb(name: str, color: tuple) -> RGB8:
-    if len(color) != 3 or not all(isinstance(ch, int) and 0 <= ch <= 255 for ch in color):
-        raise ValueError(f"{name} must be three integers in [0, 255], got {color!r}")
-    return (color[0], color[1], color[2])
 
 
 @dataclass(frozen=True)
@@ -148,9 +144,7 @@ class Diagonal:
     t: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _finite("Diagonal", "t", self.t))
-        if self.t == 0:
-            raise ValueError("Diagonal requires t != 0")
+        object.__setattr__(self, "t", check_slope(self.t))
 
 
 @dataclass(frozen=True)
@@ -165,20 +159,18 @@ SliceSpec = Union[FixedC, FixedA, Diagonal, Dynamical]
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Escape-time coloring knobs. color_plus/color_minus are the base colors of the
-    two critical orbits (upper sign / lower sign); bounded_color marks non-escape."""
+    """The escape-time iteration budget. The colors are fixed class constants:
+    color_plus/color_minus are the base colors of the two critical orbits (upper
+    sign / lower sign); bounded_color marks non-escape."""
 
     max_iter: int = 256
-    color_plus: RGB8 = (255, 0, 0)
-    color_minus: RGB8 = (0, 0, 255)
-    bounded_color: RGB8 = (0, 0, 0)
+    color_plus: ClassVar[RGB8] = (255, 0, 0)
+    color_minus: ClassVar[RGB8] = (0, 0, 255)
+    bounded_color: ClassVar[RGB8] = (0, 0, 0)
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_iter, int) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        object.__setattr__(self, "color_plus", _check_rgb("color_plus", self.color_plus))
-        object.__setattr__(self, "color_minus", _check_rgb("color_minus", self.color_minus))
-        object.__setattr__(self, "bounded_color", _check_rgb("bounded_color", self.bounded_color))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,8 +307,7 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
     16-row bands, so the output is a pure function of the inputs. A viewport whose
     render_bytes exceed the memory budget raises ValueError before any allocation."""
     if not isinstance(slc, Dynamical):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-            raise ValueError(f"n must be an integer >= 3, got {n!r}")
+        check_exponent(n)
     check_memory_budget(render_bytes(vp), f"a {vp.width}x{vp.height} render")
     grid = np.empty((vp.height, vp.width, 3), dtype=np.uint8)
     zero_total = 0
@@ -334,7 +325,9 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
 def draw_overlay(img: Image, vp: Viewport, curve: Sequence[complex], color: RGB8) -> Image:
     """New image with each curve point's nearest pixel recolored; points outside the
     viewport (or non-finite) are skipped. The input image is left unchanged."""
-    color = _check_rgb("color", tuple(color))
+    color = tuple(color)
+    if len(color) != 3 or not all(isinstance(ch, int) and 0 <= ch <= 255 for ch in color):
+        raise ValueError(f"color must be three integers in [0, 255], got {color!r}")
     z = np.asarray(curve, dtype=complex).ravel()
     # The same floor mapping as Viewport.pixel_of. NaN fails every comparison and
     # an infinite coordinate lands outside the view, so non-finite points drop out.

@@ -3,14 +3,13 @@ fixed-critical-point solvers that locate the principal cluster centers in both t
 fixed-c and diagonal (c = t*a) parameter slices."""
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InconsistencyError, RootFindingError, check_memory_budget
-from .family import MapParams, eval_map, pow_int
+from .family import MapParams, check_exponent, check_slope, eval_map, pow_int
 from .regions import WRegionSpec, sector_index
 
 # Coefficients are given highest degree first, like numpy.polyval.
@@ -21,6 +20,8 @@ _MAX_SWEEPS = 200
 # complex reciprocal matrix and its zero mask), 24 for the d x d comparison of the
 # centers dedupe that follows it; the budget takes the larger.
 _BYTES_PER_D2 = 24
+# Relative tolerance within which the slice solvers count two a-values as one.
+_DEDUPE_TOL = 1e-9
 
 
 def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12) -> list[complex]:
@@ -101,21 +102,20 @@ def _centers(n: int, coeffs: PolyCoeffs, dedupe_tol: float) -> list[tuple[comple
     return [pairs[i] for i in by_re[np.lexsort((a.imag[by_re], group))]]
 
 
-def fixed_critical_params(n: int, c: complex, dedupe_tol: float = 1e-9) -> list[WRegionSpec]:
+def fixed_critical_params(n: int, c: complex) -> list[WRegionSpec]:
     """Fixed critical points of the fixed-c slice: roots w of 2*w**n - w + c = 0, each
     giving the parameter a = w**(2n) whose member fixes its k-th critical point w.
 
-    Returns one spec per distinct a (relative dedupe within dedupe_tol), sorted by
+    Returns one spec per distinct a (relative dedupe within _DEDUPE_TOL), sorted by
     (Re a, Im a). The count is asserted to equal n when |c| >= 1 (there the roots'
     a-values are provably distinct); below |c| = 1 the deduped count is returned as
     found, with no law enforced.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_exponent(n)
     c = complex(c)
     if c == 0:
         raise ValueError("c must be nonzero")
-    kept = _centers(n, [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, c], dedupe_tol)
+    kept = _centers(n, [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, c], _DEDUPE_TOL)
     if abs(c) >= 1.0 and len(kept) != n:
         raise InconsistencyError(
             f"expected {n} distinct fixed-critical parameters for |c| >= 1, found {len(kept)}"
@@ -126,9 +126,7 @@ def fixed_critical_params(n: int, c: complex, dedupe_tol: float = 1e-9) -> list[
     ]
 
 
-def diagonal_fixed_params(
-    n: int, t: complex, dedupe_tol: float = 1e-9
-) -> list[tuple[complex, complex]]:
+def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
     """Fixed critical points of the diagonal slice c = t*a: roots w of
     t*w**(2n-1) + 2*w**(n-1) - 1 = 0 (the fixed-point condition 2*w**n + c = w with
     c = t*w**(2n), divided by w), each giving a = w**(2n).
@@ -137,15 +135,10 @@ def diagonal_fixed_params(
     every pair satisfies |eval_map((n, a, t*a), w) - w| <= 1e-8. No count law is
     asserted; the observed count is simply returned.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    t = complex(t)
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    if not cmath.isfinite(t):
-        raise ValueError("t must be finite")
+    check_exponent(n)
+    t = check_slope(t)
     coeffs = [t] + [0j] * (n - 1) + [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j]
-    kept = _centers(n, coeffs, dedupe_tol)
+    kept = _centers(n, coeffs, _DEDUPE_TOL)
     for w, a in kept:
         residual = abs(eval_map(MapParams(n, a, t * a), w) - w)
         if not residual <= 1e-8:

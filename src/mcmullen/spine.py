@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import np_principal_sqrt, principal_sqrt
+from .family import check_slope, np_principal_sqrt, principal_sqrt
 
 # spine_within answers _CHUNK queries per pass, and its exact stage groups the curve
 # samples into bounding blocks of _BLOCK and holds temporaries of at most _PASS
@@ -25,18 +25,15 @@ _SLACK = 2.0**-30
 
 @dataclass(frozen=True)
 class SpineSpec:
-    """Slice slope t (nonzero) and the theta-lattice size used by distance queries."""
+    """Slice slope t and the theta-lattice size used by distance queries. t is
+    refused as spine_radii refuses it."""
 
     t: complex
     samples: int = 8192
 
     def __post_init__(self) -> None:
-        t = complex(self.t)
-        if t == 0:
-            raise ValueError("t must be nonzero")
-        if not cmath.isfinite(t):
-            raise ValueError("t must be finite")
-        object.__setattr__(self, "t", t)
+        spine_radii(self.t)
+        object.__setattr__(self, "t", complex(self.t))
         if self.samples < 16:
             raise ValueError(f"samples must be >= 16, got {self.samples}")
 
@@ -55,13 +52,16 @@ def spine_point(s: SpineSpec, theta: float, branch: int) -> complex:
 
 def spine_radii(t: complex) -> tuple[float, float]:
     """Annulus radii (l, u) bounding the spine (and, for large n, the diagonal-slice
-    boundedness locus): 2/|t|**2 + 1/|t| -+ (2/|t|**2)*sqrt(1 + |t|)."""
-    t = complex(t)
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    x = abs(t)
-    base = 2.0 / (x * x) + 1.0 / x
-    spread = (2.0 / (x * x)) * math.sqrt(1.0 + x)
+    boundedness locus): 2/|t|**2 + 1/|t| -+ (2/|t|**2)*sqrt(1 + |t|). Refuses a t
+    that is not finite and nonzero, and a t so small (|t| below about 1.5e-154)
+    that u overflows binary64: its spine cannot be sampled."""
+    x = abs(check_slope(t))
+    scale = 2.0 / (x * x) if x * x > 0.0 else math.inf
+    base = scale + 1.0 / x
+    spread = scale * math.sqrt(1.0 + x)
+    if not math.isfinite(base + spread):
+        raise ValueError(f"t = {complex(t)!r} is too small: the outer spine radius "
+                         "about 4/|t|**2 overflows binary64")
     return base - spread, base + spread
 
 

@@ -18,13 +18,13 @@ import numpy as np
 from .errors import HypothesisError, UnderSamplingError, check_memory_budget
 from .family import (
     MapParams,
+    check_exponent,
     critical_orbits_bulk,
     critical_values,
     escape_radius,
     inner_radius,
     iterate_orbits_bulk,
     pow_int,
-    principal_arg,
 )
 from .regions import (
     WRegionSpec,
@@ -33,6 +33,7 @@ from .regions import (
     ellipse_spec,
     half_ellipse_membership,
     u_prime_rect,
+    v_rect,
 )
 from .spine import SpineSpec, spine_radii, spine_within
 
@@ -57,20 +58,21 @@ class VerificationReport:
     the smallest distance-to-boundary over all samples (positive = inside with room);
     for on-boundary checks it is the largest deviation (small = good); for escape
     checks it is the smallest unused fraction of the iteration budget (-1 on a
-    non-escaping sample)."""
+    non-escaping sample). A check passes exactly when it has no failures."""
 
     check_name: str
     params: str
     samples: int
     failures: int
     worst_margin: float
-    passed: bool
 
     def __post_init__(self) -> None:
-        if self.passed != (self.failures == 0):
-            raise ValueError("passed must equal (failures == 0)")
         if not math.isfinite(self.worst_margin):
             raise ValueError("worst_margin must be finite")
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
 
 
 CSV_HEADER = "check,params,samples,failures,worst_margin,pass"
@@ -167,7 +169,6 @@ def verify_image_ellipse(
         samples=int(devs.size),
         failures=failures,
         worst_margin=float(devs.max()),
-        passed=failures == 0,
     )
 
 
@@ -207,7 +208,6 @@ def verify_containment(p: MapParams, k: int, samples: int = 2000) -> Verificatio
         samples=int(pts.size),
         failures=failures,
         worst_margin=float(margins.min()),
-        passed=failures == 0,
     )
 
 
@@ -250,19 +250,19 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
         raise ValueError(f"boundary_samples must be >= 256, got {boundary_samples}")
     _check_points(boundary_samples, f"winding with {boundary_samples} boundary samples")
     n, c, wj = w.n, w.c, w.w_j
-    hw = math.pi / (2 * n)
-    th_c = principal_arg(wj)
+    rect = v_rect(w)
+    r_in, r_out, th_c, hw = rect.r_inner, rect.r_outer, rect.arg_center, rect.arg_halfwidth
     lo, hi = th_c - hw, th_c + hw
     m = boundary_samples // 4
     th_fwd = np.linspace(lo, hi, m, endpoint=False)
-    r_down = np.linspace(2.0, 0.5, m, endpoint=False)
+    r_down = np.linspace(r_out, r_in, m, endpoint=False)
     th_bwd = np.linspace(hi, lo, m, endpoint=False)
-    r_up = np.linspace(0.5, 2.0, m, endpoint=False)
+    r_up = np.linspace(r_in, r_out, m, endpoint=False)
     v = np.concatenate(
         [
-            2.0 * np.exp(1j * th_fwd),
+            r_out * np.exp(1j * th_fwd),
             r_down * np.exp(1j * hi),
-            0.5 * np.exp(1j * th_bwd),
+            r_in * np.exp(1j * th_bwd),
             r_up * np.exp(1j * lo),
         ]
     )
@@ -285,7 +285,7 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
     r1 = np.abs(half) ** (2.0 / n) / 2.0
     rv = np.abs(v)
     d_ang = np.abs(np.angle(v * np.conj(xi)))
-    depth = np.minimum(np.minimum(rv - r1, 2.0 - rv), (hw - d_ang) * rv)
+    depth = np.minimum(np.minimum(rv - r1, r_out - rv), (hw - d_ang) * rv)
 
     bad = (semi_minor <= 0.0) | ~np.isfinite(q)
     sample_fail = bad | (q >= 1.0) | (depth > 1e-9)
@@ -305,7 +305,6 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
         samples=int(v.size),
         failures=failures,
         worst_margin=float(margins.min()),
-        passed=failures == 0,
     )
 
 
@@ -339,7 +338,6 @@ def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) ->
         samples=int(z0.size),
         failures=failures,
         worst_margin=float(margins.min()),
-        passed=failures == 0,
     )
 
 
@@ -352,8 +350,7 @@ def verify_spine_locus(
     have both critical orbits escape within max_iter. Near-spine lattice points are
     exempt (the claim says nothing about them) but still counted in `samples`.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_exponent(n)
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if grid < 32:
@@ -387,7 +384,6 @@ def verify_spine_locus(
         samples=int(a.size),
         failures=failures,
         worst_margin=worst,
-        passed=failures == 0,
     )
 
 
@@ -402,8 +398,7 @@ def verify_vminus_sign(n: int, a: float, c: float) -> VerificationReport:
       2: a <= a_star, c < 2*sqrt(a) -> claims v_minus > 0
       3: a <= a_star, c >= 2*sqrt(a) -> claims v_minus <= 0
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    check_exponent(n)
     a = float(a)
     c = float(c)
     if not 0.0 < a <= 4.0:
@@ -433,5 +428,4 @@ def verify_vminus_sign(n: int, a: float, c: float) -> VerificationReport:
         samples=1,
         failures=0 if match else 1,
         worst_margin=float(margin),
-        passed=match,
     )

@@ -3,8 +3,19 @@ import pytest
 
 from mcmullen.cli import main
 from mcmullen.family import MapParams, escape_radius, iterate_orbit
-from mcmullen.render import Viewport
-from mcmullen.verify import CSV_HEADER
+from mcmullen.render import FixedC, RenderConfig, Viewport, encode_ppm, render_slice
+from mcmullen.solvers import fixed_critical_params
+from mcmullen.spine import SpineSpec, spine_points
+from mcmullen.verify import (
+    CSV_HEADER,
+    reports_to_csv,
+    verify_annulus_escape,
+    verify_containment,
+    verify_image_ellipse,
+    verify_spine_locus,
+    verify_vminus_sign,
+    verify_winding,
+)
 
 
 def run(capsys, *argv):
@@ -48,6 +59,17 @@ class TestRenderCommand:
         )
         assert code == 0
         assert out.stat().st_size == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+
+    def test_diagonal_slice_tiny_slope_renders(self, tmp_path, capsys):
+        # the diagonal slice needs no spine, so the spine's slope limit does not apply
+        out = tmp_path / "tiny.ppm"
+        code, _, _ = run(
+            capsys,
+            "render", "--n", "4", "--slice", "diagonal", "--t", "1e-200",
+            "--view", "-1,1,-1,1", "--size", "8x8", "--out", str(out),
+        )
+        assert code == 0
+        assert out.stat().st_size == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
 
     def test_threads_flag_rejected(self, tmp_path, capsys):
         out = tmp_path / "t.ppm"
@@ -190,6 +212,14 @@ class TestVerifyCommand:
         assert out == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("t", ["1e-200,0", "1e-160,0"])
+    def test_spine_locus_tiny_slope_exit_2(self, capsys, t):
+        code, out, err = run(
+            capsys, "verify", "--check", "spine-locus", "--n", "20", "--t", t, "--eps", "0.25",
+        )
+        assert code == 2 and out == ""
+        assert "t = " in err and "too small" in err
+
     def test_spine_locus_requires_eps(self, capsys):
         assert run(
             capsys, "verify", "--check", "spine-locus", "--n", "20", "--t", "2,0",
@@ -232,15 +262,18 @@ class TestVerifyCommand:
             code, out, err = run(capsys, "verify", *argv)
             assert code == 2 and "binary64" in err and out == "", argv
 
-    def test_equal_semi_axes_exit_2(self, capsys):
-        # |a|/2**n below half an ulp of 2**n rounds both semi-axes to 2**n
-        for argv in (
-            ("--check", "image-ellipse", "--n", "30", "--a", "1", "--c", "0", "--samples", "16"),
-            ("--check", "containment", "--n", "30", "--c", "6", "--samples", "64"),
+    def test_ellipse_checks_run_where_semi_axes_round_equal(self, capsys):
+        # |a|/2**n below half an ulp of 2**n rounds both semi-axes to 2**n; the
+        # checks run on that circle: 2n image-ellipse rows, n containment rows
+        for argv, rows in (
+            (("--check", "image-ellipse", "--n", "30", "--a", "1", "--c", "0"), 60),
+            (("--check", "containment", "--n", "30", "--c", "6"), 30),
         ):
-            code, out, err = run(capsys, "verify", *argv)
-            assert code == 2 and out == "", argv
-            assert "below half an ulp of 2**n" in err and "same float" in err, argv
+            code, out, _ = run(capsys, "verify", *argv)
+            lines = out.strip().splitlines()
+            assert code == 0 and lines[0] == CSV_HEADER, argv
+            assert len(lines) == 1 + rows, argv
+            assert all(line.endswith(",true") for line in lines[1:]), argv
 
     def test_winding_at_large_n_reports(self, capsys):
         code, out, _ = run(
@@ -316,8 +349,87 @@ class TestSpineCommand:
     def test_bad_samples(self, capsys):
         assert run(capsys, "spine", "--t", "2", "--samples", "4")[0] == 2
 
+    def test_tiny_slope_exit_2(self, capsys):
+        code, out, err = run(capsys, "spine", "--t", "1e-200")
+        assert code == 2 and out == ""
+        assert "t = " in err and "too small" in err
+
     def test_requires_t(self, capsys):
         assert run(capsys, "spine")[0] == 2
+
+
+class TestDefaultsComeFromTheLibrary:
+    """The CLI passes a size only when its flag is given, so with the flag omitted
+    its output equals the library call with the library's own default, and with
+    the flag given it equals the call with that value."""
+
+    # per verify check: its flags, the library call taking the sizes as keywords,
+    # and sizes other than the library defaults
+    CHECKS = {
+        "image-ellipse": (
+            ("--n", "3", "--a", "1,1", "--c", "0.5,0"),
+            lambda **kw: [verify_image_ellipse(MapParams(3, 1 + 1j, 0.5), k, **kw)
+                          for k in range(6)],
+            {"samples": 40},
+        ),
+        "containment": (
+            ("--n", "4", "--c", "6"),
+            lambda **kw: [verify_containment(MapParams(4, s.a_j, 6), s.k, **kw)
+                          for s in fixed_critical_params(4, 6)],
+            {"samples": 64},
+        ),
+        "winding": (
+            ("--n", "4", "--c", "0,6"),
+            lambda **kw: [verify_winding(s, **kw) for s in fixed_critical_params(4, 6j)],
+            {"boundary_samples": 512},
+        ),
+        "annulus": (
+            ("--n", "3", "--a", "1", "--c", "0"),
+            lambda **kw: [verify_annulus_escape(MapParams(3, 1, 0), **kw)],
+            {"grid": 16, "max_iter": 50},
+        ),
+        "spine-locus": (
+            ("--n", "20", "--t", "2", "--eps", "0.25"),
+            lambda **kw: [verify_spine_locus(20, 2, 0.25, **kw)],
+            {"grid": 40, "max_iter": 30},
+        ),
+        "vminus-sign": (
+            ("--n", "3", "--a", "0.01", "--c", "0.25"),
+            lambda **kw: [verify_vminus_sign(3, 0.01, 0.25, **kw)],
+            {},
+        ),
+    }
+    FLAGS = {"samples": "--samples", "boundary_samples": "--samples", "grid": "--samples",
+             "max_iter": "--max-iter"}
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_verify(self, capsys, check):
+        argv, call, sizes = self.CHECKS[check]
+        flags = [arg for key, value in sizes.items() for arg in (self.FLAGS[key], str(value))]
+        for given, kw in (([], {}), (flags, sizes)):
+            code, out, _ = run(capsys, "verify", "--check", check, *argv, *given)
+            reports = call(**kw)
+            assert out == reports_to_csv(reports), (check, given)
+            assert code == (0 if all(r.passed for r in reports) else 3), (check, given)
+
+    def test_render(self, tmp_path, capsys):
+        argv = ("render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
+                "--view", "-16,-3,-6.5,6.5", "--size", "24x20")
+        vp = Viewport(-16, -3, -6.5, 6.5, 24, 20)
+        for given, cfg in (([], RenderConfig()), (["--max-iter", "40"], RenderConfig(40))):
+            out = tmp_path / "r.ppm"
+            assert run(capsys, *argv, *given, "--out", str(out))[0] == 0
+            assert out.read_bytes() == encode_ppm(render_slice(4, FixedC(6j), vp, cfg)), given
+
+    def test_spine(self, capsys):
+        for given, spec in (([], SpineSpec(2)), (["--samples", "20"], SpineSpec(2, 20))):
+            code, out, _ = run(capsys, "spine", "--t", "2", *given)
+            theta, plus, minus = spine_points(spec)
+            rows = [(th, branch, complex(z)) for branch, curve in ((1, plus), (-1, minus))
+                    for th, z in zip(theta.tolist(), curve)]
+            want = "".join(f"{th!r},{branch},{z.real!r},{z.imag!r}\n" for th, branch, z in rows)
+            same = out == "theta,branch,re,im\n" + want  # a bool: no diff of 16k lines
+            assert code == 0 and same, (given, out.count("\n"), len(rows))
 
 
 class TestTopLevel:

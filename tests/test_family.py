@@ -27,7 +27,11 @@ from mcmullen.family import (
     wrap_angle,
 )
 from mcmullen.family import _escapes, _prefilter_threshold
-from mcmullen.solvers import fixed_critical_params
+from mcmullen.regions import WRegionSpec
+from mcmullen.render import Diagonal, FixedC, RenderConfig, Viewport, render_slice
+from mcmullen.solvers import diagonal_fixed_params, fixed_critical_params
+from mcmullen.spine import SpineSpec, spine_radii
+from mcmullen.verify import verify_spine_locus, verify_vminus_sign
 
 RNG = np.random.default_rng(20260816)
 
@@ -118,6 +122,33 @@ class TestMapParams:
         p = MapParams(3, 1 + 0j, 0j)
         with pytest.raises(AttributeError):
             p.n = 4
+
+    @pytest.mark.parametrize("n", [2, -3, True, 3.0, None])
+    def test_one_exponent_check(self, n):
+        # every entry point refuses n with the one check and its one message
+        calls = (
+            lambda: MapParams(n, 1 + 0j, 0j),
+            lambda: WRegionSpec(c=-1 + 0j, n=n, j=0, w_j=1 + 0j, a_j=1 + 0j, k=0),
+            lambda: render_slice(n, FixedC(6j), Viewport(-1, 1, -1, 1, 2, 2), RenderConfig()),
+            lambda: fixed_critical_params(n, 6 + 0j),
+            lambda: diagonal_fixed_params(n, 1 + 0j),
+            lambda: verify_spine_locus(n, 2 + 0j, 0.25, grid=32),
+            lambda: verify_vminus_sign(n, 1.0, 0.3),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"n must be an integer >= 3"):
+                call()
+
+    @pytest.mark.parametrize("t", [0j, complex(math.nan, 0), complex(0, math.inf)])
+    def test_one_slope_check(self, t):
+        for call in (
+            lambda: Diagonal(t),
+            lambda: SpineSpec(t),
+            lambda: spine_radii(t),
+            lambda: diagonal_fixed_params(3, t),
+        ):
+            with pytest.raises(ValueError, match="t must be finite and nonzero"):
+                call()
 
 
 class TestMapEvaluation:

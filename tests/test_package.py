@@ -1,4 +1,6 @@
 """The package namespace: every public name importable from `mcmullen`."""
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -77,3 +79,20 @@ def test_no_subcommand_loads_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert all((tmp_path / str(i)).stat().st_size > 0 for i in range(len(runs)))
+
+
+def test_settable_surface():
+    # only the iteration budget of a render is settable; the colors are constants
+    assert [f.name for f in dataclasses.fields(mcmullen.RenderConfig)] == ["max_iter"]
+    cfg = mcmullen.RenderConfig()
+    assert (cfg.color_plus, cfg.color_minus, cfg.bounded_color) == (
+        (255, 0, 0), (0, 0, 255), (0, 0, 0))
+    assert mcmullen.RenderConfig.bounded_color == (0, 0, 0)
+    # the solvers dedupe at one fixed tolerance
+    for solver, params in ((mcmullen.fixed_critical_params, ["n", "c"]),
+                           (mcmullen.diagonal_fixed_params, ["n", "t"])):
+        assert list(inspect.signature(solver).parameters) == params, solver
+    # a report's status is derived from its failure count, not stored
+    fields = [f.name for f in dataclasses.fields(mcmullen.VerificationReport)]
+    assert fields == ["check_name", "params", "samples", "failures", "worst_margin"]
+    assert isinstance(inspect.getattr_static(mcmullen.VerificationReport, "passed"), property)

@@ -33,6 +33,7 @@ from mcmullen.regions import (
     w_region_contains,
 )
 from mcmullen.solvers import fixed_critical_params
+from mcmullen.verify import verify_image_ellipse
 
 
 def oracle_half_ellipse(spec: HalfEllipseSpec, z: complex) -> tuple[bool, float]:
@@ -145,10 +146,19 @@ class TestEllipse:
         assert major.tolist() == [16.375, 16.0] and minor.tolist() == [15.625, 16.0]
         assert ellipse_semi_axes(1023, 1.0) == (2.0**1023, 2.0**1023)
 
-    def test_equal_semi_axes_refused(self):
-        with pytest.raises(HypothesisError, match="half an ulp"):
-            ellipse_spec(MapParams(30, 1 + 0j, 0j))
+    def test_equal_semi_axes_accepted(self):
+        # at n = 30, |a|/2**n is below half an ulp of 2**n: both semi-axes round to
+        # 2**n, and the ellipse is that circle
+        p = MapParams(30, 1 + 0j, 0j)
+        e = ellipse_spec(p)
+        assert e.semi_major == e.semi_minor == 2.0**30
         assert ellipse_spec(MapParams(20, 1 + 0j, 0j)).semi_minor < 2.0**20
+        assert verify_image_ellipse(p, 0, samples=250).passed
+        # the negative control still fails there: the 2**(n-1) variant of the axes
+        wrong = ellipse_semi_axes(29, 1.0)
+        r = verify_image_ellipse(p, 0, samples=250, axes=wrong)
+        assert not r.passed
+        assert r.failures == 520  # both arcs and 20 ray samples; deterministic sampling
 
     def test_focal_identity(self):
         rng = np.random.default_rng(41)

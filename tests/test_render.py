@@ -101,8 +101,8 @@ class TestSliceSpecs:
         assert cfg.color_plus == (255, 0, 0)
         assert cfg.color_minus == (0, 0, 255)
         assert cfg.bounded_color == (0, 0, 0)
-        with pytest.raises(ValueError):
-            RenderConfig(color_plus=(256, 0, 0))
+        with pytest.raises(TypeError):  # the colors are fixed, not settable
+            RenderConfig(color_plus=(255, 0, 0))
         with pytest.raises(ValueError):
             RenderConfig(max_iter=0)
 

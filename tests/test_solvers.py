@@ -8,7 +8,13 @@ import pytest
 from mcmullen.errors import InconsistencyError, RootFindingError
 from mcmullen.family import MapParams, eval_map, pow_int
 from mcmullen.regions import sector_index
-from mcmullen.solvers import diagonal_fixed_params, fixed_critical_params, poly_roots
+from mcmullen.solvers import (
+    _DEDUPE_TOL,
+    _centers,
+    diagonal_fixed_params,
+    fixed_critical_params,
+    poly_roots,
+)
 
 
 def bisect_real_root(f, lo, hi, steps=200):
@@ -172,7 +178,11 @@ class TestFixedCriticalParams:
         assert got == pytest.approx(frozen, rel=1e-10)
 
     def test_dedupe_tol_knob(self):
-        assert len(fixed_critical_params(3, 0.5 + 0j, dedupe_tol=1.0)) < 3
+        # the solvers dedupe at the fixed _DEDUPE_TOL; the pipeline they share still
+        # merges a-values at a loose tolerance
+        coeffs = [2.0 + 0j, 0j, -1.0 + 0j, 0.5 + 0j]  # 2*w**3 - w + 0.5 (n = 3, c = 0.5)
+        assert len(_centers(3, coeffs, _DEDUPE_TOL)) == 3
+        assert len(_centers(3, coeffs, 1.0)) < 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,20 @@ class TestSpineSpec:
         with pytest.raises(ValueError):
             spine_point(SpineSpec(1 + 0j, 64), 1.0, 2)  # branch must be +-1
 
+    @pytest.mark.parametrize("t", [1e-200, 1e-160j, 1e-154 + 0j])
+    def test_tiny_slope_refused(self, t):
+        # the outer radius 2/|t|**2 + 1/|t| + (2/|t|**2)*sqrt(1 + |t|) overflows
+        for call in (lambda: SpineSpec(t), lambda: spine_radii(t)):
+            with pytest.raises(ValueError, match=r"t = .* is too small"):
+                call()
+
+    def test_smallest_slopes_sample_finitely(self):
+        # just above the limit the radii and every sample are finite
+        for t in (1.5e-154, -1.5e-154j, 1.1e-154 + 1.1e-154j):
+            assert all(math.isfinite(r) for r in spine_radii(t))
+            _, plus, minus = spine_points(SpineSpec(t, 64))
+            assert np.isfinite(plus).all() and np.isfinite(minus).all()
+
 
 class TestSpinePoints:
     def test_frozen_points_t2(self):

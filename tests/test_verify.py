@@ -59,19 +59,18 @@ class TestOverflowingN:
 
 class TestReportPlumbing:
     def test_report_validation(self):
-        ok = VerificationReport("demo", "x=1", 10, 0, 0.5, True)
-        assert ok.passed
+        # passed is derived from failures, so an inconsistent report cannot be built
+        assert VerificationReport("demo", "x=1", 10, 0, 0.5).passed
+        assert not VerificationReport("demo", "x=1", 10, 3, 0.5).passed
+        with pytest.raises(TypeError):
+            VerificationReport("demo", "x=1", 10, 3, 0.5, True)  # passed is not a field
         with pytest.raises(ValueError):
-            VerificationReport("demo", "x=1", 10, 3, 0.5, True)  # failures but passed
-        with pytest.raises(ValueError):
-            VerificationReport("demo", "x=1", 10, 0, 0.5, False)  # no failures but failed
-        with pytest.raises(ValueError):
-            VerificationReport("demo", "x=1", 10, 0, math.nan, True)
+            VerificationReport("demo", "x=1", 10, 0, math.nan)
 
     def test_csv_format(self):
         reports = [
-            VerificationReport("alpha", "n=3;k=0", 100, 0, 0.25, True),
-            VerificationReport("beta", "n=4", 50, 2, -0.125, False),
+            VerificationReport("alpha", "n=3;k=0", 100, 0, 0.25),
+            VerificationReport("beta", "n=4", 50, 2, -0.125),
         ]
         text = reports_to_csv(reports)
         lines = text.strip().split("\n")
