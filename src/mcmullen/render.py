@@ -7,8 +7,10 @@ scaled linearly by how fast it escaped. Dynamical slices iterate the pixel's poi
 itself and shade escapes in grayscale.
 
 Guarantees:
-  - rows are rendered in fixed 16-row bands; the output is a pure function of the
-    inputs (n, slice, viewport, config);
+  - rows are rendered in fixed 16-row bands, one orbit-kernel block per band and
+    orbit; the blocks share the kernel's working set, which changes no orbit's
+    result, so the output is a pure function of the inputs (n, slice, viewport,
+    config);
   - a pixel equals bounded_color exactly when both orbits are classified bounded
     (an escaped orbit's channel with a nonzero base is at least 1, never the bounded 0);
   - the escape threshold is the per-pixel escape radius max(4, |c|, |a|), which
@@ -29,11 +31,12 @@ from .family import (
     MapParams,
     check_exponent,
     check_slope,
-    critical_orbits_bulk,
     critical_values,
+    critical_values_bulk,
     escape_radius,
+    escape_radius_bulk,
     iterate_orbit,
-    iterate_orbits_bulk,
+    iterate_orbit_blocks,
 )
 
 logger = logging.getLogger(__name__)
@@ -46,7 +49,9 @@ _ROW_BAND = 16
 
 # Estimated peak bytes of a render: per pixel, the uint8 grid, the encoded PPM
 # and the CLI's bounded count (about 9 B measured); per point of one band, the
-# orbit kernel's arrays and the shading blocks (about 290 B measured).
+# orbit kernel's blocks and pool and the shading blocks (190 to 380 B measured
+# with tracemalloc on 200 to 3200 pixel wide renders, the pool's fixed part
+# included).
 _PIXEL_BYTES = 16
 _BAND_POINT_BYTES = 512
 
@@ -269,32 +274,24 @@ def _color_block(escaped: np.ndarray, iters: np.ndarray, base: RGB8, cfg: Render
     return np.where(escaped[:, None], scaled, np.array(cfg.bounded_color, dtype=float))
 
 
-def _render_band(
-    n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig, row0: int, row1: int
-) -> tuple[np.ndarray, int]:
-    """Pixels of rows [row0, row1) as a uint8 array of shape (rows, width, 3), plus
-    the count of a = 0 pixels encountered."""
-    rows = [vp.row_points(r) for r in range(row0, row1)]
-    pts = np.concatenate(rows)
+def _palette(base: RGB8, cfg: RenderConfig, top: int) -> np.ndarray:
+    """Orbit colors by the kernel's iteration count: row m is _color_block of an
+    escape at m = 0..top, the last row (the kernel's -1) is bounded_color. uint16,
+    so that two rows add without overflow. Sized by the largest count of a block,
+    not by max_iter, so a large max_iter on a fast-escaping view costs nothing."""
+    m = np.arange(top + 2)
+    return _color_block(m <= top, m, base, cfg).astype(np.uint16)
 
-    if isinstance(slc, Dynamical):
-        p = slc.params
-        thr = escape_radius(p)
-        escaped, iters = iterate_orbits_bulk(p.n, p.a, p.c, pts, cfg.max_iter, thr)
-        block = _color_block(escaped, iters, (255, 255, 255), cfg)
-        return block.astype(np.uint8).reshape(row1 - row0, vp.width, 3), 0
 
-    a, c = _slice_params(slc, pts)
-    zero_a = a == 0
-    n_zero = int(np.count_nonzero(zero_a))
-    a_safe = np.where(zero_a, 1.0 + 0.0j, a)
-    (esc_p, it_p), (esc_m, it_m) = critical_orbits_bulk(n, a_safe, c, cfg.max_iter)
-    mean = (_color_block(esc_p, it_p, cfg.color_plus, cfg)
-            + _color_block(esc_m, it_m, cfg.color_minus, cfg)) / 2.0
-    block = np.floor(mean + 0.5)
-    if n_zero:
-        block[zero_a] = np.array(cfg.bounded_color, dtype=float)
-    return block.astype(np.uint8).reshape(row1 - row0, vp.width, 3), n_zero
+def _shade(iters: np.ndarray, base: RGB8, cfg: RenderConfig) -> np.ndarray:
+    """_color_block of one block's kernel output (-1 bounded) as uint16 (len, 3)."""
+    return _palette(base, cfg, int(iters.max()))[iters]
+
+
+def _band_points(vp: Viewport, row0: int) -> np.ndarray:
+    """Pixel centers of the band starting at row0, row by row."""
+    rows = range(row0, min(row0 + _ROW_BAND, vp.height))
+    return np.concatenate([vp.row_points(r) for r in rows])
 
 
 def render_bytes(vp: Viewport) -> int:
@@ -304,18 +301,59 @@ def render_bytes(vp: Viewport) -> int:
 
 def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Image:
     """Classify every pixel center of the viewport. Rows are processed in fixed
-    16-row bands, so the output is a pure function of the inputs. A viewport whose
-    render_bytes exceed the memory budget raises ValueError before any allocation."""
+    16-row bands, one kernel block per band and orbit, so the output is a pure
+    function of the inputs. The blocks share one working set of the orbit kernel
+    (iterate_orbit_blocks), and a band is shaded once all its blocks are done.
+    A viewport whose render_bytes exceed the memory budget raises ValueError
+    before any allocation."""
     if not isinstance(slc, Dynamical):
         check_exponent(n)
     check_memory_budget(render_bytes(vp), f"a {vp.width}x{vp.height} render")
+    zero_a: dict[int, np.ndarray] = {}  # band -> mask of its a = 0 pixels, if any
+
+    if isinstance(slc, Dynamical):
+        p = slc.params
+        n = p.n
+        bases = [(255, 255, 255)]
+
+        def blocks():
+            thr = escape_radius(p)
+            for r0 in range(0, vp.height, _ROW_BAND):
+                pts = _band_points(vp, r0)
+                yield np.full(pts.size, p.a), np.full(pts.size, p.c), pts, np.full(pts.size, thr)
+    else:
+        bases = [cfg.color_plus, cfg.color_minus]
+
+        def blocks():
+            for band, r0 in enumerate(range(0, vp.height, _ROW_BAND)):
+                a, c = _slice_params(slc, _band_points(vp, r0))
+                zero = a == 0
+                if zero.any():
+                    zero_a[band] = zero
+                    a = np.where(zero, 1.0 + 0.0j, a)
+                thr = escape_radius_bulk(a, c)
+                v_plus, v_minus = critical_values_bulk(a, c)
+                yield a, c, v_plus, thr
+                yield a, c, v_minus, thr
+
     grid = np.empty((vp.height, vp.width, 3), dtype=np.uint8)
     zero_total = 0
-    for r0 in range(0, vp.height, _ROW_BAND):
-        r1 = min(r0 + _ROW_BAND, vp.height)
-        block, n_zero = _render_band(n, slc, vp, cfg, r0, r1)
-        grid[r0:r1] = block
-        zero_total += n_zero
+    pending: dict[int, list] = {}
+    for k, iters in iterate_orbit_blocks(n, blocks(), cfg.max_iter):
+        band, j = divmod(k, len(bases))
+        done = pending.setdefault(band, [None] * len(bases))
+        done[j] = iters
+        if any(it is None for it in done):
+            continue
+        del pending[band]
+        pix = [_shade(it, base, cfg) for it, base in zip(done, bases)]
+        # the channel mean floor((p + m) / 2 + 0.5), exact in integers
+        pix = pix[0] if len(pix) == 1 else (pix[0] + pix[1] + 1) >> 1
+        zero = zero_a.pop(band, None)
+        if zero is not None:
+            pix[zero] = cfg.bounded_color
+            zero_total += int(np.count_nonzero(zero))
+        grid[band * _ROW_BAND:(band + 1) * _ROW_BAND] = pix.reshape(-1, vp.width, 3)
     if zero_total:
         logger.info("render: %d pixel(s) at a = 0 rendered as bounded_color", zero_total)
     grid.flags.writeable = False

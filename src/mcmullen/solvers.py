@@ -3,7 +3,9 @@ fixed-critical-point solvers that locate the principal cluster centers in both t
 fixed-c and diagonal (c = t*a) parameter slices."""
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -133,12 +135,22 @@ def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
 
     Returns (w, a) pairs with w != 0, deduplicated in a and sorted by (Re a, Im a);
     every pair satisfies |eval_map((n, a, t*a), w) - w| <= 1e-8. No count law is
-    asserted; the observed count is simply returned.
+    asserted; the observed count is simply returned. A slope whose centers' a leave
+    binary64 (|t| below 2/sqrt(max float), or some a = w**(2n) 0 or not finite)
+    raises ValueError naming t.
     """
     check_exponent(n)
     t = check_slope(t)
     coeffs = [t] + [0j] * (n - 1) + [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j]
+    # For a small |t|, n of the roots have t*w**n near -2, so their a = w**(2n) is
+    # near 4/|t|**2; below 2/sqrt(max float) it overflows and no sweep converges.
+    if abs(t) < 2.0 / math.sqrt(sys.float_info.max):
+        raise ValueError(f"t = {t!r} is too small: the centers' a = w**(2n), about "
+                         "4/|t|**2, overflow binary64")
     kept = _centers(n, coeffs, _DEDUPE_TOL)
+    if any(a == 0 or not cmath.isfinite(a) for _, a in kept):
+        raise ValueError(f"t = {t!r} puts a center's a = w**(2n) outside binary64: "
+                         "0 or not finite")
     for w, a in kept:
         residual = abs(eval_map(MapParams(n, a, t * a), w) - w)
         if not residual <= 1e-8:

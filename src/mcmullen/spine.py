@@ -145,7 +145,10 @@ def _close(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
     with spine_distances to the bit."""
     dx = q.real - p.real
     dy = q.imag - p.imag
-    return np.sqrt(dx * dx + dy * dy) <= eps
+    # Near the spine's slope limit the samples reach about 1e300 and a square can
+    # overflow to inf. That only rejects, and the tree's formula overflows alike.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(dx * dx + dy * dy) <= eps
 
 
 def _cleared(t: complex, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -154,12 +157,18 @@ def _cleared(t: complex, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     # The rest stand in as 2r, which keeps q**-0.5 and (|q| - r)**-1.5 finite.
     q = np.where(far, q, 2.0 * r)
     root = np_principal_sqrt(q)
-    curvature = r / (2.0 * (np.abs(q) - r) ** 1.5)
-    rounding = 1.0 + np.abs(t * q) + 2.0 * np.abs(root)
-    for sign in (1.0, -1.0):
-        bound = r * (np.abs(t + sign / root) + curvature)
-        margin = np.abs(np.abs(t * q + sign * 2.0 * root) - 1.0) - bound
-        far &= margin > _SLACK * (rounding + bound)
+    # For |q| near the float limit a product can overflow. An inf, or the nan of
+    # inf - inf, fails the `>` below, so it only leaves a query to the exact
+    # stages. The curvature is written without the power (|q| - r)**1.5, which
+    # overflows from |q| of about 1e205 on and would read 0, a low bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(q) - r
+        curvature = r / gap / (2.0 * np.sqrt(gap))
+        rounding = 1.0 + np.abs(t * q) + 2.0 * np.abs(root)
+        for sign in (1.0, -1.0):
+            bound = r * (np.abs(t + sign / root) + curvature)
+            margin = np.abs(np.abs(t * q + sign * 2.0 * root) - 1.0) - bound
+            far &= margin > _SLACK * (rounding + bound)
     return far
 
 

@@ -348,7 +348,9 @@ def verify_spine_locus(
     neighborhood of the spine: on a grid**2 polar lattice over the annulus
     (l(t)-eps, u(t)+eps), every parameter farther than eps from the sampled spine must
     have both critical orbits escape within max_iter. Near-spine lattice points are
-    exempt (the claim says nothing about them) but still counted in `samples`.
+    exempt (the claim says nothing about them) but still counted in `samples`. A
+    lattice with no point beyond eps raises HypothesisError: it would certify
+    nothing.
     """
     check_exponent(n)
     if not (math.isfinite(eps) and eps > 0):
@@ -365,16 +367,14 @@ def verify_spine_locus(
     a = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
     tested = ~spine_within(SpineSpec(t), a, eps)
     a_t = a[tested]
-    if a_t.size:
-        (esc_p, it_p), (esc_m, it_m) = critical_orbits_bulk(n, a_t, t * a_t, max_iter)
-        both = esc_p & esc_m
-        failures = int(np.count_nonzero(~both))
-        slack = (max_iter + 1 - np.maximum(it_p, it_m)) / (max_iter + 1)
-        margins = np.where(both, slack, -1.0)
-        worst = float(margins.min())
-    else:
-        failures = 0
-        worst = 1.0
+    if a_t.size == 0:
+        raise HypothesisError(
+            f"no lattice point lies farther than eps = {eps!r} from the spine of "
+            f"t = {t!r}: the check would test nothing"
+        )
+    (esc_p, it_p), (esc_m, it_m) = critical_orbits_bulk(n, a_t, t * a_t, max_iter)
+    both = esc_p & esc_m
+    slack = (max_iter + 1 - np.maximum(it_p, it_m)) / (max_iter + 1)
     return VerificationReport(
         check_name="spine-locus",
         params=_fmt_params(
@@ -382,8 +382,8 @@ def verify_spine_locus(
             tested=int(np.count_nonzero(tested)), skipped=int(np.count_nonzero(~tested)),
         ),
         samples=int(a.size),
-        failures=failures,
-        worst_margin=worst,
+        failures=int(np.count_nonzero(~both)),
+        worst_margin=float(np.where(both, slack, -1.0).min()),
     )
 
 

@@ -1,4 +1,7 @@
 """Command-line surface: flags, CSV/PPM outputs, exit codes."""
+import hashlib
+import warnings
+
 import pytest
 
 from mcmullen.cli import main
@@ -220,6 +223,30 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "t = " in err and "too small" in err
 
+    def test_spine_locus_that_tests_nothing_exit_2(self, capsys):
+        # at |t| = 1e300 the whole lattice lies within eps of the spine
+        code, out, err = run(
+            capsys, "verify", "--check", "spine-locus", "--n", "20", "--t", "1e300,0",
+            "--eps", "0.25", "--samples", "32",
+        )
+        assert code == 2 and out == ""
+        assert "t = (1e+300+0j)" in err and "eps = 0.25" in err and "nothing" in err
+
+    def test_spine_locus_near_the_slope_limit_is_quiet(self, capsys):
+        # the spine samples reach about 1e300 here; squares and powers of them
+        # overflow, which must neither warn nor change a row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "verify", "--check", "spine-locus", "--n", "20", "--t", "1e-150,0",
+                "--eps", "0.25", "--samples", "32", "--max-iter", "20",
+            )
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == (
+            "spine-locus,n=20;t=1e-150+0j;eps=0.25;grid=32;max_iter=20;tested=1023;"
+            "skipped=1,1024,0,0.9523809523809523,true"
+        )
+
     def test_spine_locus_requires_eps(self, capsys):
         assert run(
             capsys, "verify", "--check", "spine-locus", "--n", "20", "--t", "2,0",
@@ -322,6 +349,21 @@ class TestCentersCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 1 + 300
         assert max(float(line.split(",")[6]) for line in lines[1:]) <= 1e-8
+
+    @pytest.mark.parametrize("t", ["1e-200", "1e300"])
+    def test_extreme_slopes_exit_2_naming_t(self, capsys, t):
+        # 1e-200: a = w**(2n) near 4/t**2 overflows; 1e300: a underflows to 0
+        code, out, err = run(capsys, "centers", "--n", "3", "--t", t)
+        assert code == 2 and out == ""
+        assert f"t = ({float(t)!r}+0j)" in err
+
+    def test_diagonal_rows_unchanged(self, capsys):
+        code, out, _ = run(capsys, "centers", "--n", "3", "--t", "2")
+        assert code == 0
+        # the rows as written before the extreme-slope checks existed
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "973077f50ae6acb25e590030a1c74f1e9462ee536cbae0de496d032f6aaece21"
+        )
 
     def test_memory_budget_exit_2(self, capsys):
         code, out, err = run(capsys, "centers", "--n", "5000", "--t", "2")

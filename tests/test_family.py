@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcmullen import family
 from mcmullen.errors import PoleError
 from mcmullen.family import (
     MapParams,
@@ -12,11 +15,14 @@ from mcmullen.family import (
     critical_orbits_bulk,
     critical_points,
     critical_values,
+    critical_values_bulk,
     escape_radius,
+    escape_radius_bulk,
     eval_map,
     inner_radius,
     involute,
     iterate_orbit,
+    iterate_orbit_blocks,
     iterate_orbits_bulk,
     np_principal_sqrt,
     pow_int,
@@ -503,3 +509,169 @@ class TestBulkKernelOracle:
                      for i, j in zip(cuts, cuts[1:])]
             np.testing.assert_array_equal(np.concatenate([e for e, _ in parts]), esc)
             np.testing.assert_array_equal(np.concatenate([m for _, m in parts]), iters)
+
+
+def pooled_orbits(n, blocks, max_iter):
+    """iterate_orbit_blocks as {key: (escaped, iters)} in iterate_orbits_bulk's form;
+    each key must be yielded exactly once."""
+    got = {}
+    for k, iters in iterate_orbit_blocks(n, blocks, max_iter):
+        assert k not in got
+        iters = iters.astype(np.int64)
+        escaped = iters >= 0
+        iters[~escaped] = max_iter
+        got[k] = (escaped, iters)
+    assert sorted(got) == list(range(len(got)))
+    return got
+
+
+def edge_rows():
+    """Rows (a, c, z0, thr) for n = 4: both critical orbits of a 24x24 zoom around a
+    fixed-critical center (bounded orbits, some retired by Brent, and escapes at
+    many steps), then every edge of the decision rule."""
+    a = lattice(fixed_critical_params(4, 6j)[0].a_j, 0.1, 24)
+    plus, minus = critical_orbit_args(4, a, np.full(a.shape, 6j), 1)
+    cols = [np.concatenate([plus[i], minus[i]]) for i in (1, 2, 3, 5)]
+    nan, inf = math.nan, math.inf
+    edges = [
+        (1, 0, 0, 4.0),  # pole start
+        (1, 0, complex(nan, 0), 4.0),  # non-finite starts
+        (1, 0, complex(inf, 0), 4.0),
+        (1, 0, complex(0, -inf), 4.0),
+        (-1, 0, 1, 4.0),  # z1 = 0 exactly: the pole met at step 2 dates the escape at 1
+        (-1, 3 + 4j, 1, 5.0),  # |z1| = 5 on the threshold stays ...
+        (-1, 3 + 4j, 1, np.nextafter(5.0, 0.0)),  # ... and one ulp below it escapes
+        (complex(nan, 0), 0, 0.5 + 0.5j, 4.0),  # non-finite a
+        (complex(inf, 1), 0, 1, 4.0),
+    ]
+    dtypes = (complex, complex, complex, float)
+    return [np.concatenate([col, np.array(e, dtype=dt)])
+            for col, e, dt in zip(cols, zip(*edges), dtypes)]
+
+
+EDGE_ROWS = edge_rows()
+
+
+class TestPooledKernel:
+    """iterate_orbit_blocks: blocks sharing one working set get exactly the results
+    each block gets alone, from the gather/scatter oracle and iterate_orbits_bulk."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        max_iter=st.sampled_from([1, 2, 3, 17, 120]),
+        picks=st.lists(st.lists(st.integers(0, EDGE_ROWS[0].size - 1), max_size=40),
+                       min_size=1, max_size=20),
+    )
+    def test_blocks_of_mixed_lengths_match_the_oracle(self, max_iter, picks):
+        blocks = [tuple(col[np.array(ix, dtype=np.intp)] for col in EDGE_ROWS) for ix in picks]
+        got = pooled_orbits(4, blocks, max_iter)
+        assert len(got) == len(blocks)
+        for k, (a, c, z0, thr) in enumerate(blocks):
+            want = reference_orbits_bulk(4, a, c, z0, max_iter, thr)
+            np.testing.assert_array_equal(got[k][0], want[0])
+            np.testing.assert_array_equal(got[k][1], want[1])
+
+    def test_edge_rows_in_every_block(self):
+        # each edge row in its own block, in a block with zoom rows, and in a block
+        # of its own again after the zoom blocks, at max_iter 1, 2 and 5
+        edges = np.arange(EDGE_ROWS[0].size - 9, EDGE_ROWS[0].size)
+        zoom = np.arange(0, EDGE_ROWS[0].size - 9, 7)
+        picks = [[i] for i in edges] + [np.concatenate([zoom, edges]), zoom] + [[i] for i in edges]
+        blocks = [tuple(col[np.asarray(ix)] for col in EDGE_ROWS) for ix in picks]
+        for max_iter in (1, 2, 5):
+            got = pooled_orbits(4, blocks, max_iter)
+            for k, (a, c, z0, thr) in enumerate(blocks):
+                esc, iters = iterate_orbits_bulk(4, a, c, z0, max_iter, thr)
+                np.testing.assert_array_equal(got[k][0], esc)
+                np.testing.assert_array_equal(got[k][1], iters)
+
+    def test_brent_retires_in_every_block_alike(self, monkeypatch):
+        # Uneven blocks of a zoom's critical orbits at max_iter 400: the pooled run
+        # computes exactly the orbit steps of the blocks run one by one, in fewer
+        # loop steps, and bounded orbits are retired early in several blocks.
+        a = lattice(fixed_critical_params(4, 6j)[1].a_j, 0.1, 40)
+        cuts = [0, 13, 200, 201, 650, 900, 1301, a.size]
+        blocks = []
+        for _, a_, c, z0, _, thr in critical_orbit_args(4, a, np.full(a.shape, 6j), 400):
+            blocks += [(a_[i:j], c[i:j], z0[i:j], thr[i:j]) for i, j in zip(cuts, cuts[1:])]
+        counts = [0, 0]
+
+        def counting(z, n):
+            counts[0] += 1
+            counts[1] += np.size(z)
+            return pow_int(z, n)
+
+        monkeypatch.setattr(family, "pow_int", counting)
+        got = pooled_orbits(4, blocks, 400)
+        pooled = counts.copy()
+        retired = 0
+        banded = [0, 0]
+        for k, (a_, c, z0, thr) in enumerate(blocks):
+            counts[:] = [0, 0]
+            esc, iters = iterate_orbits_bulk(4, a_, c, z0, 400, thr)
+            np.testing.assert_array_equal(got[k][0], esc)
+            np.testing.assert_array_equal(got[k][1], iters)
+            retired += counts[1] < iters.sum()  # no poles here: fewer steps than logical
+            banded = [banded[0] + counts[0], banded[1] + counts[1]]
+        assert pooled[1] == banded[1]
+        assert pooled[0] < banded[0] / 2
+        assert retired >= 4
+
+    def test_reads_blocks_lazily_within_the_open_cap(self):
+        # Blocks are read only when the pool runs low and fewer than _OPEN_MAX are
+        # open, for blocks larger and smaller than the admission level: with 36
+        # small blocks, the first result comes before the last block is read.
+        zoom = lattice(fixed_critical_params(4, 6j)[0].a_j, 0.1, 100)
+        for size, count in ((family._POOL_MIN + 1, 3), (20, 3 * family._OPEN_MAX)):
+            pulled = []
+
+            def blocks():
+                for k in range(count):
+                    pulled.append(k)
+                    a = zoom[k * size:(k + 1) * size]
+                    v_minus = critical_values_bulk(a, 6j)[1]
+                    yield a, np.full(a.size, 6j), v_minus, escape_radius_bulk(a, 6j)
+
+            done = 0
+            for _ in iterate_orbit_blocks(4, blocks(), 300):
+                assert len(pulled) - done <= family._OPEN_MAX
+                done += 1
+            assert done == count == len(pulled)
+
+    def test_a_fixed_point_at_step_1_is_retired_at_step_2(self, monkeypatch):
+        # z0 = 1, a = -1, c = 1: z1 = 1 - 1 + 1 = 1 is a fixed point, so z2 equals
+        # the step-1 reference and the orbit leaves as bounded after two steps
+        computed = []
+        monkeypatch.setattr(family, "pow_int", lambda z, n: computed.append(z.size) or pow_int(z, n))
+        esc, iters = iterate_orbits_bulk(4, -1 + 0j, 1 + 0j, 1 + 0j, 1000, 4.0)
+        assert (bool(esc), int(iters)) == (False, 1000)
+        assert computed == [1, 1]
+
+    def test_no_step_after_the_last_orbit_leaves(self, monkeypatch):
+        # z0 = 1, a = -1, c = 1.2: z1 = 1.2, |z2| = 2.79 and |z3| = 60.6 > 4, so
+        # the orbit escapes at step 3 and the kernel takes exactly three steps
+        computed = []
+        monkeypatch.setattr(family, "pow_int", lambda z, n: computed.append(z.size) or pow_int(z, n))
+        esc, iters = iterate_orbits_bulk(4, -1 + 0j, 1.2 + 0j, 1 + 0j, 1000, 4.0)
+        assert (bool(esc), int(iters)) == (True, 3)
+        assert computed == [1, 1, 1]
+
+    def test_a_block_closes_once_its_orbits_have_left(self):
+        # One orbit of a zoom that stays bounded and is not retired in 300 steps,
+        # then 30 one-orbit blocks that escape at step 2 (z1 = c = 3, thr 4): each
+        # of those is yielded as soon as its orbit has left, long before the first.
+        a = np.array([-13.068708837320791 + 1.9127211733632754j])
+        slow = (a, np.array([6j]), np.array([-0.5276934248638624 - 1.2493651928929417j]),
+                escape_radius_bulk(a, 6j))
+        fast = tuple(np.array([x]) for x in (-1 + 0j, 3 + 0j, 1 + 0j, 4.0))
+        got = list(iterate_orbit_blocks(4, [slow] + [fast] * 30, 300))
+        assert [k for k, _ in got] == list(range(1, 31)) + [0]
+        assert [int(it[0]) for _, it in got] == [2] * 30 + [-1]
+
+    def test_no_blocks_and_empty_blocks(self):
+        assert list(iterate_orbit_blocks(4, [], 10)) == []
+        empty = (np.empty(0, complex),) * 3 + (np.empty(0),)
+        got = list(iterate_orbit_blocks(4, [empty, empty], 10))
+        assert [k for k, _ in got] == [0, 1] and all(it.size == 0 for _, it in got)
+        with pytest.raises(ValueError):
+            list(iterate_orbit_blocks(4, [empty], 0))

@@ -1,13 +1,17 @@
 """Escape-time rendering: viewport math, pixel classification, deterministic images."""
+import contextlib
 import itertools
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcmullen import family
 from mcmullen.errors import MEMORY_BUDGET_BYTES
-from mcmullen.family import MapParams
+from mcmullen.family import MapParams, escape_radius, iterate_orbits_bulk, pow_int
 from mcmullen.render import (
     Diagonal,
     Dynamical,
@@ -21,8 +25,32 @@ from mcmullen.render import (
     encode_ppm,
     render_slice,
 )
-from mcmullen.render import _intensity, _round_half_away, _slice_params, render_bytes
+from mcmullen.render import (
+    _color_block,
+    _intensity,
+    _palette,
+    _round_half_away,
+    _slice_params,
+    render_bytes,
+)
 from mcmullen.solvers import fixed_critical_params
+from test_family import critical_orbit_args, reference_orbits_bulk
+
+@contextlib.contextmanager
+def _records(logger):
+    """The log records `logger` emits at INFO and above inside the block."""
+    records = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = records.append
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
 
 CENTER_VIEW = Viewport(-16.0, -3.0, -6.5, 6.5, 120, 120)
 # Above 510 iterations 255*m/max_iter rounds to 0 for small m; 256 is the default.
@@ -293,3 +321,131 @@ class TestImageAndEncoding:
         }
         want = {vp.pixel_of(z) for z in curve if math.isfinite(abs(z))} - {None}
         assert changed == want
+
+
+def band_by_band(n, slc, vp, cfg):
+    """The image render_slice gives, computed one 16-row band and one kernel call at
+    a time, each call checked against the gather/scatter oracle, and shaded by
+    _color_block with the float channel mean; also the count of a = 0 pixels."""
+    bands, zeros = [], 0
+    for r0 in range(0, vp.height, 16):
+        pts = np.concatenate([vp.row_points(r) for r in range(r0, min(r0 + 16, vp.height))])
+        if isinstance(slc, Dynamical):
+            p = slc.params
+            calls = [((255, 255, 255), (p.n, p.a, p.c, pts, cfg.max_iter, escape_radius(p)))]
+            zero = np.zeros(pts.size, dtype=bool)
+        else:
+            a, c = _slice_params(slc, pts)
+            zero = a == 0
+            a = np.where(zero, 1.0 + 0.0j, a)
+            plus, minus = critical_orbit_args(n, a, c, cfg.max_iter)
+            calls = [(cfg.color_plus, plus), (cfg.color_minus, minus)]
+        colors = []
+        for base, args in calls:
+            esc, iters = iterate_orbits_bulk(*args)
+            want = reference_orbits_bulk(*args)
+            np.testing.assert_array_equal(esc, want[0])
+            np.testing.assert_array_equal(iters, want[1])
+            colors.append(_color_block(esc, iters, base, cfg))
+        block = colors[0] if len(colors) == 1 else np.floor((colors[0] + colors[1]) / 2.0 + 0.5)
+        block[zero] = cfg.bounded_color
+        bands.append(block)
+        zeros += int(np.count_nonzero(zero))
+    return np.concatenate(bands).reshape(vp.height, vp.width, 3), zeros
+
+
+def square(center, half):
+    return (center.real - half, center.real + half, center.imag - half, center.imag + half)
+
+
+# (n, slice, view bounds): zooms where orbits stay bounded and are retired by
+# Brent, wide views, views centered on a = 0 or on the dynamical pole z = 0.
+POOLED_CASES = (
+    (4, FixedC(6j), square(README_A, 0.1)),
+    (4, FixedC(6j), (-16.0, -3.0, -6.5, 6.5)),
+    (3, FixedC(0.5 + 0j), (-1.0, 1.0, -1.0, 1.0)),
+    (4, FixedA(README_A), square(6j, 0.05)),
+    (8, Diagonal(2 + 0j), (-2.0, 2.0, -2.0, 2.0)),
+    (3, Diagonal(1 + 0j), (-1.0, 1.0, -1.0, 1.0)),
+    (4, Dynamical(MapParams(4, README_A, 6j)), (-2.0, 2.0, -2.0, 2.0)),
+    (4, Dynamical(MapParams(4, README_A, 6j)), (-1.0, 1.0, -1.0, 1.0)),
+)
+
+
+class TestPooledRender:
+    """render_slice feeds every band to one kernel working set; its pixels equal
+    the band-by-band render exactly."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from(POOLED_CASES),
+        width=st.integers(1, 24),
+        height=st.integers(1, 60),
+        max_iter=st.sampled_from([1, 2, 3, 40, 300]),
+    )
+    def test_matches_band_by_band(self, case, width, height, max_iter):
+        n, slc, bounds = case
+        vp, cfg = Viewport(*bounds, width, height), RenderConfig(max_iter=max_iter)
+        want, zeros = band_by_band(n, slc, vp, cfg)
+        logger = logging.getLogger("mcmullen.render")
+        with _records(logger) as records:
+            img = render_slice(n, slc, vp, cfg)
+        np.testing.assert_array_equal(img.pixels, want)
+        logged = [r.getMessage() for r in records if "a = 0" in r.getMessage()]
+        assert logged == ([f"render: {zeros} pixel(s) at a = 0 rendered as bounded_color"]
+                          if zeros else [])
+
+    def test_zero_parameter_and_pole_pixels(self):
+        # 5x5 on [-1, 1]**2 puts the center pixel exactly on 0: a = 0 for the
+        # parameter slices, the pole z0 = 0 (an escape at 0) for the dynamical one
+        vp = Viewport(-1.0, 1.0, -1.0, 1.0, 5, 5)
+        assert vp.point_at(2, 2) == 0
+        for n, slc, _ in POOLED_CASES[2:3] + POOLED_CASES[5:6] + POOLED_CASES[7:]:
+            for max_iter in (1, 2, 300):
+                cfg = RenderConfig(max_iter=max_iter)
+                img = render_slice(n, slc, vp, cfg)
+                np.testing.assert_array_equal(img.pixels, band_by_band(n, slc, vp, cfg)[0])
+                assert img.at(2, 2) == classify_pixel(n, slc, 0j, cfg)
+
+    @pytest.mark.parametrize("max_iter", [1, 255, 511, 1000])
+    def test_palette_is_color_block(self, max_iter):
+        cfg = RenderConfig(max_iter=max_iter)
+        m = np.arange(max_iter + 1)
+        for base in (cfg.color_plus, cfg.color_minus, (255, 255, 255)):
+            pal = _palette(base, cfg, max_iter)
+            np.testing.assert_array_equal(pal[:-1], _color_block(m >= 0, m, base, cfg))
+            assert pal[-1].tolist() == list(cfg.bounded_color)  # the kernel's -1
+            for top in (0, max_iter // 2):  # a smaller palette is a prefix
+                np.testing.assert_array_equal(_palette(base, cfg, top)[:-1], pal[:top + 1])
+
+    def test_integer_channel_mean(self):
+        # (p + m + 1) >> 1 is floor((p + m) / 2 + 0.5) for every pair of channels
+        p, m = np.meshgrid(np.arange(256, dtype=np.uint16), np.arange(256, dtype=np.uint16))
+        np.testing.assert_array_equal((p + m + 1) >> 1, np.floor((p + m) / 2.0 + 0.5))
+
+    def test_loop_steps_pooled_for_the_same_arithmetic(self, monkeypatch):
+        # One 200x200, max_iter 1000 zoom around a fixed-critical center: pooling
+        # computes exactly the orbit steps of the band-by-band kernel calls, in far
+        # fewer loop steps. Measured: 2,065 loop steps (band by band: 13,013);
+        # the bound is that plus 10%.
+        vp = Viewport(*square(README_A, 0.1), 200, 200)
+        cfg = RenderConfig(max_iter=1000)
+        calls = []
+        for r0 in range(0, 200, 16):
+            pts = np.concatenate([vp.row_points(r) for r in range(r0, min(r0 + 16, 200))])
+            calls += critical_orbit_args(4, pts, np.full(pts.size, 6j), 1000)
+        counts = [0, 0]
+
+        def counting(z, n):
+            counts[0] += 1
+            counts[1] += np.size(z)
+            return pow_int(z, n)
+
+        monkeypatch.setattr(family, "pow_int", counting)
+        render_slice(4, FixedC(6j), vp, cfg)
+        pooled = counts.copy()
+        counts[:] = [0, 0]
+        for args in calls:
+            iterate_orbits_bulk(*args)
+        assert pooled[1] == counts[1]
+        assert pooled[0] <= 2272 < counts[0]
