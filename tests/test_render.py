@@ -36,6 +36,7 @@ from mcmullen.render import (
 from mcmullen.solvers import fixed_critical_params
 from test_family import critical_orbit_args, reference_orbits_bulk
 
+
 @contextlib.contextmanager
 def _records(logger):
     """The log records `logger` emits at INFO and above inside the block."""
