@@ -468,9 +468,10 @@ class _Pool:
                 self.ref[mine] = self.z[mine]
             event = birth + min(1 << m.bit_length(), self.max_iter) - 1
             self.next_event = min(self.next_event, event)
-        keep = ~np.isin(self.slot, closed)
-        if not keep.all():
-            self._remove(keep)
+        if closed:
+            keep = ~np.isin(self.slot, closed)
+            if not keep.all():
+                self._remove(keep)
         return [self.open.pop(s) for s in closed]
 
 
