@@ -328,9 +328,10 @@ class _Pool:
     thr2_lo and the Brent reference ref. Per open block, by slot: its key and
     iters, and the pool step before its first step (birth). A block is closed at
     the first event (a power-of-two or max_iter-th step of any block) after its
-    last orbit has left. An orbit's arithmetic does not depend on its position,
-    so orbits that leave are replaced by the last ones, which moves a few
-    elements per array instead of compacting every array."""
+    last orbit has left, or at once when the pool is empty. An orbit's arithmetic
+    does not depend on its position, so orbits that leave are replaced by the
+    last ones, which moves a few elements per array instead of compacting every
+    array."""
 
     _FIELDS = ("idx", "slot", "z", "a", "c", "thr", "thr2_lo", "ref")
 
