@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,21 @@ def check_slope(t) -> complex:
     t = complex(t)
     if t == 0 or not cmath.isfinite(t):
         raise ValueError(f"t must be finite and nonzero, got {t!r}")
+    return t
+
+
+# The smallest |t| whose 4/|t|**2 is finite in binary64, about 1.49e-154.
+_MIN_SCALED_SLOPE = 2.0 / math.sqrt(sys.float_info.max)
+
+
+def check_slope_scale(t) -> complex:
+    """check_slope, and ValueError for a t so small that 4/|t|**2 overflows
+    binary64. That is the size of the outer spine radius and of the diagonal
+    centers' a, so neither can be computed below it; a diagonal render can."""
+    t = check_slope(t)
+    if abs(t) < _MIN_SCALED_SLOPE:
+        raise ValueError(f"t = {t!r} is too small: 4/|t|**2, the size of the outer "
+                         "spine radius and of the diagonal centers' a, overflows binary64")
     return t
 
 
@@ -356,8 +372,9 @@ class _Pool:
         blocks done: [(k, iters)] if none survive or max_iter is 1, else []."""
         a, c, z0, thr = block
         finite = np.isfinite(z0)
-        # -1 until the orbit escapes, in the smallest integer type that holds max_iter
-        iters = np.full(z0.size, -1, dtype=np.min_scalar_type(-self.max_iter))
+        # -1 until the orbit escapes, in the smallest signed integer type that holds
+        # both -1 and max_iter (max_iter = 128 needs int16: int8 stops at 127)
+        iters = np.full(z0.size, -1, dtype=np.min_scalar_type(-self.max_iter - 1))
         iters[~finite] = 0
         if finite.all():
             idx = np.arange(z0.size)

@@ -283,11 +283,6 @@ def _palette(base: RGB8, cfg: RenderConfig, top: int) -> np.ndarray:
     return _color_block(m <= top, m, base, cfg).astype(np.uint16)
 
 
-def _shade(iters: np.ndarray, base: RGB8, cfg: RenderConfig) -> np.ndarray:
-    """_color_block of one block's kernel output (-1 bounded) as uint16 (len, 3)."""
-    return _palette(base, cfg, int(iters.max()))[iters]
-
-
 def _band_points(vp: Viewport, row0: int) -> np.ndarray:
     """Pixel centers of the band starting at row0, row by row."""
     rows = range(row0, min(row0 + _ROW_BAND, vp.height))
@@ -346,7 +341,7 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
         if any(it is None for it in done):
             continue
         del pending[band]
-        pix = [_shade(it, base, cfg) for it, base in zip(done, bases)]
+        pix = [_palette(base, cfg, int(it.max()))[it] for it, base in zip(done, bases)]
         # the channel mean floor((p + m) / 2 + 0.5), exact in integers
         pix = pix[0] if len(pix) == 1 else (pix[0] + pix[1] + 1) >> 1
         zero = zero_a.pop(band, None)

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InconsistencyError, RootFindingError, check_memory_budget
-from .family import MapParams, check_exponent, check_slope, eval_map, pow_int
+from .family import MapParams, check_exponent, check_slope_scale, eval_map, pow_int
 from .regions import WRegionSpec, sector_index
 
 # Coefficients are given highest degree first, like numpy.polyval.
@@ -136,17 +135,14 @@ def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
     Returns (w, a) pairs with w != 0, deduplicated in a and sorted by (Re a, Im a);
     every pair satisfies |eval_map((n, a, t*a), w) - w| <= 1e-8. No count law is
     asserted; the observed count is simply returned. A slope whose centers' a leave
-    binary64 (|t| below 2/sqrt(max float), or some a = w**(2n) 0 or not finite)
-    raises ValueError naming t.
+    binary64 (check_slope_scale, or some a = w**(2n) 0 or not finite) raises
+    ValueError naming t.
     """
     check_exponent(n)
-    t = check_slope(t)
-    coeffs = [t] + [0j] * (n - 1) + [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j]
     # For a small |t|, n of the roots have t*w**n near -2, so their a = w**(2n) is
-    # near 4/|t|**2; below 2/sqrt(max float) it overflows and no sweep converges.
-    if abs(t) < 2.0 / math.sqrt(sys.float_info.max):
-        raise ValueError(f"t = {t!r} is too small: the centers' a = w**(2n), about "
-                         "4/|t|**2, overflow binary64")
+    # near 4/|t|**2; where that overflows no sweep converges.
+    t = check_slope_scale(t)
+    coeffs = [t] + [0j] * (n - 1) + [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j]
     kept = _centers(n, coeffs, _DEDUPE_TOL)
     if any(a == 0 or not cmath.isfinite(a) for _, a in kept):
         raise ValueError(f"t = {t!r} puts a center's a = w**(2n) outside binary64: "

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import check_slope, np_principal_sqrt, principal_sqrt
+from .family import check_slope_scale, np_principal_sqrt, principal_sqrt
 
 # spine_within answers _CHUNK queries per pass, and its exact stage groups the curve
 # samples into bounding blocks of _BLOCK and holds temporaries of at most _PASS
@@ -52,16 +52,12 @@ def spine_point(s: SpineSpec, theta: float, branch: int) -> complex:
 
 def spine_radii(t: complex) -> tuple[float, float]:
     """Annulus radii (l, u) bounding the spine (and, for large n, the diagonal-slice
-    boundedness locus): 2/|t|**2 + 1/|t| -+ (2/|t|**2)*sqrt(1 + |t|). Refuses a t
-    that is not finite and nonzero, and a t so small (|t| below about 1.5e-154)
-    that u overflows binary64: its spine cannot be sampled."""
-    x = abs(check_slope(t))
-    scale = 2.0 / (x * x) if x * x > 0.0 else math.inf
+    boundedness locus): 2/|t|**2 + 1/|t| -+ (2/|t|**2)*sqrt(1 + |t|). Refuses t
+    as check_slope_scale does; for every other t, u is finite."""
+    x = abs(check_slope_scale(t))
+    scale = 2.0 / (x * x)
     base = scale + 1.0 / x
     spread = scale * math.sqrt(1.0 + x)
-    if not math.isfinite(base + spread):
-        raise ValueError(f"t = {complex(t)!r} is too small: the outer spine radius "
-                         "about 4/|t|**2 overflows binary64")
     return base - spread, base + spread
 
 

@@ -398,6 +398,11 @@ def critical_orbit_args(n, a, c, max_iter):
 # exactly, so z1 = c exactly: c places the first iterate anywhere, bit for bit.
 Z1_IS_C = dict(n=3, a=-1 + 0j, z0=1 + 0j)
 
+# Just past the parabolic parameter c = 2/(3*sqrt(3)) of z**3 + c, a real orbit
+# creeps up through the bottleneck: from z0 = 0.5 with a tiny a, |z| first
+# exceeds 0.75 at step 128 (|z_127| is about 0.729, |z_128| about 0.773).
+SLOW_128 = dict(n=3, a=1e-30 + 0j, c=2 / (3 * math.sqrt(3)) + 3e-4 + 0j, z0=0.5 + 0j, thr=0.75)
+
 
 class TestBulkKernelOracle:
     """iterate_orbits_bulk against the plain reference kernel: (escaped, iters)
@@ -543,6 +548,7 @@ def edge_rows():
         (-1, 3 + 4j, 1, np.nextafter(5.0, 0.0)),  # ... and one ulp below it escapes
         (complex(nan, 0), 0, 0.5 + 0.5j, 4.0),  # non-finite a
         (complex(inf, 1), 0, 1, 4.0),
+        tuple(SLOW_128[k] for k in ("a", "c", "z0", "thr")),  # escapes at step 128
     ]
     dtypes = (complex, complex, complex, float)
     return [np.concatenate([col, np.array(e, dtype=dt)])
@@ -558,7 +564,7 @@ class TestPooledKernel:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
-        max_iter=st.sampled_from([1, 2, 3, 17, 120]),
+        max_iter=st.sampled_from([1, 2, 3, 17, 120, 127, 128]),
         picks=st.lists(st.lists(st.integers(0, EDGE_ROWS[0].size - 1), max_size=40),
                        min_size=1, max_size=20),
     )
@@ -571,11 +577,26 @@ class TestPooledKernel:
             np.testing.assert_array_equal(got[k][0], want[0])
             np.testing.assert_array_equal(got[k][1], want[1])
 
+    @pytest.mark.parametrize("max_iter", [127, 128])
+    def test_escape_at_step_128(self, max_iter):
+        # 128 is the first count past int8: an escape at the last of 128 steps must
+        # read 128, in a block of its own and pooled after a zoom block
+        n, a, c, z0, thr = (SLOW_128[k] for k in ("n", "a", "c", "z0", "thr"))
+        want = (max_iter == 128, max_iter)
+        esc, iters = assert_matches_reference(n, a, c, z0, max_iter, thr)
+        assert (bool(esc), int(iters)) == want
+        res = iterate_orbit(MapParams(n, a, c), z0, max_iter, thr)
+        assert (res.escaped, res.iterations) == want
+        zoom = tuple(col[:200] for col in EDGE_ROWS)
+        one = tuple(np.array([v], dtype=type(v)) for v in (a, c, z0, thr))
+        got = pooled_orbits(n, [zoom, one], max_iter)
+        assert (bool(got[1][0][0]), int(got[1][1][0])) == want
+
     def test_edge_rows_in_every_block(self):
         # each edge row in its own block, in a block with zoom rows, and in a block
         # of its own again after the zoom blocks, at max_iter 1, 2 and 5
-        edges = np.arange(EDGE_ROWS[0].size - 9, EDGE_ROWS[0].size)
-        zoom = np.arange(0, EDGE_ROWS[0].size - 9, 7)
+        edges = np.arange(EDGE_ROWS[0].size - 10, EDGE_ROWS[0].size)
+        zoom = np.arange(0, EDGE_ROWS[0].size - 10, 7)
         picks = [[i] for i in edges] + [np.concatenate([zoom, edges]), zoom] + [[i] for i in edges]
         blocks = [tuple(col[np.asarray(ix)] for col in EDGE_ROWS) for ix in picks]
         for max_iter in (1, 2, 5):

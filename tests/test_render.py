@@ -34,7 +34,7 @@ from mcmullen.render import (
     render_bytes,
 )
 from mcmullen.solvers import fixed_critical_params
-from test_family import critical_orbit_args, reference_orbits_bulk
+from test_family import SLOW_128, critical_orbit_args, reference_orbits_bulk
 
 
 @contextlib.contextmanager
@@ -382,7 +382,7 @@ class TestPooledRender:
         case=st.sampled_from(POOLED_CASES),
         width=st.integers(1, 24),
         height=st.integers(1, 60),
-        max_iter=st.sampled_from([1, 2, 3, 40, 300]),
+        max_iter=st.sampled_from([1, 2, 3, 40, 127, 128, 300]),
     )
     def test_matches_band_by_band(self, case, width, height, max_iter):
         n, slc, bounds = case
@@ -407,6 +407,17 @@ class TestPooledRender:
                 img = render_slice(n, slc, vp, cfg)
                 np.testing.assert_array_equal(img.pixels, band_by_band(n, slc, vp, cfg)[0])
                 assert img.at(2, 2) == classify_pixel(n, slc, 0j, cfg)
+
+    def test_escape_at_step_128_is_shaded(self):
+        # this strip of the dynamical plane has escapes at the last of 128 steps,
+        # escapes before it and bounded orbits
+        p = MapParams(SLOW_128["n"], SLOW_128["a"], SLOW_128["c"])
+        vp, cfg = Viewport(0.52, 0.54, -1e-4, 1e-4, 24, 2), RenderConfig(max_iter=128)
+        pts = np.concatenate([vp.row_points(r) for r in range(vp.height)])
+        esc, iters = iterate_orbits_bulk(p.n, p.a, p.c, pts, 128, escape_radius(p))
+        assert (esc & (iters == 128)).any() and (esc & (iters < 128)).any() and not esc.all()
+        img = render_slice(0, Dynamical(p), vp, cfg)
+        np.testing.assert_array_equal(img.pixels, band_by_band(0, Dynamical(p), vp, cfg)[0])
 
     @pytest.mark.parametrize("max_iter", [1, 255, 511, 1000])
     def test_palette_is_color_block(self, max_iter):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmullen.family import _MIN_SCALED_SLOPE
+from mcmullen.solvers import diagonal_fixed_params
 from mcmullen.spine import (
     SpineSpec,
     spine_distance,
@@ -28,16 +30,19 @@ class TestSpineSpec:
         with pytest.raises(ValueError):
             spine_point(SpineSpec(1 + 0j, 64), 1.0, 2)  # branch must be +-1
 
-    @pytest.mark.parametrize("t", [1e-200, 1e-160j, 1e-154 + 0j])
+    @pytest.mark.parametrize("t", [1e-200, 1e-160j, 1e-154 + 0j,
+                                   np.nextafter(_MIN_SCALED_SLOPE, 0.0)])
     def test_tiny_slope_refused(self, t):
-        # the outer radius 2/|t|**2 + 1/|t| + (2/|t|**2)*sqrt(1 + |t|) overflows
-        for call in (lambda: SpineSpec(t), lambda: spine_radii(t)):
+        # the outer radius 2/|t|**2 + 1/|t| + (2/|t|**2)*sqrt(1 + |t|) overflows,
+        # and so do the diagonal centers' a = w**(2n), about 4/|t|**2
+        for call in (lambda: SpineSpec(t), lambda: spine_radii(t),
+                     lambda: diagonal_fixed_params(3, t)):
             with pytest.raises(ValueError, match=r"t = .* is too small"):
                 call()
 
     def test_smallest_slopes_sample_finitely(self):
         # just above the limit the radii and every sample are finite
-        for t in (1.5e-154, -1.5e-154j, 1.1e-154 + 1.1e-154j):
+        for t in (_MIN_SCALED_SLOPE, 1.5e-154, -1.5e-154j, 1.1e-154 + 1.1e-154j):
             assert all(math.isfinite(r) for r in spine_radii(t))
             _, plus, minus = spine_points(SpineSpec(t, 64))
             assert np.isfinite(plus).all() and np.isfinite(minus).all()
