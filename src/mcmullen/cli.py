@@ -27,7 +27,7 @@ from .errors import (
     RootFindingError,
     UnderSamplingError,
 )
-from .family import MapParams, eval_map, inner_radius
+from .family import MapParams, eval_map, inner_radius, safe_abs
 from .regions import ellipse_semi_axes, l_c_rect, polar_contains, sector_index, w_region_contains
 from .render import (
     Diagonal,
@@ -202,8 +202,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _mt1_hypotheses(n: int, c: complex) -> bool:
-    # 2 ** (n + 1) is an int, so the comparison is exact and cannot overflow
-    return abs(c) >= 6.0 and 4.0 * abs(c) + 8.0 <= 2 ** (n + 1)
+    # 2 ** (n + 1) is an int, so the comparison is exact and cannot overflow; a |c|
+    # that overflows reads inf and fails it
+    return safe_abs(c) >= 6.0 and 4.0 * safe_abs(c) + 8.0 <= 2 ** (n + 1)
 
 
 def _containment_reports(args: argparse.Namespace):
@@ -230,7 +231,8 @@ def _containment_reports(args: argparse.Namespace):
         return [verify_containment(MapParams(n, args.a, c), hits[0].k, **sizes)]
 
     _require(args.a is not None, "--check containment requires --a outside the large-|c| regime")
-    a = args.a
+    p = MapParams(n, args.a, c)
+    a = p.a
     if c.imag == 0.0 and c.real < -1.0:
         eps = args.eps if args.eps is not None else 0.1
         if c.real >= -(1.0 + eps):
@@ -243,7 +245,7 @@ def _containment_reports(args: argparse.Namespace):
             raise HypothesisError(
                 f"a = {a} is outside the admissible polar rectangle for c = {c}, eps = {eps}"
             )
-        return [verify_containment(MapParams(n, a, c), 0, **sizes)]
+        return [verify_containment(p, 0, **sizes)]
 
     if c.imag == 0.0 and c.real > 0.0:
         if n % 2 == 0:
@@ -252,7 +254,6 @@ def _containment_reports(args: argparse.Namespace):
             raise HypothesisError(f"requires |a| <= 4, got |a| = {abs(a)}")
         if a.imag == 0.0 and a.real < 0.0:
             raise HypothesisError("requires a off the negative real axis")
-        p = MapParams(n, a, c)
         bound = inner_radius(p)
         if not c.real < bound:
             raise HypothesisError(f"requires c < |a|**(1/n)/max(4,|a|,|c|) = {bound:.6g}")
@@ -286,7 +287,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not _mt1_hypotheses(args.n, args.c):
             raise HypothesisError(
                 f"winding requires |c| >= 6 and 4|c|+8 <= 2**(n+1); "
-                f"got |c| = {abs(args.c):.6g}, n = {args.n}"
+                f"got |c| = {safe_abs(args.c):.6g}, n = {args.n}"
             )
         sizes = _given(boundary_samples=args.samples)
         specs = fixed_critical_params(args.n, args.c)

@@ -97,6 +97,26 @@ def check_slope(t) -> complex:
     return t
 
 
+# The largest iteration budget. The pool's iteration counts (int32 here), the
+# render palette and verify's max_iter + 1 slack in int64 all hold it.
+_MAX_ITER = 2**31 - 1
+
+
+def check_max_iter(max_iter) -> None:
+    """Raise ValueError unless max_iter is an int (not a bool) from 1 to 2**31 - 1."""
+    ok = isinstance(max_iter, int) and not isinstance(max_iter, bool)
+    if not (ok and 1 <= max_iter <= _MAX_ITER):
+        raise ValueError(f"max_iter must be an integer from 1 to {_MAX_ITER}, got {max_iter!r}")
+
+
+def _check_thresholds(thr) -> None:
+    """Raise ValueError unless every escape threshold is finite. Only parameters
+    beyond binary64 give a nan or inf one, where _within and the rule can differ."""
+    if not np.isfinite(thr).all():
+        raise ValueError("every escape threshold must be finite; a nan or inf one comes "
+                         "from parameters whose modulus overflows binary64")
+
+
 # The smallest |t| whose 4/|t|**2 is finite in binary64, about 1.49e-154.
 _MIN_SCALED_SLOPE = 2.0 / math.sqrt(sys.float_info.max)
 
@@ -128,6 +148,9 @@ class MapParams:
             raise ValueError("a must be nonzero")
         if not (cmath.isfinite(a) and cmath.isfinite(c)):
             raise ValueError("a and c must be finite")
+        for name, value in (("a", a), ("c", c)):
+            if safe_abs(value) == math.inf:
+                raise ValueError(f"{name} = {value!r} has a modulus that overflows binary64")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
 
@@ -212,10 +235,11 @@ def iterate_orbit(p: MapParams, z0: complex, max_iter: int, threshold: float) ->
     Decision rule per application m = 1..max_iter: a pole (z = 0) or non-finite value
     encountered when the next application is attempted reports escaped with
     final_modulus = inf; |z| > threshold (strict) reports escaped at m; otherwise the
-    orbit is bounded with iterations = max_iter.
+    orbit is bounded with iterations = max_iter. max_iter must pass check_max_iter,
+    and the threshold must be finite (else ValueError).
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    check_max_iter(max_iter)
+    _check_thresholds(threshold)
     z = complex(z0)
     if not cmath.isfinite(z):
         return OrbitResult(True, 0, math.inf)
@@ -231,31 +255,12 @@ def iterate_orbit(p: MapParams, z0: complex, max_iter: int, threshold: float) ->
     return OrbitResult(False, max_iter, safe_abs(z))
 
 
-# The squared-modulus prefilter of iterate_orbits_bulk clears an orbit when
-# s = fl(fl(x*x) + fl(y*y)) <= thr2_lo = fl(fl(min(thr, 2**500)**2) * _SQ_MARGIN).
-# With u = 2**-53 and r = |z| exact, s >= r**2 * (1 - u)**2 and thr2_lo <=
-# thr**2 * (1 - 128u) * (1 + u)**2, so a cleared orbit has r <= thr * (1 - 60u),
-# and any np.abs within 16u of r (hypot is within 1u, NumPy's SIMD complex abs
-# within a few) reads at most thr. A cleared s is finite, so x and y are. A
-# product that underflows is off by at most 2**-1075, which is at most 2**-113
-# of thr2_lo since thr >= 2**-480 keeps thr**2 normal; capping thr at 2**500
-# keeps it finite and only clears fewer orbits. A threshold below 2**-480,
-# negative or nan gets thr2_lo = -1, which clears nothing: every orbit then
-# takes the exact test.
-_SQ_MARGIN = 1.0 - 2.0**-46
-_SQ_THR_MIN = 2.0**-480
-_SQ_THR_MAX = 2.0**500
-
-
-def _escapes(z, thr):
-    """The exact escape test: z is non-finite or |z| > thr, |z| as np.abs gives it."""
-    return ~np.isfinite(z) | (np.abs(z) > thr)
-
-
-def _prefilter_threshold(thr):
-    """thr2_lo of the squared-modulus prefilter (error bound above _SQ_MARGIN)."""
-    capped = np.square(np.minimum(thr, _SQ_THR_MAX))
-    return np.where(thr >= _SQ_THR_MIN, capped * _SQ_MARGIN, -1.0)
+def _within(z, thr):
+    """The kernel's whole escape decision: True where an orbit stays, |z| <= thr,
+    |z| as np.abs gives it. For a finite thr this is exactly the negation of
+    "z is non-finite or |z| > thr": np.abs of a non-finite z is inf or nan,
+    and a finite z whose modulus overflows reads inf; both fail <=."""
+    return np.abs(z) <= thr
 
 
 def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
@@ -266,7 +271,8 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
     m = 1..max_iter a pole (z = 0) escapes at m - 1, a non-finite value or
     |z| > threshold (strict, |z| as np.abs gives it) escapes at m; every other
     orbit is bounded with iterations = max_iter. The whole input is one block of
-    iterate_orbit_blocks, whose results do not depend on order or split.
+    iterate_orbit_blocks, whose results do not depend on order or split, and
+    which refuses a non-finite threshold or a max_iter outside check_max_iter.
     """
     a, c, z0, thr = np.broadcast_arrays(
         np.asarray(a, dtype=complex),
@@ -305,23 +311,23 @@ def iterate_orbit_blocks(n, blocks, max_iter):
     block it is in and whatever else shares the working set, so the results do
     not depend on how the inputs are ordered or split into blocks.
 
-    A new block takes its first step alone, with the exact test (most orbits of a
-    wide view leave there). Its survivors join the pool of live orbits of all
-    open blocks. Each block counts its own steps from its birth, so iteration
-    counts, pole dating, Brent reference steps and the max_iter cut are each
-    block's own. Three shortcuts never change a result:
-    - in the pool, a squared-modulus prefilter clears orbits well inside the
-      threshold (error bound at _SQ_MARGIN); the rest take the exact test;
+    Every step decides every orbit with one comparison, |z| <= threshold
+    (_within), which equals the documented rule for every finite threshold; a
+    block with a nan or infinite threshold raises ValueError. A new block takes
+    its first step alone (most orbits of a wide view leave there). Its survivors
+    join the pool of live orbits of all open blocks. Each block counts its own
+    steps from its birth, so iteration counts, pole dating, Brent reference steps
+    and the max_iter cut are each block's own. Two shortcuts never change a
+    result:
     - a pole is the step after z = 0: R(0) evaluates to a non-finite value (a / 0),
-      so it fails the exact test, and the pre-step z = 0 dates it at m - 1;
+      so it fails the comparison, and the pre-step z = 0 dates it at m - 1;
     - an orbit whose z equals its Brent reference (z at steps 1, 2, 4, 8, ...)
       is retired as bounded. The map is deterministic, so z repeats the states
       from the reference on, each of which was nonzero and passed every test.
       Signed zeros can differ between the two, but they change only the sign of
       zero results, never a modulus, a pole or a finiteness test.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    check_max_iter(max_iter)
     pool = _Pool(n, max_iter)
     blocks = enumerate(blocks)
     more = True
@@ -340,16 +346,15 @@ def iterate_orbit_blocks(n, blocks, max_iter):
 
 class _Pool:
     """The working set of iterate_orbit_blocks. Per live orbit (_FIELDS): its
-    position in its block, its block's slot, z, a, c, thr, the prefilter bound
-    thr2_lo and the Brent reference ref. Per open block, by slot: its key and
-    iters, and the pool step before its first step (birth). A block is closed at
-    the first event (a power-of-two or max_iter-th step of any block) after its
-    last orbit has left, or at once when the pool is empty. An orbit's arithmetic
-    does not depend on its position, so orbits that leave are replaced by the
-    last ones, which moves a few elements per array instead of compacting every
-    array."""
+    position in its block, its block's slot, z, a, c, thr and the Brent reference
+    ref. Per open block, by slot: its key and iters, and the pool step before its
+    first step (birth). A block is closed at the first event (a power-of-two or
+    max_iter-th step of any block) after its last orbit has left, or at once when
+    the pool is empty. An orbit's arithmetic does not depend on its position, so
+    orbits that leave are replaced by the last ones, which moves a few elements
+    per array instead of compacting every array."""
 
-    _FIELDS = ("idx", "slot", "z", "a", "c", "thr", "thr2_lo", "ref")
+    _FIELDS = ("idx", "slot", "z", "a", "c", "thr", "ref")
 
     def __init__(self, n, max_iter):
         self.n, self.max_iter = n, max_iter
@@ -360,7 +365,7 @@ class _Pool:
         self.idx = np.empty(0, dtype=np.intp)
         self.slot = np.empty(0, dtype=np.int8)
         self.z = self.a = self.c = self.ref = np.empty(0, dtype=complex)
-        self.thr = self.thr2_lo = np.empty(0)
+        self.thr = np.empty(0)
 
     @property
     def size(self):
@@ -371,6 +376,7 @@ class _Pool:
         """Step 1 of block k alone; its survivors join the pool. Returns the
         blocks done: [(k, iters)] if none survive or max_iter is 1, else []."""
         a, c, z0, thr = block
+        _check_thresholds(thr)
         finite = np.isfinite(z0)
         # -1 until the orbit escapes, in the smallest signed integer type that holds
         # both -1 and max_iter (max_iter = 128 needs int16: int8 stops at 127)
@@ -387,11 +393,10 @@ class _Pool:
             z += zn
             del zn
             z += c
-            esc = _escapes(z, thr)
-            out = np.flatnonzero(esc)
+            keep = _within(z, thr)
+            out = np.flatnonzero(~keep)
             if out.size:
                 iters[idx[out]] = 1 - (z0[out] == 0)
-                keep = ~esc
                 idx, z, a, c, thr = idx[keep], z[keep], a[keep], c[keep], thr[keep]
         if idx.size == 0 or self.max_iter == 1:
             return [(k, iters)]
@@ -399,7 +404,7 @@ class _Pool:
         self.open[s] = (k, iters)
         self.births[s] = self.steps
         joining = dict(idx=idx, slot=np.full(idx.size, s, dtype=np.int8), z=z, a=a, c=c,
-                       thr=thr, thr2_lo=_prefilter_threshold(thr), ref=z)
+                       thr=thr, ref=z)
         del idx, z, a, c, thr, z0, block
         for name in self._FIELDS:
             setattr(self, name, np.concatenate([getattr(self, name), joining.pop(name)]))
@@ -423,20 +428,11 @@ class _Pool:
         znew += zn
         del zn
         znew += self.c
-        x, y = znew.real, znew.imag
-        s = x * x
-        s += y * y
-        keep = s <= self.thr2_lo
-        del x, y, s
-        gone = False
-        if not keep.all():
-            cand = np.flatnonzero(~keep)
-            esc = _escapes(znew[cand], self.thr[cand])
-            keep[cand] = ~esc
-            out = cand[esc]
-            if out.size:
-                gone = True
-                self._record(out, self.z[out] == 0)
+        keep = _within(znew, self.thr)
+        gone = not keep.all()
+        if gone:
+            out = np.flatnonzero(~keep)
+            self._record(out, self.z[out] == 0)
         same = znew == self.ref
         if same.any():
             gone = True

@@ -30,6 +30,7 @@ from .errors import check_memory_budget
 from .family import (
     MapParams,
     check_exponent,
+    check_max_iter,
     check_slope,
     critical_values,
     critical_values_bulk,
@@ -174,8 +175,7 @@ class RenderConfig:
     bounded_color: ClassVar[RGB8] = (0, 0, 0)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        check_max_iter(self.max_iter)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,13 +231,15 @@ def _orbit_color(base: RGB8, escaped: bool, m: int, cfg: RenderConfig) -> RGB8:
 def _slice_params(slc: SliceSpec, point):
     """(a, c) of a parameter slice at a point or, elementwise, an array of points;
     the held parameter is filled to the point's shape. Points at a = 0 lie outside
-    the family and are left to the caller."""
+    the family and are left to the caller. A diagonal c = t*a may overflow to inf
+    or nan without a warning; the orbit kernel refuses the threshold it gives."""
     if isinstance(slc, FixedC):
         return point, np.full(np.shape(point), slc.c)
     if isinstance(slc, FixedA):
         return np.full(np.shape(point), slc.a), point
     if isinstance(slc, Diagonal):
-        return point, slc.t * point
+        with np.errstate(over="ignore", invalid="ignore"):
+            return point, slc.t * point
     raise TypeError(f"not a parameter slice: {slc!r}")
 
 

@@ -32,8 +32,9 @@ def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12) -> list[complex]:
     Initial guesses sit evenly on the circle of radius |c_0/c_d|**(1/d), the geometric
     mean of the root moduli (radius 1 when the constant term is 0), at angles
     (2*pi*k + 0.7)/d, so output is reproducible. Each returned root r satisfies
-    |p(r)| <= tol * (1 + max coefficient modulus), else RootFindingError carries the
-    best residuals. Roots are sorted by (Re, Im).
+    |p(r)| <= tol * max(1 + max_j |c_j|, sum_j |c_j| * |r|**j), a bound that grows
+    with the terms evaluated at r (the moduli of large roots), else RootFindingError
+    carries the worst residuals and their bounds. Roots are sorted by (Re, Im).
     """
     c = [complex(x) for x in coeffs]
     if len(c) < 2:
@@ -70,12 +71,12 @@ def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12) -> list[complex]:
             if np.all(np.abs(delta) <= 1e-14 * (1.0 + np.abs(z))):
                 break
         residuals = np.abs(np.polyval(coeff_arr, z))
-    bound = tol * (1.0 + max_mod)
+        bound = tol * np.maximum(1.0 + max_mod, np.polyval(np.abs(coeff_arr), np.abs(z)))
     if np.any(~np.isfinite(residuals)) or np.any(residuals > bound):
-        worst = np.sort(residuals)[-min(3, d):]
+        worst = np.argsort(residuals / bound)[-min(3, d):]
         raise RootFindingError(
-            f"no convergence within {_MAX_SWEEPS} iterations: worst residuals {list(worst)} "
-            f"exceed bound {bound:.3e}"
+            f"no convergence within {_MAX_SWEEPS} iterations: worst residuals "
+            f"{residuals[worst].tolist()} exceed bounds {bound[worst].tolist()}"
         )
     return sorted((complex(r) for r in z), key=lambda r: (r.real, r.imag))
 

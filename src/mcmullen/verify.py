@@ -316,8 +316,6 @@ def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) ->
     """
     if grid < 8:
         raise ValueError(f"grid must be >= 8, got {grid}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     _check_points(grid * grid, f"annulus with grid {grid}")
     s = escape_radius(p)
     t = inner_radius(p)

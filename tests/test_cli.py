@@ -114,6 +114,31 @@ class TestRenderCommand:
                    *common)[0] == 2
         assert run(capsys, "render", "--n", "4", "--slice", "diagonal", "--t", "inf,0",
                    *common)[0] == 2
+        # c = t*a or a held parameter whose modulus overflows gives an escape
+        # threshold of inf or nan, which the orbit kernel refuses without a warning
+        for slc in (["--slice", "diagonal", "--t", "1e300", "--view", "-1e10,1e10,-1e10,1e10"],
+                    ["--slice", "fixed-a", "--a", "1.5e308,1.5e308", "--view", "-1,1,-1,1"],
+                    ["--slice", "fixed-c", "--c", "1.5e308,1.5e308", "--view", "-1,1,-1,1"]):
+            code, stdout, err = run(capsys, "render", "--n", "4", *slc, "--size", "8x8",
+                                    "--out", str(out))
+            assert code == 2 and stdout == "" and "threshold must be finite" in err
+        code, stdout, err = run(capsys, "render", "--n", "4", "--slice", "dynamical",
+                                "--a", "1.5e308,1.5e308", "--c", "6", *common)
+        assert code == 2 and stdout == "" and "a = (1.5e+308+1.5e+308j)" in err
+        assert not out.exists()
+
+    def test_max_iter_bound(self, tmp_path, capsys):
+        # a view far outside the set, where every orbit leaves at once, runs at the
+        # largest budget; one past it exits 2 before rendering
+        out = tmp_path / "far.ppm"
+        common = ["render", "--n", "4", "--slice", "fixed-c", "--c", "100,0",
+                  "--view", "1000,1010,1000,1010", "--size", "8x8", "--out", str(out)]
+        code, stdout, _ = run(capsys, *common, "--max-iter", "2147483647")
+        assert code == 0 and "bounded=0 " in stdout
+        out.unlink()
+        for bad in ("2147483648", "100000000000000000000", "0"):
+            code, stdout, err = run(capsys, *common, "--max-iter", bad)
+            assert code == 2 and stdout == "" and "max_iter must be an integer" in err
         assert not out.exists()
 
     def test_missing_required_flags(self, tmp_path, capsys):
@@ -204,6 +229,34 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert out.strip().splitlines()[1].endswith(",true")
+
+    def test_annulus_max_iter_bound(self, capsys):
+        # every annulus orbit leaves within a few steps, so the largest budget runs
+        args = ["verify", "--check", "annulus", "--n", "4", "--a", "1", "--c", "6",
+                "--samples", "8", "--max-iter"]
+        code, out, _ = run(capsys, *args, "2147483647")
+        assert code == 0 and out.splitlines()[1].endswith(",true")
+        for check in (args, ["verify", "--check", "spine-locus", "--n", "4", "--t", "2",
+                             "--eps", "0.25", "--samples", "32", "--max-iter"]):
+            for bad in ("2147483648", "100000000000000000000"):
+                code, out, err = run(capsys, *check, bad)
+                assert code == 2 and out == "" and "max_iter must be an integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--check", "containment", "--n", "8", "--c", "-3"],
+        ["--check", "containment", "--n", "3", "--c", "0.01"],
+        ["--check", "image-ellipse", "--n", "4", "--c", "6", "--samples", "16"],
+        ["--check", "annulus", "--n", "4", "--c", "6", "--samples", "8", "--max-iter", "10"],
+    ])
+    def test_overflowing_a_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--a", "1.5e308,1.5e308")
+        assert code == 2 and out == ""
+        assert "a = (1.5e+308+1.5e+308j) has a modulus that overflows" in err
+
+    def test_overflowing_c_fails_the_large_c_hypotheses(self, capsys):
+        code, out, err = run(capsys, "verify", "--check", "winding", "--n", "8",
+                             "--c", "1.5e308,1.5e308")
+        assert code == 2 and out == "" and "|c| = inf" in err
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
     def test_spine_locus_non_finite_eps_exit_2(self, capsys, eps):
@@ -356,6 +409,17 @@ class TestCentersCommand:
         code, out, err = run(capsys, "centers", "--n", "3", "--t", t)
         assert code == 2 and out == ""
         assert f"t = ({float(t)!r}+0j)" in err
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_small_slope_roots_accepted(self, capsys, n):
+        # At t = 1e-6, n roots have modulus near (2/|t|)**(1/n); the residual
+        # bound grows with the terms at the root, so they pass the solver and the
+        # fixed-point check
+        code, out, _ = run(capsys, "centers", "--n", str(n), "--t", "1e-6")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 2 * n - 1
+        assert max(float(row.split(",")[6]) for row in rows) <= 1e-8
 
     def test_diagonal_rows_unchanged(self, capsys):
         code, out, _ = run(capsys, "centers", "--n", "3", "--t", "2")

@@ -32,7 +32,7 @@ from mcmullen.family import (
     safe_abs,
     wrap_angle,
 )
-from mcmullen.family import _escapes, _prefilter_threshold
+from mcmullen.family import _within
 from mcmullen.regions import WRegionSpec
 from mcmullen.render import Diagonal, FixedC, RenderConfig, Viewport, render_slice
 from mcmullen.solvers import diagonal_fixed_params, fixed_critical_params
@@ -123,6 +123,15 @@ class TestMapParams:
             MapParams(3, 0j, 0j)
         p = MapParams(3, 1 + 0j, 0.5 + 0j)
         assert (p.n, p.a, p.c) == (3, 1 + 0j, 0.5 + 0j)
+
+    @pytest.mark.parametrize("name", ["a", "c"])
+    def test_overflowing_modulus_refused(self, name):
+        # finite components whose modulus overflows binary64; the largest finite
+        # modulus is still accepted
+        big, fine = complex(1.5e308, 1.5e308), complex(1.7e308, 0.0)
+        with pytest.raises(ValueError, match=f"{name} = .* overflows binary64"):
+            MapParams(3, **{"a": 1 + 0j, "c": 0j, name: big})
+        assert getattr(MapParams(3, **{"a": 1 + 0j, "c": 0j, name: fine}), name) == fine
 
     def test_frozen(self):
         p = MapParams(3, 1 + 0j, 0j)
@@ -277,11 +286,27 @@ class TestOrbits:
         assert res == OrbitResult(True, 0, math.inf)
 
     def test_max_iter_validation(self):
+        # orbits that leave at step 1 (z0 = 10) or at once (the pole z0 = 0), so
+        # the largest budget costs nothing; one past it, a huge int, 0, a bool
+        # and a float are refused by every entry point with one message
+        limit = 2**31 - 1
         p = MapParams(3, 1 + 0j, 0j)
-        with pytest.raises(ValueError):
-            iterate_orbit(p, 1 + 0j, 0, 4.0)
-        with pytest.raises(ValueError):
-            iterate_orbits_bulk(3, [1 + 0j], [0j], [1 + 0j], 0, [4.0])
+        assert iterate_orbit(p, 10 + 0j, limit, 4.0).iterations == 1
+        esc, iters = iterate_orbits_bulk(3, 1 + 0j, 0j, [10 + 0j, 0j], limit, 4.0)
+        assert esc.all() and iters.tolist() == [1, 0]
+        block = (np.ones(2, complex), np.zeros(2, complex), np.array([10, 0j]), np.full(2, 4.0))
+        assert [(k, it.tolist()) for k, it in iterate_orbit_blocks(3, [block], limit)] == [
+            (0, [1, 0])]
+        assert RenderConfig(max_iter=limit).max_iter == limit
+        for bad in (limit + 1, 10**20, 0, True, 2.5):
+            for call in (lambda: family.check_max_iter(bad),
+                         lambda: RenderConfig(max_iter=bad),
+                         lambda: iterate_orbit(p, 10 + 0j, bad, 4.0),
+                         lambda: iterate_orbits_bulk(3, 1 + 0j, 0j, 10 + 0j, bad, 4.0),
+                         lambda: list(iterate_orbit_blocks(3, [block], bad))):
+                with pytest.raises(ValueError, match="max_iter must be an integer from 1 to "
+                                                     "2147483647"):
+                    call()
 
     def test_huge_modulus_does_not_crash(self):
         # components near 1e308: plain abs() raises OverflowError; orbit must not
@@ -321,8 +346,8 @@ class TestOrbits:
 
 def reference_orbits_bulk(n, a, c, z0, max_iter, threshold):
     """Plain gather/scatter form of iterate_orbits_bulk, kept as its oracle: every
-    live orbit takes every step and the exact test, with no working set, prefilter
-    or cycle retirement."""
+    live orbit takes every step and the documented test, with no working set or
+    cycle retirement."""
     a, c, z0, thr = np.broadcast_arrays(
         np.asarray(a, dtype=complex),
         np.asarray(c, dtype=complex),
@@ -404,6 +429,11 @@ Z1_IS_C = dict(n=3, a=-1 + 0j, z0=1 + 0j)
 SLOW_128 = dict(n=3, a=1e-30 + 0j, c=2 / (3 * math.sqrt(3)) + 3e-4 + 0j, z0=0.5 + 0j, thr=0.75)
 
 
+# Finite escape thresholds at the ends of binary64 and on both sides of zero.
+FINITE_THRESHOLDS = [5.0, 13.3, 5e-324, 1e-160, 2.0**-481, 2.0**-479, 2.0**499, 2.0**501,
+                     1e154, 1e300, -5.0, 0.0]
+
+
 class TestBulkKernelOracle:
     """iterate_orbits_bulk against the plain reference kernel: (escaped, iters)
     exactly equal, on the paper's zooms and on every edge of the decision rule."""
@@ -463,11 +493,10 @@ class TestBulkKernelOracle:
 
     @pytest.mark.parametrize("scale", [0.3, 2.0**166, 1e51])
     def test_second_iterates_within_ulps_of_the_threshold(self, scale):
-        # From step 2 on the prefilter runs. z1 = c from the lattice, z2 = R(c) as
+        # From step 2 on the pool decides. z1 = c from the lattice, z2 = R(c) as
         # the kernel computes it, and thresholds from |z2| * (1 - 400u) to
-        # |z2| * (1 + 8u): both sides of the prefilter's margin (128u) and of the
-        # exact test. |z1| stays far below them. The scales put thr near 10, near
-        # 2**499 (inside the prefilter's range) and near 1e154 (above its cap).
+        # |z2| * (1 + 8u), on both sides of the comparison. |z1| stays far below
+        # them. The scales put thr near 10, near 2**499 and near 1e154.
         rng = np.random.default_rng(int(np.log2(scale)) + 2000)
         c = scale * rng.uniform(1.0, 2.0, 4000) * np.exp(1j * rng.uniform(0, 2 * math.pi, 4000))
         n, a, z0 = Z1_IS_C["n"], Z1_IS_C["a"], Z1_IS_C["z0"]
@@ -478,25 +507,54 @@ class TestBulkKernelOracle:
         esc, iters = assert_matches_reference(n, a, c, z0, 3, thr)
         assert (esc & (iters == 2)).any() and (iters > 2).any()
 
-    @pytest.mark.parametrize("thr", [5.0, 13.3, 1e-160, 2.0**-481, 2.0**-479, 2.0**499,
-                                     2.0**501, 1e154, 1e300, math.inf, math.nan, -5.0, 0.0])
-    def test_prefilter_never_clears_an_escape(self, thr):
-        # The prefilter's soundness on its own: moduli within 400 ulps of thr at
-        # many angles (exactly 45 degrees too), plus zero, tiny, huge and
-        # non-finite values. 1e-160 has a subnormal square.
+    @staticmethod
+    def near_threshold_values(thr):
+        """Moduli within 400 ulps of |thr| at many angles (exactly 45 degrees too),
+        plus zero, tiny, huge, overflowing and non-finite values."""
         rng = np.random.default_rng(7)
-        r = abs(thr) if math.isfinite(thr) and thr != 0 else 1.0
+        r = abs(thr) if thr != 0 else 1.0
         angle = np.concatenate([np.full(64, math.pi / 4), rng.uniform(0, 2 * math.pi, 4000)])
         k = rng.integers(-400, 9, angle.size)
         with np.errstate(all="ignore"):
             z = r * (1.0 + k * 2.0**-53) * np.exp(1j * angle)
-        z = np.concatenate([z, [0j, 1e-300j, 5e-324 + 0j, complex(1e300, 1e300),
-                                complex(math.inf, 0), complex(math.nan, 1)]])
+        return np.concatenate([z, [0j, 1e-300j, 5e-324 + 0j, complex(1e300, 1e300),
+                                   complex(1.5e308, 1.5e308), complex(math.inf, 0),
+                                   complex(math.nan, 1), complex(math.inf, math.nan)]])
+
+    @pytest.mark.parametrize("thr", FINITE_THRESHOLDS)
+    def test_one_comparison_is_the_rule(self, thr):
+        # The kernel's whole escape decision, |z| <= thr, is the negation of
+        # "non-finite or |z| > thr" for every finite thr: negative, zero,
+        # subnormal (5e-324), with a subnormal square (1e-160) and huge.
+        z = self.near_threshold_values(thr)
         thr_arr = np.full(z.size, thr)
         with np.errstate(all="ignore"):
-            cleared = z.real * z.real + z.imag * z.imag <= _prefilter_threshold(thr_arr)
-            assert not (cleared & _escapes(z, thr_arr)).any()
-        assert cleared.any() == (thr >= 2.0**-480)  # inf is served as 2**500
+            escapes = ~np.isfinite(z) | (np.abs(z) > thr_arr)
+            np.testing.assert_array_equal(~_within(z, thr_arr), escapes)
+        assert escapes.any()
+
+    @pytest.mark.parametrize("thr", FINITE_THRESHOLDS)
+    def test_kernel_at_finite_threshold(self, thr):
+        # z1 = c exactly: first iterates on and around the threshold, and halves of
+        # them, whose second iterates overflow, hit the pole or escape in the pool.
+        z1 = self.near_threshold_values(thr)
+        with np.errstate(invalid="ignore"):
+            c = np.concatenate([z1, z1 / 2])
+        n, a, z0 = Z1_IS_C["n"], Z1_IS_C["a"], Z1_IS_C["z0"]
+        esc, _ = assert_matches_reference(n, a, c, z0, 3, thr)
+        assert esc.any()
+
+    @pytest.mark.parametrize("thr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_refused(self, thr):
+        p = MapParams(3, 1 + 0j, 0j)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            iterate_orbit(p, 0.5 + 0j, 10, thr)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            iterate_orbits_bulk(3, 1 + 0j, 0j, [0.5 + 0j, 2 + 0j], 10, [4.0, thr])
+        good = (np.ones(2, complex), np.zeros(2, complex), np.full(2, 0.5 + 0j), np.full(2, 4.0))
+        bad = good[:3] + (np.array([4.0, thr]),)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            list(iterate_orbit_blocks(3, [good, bad], 10))
 
     def test_permuted_and_chunked_inputs(self, center_args):
         # Retirement assumes an orbit's arithmetic does not depend on its position
