@@ -16,12 +16,10 @@ from .errors import (
 from .family import (
     MapParams,
     OrbitResult,
-    critical_points,
     critical_values,
     escape_radius,
     eval_map,
     inner_radius,
-    involute,
     iterate_orbit,
     iterate_orbits_bulk,
     principal_arg,
@@ -34,16 +32,12 @@ from .regions import (
     PolarRect,
     WRegionSpec,
     ellipse_spec,
-    half_ellipse_contains,
-    half_ellipse_margin,
-    k_of_j,
+    half_ellipse_membership,
     l_c_rect,
     polar_contains,
-    polar_margin,
     sector_index,
     u_prime_rect,
     v_rect,
-    w_boundary_point,
     w_region_contains,
 )
 from .render import (
@@ -56,7 +50,6 @@ from .render import (
     SliceSpec,
     Viewport,
     classify_pixel,
-    draw_overlay,
     encode_ppm,
     render_slice,
 )
@@ -67,7 +60,6 @@ from .solvers import (
 )
 from .spine import (
     SpineSpec,
-    spine_distance,
     spine_distances,
     spine_point,
     spine_points,

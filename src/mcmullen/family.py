@@ -66,6 +66,18 @@ def safe_abs(z: complex) -> float:
         return math.inf
 
 
+def check_modulus(name: str, value) -> complex:
+    """value as a complex, or ValueError naming it when a component is nan or
+    infinite, or when its finite components have a modulus that overflows binary64
+    (safe_abs is inf)."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if safe_abs(value) == math.inf:
+        raise ValueError(f"{name} = {value!r} has a modulus that overflows binary64")
+    return value
+
+
 def pow_int(z, n: int):
     """z ** n by binary exponentiation; identical operation order for scalars and arrays,
     so the scalar and vectorized orbit engines agree to rounding (compiler fusing only)."""
@@ -142,15 +154,10 @@ class MapParams:
 
     def __post_init__(self) -> None:
         check_exponent(self.n)
-        a = complex(self.a)
-        c = complex(self.c)
+        a = check_modulus("a", self.a)
+        c = check_modulus("c", self.c)
         if a == 0:
             raise ValueError("a must be nonzero")
-        if not (cmath.isfinite(a) and cmath.isfinite(c)):
-            raise ValueError("a and c must be finite")
-        for name, value in (("a", a), ("c", c)):
-            if safe_abs(value) == math.inf:
-                raise ValueError(f"{name} = {value!r} has a modulus that overflows binary64")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
 
@@ -183,14 +190,29 @@ def eval_map(p: MapParams, z: complex) -> complex:
     return zn + p.a / zn + p.c
 
 
-def critical_points(p: MapParams) -> list[complex]:
-    """The 2n critical points |a|**(1/2n) * exp(i*(psi + 2*k*pi)/(2n)), k = 0..2n-1."""
-    r = abs(p.a) ** (1.0 / (2 * p.n))
-    psi = p.psi
-    return [
-        r * cmath.exp(1j * (psi + 2.0 * math.pi * k) / (2 * p.n))
-        for k in range(2 * p.n)
-    ]
+def fixed_point_residual(p: MapParams, w: complex) -> tuple[float, float]:
+    """(|R(w) - w|, 1e-8 * max(1, |w**n| + |a/w**n| + |c| + |w|)): w counts as a
+    fixed point of p when the residual is within the bound, which grows with the
+    terms R(w) - w adds, as the rounding error of evaluating them does. w = 0
+    raises PoleError; a residual that is not finite gets the bound 0."""
+    w = complex(w)
+    residual = safe_abs(eval_map(p, w) - w)
+    if not math.isfinite(residual):  # R(w) overflowed, or w**n underflowed to 0
+        return residual, 0.0
+    zn = pow_int(w, p.n)
+    terms = safe_abs(zn) + safe_abs(p.a / zn) + safe_abs(p.c) + safe_abs(w)
+    return residual, 1e-8 * max(1.0, terms)
+
+
+def _map_array(z, n, a, c):
+    """z**n + a/z**n + c elementwise, as a/z**n, then + z**n, then + c, in place,
+    so that at most two arrays of z's size live at once."""
+    zn = pow_int(z, n)
+    out = a / zn
+    out += zn
+    del zn
+    out += c
+    return out
 
 
 def critical_values_bulk(a, c):
@@ -219,14 +241,6 @@ def escape_radius(p: MapParams) -> float:
 def inner_radius(p: MapParams) -> float:
     """|a|**(1/n) / s; orbits inside this modulus escape (they pass near the pole)."""
     return abs(p.a) ** (1.0 / p.n) / escape_radius(p)
-
-
-def involute(p: MapParams, z: complex) -> complex:
-    """h(z) = a**(1/n) / z (principal root); satisfies eval_map(p, h(z)) = eval_map(p, z)."""
-    z = complex(z)
-    if z == 0:
-        raise PoleError("the involution has a pole at z = 0")
-    return principal_root(p.a, p.n) / z
 
 
 def iterate_orbit(p: MapParams, z0: complex, max_iter: int, threshold: float) -> OrbitResult:
@@ -388,11 +402,7 @@ class _Pool:
             idx = np.flatnonzero(finite)
             z0, a, c, thr = z0[idx], a[idx], c[idx], thr[idx]
         if idx.size:
-            zn = pow_int(z0, self.n)
-            z = a / zn
-            z += zn
-            del zn
-            z += c
+            z = _map_array(z0, self.n, a, c)
             keep = _within(z, thr)
             out = np.flatnonzero(~keep)
             if out.size:
@@ -423,11 +433,7 @@ class _Pool:
     def _step(self):
         """One step of every pooled orbit; returns the blocks it closes."""
         self.steps += 1
-        zn = pow_int(self.z, self.n)
-        znew = self.a / zn
-        znew += zn
-        del zn
-        znew += self.c
+        znew = _map_array(self.z, self.n, self.a, self.c)
         keep = _within(znew, self.thr)
         gone = not keep.all()
         if gone:

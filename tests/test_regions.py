@@ -1,14 +1,15 @@
 """Region geometry: polar rectangles, image ellipses, V/W regions, sector indices."""
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from mcmullen import verify
 from mcmullen.errors import HypothesisError, InconsistencyError
 from mcmullen.family import (
     MapParams,
-    critical_points,
     critical_values,
     eval_map,
     principal_arg,
@@ -20,20 +21,26 @@ from mcmullen.regions import (
     WRegionSpec,
     ellipse_semi_axes,
     ellipse_spec,
-    half_ellipse_contains,
-    half_ellipse_margin,
-    k_of_j,
+    half_ellipse_membership,
     l_c_rect,
     polar_contains,
-    polar_margin,
     sector_index,
     u_prime_rect,
     v_rect,
-    w_boundary_point,
     w_region_contains,
 )
 from mcmullen.solvers import fixed_critical_params
 from mcmullen.verify import verify_image_ellipse
+
+from _closed_forms import critical_points
+
+
+def polar_depth(rect: PolarRect, z: complex) -> float:
+    """Signed depth of z in a polar rectangle: positive inside, 0 on the boundary,
+    negative outside, with the angular leg scaled by |z|."""
+    r = abs(z)
+    d = abs(wrap_angle(principal_arg(z) - rect.arg_center))
+    return min(r - rect.r_inner, rect.r_outer - r, (rect.arg_halfwidth - d) * r)
 
 
 def oracle_half_ellipse(spec: HalfEllipseSpec, z: complex) -> tuple[bool, float]:
@@ -79,21 +86,6 @@ class TestPolarRect:
         assert polar_contains(rect, 1.5 * cmath.exp(1j * (-math.pi + 0.2)))
         assert not polar_contains(rect, 1.5 * cmath.exp(1j * (math.pi - 0.5)))
 
-    def test_margin_sign_and_boundary(self):
-        rect = PolarRect(1.0, 2.0, 0.0, 0.5, False)
-        assert polar_margin(rect, 1.5 + 0j) > 0
-        assert polar_margin(rect, 2.5 + 0j) < 0
-        assert polar_margin(rect, 2.0 + 0j) == pytest.approx(0.0, abs=1e-15)
-        edge = 1.5 * cmath.exp(0.5j)
-        assert polar_margin(rect, edge) == pytest.approx(0.0, abs=1e-12)
-        # membership and margin sign agree away from the boundary
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            m = polar_margin(rect, z)
-            if abs(m) > 1e-9:
-                assert polar_contains(rect, z) == (m > 0)
-
 
 class TestUPrimeRect:
     def test_frozen_shape(self):
@@ -112,7 +104,7 @@ class TestUPrimeRect:
             if a == 0:
                 continue
             p = MapParams(n, a, 0j)
-            pts = critical_points(p)
+            pts = critical_points(n, a)
             for k in range(2 * n):
                 rect = u_prime_rect(p, k)
                 assert polar_contains(rect, pts[k]), (n, a, k)
@@ -146,7 +138,7 @@ class TestEllipse:
         assert major.tolist() == [16.375, 16.0] and minor.tolist() == [15.625, 16.0]
         assert ellipse_semi_axes(1023, 1.0) == (2.0**1023, 2.0**1023)
 
-    def test_equal_semi_axes_accepted(self):
+    def test_equal_semi_axes_accepted(self, monkeypatch):
         # at n = 30, |a|/2**n is below half an ulp of 2**n: both semi-axes round to
         # 2**n, and the ellipse is that circle
         p = MapParams(30, 1 + 0j, 0j)
@@ -155,8 +147,10 @@ class TestEllipse:
         assert ellipse_spec(MapParams(20, 1 + 0j, 0j)).semi_minor < 2.0**20
         assert verify_image_ellipse(p, 0, samples=250).passed
         # the negative control still fails there: the 2**(n-1) variant of the axes
-        wrong = ellipse_semi_axes(29, 1.0)
-        r = verify_image_ellipse(p, 0, samples=250, axes=wrong)
+        major, minor = ellipse_semi_axes(29, 1.0)
+        wrong = dataclasses.replace(e, semi_major=major, semi_minor=minor)
+        monkeypatch.setattr(verify, "ellipse_spec", lambda p, half_sign=0: wrong)
+        r = verify_image_ellipse(p, 0, samples=250)
         assert not r.passed
         assert r.failures == 520  # both arcs and 20 ray samples; deterministic sampling
 
@@ -186,25 +180,30 @@ class TestEllipse:
         vp, vm = critical_values(p)
         plus_half = ellipse_spec(p, +1)
         minus_half = ellipse_spec(p, -1)
-        assert half_ellipse_contains(plus_half, vp)
-        assert not half_ellipse_contains(plus_half, vm)
-        assert half_ellipse_contains(minus_half, vm)
-        assert not half_ellipse_contains(minus_half, vp)
+
+        def contains(spec, z):
+            return half_ellipse_membership(spec, z)[0]
+
+        assert contains(plus_half, vp)
+        assert not contains(plus_half, vm)
+        assert contains(minus_half, vm)
+        assert not contains(minus_half, vp)
         full = ellipse_spec(p, 0)
-        assert half_ellipse_contains(full, vp) and half_ellipse_contains(full, vm)
+        assert contains(full, vp) and contains(full, vm)
         # center is on the minor axis: belongs to both halves
-        assert half_ellipse_contains(plus_half, p.c) and half_ellipse_contains(minus_half, p.c)
+        assert contains(plus_half, p.c) and contains(minus_half, p.c)
 
     def test_margin_on_boundary(self):
         e = HalfEllipseSpec(1 + 1j, 0.3, 2.0, 1.0, 0)
         for t in np.linspace(0, 2 * math.pi, 37):
             on = cmath.exp(1j * e.rotation) * complex(2.0 * math.cos(t), 1.0 * math.sin(t))
-            assert half_ellipse_margin(e, e.center + on) == pytest.approx(0.0, abs=1e-12)
+            assert half_ellipse_membership(e, e.center + on)[1] == pytest.approx(0.0, abs=1e-12)
             # membership is strict: a hair outside fails, a hair inside passes
-            assert not half_ellipse_contains(e, e.center + on * (1 + 1e-9))
-            assert half_ellipse_contains(e, e.center + on * (1 - 1e-9))
-        assert half_ellipse_margin(e, e.center) == 1.0  # semi_minor at the center
-        assert isinstance(half_ellipse_margin(e, e.center), float)  # a point gives a scalar
+            assert not half_ellipse_membership(e, e.center + on * (1 + 1e-9))[0]
+            assert half_ellipse_membership(e, e.center + on * (1 - 1e-9))[0]
+        inside, margin = half_ellipse_membership(e, e.center)
+        assert inside and margin == 1.0  # semi_minor at the center
+        assert isinstance(margin, float)  # a point gives a scalar
 
     def test_array_inputs_match_scalar_oracle(self):
         rng = np.random.default_rng(47)
@@ -213,8 +212,7 @@ class TestEllipse:
             z = e.center + rng.uniform(-4, 4, (30, 40)) + 1j * rng.uniform(-4, 4, (30, 40))
             z[0, :5] = [e.center, e.center + 1.5j * cmath.exp(0.7j), e.center + 10,
                         complex(math.nan, 0), complex(math.inf, 1)]
-            inside = half_ellipse_contains(e, z)
-            margin = half_ellipse_margin(e, z)
+            inside, margin = half_ellipse_membership(e, z)
             assert inside.shape == margin.shape == z.shape
             # the center: semi_minor from the ellipse, 0 from the minor axis of a half
             assert inside[0, 0] and margin[0, 0] == (1.5 if half_sign == 0 else 0.0)
@@ -224,7 +222,7 @@ class TestEllipse:
             for (i, j), w in np.ndenumerate(z):
                 want_in, want_margin = oracle_half_ellipse(e, w)
                 # a point alone (scalar NumPy arithmetic) or in an array (SIMD loops)
-                alone = (half_ellipse_contains(e, w), half_ellipse_margin(e, w))
+                alone = half_ellipse_membership(e, w)
                 for got_in, got_margin in ((inside[i, j], margin[i, j]), alone):
                     assert got_margin == pytest.approx(want_margin, rel=1e-12, abs=1e-12,
                                                        nan_ok=True)
@@ -263,7 +261,7 @@ class TestEllipse:
                     th = rect.arg_center + rect.arg_halfwidth * rng.uniform(-1 + 1e-9, 1 - 1e-9)
                     z = rr * cmath.exp(1j * th)
                     assert polar_contains(rect, z)
-                    assert half_ellipse_contains(half, eval_map(p, z)), (n, a, p.c, k)
+                    assert half_ellipse_membership(half, eval_map(p, z))[0], (n, a, p.c, k)
 
 
 class TestLcRect:
@@ -299,7 +297,7 @@ class TestSectorIndex:
             a = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             if a == 0:
                 continue
-            for k, xi in enumerate(critical_points(MapParams(n, a, 0j))):
+            for k, xi in enumerate(critical_points(n, a)):
                 assert sector_index(n, xi, a) == k
 
     def test_rejects_inconsistent_pair(self):
@@ -329,9 +327,10 @@ class TestWRegion:
             WRegionSpec(0j, 2, 0, 1 + 0j, 1 + 0j, 0)  # n < 3
 
     def test_k_of_j_consistency(self):
+        # the sector index recomputed from each solved center's (w_j, a_j) pair
         for c in (6 + 0j, 6j, 2 - 5j):
             for s in fixed_critical_params(4, c):
-                assert k_of_j(s) == s.k
+                assert sector_index(s.n, s.w_j, s.a_j) == s.k
 
     def test_v_rect_shape(self, real_spec):
         vr = v_rect(real_spec)
@@ -340,23 +339,6 @@ class TestWRegion:
         assert vr.arg_halfwidth == pytest.approx(math.pi / 10, rel=1e-14)
         assert vr.closed
         assert polar_contains(vr, real_spec.w_j)
-
-    def test_boundary_segments(self, real_spec):
-        # segment 2 at theta = pi: (e^{i pi} - 3)**2 = 16
-        b = w_boundary_point(real_spec, 2, math.pi)
-        assert b == pytest.approx(16 + 0j, abs=1e-12)
-        # segment 1 at theta = 0: (1/4 - 3)**2 = 7.5625 exactly
-        assert w_boundary_point(real_spec, 1, 0.0) == pytest.approx(7.5625 + 0j, abs=1e-12)
-        # frozen ray endpoint
-        assert w_boundary_point(real_spec, 3, 2.0) == pytest.approx(
-            15.515356092145868 + 2.4418872185421567j, abs=1e-9
-        )
-        with pytest.raises(ValueError):
-            w_boundary_point(real_spec, 5, 0.0)
-        with pytest.raises(ValueError):
-            w_boundary_point(real_spec, 1, 7.0)  # theta out of range
-        with pytest.raises(ValueError):
-            w_boundary_point(real_spec, 3, 0.2)  # r out of range
 
     def test_membership_frozen(self, real_spec):
         assert w_region_contains(real_spec, 16 + 0j)  # v_- = -2 on the closed edge
@@ -385,6 +367,19 @@ class TestWRegion:
         # itself is a one-ulp knife edge, so assert geometry, not the closed flag)
         vr = v_rect(real_spec)
         c = real_spec.c
+
+        def boundary_point(seg, t):
+            """((v - c)/2)**2 for v on the V boundary: the circle of radius 1/2
+            (segment 1) or 2 (segment 2) at angle t, or the ray at the upper (3)
+            or lower (4) angular edge at radius t."""
+            if seg in (1, 2):
+                v = (0.5 if seg == 1 else 2.0) * cmath.exp(1j * t)
+            else:
+                edge = vr.arg_center + (1 if seg == 3 else -1) * vr.arg_halfwidth
+                v = t * cmath.exp(1j * edge)
+            half = (v - c) / 2
+            return half * half
+
         # segments 1 and 2 sweep full circles (the drawing curves); only the arc
         # inside the V angular window lies on the region boundary, so restrict to it
         for seg, lo, hi in (
@@ -394,13 +389,13 @@ class TestWRegion:
             (4, 0.5, 2),
         ):
             for t in np.linspace(lo, hi, 25):
-                b = w_boundary_point(real_spec, seg, float(t))
+                b = boundary_point(seg, float(t))
                 root = cmath.sqrt(b)
-                margins = [polar_margin(vr, c + 2 * root), polar_margin(vr, c - 2 * root)]
+                margins = [polar_depth(vr, c + 2 * root), polar_depth(vr, c - 2 * root)]
                 v_dist = min(abs(m) for m in margins)
                 assert v_dist < 1e-9, (seg, t, v_dist)
                 # a hair inside the rectangle, the pulled-in parameter is a member
-                v = min((c + 2 * root, c - 2 * root), key=lambda q: abs(polar_margin(vr, q)))
+                v = min((c + 2 * root, c - 2 * root), key=lambda q: abs(polar_depth(vr, q)))
                 r_in = min(max(abs(v), 0.5 * (1 + 1e-9)), 2 * (1 - 1e-9))
                 ang = vr.arg_center + wrap_angle(principal_arg(v) - vr.arg_center) * (1 - 1e-9)
                 ang = vr.arg_center + max(
@@ -410,5 +405,5 @@ class TestWRegion:
                 v_in = r_in * cmath.exp(1j * ang)
                 assert w_region_contains(real_spec, ((v_in - c) / 2) ** 2), (seg, t)
         # outside the angular window the circle curves leave the region entirely
-        assert not w_region_contains(real_spec, w_boundary_point(real_spec, 2, 0.0))
-        assert not w_region_contains(real_spec, w_boundary_point(real_spec, 1, 1.0))
+        assert not w_region_contains(real_spec, boundary_point(2, 0.0))
+        assert not w_region_contains(real_spec, boundary_point(1, 1.0))

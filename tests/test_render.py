@@ -21,7 +21,6 @@ from mcmullen.render import (
     RenderConfig,
     Viewport,
     classify_pixel,
-    draw_overlay,
     encode_ppm,
     render_slice,
 )
@@ -299,29 +298,6 @@ class TestImageAndEncoding:
         assert len(blob) == len(b"P6\n17 13\n255\n") + 17 * 13 * 3
         assert blob == b"P6\n17 13\n255\n" + img.pixels.tobytes()
         assert not img.pixels.flags.writeable
-
-    def test_draw_overlay(self):
-        vp = Viewport(-2.0, 2.0, -2.0, 2.0, 16, 16)
-        base = render_slice(3, FixedC(0.5 + 0j), vp, RenderConfig(max_iter=8))
-        before = encode_ppm(base)
-        rng = np.random.default_rng(11)
-        scatter = list(rng.uniform(-2.5, 2.5, 64) + 1j * rng.uniform(-2.5, 2.5, 64))
-        curve = [vp.point_at(3, 4), vp.point_at(10, 10), 50 + 50j, complex(math.nan, 0),
-                 complex(math.inf, 0), -2.0 + 2.0j, *scatter]
-        out = draw_overlay(base, vp, curve, (0, 255, 0))
-        assert out.at(3, 4) == (0, 255, 0)
-        assert out.at(10, 10) == (0, 255, 0)
-        assert encode_ppm(base) == before  # the input image is unchanged
-        # exactly the in-view points' pixels changed (the base has no green), by the
-        # scalar Viewport.pixel_of mapping; out-of-view and non-finite skipped
-        changed = {
-            (col, row)
-            for row in range(16)
-            for col in range(16)
-            if out.at(col, row) != base.at(col, row)
-        }
-        want = {vp.pixel_of(z) for z in curve if math.isfinite(abs(z))} - {None}
-        assert changed == want
 
 
 def band_by_band(n, slc, vp, cfg):

@@ -1,15 +1,17 @@
 """Root finding and the fixed-critical-point solvers for both slice families."""
 import cmath
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from mcmullen import solvers
 from mcmullen.errors import InconsistencyError, RootFindingError
 from mcmullen.family import MapParams, eval_map, pow_int
 from mcmullen.regions import sector_index
 from mcmullen.solvers import (
-    _DEDUPE_TOL,
     _centers,
     diagonal_fixed_params,
     fixed_critical_params,
@@ -118,6 +120,24 @@ class TestPolyRoots:
         with pytest.raises(RootFindingError, match="residual"):
             poly_roots([1, 0, -2], tol=1e-300)
 
+    @pytest.mark.parametrize("coeffs, tol, failing, listed", [
+        # the diagonal slice's trinomial at n = 3, t = 1e-100: one of five roots
+        # misses its bound by 12 orders, the four others are within theirs
+        ([1e-100, 0, 0, 2, 0, -1], 1e-12, 1, 1),
+        # every root misses a bound far below rounding; three are listed
+        ([1, 0, 0, 0, -2], 1e-300, 4, 3),
+    ])
+    def test_error_lists_only_failing_roots(self, coeffs, tol, failing, listed):
+        with pytest.raises(RootFindingError) as info:
+            poly_roots(coeffs, tol=tol)
+        message = str(info.value)
+        assert f"{failing} of {len(coeffs) - 1} roots fail" in message
+        residuals, bounds = (json.loads(x) for x in re.findall(r"\[[^\]]*\]", message))
+        assert len(residuals) == len(bounds) == listed
+        ratios = [r / b for r, b in zip(residuals, bounds)]
+        assert all(q > 1 for q in ratios)
+        assert ratios == sorted(ratios, reverse=True)  # worst first
+
 
 class TestFixedCriticalParams:
     def test_frozen_n5_c6(self):
@@ -177,12 +197,13 @@ class TestFixedCriticalParams:
         got = sorted((s.a_j for s in specs), key=lambda z: (z.real, z.imag))
         assert got == pytest.approx(frozen, rel=1e-10)
 
-    def test_dedupe_tol_knob(self):
+    def test_dedupe_tol_knob(self, monkeypatch):
         # the solvers dedupe at the fixed _DEDUPE_TOL; the pipeline they share still
         # merges a-values at a loose tolerance
         coeffs = [2.0 + 0j, 0j, -1.0 + 0j, 0.5 + 0j]  # 2*w**3 - w + 0.5 (n = 3, c = 0.5)
-        assert len(_centers(3, coeffs, _DEDUPE_TOL)) == 3
-        assert len(_centers(3, coeffs, 1.0)) < 3
+        assert len(_centers(3, coeffs, "c = 0.5")) == 3
+        monkeypatch.setattr(solvers, "_DEDUPE_TOL", 1.0)
+        assert len(_centers(3, coeffs, "c = 0.5")) < 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from mcmullen.family import _MIN_SCALED_SLOPE
 from mcmullen.solvers import diagonal_fixed_params
 from mcmullen.spine import (
     SpineSpec,
-    spine_distance,
     spine_distances,
     spine_point,
     spine_points,
@@ -113,10 +112,10 @@ class TestSpineRadii:
 
 class TestSpineDistance:
     def test_frozen_distances(self):
-        assert spine_distance(SpineSpec(1 + 0j, 4096), 0j) == pytest.approx(
+        assert spine_distances(SpineSpec(1 + 0j, 4096), [0j])[0] == pytest.approx(
             0.1715728752538097, abs=1e-9
         )
-        assert spine_distance(SpineSpec(2 + 0j, 4096), 100 + 0j) == pytest.approx(
+        assert spine_distances(SpineSpec(2 + 0j, 4096), [100 + 0j])[0] == pytest.approx(
             98.13397459621557, abs=1e-6
         )
 
@@ -127,9 +126,9 @@ class TestSpineDistance:
         spacing = 2 * math.pi * spine_radii(1 + 0j)[1] / 4096
         for theta in (0.0, 1.0, 2.5, math.pi):
             a = spine_point(coarse, theta, 1)
-            d_coarse = spine_distance(coarse, a)
+            d_coarse = spine_distances(coarse, [a])[0]
             assert d_coarse < spacing
-            assert spine_distance(fine, a) <= d_coarse
+            assert spine_distances(fine, [a])[0] <= d_coarse
 
     def test_vectorized_matches_scalar(self):
         s = SpineSpec(0.8 + 0j, 2048)
@@ -138,7 +137,7 @@ class TestSpineDistance:
         d = spine_distances(s, pts)
         assert d.shape == (50,)
         for i in range(0, 50, 7):
-            assert d[i] == pytest.approx(spine_distance(s, complex(pts[i])), rel=1e-12)
+            assert d[i] == pytest.approx(spine_distances(s, [complex(pts[i])])[0], rel=1e-12)
 
     def test_matches_brute_force(self):
         s = SpineSpec(1 + 0.5j, 1024)
@@ -151,7 +150,7 @@ class TestSpineDistance:
 
     def test_origin_allowed(self):
         # distance from the puncture a = 0 is well-defined (the curve avoids 0)
-        assert spine_distance(SpineSpec(1 + 0j, 1024), 0j) > 0.17
+        assert spine_distances(SpineSpec(1 + 0j, 1024), [0j])[0] > 0.17
 
 
 def _polar_lattice(t, eps, grid):

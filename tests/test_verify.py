@@ -1,12 +1,14 @@
 """Sampling-based certification checks and their report plumbing."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from mcmullen import verify
 from mcmullen.errors import HypothesisError, UnderSamplingError
 from mcmullen.family import MapParams
-from mcmullen.regions import WRegionSpec
+from mcmullen.regions import WRegionSpec, ellipse_spec
 from mcmullen.solvers import fixed_critical_params
 from mcmullen.verify import (
     CSV_HEADER,
@@ -109,11 +111,14 @@ class TestImageEllipse:
             assert r.passed, k
             assert r.worst_margin < 1e-10
 
-    def test_negative_control_wrong_axes(self):
+    def test_negative_control_wrong_axes(self, monkeypatch):
         # the |a|/2 (instead of |a|/2**n) minor-axis variant must fail loudly
         p = MapParams(3, 1 + 1j, 0.5 + 0j)
-        wrong = (2**3 + abs(1 + 1j) / 2, 2**3 - abs(1 + 1j) / 2)
-        r = verify_image_ellipse(p, 0, samples=250, axes=wrong)
+        wrong = dataclasses.replace(
+            ellipse_spec(p), semi_major=2**3 + abs(1 + 1j) / 2, semi_minor=2**3 - abs(1 + 1j) / 2
+        )
+        monkeypatch.setattr(verify, "ellipse_spec", lambda p, half_sign=0: wrong)
+        r = verify_image_ellipse(p, 0, samples=250)
         assert not r.passed
         assert r.failures == 522  # deterministic sampling
         assert r.worst_margin == pytest.approx(0.15072551870035067, rel=1e-9)
