@@ -27,7 +27,7 @@ from .errors import (
     RootFindingError,
     UnderSamplingError,
 )
-from .family import MapParams, eval_map, inner_radius, safe_abs
+from .family import MapParams, fixed_point_residual, inner_radius, safe_abs
 from .regions import ellipse_semi_axes, l_c_rect, polar_contains, sector_index, w_region_contains
 from .render import (
     Diagonal,
@@ -328,7 +328,7 @@ def _cmd_centers(args: argparse.Namespace) -> int:
         rows = [(w, a, sector_index(n, w, a), args.t * a) for w, a in pairs]
     lines = ["j,k,re_w,im_w,re_a,im_a,residual"]
     for j, (w, a, k, c) in enumerate(rows):
-        residual = abs(eval_map(MapParams(n, a, c), w) - w)
+        residual = fixed_point_residual(MapParams(n, a, c), w)[0]
         lines.append(f"{j},{k},{w.real!r},{w.imag!r},{a.real!r},{a.imag!r},{residual!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -109,8 +109,8 @@ def check_slope(t) -> complex:
     return t
 
 
-# The largest iteration budget. The pool's iteration counts (int32 here), the
-# render palette and verify's max_iter + 1 slack in int64 all hold it.
+# The largest iteration budget. The pool's int32 iteration counts, the render
+# palette and verify's max_iter + 1 slack in int64 all hold it.
 _MAX_ITER = 2**31 - 1
 
 
@@ -236,6 +236,15 @@ def escape_radius_bulk(a, c):
 def escape_radius(p: MapParams) -> float:
     """s = escape_radius_bulk(a, c); orbits beyond modulus s grow at least like s**m."""
     return float(escape_radius_bulk(p.a, p.c))
+
+
+def critical_blocks(a, c):
+    """The two orbit-kernel blocks (a, c, z0, threshold) of elementwise (a, c),
+    a != 0: one from each critical value of critical_values_bulk, both with
+    threshold escape_radius_bulk(a, c)."""
+    thr = escape_radius_bulk(a, c)
+    v_plus, v_minus = critical_values_bulk(a, c)
+    return (a, c, v_plus, thr), (a, c, v_minus, thr)
 
 
 def inner_radius(p: MapParams) -> float:
@@ -392,9 +401,7 @@ class _Pool:
         a, c, z0, thr = block
         _check_thresholds(thr)
         finite = np.isfinite(z0)
-        # -1 until the orbit escapes, in the smallest signed integer type that holds
-        # both -1 and max_iter (max_iter = 128 needs int16: int8 stops at 127)
-        iters = np.full(z0.size, -1, dtype=np.min_scalar_type(-self.max_iter - 1))
+        iters = np.full(z0.size, -1, dtype=np.int32)  # -1 until the orbit escapes
         iters[~finite] = 0
         if finite.all():
             idx = np.arange(z0.size)
@@ -494,12 +501,3 @@ class _Pool:
                 self._remove(keep)
         return [self.open.pop(s) for s in closed]
 
-
-def critical_orbits_bulk(n, a, c, max_iter):
-    """iterate_orbits_bulk from both critical values c +- 2*sqrt(a) of elementwise
-    (a, c), a != 0, with threshold escape_radius_bulk(a, c): ((esc+, it+), (esc-, it-))."""
-    thr = escape_radius_bulk(a, c)
-    v_plus, v_minus = critical_values_bulk(a, c)
-    plus = iterate_orbits_bulk(n, a, c, v_plus, max_iter, thr)
-    minus = iterate_orbits_bulk(n, a, c, v_minus, max_iter, thr)
-    return plus, minus

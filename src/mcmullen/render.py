@@ -18,7 +18,6 @@ Guarantees:
 """
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -31,9 +30,10 @@ from .family import (
     MapParams,
     check_exponent,
     check_max_iter,
+    check_modulus,
     check_slope,
+    critical_blocks,
     critical_values,
-    critical_values_bulk,
     escape_radius,
     escape_radius_bulk,
     iterate_orbit,
@@ -114,13 +114,6 @@ class Viewport:
         return re + 1j * im
 
 
-def _finite(kind: str, name: str, value: complex) -> complex:
-    value = complex(value)
-    if not cmath.isfinite(value):
-        raise ValueError(f"{kind} requires a finite {name}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class FixedC:
     """Parameter slice: c held fixed, the pixel point is a."""
@@ -128,7 +121,7 @@ class FixedC:
     c: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _finite("FixedC", "c", self.c))
+        object.__setattr__(self, "c", check_modulus("c", self.c))
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,7 @@ class FixedA:
     a: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _finite("FixedA", "a", self.a))
+        object.__setattr__(self, "a", check_modulus("a", self.a))
         if self.a == 0:
             raise ValueError("FixedA requires a != 0")
 
@@ -180,9 +173,8 @@ class RenderConfig:
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """RGB8 pixel grid. `pixels` is a read-only (height, width, 3) uint8 array; the
-    constructor accepts any array-like of width*height RGB triples in row-major order.
-    A read-only uint8 array is wrapped without a copy; anything else is copied."""
+    """RGB8 pixel grid: `pixels` is a read-only (height, width, 3) uint8 array,
+    row 0 at the top. Anything else raises ValueError; nothing is converted."""
 
     width: int
     height: int
@@ -191,16 +183,11 @@ class Image:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
-        px = np.asarray(self.pixels)
-        if px.shape[-1:] != (3,) or px.size != 3 * self.width * self.height:
-            raise ValueError(f"expected {self.width * self.height} RGB triples, got {px.shape}")
-        px = px.reshape(self.height, self.width, 3)
-        if px.dtype != np.uint8 or px.flags.writeable:
-            if not (np.issubdtype(px.dtype, np.integer) and px.min() >= 0 and px.max() <= 255):
-                raise ValueError("pixel channels must be integers in [0, 255]")
-            px = px.astype(np.uint8)
-            px.flags.writeable = False
-        object.__setattr__(self, "pixels", px)
+        px = self.pixels
+        if not (isinstance(px, np.ndarray) and px.dtype == np.uint8 and not px.flags.writeable
+                and px.shape == (self.height, self.width, 3)):
+            raise ValueError(f"pixels must be a read-only ({self.height}, {self.width}, 3) "
+                             "uint8 array")
 
     def at(self, col: int, row: int) -> RGB8:
         if not (0 <= col < self.width and 0 <= row < self.height):
@@ -229,10 +216,11 @@ def _orbit_color(base: RGB8, escaped: bool, m: int, cfg: RenderConfig) -> RGB8:
 
 
 def _slice_params(slc: SliceSpec, point):
-    """(a, c) of a parameter slice at a point or, elementwise, an array of points;
-    the held parameter is filled to the point's shape. Points at a = 0 lie outside
-    the family and are left to the caller. A diagonal c = t*a may overflow to inf
-    or nan without a warning; the orbit kernel refuses the threshold it gives."""
+    """(a, c) of a slice at a point or, elementwise, an array of points; a held
+    parameter, or both of a dynamical slice's, is filled to the point's shape.
+    Points at a = 0 lie outside the family and are left to the caller. A diagonal
+    c = t*a may overflow to inf or nan without a warning; the orbit kernel
+    refuses the threshold it gives."""
     if isinstance(slc, FixedC):
         return point, np.full(np.shape(point), slc.c)
     if isinstance(slc, FixedA):
@@ -240,7 +228,9 @@ def _slice_params(slc: SliceSpec, point):
     if isinstance(slc, Diagonal):
         with np.errstate(over="ignore", invalid="ignore"):
             return point, slc.t * point
-    raise TypeError(f"not a parameter slice: {slc!r}")
+    if isinstance(slc, Dynamical):
+        return np.full(np.shape(point), slc.params.a), np.full(np.shape(point), slc.params.c)
+    raise TypeError(f"not a slice: {slc!r}")
 
 
 def classify_pixel(n: int, slc: SliceSpec, point: complex, cfg: RenderConfig) -> RGB8:
@@ -301,51 +291,44 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
     16-row bands, one kernel block per band and orbit, so the output is a pure
     function of the inputs. The blocks share one working set of the orbit kernel
     (iterate_orbit_blocks), and a band is shaded once all its blocks are done.
-    A viewport whose render_bytes exceed the memory budget raises ValueError
-    before any allocation."""
-    if not isinstance(slc, Dynamical):
-        check_exponent(n)
+    A dynamical slice takes n from its map and ignores the argument. A viewport
+    whose render_bytes exceed the memory budget raises ValueError before any
+    allocation."""
+    dynamical = isinstance(slc, Dynamical)
+    if dynamical:
+        n = slc.params.n
+    check_exponent(n)
     check_memory_budget(render_bytes(vp), f"a {vp.width}x{vp.height} render")
+    bases = [(255, 255, 255)] if dynamical else [cfg.color_plus, cfg.color_minus]
     zero_a: dict[int, np.ndarray] = {}  # band -> mask of its a = 0 pixels, if any
 
-    if isinstance(slc, Dynamical):
-        p = slc.params
-        n = p.n
-        bases = [(255, 255, 255)]
-
-        def blocks():
-            thr = escape_radius(p)
-            for r0 in range(0, vp.height, _ROW_BAND):
-                pts = _band_points(vp, r0)
-                yield np.full(pts.size, p.a), np.full(pts.size, p.c), pts, np.full(pts.size, thr)
-    else:
-        bases = [cfg.color_plus, cfg.color_minus]
-
-        def blocks():
-            for band, r0 in enumerate(range(0, vp.height, _ROW_BAND)):
-                a, c = _slice_params(slc, _band_points(vp, r0))
-                zero = a == 0
-                if zero.any():
-                    zero_a[band] = zero
-                    a = np.where(zero, 1.0 + 0.0j, a)
-                thr = escape_radius_bulk(a, c)
-                v_plus, v_minus = critical_values_bulk(a, c)
-                yield a, c, v_plus, thr
-                yield a, c, v_minus, thr
+    def blocks():
+        for band, r0 in enumerate(range(0, vp.height, _ROW_BAND)):
+            pts = _band_points(vp, r0)
+            a, c = _slice_params(slc, pts)
+            if dynamical:
+                yield a, c, pts, escape_radius_bulk(a, c)
+                continue
+            zero = a == 0
+            if zero.any():
+                zero_a[band] = zero
+                a = np.where(zero, 1.0 + 0.0j, a)
+            yield from critical_blocks(a, c)
 
     grid = np.empty((vp.height, vp.width, 3), dtype=np.uint8)
     zero_total = 0
     pending: dict[int, list] = {}
-    for k, iters in iterate_orbit_blocks(n, blocks(), cfg.max_iter):
-        band, j = divmod(k, len(bases))
-        done = pending.setdefault(band, [None] * len(bases))
+    k = len(bases)
+    for key, iters in iterate_orbit_blocks(n, blocks(), cfg.max_iter):
+        band, j = divmod(key, k)
+        done = pending.setdefault(band, [None] * k)
         done[j] = iters
         if any(it is None for it in done):
             continue
         del pending[band]
-        pix = [_palette(base, cfg, int(it.max()))[it] for it, base in zip(done, bases)]
-        # the channel mean floor((p + m) / 2 + 0.5), exact in integers
-        pix = pix[0] if len(pix) == 1 else (pix[0] + pix[1] + 1) >> 1
+        # the channel mean floor(sum / k + 0.5) of the k orbit colors, exact in integers
+        pix = (sum(_palette(base, cfg, int(it.max()))[it] for it, base in zip(done, bases))
+               + k // 2) // k
         zero = zero_a.pop(band, None)
         if zero is not None:
             pix[zero] = cfg.bounded_color

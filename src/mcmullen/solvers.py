@@ -30,16 +30,18 @@ _MAX_SWEEPS = 200
 _BYTES_PER_D2 = 24
 # Relative tolerance within which the slice solvers count two a-values as one.
 _DEDUPE_TOL = 1e-9
+# Relative residual bound of an accepted root (see poly_roots).
+_ROOT_TOL = 1e-12
 
 
-def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12) -> list[complex]:
+def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
     """All d roots (with multiplicity) of a degree-d polynomial, via simultaneous
     Aberth-Ehrlich iteration.
 
     Initial guesses sit evenly on the circle of radius |c_0/c_d|**(1/d), the geometric
     mean of the root moduli (radius 1 when the constant term is 0), at angles
     (2*pi*k + 0.7)/d, so output is reproducible. Each returned root r satisfies
-    |p(r)| <= tol * max(1 + max_j |c_j|, sum_j |c_j| * |r|**j), a bound that grows
+    |p(r)| <= _ROOT_TOL * max(1 + max_j |c_j|, sum_j |c_j| * |r|**j), a bound that grows
     with the terms evaluated at r (the moduli of large roots), else RootFindingError
     carries the residuals and bounds of up to three failing roots, worst first.
     Roots are sorted by (Re, Im).
@@ -49,8 +51,6 @@ def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12) -> list[complex]:
         raise ValueError("need a polynomial of degree >= 1 (at least two coefficients)")
     if c[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     d = len(c) - 1
     check_memory_budget(_BYTES_PER_D2 * d * d, f"root finding at degree {d}")
     coeff_arr = np.array(c, dtype=complex)
@@ -79,7 +79,7 @@ def poly_roots(coeffs: PolyCoeffs, tol: float = 1e-12) -> list[complex]:
             if np.all(np.abs(delta) <= 1e-14 * (1.0 + np.abs(z))):
                 break
         residuals = np.abs(np.polyval(coeff_arr, z))
-        bound = tol * np.maximum(1.0 + max_mod, np.polyval(np.abs(coeff_arr), np.abs(z)))
+        bound = _ROOT_TOL * np.maximum(1.0 + max_mod, np.polyval(np.abs(coeff_arr), np.abs(z)))
         failing = np.flatnonzero(~(np.isfinite(residuals) & (residuals <= bound)))
         ratio = np.nan_to_num(residuals[failing] / bound[failing], nan=np.inf)
     if failing.size:

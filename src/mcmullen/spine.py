@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_memory_budget
 from .family import check_slope_scale, np_principal_sqrt, principal_sqrt
 
 # spine_within answers _CHUNK queries per pass, and its exact stage groups the curve
@@ -21,12 +22,17 @@ _PASS = 2**15
 # Relative rounding slack of spine_within's clearing bound: far above the few ulps
 # by which sampling, evaluating v(q) and the distance formula can each err.
 _SLACK = 2.0**-30
+# Estimated peak bytes per sample of the largest use of a SpineSpec, the `spine`
+# command's CSV (two text lines per sample); tracemalloc measured 450 to 550 B at
+# 4096 to 262144 samples and four slopes (spine_points alone 88 B, spine_within 153 B).
+_SAMPLE_BYTES = 640
 
 
 @dataclass(frozen=True)
 class SpineSpec:
     """Slice slope t and the theta-lattice size used by distance queries. t is
-    refused as spine_radii refuses it."""
+    refused as spine_radii refuses it, and samples above the memory budget
+    (ValueError) before anything is allocated."""
 
     t: complex
     samples: int = 8192
@@ -36,6 +42,7 @@ class SpineSpec:
         object.__setattr__(self, "t", complex(self.t))
         if self.samples < 16:
             raise ValueError(f"samples must be >= 16, got {self.samples}")
+        check_memory_budget(self.samples * _SAMPLE_BYTES, f"spine with samples {self.samples}")
 
 
 def spine_point(s: SpineSpec, theta: float, branch: int) -> complex:

@@ -20,7 +20,7 @@ from .family import (
     MapParams,
     _map_array,
     check_exponent,
-    critical_orbits_bulk,
+    critical_blocks,
     critical_values,
     escape_radius,
     inner_radius,
@@ -356,7 +356,8 @@ def verify_spine_locus(
             f"no lattice point lies farther than eps = {eps!r} from the spine of "
             f"t = {t!r}: the check would test nothing"
         )
-    (esc_p, it_p), (esc_m, it_m) = critical_orbits_bulk(n, a_t, t * a_t, max_iter)
+    (esc_p, it_p), (esc_m, it_m) = (iterate_orbits_bulk(n, a_, c_, z0, max_iter, thr)
+                                    for a_, c_, z0, thr in critical_blocks(a_t, t * a_t))
     both = esc_p & esc_m
     slack = (max_iter + 1 - np.maximum(it_p, it_m)) / (max_iter + 1)
     return VerificationReport(

@@ -1,9 +1,14 @@
 """Command-line surface: flags, CSV/PPM outputs, exit codes."""
 import hashlib
+import re
+import shlex
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
+from mcmullen import spine
 from mcmullen.cli import main
 from mcmullen.family import MapParams, escape_radius, iterate_orbit
 from mcmullen.render import FixedC, RenderConfig, Viewport, encode_ppm, render_slice
@@ -114,17 +119,18 @@ class TestRenderCommand:
                    *common)[0] == 2
         assert run(capsys, "render", "--n", "4", "--slice", "diagonal", "--t", "inf,0",
                    *common)[0] == 2
-        # c = t*a or a held parameter whose modulus overflows gives an escape
-        # threshold of inf or nan, which the orbit kernel refuses without a warning
-        for slc in (["--slice", "diagonal", "--t", "1e300", "--view", "-1e10,1e10,-1e10,1e10"],
-                    ["--slice", "fixed-a", "--a", "1.5e308,1.5e308", "--view", "-1,1,-1,1"],
-                    ["--slice", "fixed-c", "--c", "1.5e308,1.5e308", "--view", "-1,1,-1,1"]):
-            code, stdout, err = run(capsys, "render", "--n", "4", *slc, "--size", "8x8",
-                                    "--out", str(out))
-            assert code == 2 and stdout == "" and "threshold must be finite" in err
-        code, stdout, err = run(capsys, "render", "--n", "4", "--slice", "dynamical",
-                                "--a", "1.5e308,1.5e308", "--c", "6", *common)
-        assert code == 2 and stdout == "" and "a = (1.5e+308+1.5e+308j)" in err
+        # c = t*a whose modulus overflows gives an escape threshold of inf or nan,
+        # which the orbit kernel refuses without a warning
+        code, stdout, err = run(capsys, "render", "--n", "4", "--slice", "diagonal",
+                                "--t", "1e300", "--view", "-1e10,1e10,-1e10,1e10",
+                                "--size", "8x8", "--out", str(out))
+        assert code == 2 and stdout == "" and "threshold must be finite" in err
+        # a held parameter whose modulus overflows is refused by name
+        for slc, name in ((["--slice", "fixed-a", "--a", "1.5e308,1.5e308"], "a"),
+                          (["--slice", "fixed-c", "--c", "1.5e308,1.5e308"], "c"),
+                          (["--slice", "dynamical", "--a", "1.5e308,1.5e308", "--c", "6"], "a")):
+            code, stdout, err = run(capsys, "render", "--n", "4", *slc, *common)
+            assert code == 2 and stdout == "" and f"{name} = (1.5e+308+1.5e+308j)" in err
         assert not out.exists()
 
     def test_max_iter_bound(self, tmp_path, capsys):
@@ -496,6 +502,25 @@ class TestSpineCommand:
     def test_requires_t(self, capsys):
         assert run(capsys, "spine")[0] == 2
 
+    def test_samples_bytes_cover_the_csv(self, tmp_path):
+        # the estimate per sample bounds the peak of the whole command, CSV lines
+        # included, at a slope whose values print long
+        samples = 20000
+        tracemalloc.start()
+        try:
+            assert main(["spine", "--t", "1e10,1e10", "--samples", str(samples),
+                         "--out", str(tmp_path / "s.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= samples * spine._SAMPLE_BYTES
+
+    def test_samples_above_the_memory_budget_exit_2(self, capsys):
+        # refused before the lattice or its CSV lines are allocated
+        code, out, err = run(capsys, "spine", "--t", "2", "--samples", "100000000000")
+        assert code == 2 and out == ""
+        assert "samples 100000000000" in err and "memory budget" in err
+
 
 class TestDefaultsComeFromTheLibrary:
     """The CLI passes a size only when its flag is given, so with the flag omitted
@@ -601,3 +626,34 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+def _readme_block(heading, fence):
+    """The first fenced block, opened by `fence`, after `heading` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text[text.index(f"\n{heading}\n"):]
+    start = after.index(f"{fence}\n") + len(fence) + 1
+    return after[start:after.index("```\n", start)]
+
+
+def test_readme_examples(tmp_path, capsys):
+    # every command of "Command line", each with its output under tmp_path, exits
+    # with the code its trailing comment states (0 when none does)
+    lines = _readme_block("## Command line", "```").replace("\\\n", " ").splitlines()
+    assert len(lines) == 8
+    for i, line in enumerate(lines):
+        command, _, comment = line.partition("#")
+        prog, *argv = shlex.split(command)
+        assert prog == "mcmullen"
+        if "--out" in argv:
+            j = argv.index("--out") + 1
+            argv[j] = str(tmp_path / argv[j])
+        else:
+            argv += ["--out", str(tmp_path / f"{i}.csv")]
+        stated = re.search(r"exits (\d)", comment)
+        code, _, err = run(capsys, *argv)
+        assert code == (int(stated[1]) if stated else 0), (line, err)
+        assert Path(argv[argv.index("--out") + 1]).stat().st_size > 0, line
+    # the library quick start runs as written
+    exec(compile(_readme_block("## Library quick start", "```python"), "README.md", "exec"), {})
+    assert "winding" in capsys.readouterr().out

@@ -12,7 +12,7 @@ from mcmullen.errors import PoleError
 from mcmullen.family import (
     MapParams,
     OrbitResult,
-    critical_orbits_bulk,
+    critical_blocks,
     critical_values,
     critical_values_bulk,
     escape_radius,
@@ -425,7 +425,7 @@ def lattice(center, half, size):
 
 
 def critical_orbit_args(n, a, c, max_iter):
-    """The two argument tuples critical_orbits_bulk passes to iterate_orbits_bulk."""
+    """The iterate_orbits_bulk argument tuples of both critical orbits, written out."""
     thr = np.maximum(4.0, np.maximum(np.abs(c), np.abs(a)))
     root = np_principal_sqrt(a)
     return [(n, a, c, c + 2.0 * root, max_iter, thr), (n, a, c, c - 2.0 * root, max_iter, thr)]
@@ -465,13 +465,17 @@ class TestBulkKernelOracle:
             bounded += int(np.count_nonzero(~esc))
         assert bounded > 1000  # the zooms hold bounded orbits, which retirement serves
 
-    def test_critical_orbits_bulk_is_two_kernel_calls(self, center_args):
-        n, a, c, _, max_iter, _ = center_args[0]
-        plus, minus = critical_orbits_bulk(n, a, c, max_iter)
-        for got, args in zip((plus, minus), center_args[:2]):
-            want = reference_orbits_bulk(*args)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+    def test_critical_blocks_are_the_kernel_arguments(self, center_args):
+        # each block (a, c, z0, threshold) is the written-out argument tuple, bit
+        # for bit, on a point and on the arrays of a zoom
+        for a, c in ((center_args[0][1], center_args[0][2]), (-13.1 + 2.0j, 6j)):
+            got = critical_blocks(a, c)
+            want = critical_orbit_args(4, a, c, 1000)
+            assert len(got) == 2
+            for block, args in zip(got, want):
+                assert len(block) == 4
+                for x, y in zip(block, args[1:4] + args[5:]):
+                    np.testing.assert_array_equal(x, y)
 
     def test_readme_dynamical_plane(self):
         p = MapParams(4, -13.122875503987459 + 2.008554506696609j, 6j)
@@ -758,6 +762,15 @@ class TestPooledKernel:
         got = list(iterate_orbit_blocks(4, [slow] + [fast] * 30, 300))
         assert [k for k, _ in got] == list(range(1, 31)) + [0]
         assert [int(it[0]) for _, it in got] == [2] * 30 + [-1]
+
+    @pytest.mark.parametrize("max_iter", [1, 128, 2**31 - 1])
+    def test_counts_are_int32(self, max_iter):
+        # z0 = 1 (a = -1, c = 1) is a fixed point, retired as bounded after two
+        # steps; z0 = 10 escapes at step 1; every count of every budget is int32
+        block = (np.full(2, -1 + 0j), np.full(2, 1 + 0j), np.array([1, 10 + 0j]), np.full(2, 4.0))
+        ((k, iters),) = iterate_orbit_blocks(4, [block], max_iter)
+        assert k == 0 and iters.dtype == np.int32
+        assert iters.tolist() == [-1, 1]
 
     def test_no_blocks_and_empty_blocks(self):
         assert list(iterate_orbit_blocks(4, [], 10)) == []

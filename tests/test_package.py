@@ -117,9 +117,10 @@ def test_settable_surface():
     assert (cfg.color_plus, cfg.color_minus, cfg.bounded_color) == (
         (255, 0, 0), (0, 0, 255), (0, 0, 0))
     assert mcmullen.RenderConfig.bounded_color == (0, 0, 0)
-    # the solvers dedupe at one fixed tolerance
+    # the solvers dedupe, and the root finder accepts roots, at one fixed tolerance
     for solver, params in ((mcmullen.fixed_critical_params, ["n", "c"]),
-                           (mcmullen.diagonal_fixed_params, ["n", "t"])):
+                           (mcmullen.diagonal_fixed_params, ["n", "t"]),
+                           (mcmullen.poly_roots, ["coeffs"])):
         assert list(inspect.signature(solver).parameters) == params, solver
     # a report's status is derived from its failure count, not stored
     fields = [f.name for f in dataclasses.fields(mcmullen.VerificationReport)]

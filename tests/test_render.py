@@ -115,13 +115,15 @@ class TestSliceSpecs:
                 (FixedC(5j), (point, 5j)),
                 (FixedA(2 + 0j), (2 + 0j, point)),
                 (Diagonal(3 - 1j), (point, (3 - 1j) * point)),
+                (Dynamical(MapParams(3, 1 + 0j, 2j)), (1 + 0j, 2j)),
             ):
                 got_a, got_c = _slice_params(slc, point)
                 assert np.shape(got_a) == np.shape(got_c) == want_shape, slc
                 assert np.array_equal(got_a, np.broadcast_to(a, want_shape)), slc
                 assert np.array_equal(got_c, np.broadcast_to(c, want_shape)), slc
-        with pytest.raises(TypeError):
-            _slice_params(Dynamical(MapParams(3, 1 + 0j, 0j)), 1j)
+        for not_a_slice in (MapParams(3, 1 + 0j, 0j), 5j, None):
+            with pytest.raises(TypeError):
+                _slice_params(not_a_slice, 1j)
 
     def test_render_config_defaults(self):
         cfg = RenderConfig()
@@ -266,28 +268,41 @@ class TestRenderSlice:
 
 class TestImageAndEncoding:
     def test_image_validation(self):
+        def grid(values, dtype=np.uint8, writeable=False):
+            px = np.array(values, dtype=dtype).reshape(2, 2, -1)
+            px.flags.writeable = writeable
+            return px
+
+        tuples = ((0, 0, 0), (1, 2, 3), (4, 5, 6), (7, 8, 9))
+        px = grid(tuples)
+        img = Image(2, 2, px)
+        assert img.pixels is px  # held as given, never converted
+        assert img.at(1, 0) == (1, 2, 3)
+        assert img.at(0, 1) == (4, 5, 6)
+        with pytest.raises(ValueError):
+            img.pixels[0, 0, 0] = 1  # read-only
         bad_inputs = (
-            ((0, 0, 0),) * 3,  # wrong count
-            np.zeros((2, 2, 2), dtype=np.uint8),  # not RGB triples
-            ((0, 0, 0),) * 3 + ((256, 0, 0),),  # channel out of range
+            tuples,  # not an array
+            np.array(tuples, dtype=np.uint8),  # flat and writable
+            grid(tuples, writeable=True),  # writable
+            grid(tuples, dtype=np.int64),  # wrong dtype
+            grid(tuples, dtype=np.uint16),
+            grid(np.zeros(8)),  # not RGB triples
+            grid(tuples).reshape(1, 4, 3),  # wrong shape for 2x2
         )
         for pixels in bad_inputs:
             with pytest.raises(ValueError):
                 Image(2, 2, pixels)
-        tuples = ((0, 0, 0), (1, 2, 3), (4, 5, 6), (7, 8, 9))
-        for pixels in (tuples, np.array(tuples), np.array(tuples, dtype=np.uint8).reshape(2, 2, 3)):
-            img = Image(2, 2, pixels)
-            assert img.at(1, 0) == (1, 2, 3)
-            assert img.at(0, 1) == (4, 5, 6)
-            assert img.pixels.shape == (2, 2, 3) and img.pixels.dtype == np.uint8
+        for width, height in ((0, 2), (2, 0)):
+            empty = np.empty((height, width, 3), dtype=np.uint8)
+            empty.flags.writeable = False
             with pytest.raises(ValueError):
-                img.pixels[0, 0, 0] = 1  # read-only
-            if isinstance(pixels, np.ndarray):
-                pixels[0] = 9  # the image holds its own copy of a writable input
-                assert img.at(0, 0) == (0, 0, 0)
+                Image(width, height, empty)
 
     def test_ppm_layout(self):
-        img = Image(2, 2, ((255, 0, 0), (0, 255, 0), (0, 0, 255), (9, 9, 9)))
+        px = np.array([[255, 0, 0], [0, 255, 0], [0, 0, 255], [9, 9, 9]], dtype=np.uint8)
+        px.flags.writeable = False
+        img = Image(2, 2, px.reshape(2, 2, 3))
         blob = encode_ppm(img)
         assert blob == b"P6\n2 2\n255\n" + bytes([255, 0, 0, 0, 255, 0, 0, 0, 255, 9, 9, 9])
 
@@ -407,9 +422,13 @@ class TestPooledRender:
                 np.testing.assert_array_equal(_palette(base, cfg, top)[:-1], pal[:top + 1])
 
     def test_integer_channel_mean(self):
-        # (p + m + 1) >> 1 is floor((p + m) / 2 + 0.5) for every pair of channels
+        # (sum + k // 2) // k is floor(sum / k + 0.5) for one channel (k = 1) and
+        # for every pair of channels (k = 2)
         p, m = np.meshgrid(np.arange(256, dtype=np.uint16), np.arange(256, dtype=np.uint16))
-        np.testing.assert_array_equal((p + m + 1) >> 1, np.floor((p + m) / 2.0 + 0.5))
+        for pix in ([p], [p, m]):
+            k = len(pix)
+            np.testing.assert_array_equal((sum(pix) + k // 2) // k,
+                                          np.floor(sum(pix) / k + 0.5))
 
     def test_loop_steps_pooled_for_the_same_arithmetic(self, monkeypatch):
         # One 200x200, max_iter 1000 zoom around a fixed-critical center: pooling

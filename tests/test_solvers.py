@@ -63,34 +63,37 @@ class TestPolyRoots:
         assert len(real) == 1
         assert real[0].real == pytest.approx(root, abs=1e-10)
 
-    def test_random_inputs_vs_numpy(self):
-        # large random roots push |p| evaluation noise above the default bound,
-        # so stress tests size tol to the conditioning (the parameter's purpose)
+    def test_random_inputs_vs_numpy(self, monkeypatch):
+        # large random roots push |p| evaluation noise above the shipped bound,
+        # so stress tests size the tolerance to the conditioning
+        monkeypatch.setattr(solvers, "_ROOT_TOL", 1e-7)
         rng = np.random.default_rng(99)
         for _ in range(30):
             deg = int(rng.integers(2, 9))
             coeffs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(deg + 1)]
             if abs(coeffs[0]) < 0.1:
                 coeffs[0] = 1.0 + 0j
-            mine = np.array(poly_roots(coeffs, tol=1e-7))
+            mine = np.array(poly_roots(coeffs))
             ref = np.array(sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag)))
             np.testing.assert_allclose(mine, ref, atol=1e-6)
 
-    def test_reconstruction(self):
+    def test_reconstruction(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_ROOT_TOL", 1e-8)
         rng = np.random.default_rng(101)
         for _ in range(20):
             deg = int(rng.integers(2, 13))
             coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg + 1)]
             coeffs[0] = coeffs[0] / max(abs(coeffs[0]), 1e-2) * 1.0  # |lead| = 1
-            roots = poly_roots(coeffs, tol=1e-8)
+            roots = poly_roots(coeffs)
             rebuilt = np.array([coeffs[0]])
             for r in roots:
                 rebuilt = np.convolve(rebuilt, [1.0, -r])
             scale = max(abs(x) for x in coeffs)
             np.testing.assert_allclose(rebuilt, coeffs, atol=1e-8 * scale)
 
-    def test_multiple_root(self):
-        roots = poly_roots([1, -2, 1], tol=1e-6)  # (z-1)**2
+    def test_multiple_root(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_ROOT_TOL", 1e-6)
+        roots = poly_roots([1, -2, 1])  # (z-1)**2
         assert roots == pytest.approx([1 + 0j, 1 + 0j], abs=1e-5)
 
     def test_validation(self):
@@ -100,8 +103,6 @@ class TestPolyRoots:
             poly_roots([])
         with pytest.raises(ValueError):
             poly_roots([0, 1, 2])  # zero leading coefficient
-        with pytest.raises(ValueError):
-            poly_roots([1, 1], tol=0.0)
 
     def test_zero_constant_term(self):
         # the seed circle's radius |c_0/c_d|**(1/d) is 0 here; radius 1 is used instead
@@ -114,11 +115,12 @@ class TestPolyRoots:
         with pytest.raises(ValueError, match="memory budget"):
             poly_roots([1] + [0] * 9998 + [-1])
 
-    def test_nonconvergence_error_carries_residuals(self):
+    def test_nonconvergence_error_carries_residuals(self, monkeypatch):
         # an out-of-reach bound produces the error path with residual payload
         # (roots +-sqrt(2) are irrational, so the residual floor is ~1e-16, not 0)
+        monkeypatch.setattr(solvers, "_ROOT_TOL", 1e-300)
         with pytest.raises(RootFindingError, match="residual"):
-            poly_roots([1, 0, -2], tol=1e-300)
+            poly_roots([1, 0, -2])
 
     @pytest.mark.parametrize("coeffs, tol, failing, listed", [
         # the diagonal slice's trinomial at n = 3, t = 1e-100: one of five roots
@@ -127,9 +129,10 @@ class TestPolyRoots:
         # every root misses a bound far below rounding; three are listed
         ([1, 0, 0, 0, -2], 1e-300, 4, 3),
     ])
-    def test_error_lists_only_failing_roots(self, coeffs, tol, failing, listed):
+    def test_error_lists_only_failing_roots(self, monkeypatch, coeffs, tol, failing, listed):
+        monkeypatch.setattr(solvers, "_ROOT_TOL", tol)
         with pytest.raises(RootFindingError) as info:
-            poly_roots(coeffs, tol=tol)
+            poly_roots(coeffs)
         message = str(info.value)
         assert f"{failing} of {len(coeffs) - 1} roots fail" in message
         residuals, bounds = (json.loads(x) for x in re.findall(r"\[[^\]]*\]", message))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmullen import spine
+from mcmullen.errors import MEMORY_BUDGET_BYTES
 from mcmullen.family import _MIN_SCALED_SLOPE
 from mcmullen.solvers import diagonal_fixed_params
 from mcmullen.spine import (
@@ -28,6 +30,15 @@ class TestSpineSpec:
             SpineSpec(1 + 0j, 8)  # too few samples
         with pytest.raises(ValueError):
             spine_point(SpineSpec(1 + 0j, 64), 1.0, 2)  # branch must be +-1
+
+    def test_samples_memory_budget(self):
+        # the largest lattice within the 1 GiB budget is accepted (a spec allocates
+        # nothing); one more sample, or a size NumPy itself would refuse, is not
+        largest = MEMORY_BUDGET_BYTES // spine._SAMPLE_BYTES
+        assert SpineSpec(2 + 0j, largest).samples == largest
+        for samples in (largest + 1, 10**11):
+            with pytest.raises(ValueError, match=f"samples {samples} .* memory budget"):
+                SpineSpec(2 + 0j, samples)
 
     @pytest.mark.parametrize("t", [1e-200, 1e-160j, 1e-154 + 0j,
                                    np.nextafter(_MIN_SCALED_SLOPE, 0.0)])
