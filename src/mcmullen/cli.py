@@ -158,11 +158,13 @@ def _given(**kwargs):
     return {name: value for name, value in kwargs.items() if value is not None}
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write the text chunks, in order, to the file out or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="ascii")
+        with open(out, "w", encoding="ascii") as f:
+            f.writelines(chunks)
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -310,7 +312,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                  "--check vminus-sign requires real --a and --c")
         reports = [verify_vminus_sign(args.n, args.a.real, args.c.real)]
 
-    _emit(reports_to_csv(reports), args.out)
+    _emit([reports_to_csv(reports)], args.out)
     return 0 if all(r.passed for r in reports) else 3
 
 
@@ -330,21 +332,30 @@ def _cmd_centers(args: argparse.Namespace) -> int:
     for j, (w, a, k, c) in enumerate(rows):
         residual = fixed_point_residual(MapParams(n, a, c), w)[0]
         lines.append(f"{j},{k},{w.real!r},{w.imag!r},{a.real!r},{a.imag!r},{residual!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
 def _cmd_spine(args: argparse.Namespace) -> int:
     _require(args.t is not None, "--t is required")
     spec = SpineSpec(args.t, **_given(samples=args.samples))
-    theta, plus, minus = spine_points(spec)
-    lines = ["theta,branch,re,im"]
-    for th, z in zip(theta, plus):
-        lines.append(f"{float(th)!r},1,{float(z.real)!r},{float(z.imag)!r}")
-    for th, z in zip(theta, minus):
-        lines.append(f"{float(th)!r},-1,{float(z.real)!r},{float(z.imag)!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_spine_csv(*spine_points(spec)), args.out)
     return 0
+
+
+# _spine_csv formats _CSV_ROWS rows at a time, so that the CSV's text never
+# outgrows a chunk, whatever the sample count.
+_CSV_ROWS = 1024
+
+
+def _spine_csv(theta, plus, minus):
+    """The spine CSV in chunks: the header, then the rows of branch 1 and of
+    branch -1, each row theta,branch,re,im."""
+    yield "theta,branch,re,im\n"
+    for branch, curve in (("1", plus), ("-1", minus)):
+        for lo in range(0, theta.size, _CSV_ROWS):
+            rows = zip(theta[lo:lo + _CSV_ROWS].tolist(), curve[lo:lo + _CSV_ROWS].tolist())
+            yield "".join(f"{th!r},{branch},{z.real!r},{z.imag!r}\n" for th, z in rows)
 
 
 def main(argv: list[str] | None = None) -> int:

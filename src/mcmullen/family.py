@@ -278,12 +278,12 @@ def iterate_orbit(p: MapParams, z0: complex, max_iter: int, threshold: float) ->
     return OrbitResult(False, max_iter, safe_abs(z))
 
 
-def _within(z, thr):
-    """The kernel's whole escape decision: True where an orbit stays, |z| <= thr,
-    |z| as np.abs gives it. For a finite thr this is exactly the negation of
-    "z is non-finite or |z| > thr": np.abs of a non-finite z is inf or nan,
-    and a finite z whose modulus overflows reads inf; both fail <=."""
-    return np.abs(z) <= thr
+def _within(mod, thr, out=None):
+    """The kernel's whole escape decision on mod = np.abs(z): True where an orbit
+    stays, |z| <= thr. For a finite thr this is exactly the negation of "z is
+    non-finite or |z| > thr": np.abs of a non-finite z is inf or nan, and a
+    finite z whose modulus overflows reads inf; both fail <=."""
+    return np.less_equal(mod, thr, out=out)
 
 
 def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
@@ -312,14 +312,19 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
 
 
 # iterate_orbit_blocks admits the next block once its pool holds at most
-# _POOL_MIN live orbits and fewer than _OPEN_MAX blocks are open. A step costs
-# about 14 us of fixed NumPy overhead plus about 12 ns per orbit, so a pool of a
-# few thousand orbits keeps the overhead small; the cap on open blocks bounds
-# the per-block results held at once. On the 200x200, max_iter 1000 zooms of
-# the paper's n = 4, c = 6i centers, 4096 and 12 take 7,507 loop steps per four
-# zooms (46,667 one band at a time) for the same 24.4 M orbit steps.
+# _POOL_MIN live orbits and fewer than _OPEN_MAX blocks are open, and steps the
+# pool in windows of at most _WINDOW steps. A step costs about 10 us of fixed
+# NumPy overhead plus about 10 ns per orbit, so a pool of a few thousand orbits
+# keeps the overhead small; the cap on open blocks bounds the per-block results
+# held at once. A window records, retires and removes the orbits that left
+# once, not at every step, for at most _WINDOW - 1 throwaway steps per orbit
+# that left. On the four 200x200, max_iter 1000 zooms of the paper's n = 4,
+# c = 6i centers, 4096, 12 and 16 take 7,647 loop steps and 25.2 M orbit steps
+# (one-step windows: 7,507 and 24.4 M; one band at a time: 46,667 loop steps),
+# and windows of 8 or 24 steps ran slower.
 _POOL_MIN = 4096
 _OPEN_MAX = 12
+_WINDOW = 16
 
 
 def iterate_orbit_blocks(n, blocks, max_iter):
@@ -340,7 +345,7 @@ def iterate_orbit_blocks(n, blocks, max_iter):
     its first step alone (most orbits of a wide view leave there). Its survivors
     join the pool of live orbits of all open blocks. Each block counts its own
     steps from its birth, so iteration counts, pole dating, Brent reference steps
-    and the max_iter cut are each block's own. Two shortcuts never change a
+    and the max_iter cut are each block's own. Three shortcuts never change a
     result:
     - a pole is the step after z = 0: R(0) evaluates to a non-finite value (a / 0),
       so it fails the comparison, and the pre-step z = 0 dates it at m - 1;
@@ -348,7 +353,17 @@ def iterate_orbit_blocks(n, blocks, max_iter):
       is retired as bounded. The map is deterministic, so z repeats the states
       from the reference on, each of which was nonzero and passed every test.
       Signed zeros can differ between the two, but they change only the sign of
-      zero results, never a modulus, a pole or a finiteness test.
+      zero results, never a modulus, a pole or a finiteness test;
+    - the pool steps in windows of up to _WINDOW steps, each ending at the next
+      event at the latest (a block's power-of-two or max_iter-th step, where
+      references are set and blocks are cut), and records, retires and removes
+      the orbits that left only at the window's end. Every step still decides
+      every orbit and keeps masks of the comparison, of z == 0 and of
+      z == reference, so an orbit's count comes from its first failing step,
+      a pole when z == 0 the step before, for every finite threshold and
+      whatever the orbit computes after that. An orbit that left computes at
+      most _WINDOW - 1 further steps; a retired one cannot fail later, as it
+      repeats states that passed.
     """
     check_max_iter(max_iter)
     pool = _Pool(n, max_iter)
@@ -372,17 +387,17 @@ class _Pool:
     position in its block, its block's slot, z, a, c, thr and the Brent reference
     ref. Per open block, by slot: its key and iters, and the pool step before its
     first step (birth). A block is closed at the first event (a power-of-two or
-    max_iter-th step of any block) after its last orbit has left, or at once when
-    the pool is empty. An orbit's arithmetic does not depend on its position, so
-    orbits that leave are replaced by the last ones, which moves a few elements
-    per array instead of compacting every array."""
+    max_iter-th step of any block) after its last orbit has left, or at the end
+    of the window that empties the pool. An orbit's arithmetic does not depend
+    on its position, so orbits that leave are replaced by the last ones, which
+    moves a few elements per array instead of compacting every array."""
 
     _FIELDS = ("idx", "slot", "z", "a", "c", "thr", "ref")
 
     def __init__(self, n, max_iter):
         self.n, self.max_iter = n, max_iter
         self.steps = 0
-        self.next_event = 0  # the next step at which a block reaches 2**j or max_iter
+        self.next_event = math.inf  # the next step at which a block reaches 2**j or max_iter
         self.open = {}  # slot -> (key, iters) of an open block
         self.births = np.zeros(_OPEN_MAX, dtype=np.int64)
         self.idx = np.empty(0, dtype=np.intp)
@@ -410,7 +425,7 @@ class _Pool:
             z0, a, c, thr = z0[idx], a[idx], c[idx], thr[idx]
         if idx.size:
             z = _map_array(z0, self.n, a, c)
-            keep = _within(z, thr)
+            keep = _within(np.abs(z), thr)
             out = np.flatnonzero(~keep)
             if out.size:
                 iters[idx[out]] = 1 - (z0[out] == 0)
@@ -430,36 +445,56 @@ class _Pool:
 
     @np.errstate(all="ignore")
     def run(self, low):
-        """Step until a block closes or at most `low` orbits are left; returns the
-        closed blocks."""
+        """Run windows until a block closes or at most `low` orbits are left;
+        returns the closed blocks."""
         while True:
-            closed = self._step()
+            closed = self._window()
             if closed or self.size <= low:
                 return closed
 
-    def _step(self):
-        """One step of every pooled orbit; returns the blocks it closes."""
-        self.steps += 1
-        znew = _map_array(self.z, self.n, self.a, self.c)
-        keep = _within(znew, self.thr)
-        gone = not keep.all()
-        if gone:
-            out = np.flatnonzero(~keep)
-            self._record(out, self.z[out] == 0)
-        same = znew == self.ref
-        if same.any():
-            gone = True
-            keep &= ~same
-        self.z = znew
-        del znew
-        if gone:
-            self._remove(keep)
+    def _window(self):
+        """Up to _WINDOW steps of every pooled orbit, ending at the next event at
+        the latest, then one pass of bookkeeping; returns the blocks it closes.
+
+        Every step decides every orbit and keeps three masks: _within, z == 0,
+        and z == ref, the last as its two component equalities, which compare
+        about twice as fast as the complex ones and are paired once per window.
+        An orbit escapes at the first step it fails _within, a pole when its
+        state before that step is 0. It is retired if it never fails and meets
+        its reference, which is fixed for the window: from there it repeats
+        states that passed, so it cannot fail later."""
+        steps = min(_WINDOW, self.next_event - self.steps)
+        keep = np.empty((steps, self.size), dtype=bool)
+        zero = np.empty((steps + 1, self.size), dtype=bool)  # row j: z == 0 after j steps
+        same = np.empty((steps, 2 * self.size), dtype=bool)  # real and imaginary parts
+        z = self.z
+        np.equal(np.abs(z), 0.0, out=zero[0])
+        ref = self.ref.view(float)
+        for j in range(steps):
+            z = _map_array(z, self.n, self.a, self.c)
+            mod = np.abs(z)  # 0 exactly where z is 0
+            _within(mod, self.thr, out=keep[j])
+            np.equal(mod, 0.0, out=zero[j + 1])
+            np.equal(z.view(float), ref, out=same[j])
+        start = self.steps
+        self.steps += steps
+        self.z = z
+        escaped = ~keep.all(axis=0)
+        gone = escaped | (same.view(np.uint16) == 0x0101).any(axis=0)  # both parts equal
+        if gone.any():
+            out = np.flatnonzero(escaped)
+            if out.size:
+                first = keep[:, out].argmin(axis=0)
+                self._record(out, start + 1 + first - zero[first, out])
+            self._remove(~gone)
         return self._settle() if self.steps >= self.next_event or not self.size else []
 
-    def _record(self, out, pole):
-        """Iteration counts of the escaping orbits at pool positions out."""
+    def _record(self, out, at):
+        """Iteration counts of the escaping orbits at pool positions out: each
+        counts the pool steps of its block up to `at`, its escape step, or the
+        step before it for a pole."""
         slots = self.slot[out]
-        m = (self.steps + 1) - self.births[slots] - pole
+        m = at + 1 - self.births[slots]
         present = np.flatnonzero(np.bincount(slots, minlength=_OPEN_MAX))
         for s in present.tolist():
             sel = slots == s if present.size > 1 else slice(None)
@@ -482,6 +517,7 @@ class _Pool:
         left, and set the Brent references of the others at a power-of-two step.
         Returns the closed blocks in key order."""
         closed = []
+        renew = np.zeros(_OPEN_MAX, dtype=bool)  # by slot: set the reference now
         self.next_event = math.inf
         live = np.bincount(self.slot, minlength=_OPEN_MAX)
         for s in sorted(self.open, key=lambda s: self.open[s][0]):
@@ -490,14 +526,14 @@ class _Pool:
             if m == self.max_iter or live[s] == 0:
                 closed.append(s)
                 continue
-            if m & (m - 1) == 0:
-                mine = self.slot == s
-                self.ref[mine] = self.z[mine]
+            renew[s] = m & (m - 1) == 0
             event = birth + min(1 << m.bit_length(), self.max_iter) - 1
             self.next_event = min(self.next_event, event)
-        if closed:
-            keep = ~np.isin(self.slot, closed)
-            if not keep.all():
-                self._remove(keep)
+        if renew.any():
+            np.copyto(self.ref, self.z, where=renew[self.slot])
+        if closed and live[closed].any():
+            shut = np.zeros(_OPEN_MAX, dtype=bool)
+            shut[closed] = True
+            self._remove(~shut[self.slot])
         return [self.open.pop(s) for s in closed]
 

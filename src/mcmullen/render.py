@@ -50,11 +50,16 @@ _ROW_BAND = 16
 
 # Estimated peak bytes of a render: per pixel, the uint8 grid, the encoded PPM
 # and the CLI's bounded count (about 9 B measured); per point of one band, the
-# orbit kernel's blocks and pool and the shading blocks (190 to 380 B measured
-# with tracemalloc on 200 to 3200 pixel wide renders, the pool's fixed part
-# included).
+# orbit kernel's blocks and pool and the shading blocks; and the orbit pool's
+# own part, which holds up to about 4096 orbits and their window masks whatever
+# the width. With tracemalloc, render_slice plus encode_ppm peaked at 0.24 to
+# 0.59 of the estimate on 200x200 and 1600x400 deep zooms and wide views at
+# max_iter 1000 (less 6 B per pixel, 140 to 530 B per band point), and at most
+# 0.61 on deep zooms 1 to 256 pixels wide, which exceed the estimate without
+# the pool's part.
 _PIXEL_BYTES = 16
 _BAND_POINT_BYTES = 512
+_POOL_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -283,7 +288,8 @@ def _band_points(vp: Viewport, row0: int) -> np.ndarray:
 
 def render_bytes(vp: Viewport) -> int:
     """Estimated peak bytes of rendering, encoding and counting vp's pixels."""
-    return vp.width * (vp.height * _PIXEL_BYTES + min(vp.height, _ROW_BAND) * _BAND_POINT_BYTES)
+    return (vp.width * (vp.height * _PIXEL_BYTES + min(vp.height, _ROW_BAND) * _BAND_POINT_BYTES)
+            + _POOL_BYTES)
 
 
 def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Image:

@@ -22,10 +22,11 @@ _PASS = 2**15
 # Relative rounding slack of spine_within's clearing bound: far above the few ulps
 # by which sampling, evaluating v(q) and the distance formula can each err.
 _SLACK = 2.0**-30
-# Estimated peak bytes per sample of the largest use of a SpineSpec, the `spine`
-# command's CSV (two text lines per sample); tracemalloc measured 450 to 550 B at
-# 4096 to 262144 samples and four slopes (spine_points alone 88 B, spine_within 153 B).
-_SAMPLE_BYTES = 640
+# Estimated peak bytes per sample of the largest use of a SpineSpec,
+# spine_within; tracemalloc measured 153 to 169 B at 4096 to 262144 samples and
+# three slopes. The `spine` command, which writes its CSV in chunks of rows,
+# measured 88 to 107 B (spine_points alone 88 B).
+_SAMPLE_BYTES = 192
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mcmullen import spine
+from mcmullen import cli, spine
 from mcmullen.cli import main
 from mcmullen.family import MapParams, escape_radius, iterate_orbit
 from mcmullen.render import FixedC, RenderConfig, Viewport, encode_ppm, render_slice
@@ -514,6 +514,23 @@ class TestSpineCommand:
         finally:
             tracemalloc.stop()
         assert peak <= samples * spine._SAMPLE_BYTES
+
+    def test_chunked_csv_equals_one_join(self, capsys, tmp_path):
+        # 2500 samples: each branch spans three chunks of rows; stdout and the
+        # file both equal every row formatted and joined at once
+        samples = 2500
+        assert samples > 2 * cli._CSV_ROWS
+        theta, plus, minus = spine_points(SpineSpec(2 + 0j, samples))
+        lines = ["theta,branch,re,im"]
+        for branch, curve in (("1", plus), ("-1", minus)):
+            lines += [f"{float(th)!r},{branch},{float(z.real)!r},{float(z.imag)!r}"
+                      for th, z in zip(theta, curve)]
+        want = "\n".join(lines) + "\n"
+        code, out, _ = run(capsys, "spine", "--t", "2", "--samples", str(samples))
+        assert code == 0 and out == want
+        path = tmp_path / "s.csv"
+        assert main(["spine", "--t", "2", "--samples", str(samples), "--out", str(path)]) == 0
+        assert path.read_text(encoding="ascii") == want
 
     def test_samples_above_the_memory_budget_exit_2(self, capsys):
         # refused before the lattice or its CSV lines are allocated

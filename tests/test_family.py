@@ -546,7 +546,7 @@ class TestBulkKernelOracle:
         thr_arr = np.full(z.size, thr)
         with np.errstate(all="ignore"):
             escapes = ~np.isfinite(z) | (np.abs(z) > thr_arr)
-            np.testing.assert_array_equal(~_within(z, thr_arr), escapes)
+            np.testing.assert_array_equal(~_within(np.abs(z), thr_arr), escapes)
         assert escapes.any()
 
     @pytest.mark.parametrize("thr", FINITE_THRESHOLDS)
@@ -632,6 +632,75 @@ def edge_rows():
 EDGE_ROWS = edge_rows()
 
 
+def leave_steps(n, a, c, z0, thr, max_iter):
+    """How and at which step each orbit leaves under the one-step schedule, as
+    (kind, step): "escape" at the step whose value fails |z| <= thr, "pole" at
+    the step after a z == 0 (the count is one less), "retire" at the step whose
+    value equals the Brent reference (z at the last power-of-two step before
+    it), and "bounded" at max_iter. reference_orbits_bulk gives only counts;
+    the rows of window_edge_rows are picked by kind."""
+    kind = np.full(z0.size, "bounded", dtype=object)
+    step = np.full(z0.size, max_iter)
+    z = z0.astype(complex)
+    live = np.isfinite(z)
+    kind[~live], step[~live] = "escape", 0
+    ref = None
+    with np.errstate(all="ignore"):
+        for m in range(1, max_iter + 1):
+            pole = live & (z == 0)
+            zn = pow_int(z, n)
+            z = zn + a / zn + c
+            out = live & ~(np.abs(z) <= thr)
+            kind[out], step[out] = np.where(pole[out], "pole", "escape"), m
+            live &= ~out
+            if ref is not None:
+                same = live & (z == ref)
+                kind[same], step[same] = "retire", m
+                live &= ~same
+            if m & (m - 1) == 0:
+                ref = z.copy()
+    return kind, step
+
+
+def window_edge_rows(max_step):
+    """Rows (a, c, z0, thr), n = 4, one for each kind and leaving step: an escape
+    at every step 1..max_step, a pole at every step 1..max_step (a z == 0 at
+    every step 0..max_step - 1) and a retirement at every step 2..max_step.
+    With a = 1e-300 the map is z**4 + c in binary64 wherever |z| is not tiny:
+    - from z0 = 2, 1 and 0 an orbit of z**4 - 1 escapes at 1, meets 0 at 1 and
+      starts at 0; from z0 in (0, 1) it falls into the superattracting cycle
+      0, -1 and meets 0 exactly, the later the nearer z0 is to 1 or to the
+      repelling fixed point 1.2207..., above which it escapes, the later the
+      nearer;
+    - critical orbits z0 = c escape slowly just outside the cusp of the main
+      cardioid at c = 0.75 / 4**(1/3), and are retired by Brent inside it
+      (period 1) and in the period windows of -1.45 < c < -0.9, at every
+      period and entry step the test needs.
+    The rows of z**4 - 1 come again with threshold 0.9, below the escape
+    radius: there an orbit that failed can come back within the threshold and
+    meet 0 later in the window, which must not move its count."""
+    fixed = 1.2207440846057596
+    d = np.logspace(-1, -15, 3000)
+    cusp = 0.75 / 4 ** (1 / 3)
+    minus_one = np.concatenate([[2.0, 1.0, 0.0], 1 - d, d[::-1] * 0.5, fixed - d, fixed + d])
+    real_c = np.concatenate([cusp + np.logspace(-1, -8, 2000), np.linspace(0.0, cusp, 3000),
+                             np.linspace(-1.45, -0.9, 60000)])
+    c = np.concatenate([np.full(minus_one.size, -1.0), real_c]).astype(complex)
+    z0 = np.concatenate([minus_one, real_c]).astype(complex)
+    a, thr = np.full(c.size, 1e-300 + 0j), np.full(c.size, 4.0)
+    kind, step = leave_steps(4, a, c, z0, thr, max_step)
+    pick = []
+    for k, lo in (("escape", 1), ("pole", 1), ("retire", 2)):
+        for m in range(lo, max_step + 1):
+            hit = np.flatnonzero((kind == k) & (step == m))
+            assert hit.size, (k, m)
+            pick.append(hit[0])
+    low = [i for i in pick if c[i] == -1]
+    thr = np.concatenate([thr[pick], np.full(len(low), 0.9)])
+    pick += low
+    return a[pick], c[pick], z0[pick], thr
+
+
 class TestPooledKernel:
     """iterate_orbit_blocks: blocks sharing one working set get exactly the results
     each block gets alone, from the gather/scatter oracle and iterate_orbits_bulk."""
@@ -650,6 +719,40 @@ class TestPooledKernel:
             want = reference_orbits_bulk(4, a, c, z0, max_iter, thr)
             np.testing.assert_array_equal(got[k][0], want[0])
             np.testing.assert_array_equal(got[k][1], want[1])
+
+    @pytest.mark.parametrize("window", [3, family._WINDOW])
+    def test_window_edges_match_the_oracle(self, monkeypatch, window):
+        # Orbits escape, meet z == 0 and are retired at every step up to 2W + 1,
+        # so at every offset of every window of a block alone: a z == 0 at a
+        # window's last step is the next window's start state, whose pole is
+        # dated across the boundary, and one at any other step lies mid-window.
+        # Shuffled into 20 blocks of uneven sizes, more than _OPEN_MAX, later
+        # blocks join while others are mid-schedule. At max_iter W - 1, W,
+        # W + 1 and 2W + 1, every count, block by block alone and pooled,
+        # equals the oracle's.
+        monkeypatch.setattr(family, "_WINDOW", window)
+        rows = window_edge_rows(2 * window + 1)
+        rng = np.random.default_rng(window)
+        order = rng.permutation(rows[0].size)
+        cuts = np.sort(rng.choice(np.arange(1, order.size), 19, replace=False))
+        blocks = [tuple(col[ix] for col in rows) for ix in np.split(order, cuts)]
+        births = []
+        admit = family._Pool.admit
+
+        def spy(pool, k, block):
+            births.append(pool.steps)
+            return admit(pool, k, block)
+
+        monkeypatch.setattr(family._Pool, "admit", spy)
+        for max_iter in (window - 1, window, window + 1, 2 * window + 1):
+            births.clear()
+            got = pooled_orbits(4, blocks, max_iter)
+            assert len(set(births)) > 1  # not all blocks join at once
+            for k, (a, c, z0, thr) in enumerate(blocks):
+                want = reference_orbits_bulk(4, a, c, z0, max_iter, thr)
+                for esc, iters in (got[k], iterate_orbits_bulk(4, a, c, z0, max_iter, thr)):
+                    np.testing.assert_array_equal(esc, want[0])
+                    np.testing.assert_array_equal(iters, want[1])
 
     @pytest.mark.parametrize("max_iter", [127, 128])
     def test_escape_at_step_128(self, max_iter):
@@ -744,12 +847,15 @@ class TestPooledKernel:
 
     def test_no_step_after_the_last_orbit_leaves(self, monkeypatch):
         # z0 = 1, a = -1, c = 1.2: z1 = 1.2, |z2| = 2.79 and |z3| = 60.6 > 4, so
-        # the orbit escapes at step 3 and the kernel takes exactly three steps
+        # the orbit escapes at step 3. Step 1 is the admission, step 2 a window
+        # of its own (the event at step 2), and steps 3 and 4 one window up to
+        # the event at step 4: the kernel computes exactly four steps, the last
+        # after the escape, and stops there, long before max_iter.
         computed = []
         monkeypatch.setattr(family, "pow_int", lambda z, n: computed.append(z.size) or pow_int(z, n))
         esc, iters = iterate_orbits_bulk(4, -1 + 0j, 1.2 + 0j, 1 + 0j, 1000, 4.0)
         assert (bool(esc), int(iters)) == (True, 3)
-        assert computed == [1, 1, 1]
+        assert computed == [1, 1, 1, 1]
 
     def test_a_block_closes_once_its_orbits_have_left(self):
         # One orbit of a zoom that stays bounded and is not retired in 300 steps,

@@ -1,8 +1,10 @@
 """Escape-time rendering: viewport math, pixel classification, deterministic images."""
 import contextlib
+import hashlib
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +412,43 @@ class TestPooledRender:
         img = render_slice(0, Dynamical(p), vp, cfg)
         np.testing.assert_array_equal(img.pixels, band_by_band(0, Dynamical(p), vp, cfg)[0])
 
+    def test_golden_bytes(self):
+        # sha256 of encode_ppm, taken before the orbit pool stepped in windows:
+        # a 64x64, max_iter 1000 zoom around the first center of n = 4, c = 6i,
+        # and the README's dynamical plane at 64x64. The kernel's schedule may
+        # change; these bytes may not.
+        a0 = fixed_critical_params(4, 6j)[0].a_j
+        renders = {
+            "4269ded86355f32c67448add6405a7529149bc0eecc6c0daea1e3d68df214287": render_slice(
+                4, FixedC(6j), Viewport(*square(a0, 0.1), 64, 64), RenderConfig(max_iter=1000)),
+            "aec546ece5fd828e9bc884b109da2e1178e42bd3ce1b3daff6b853729a3b7cbe": render_slice(
+                4, Dynamical(MapParams(4, README_A, 6j)), Viewport(-2.0, 2.0, -2.0, 2.0, 64, 64),
+                RenderConfig()),
+        }
+        for digest, img in renders.items():
+            assert hashlib.sha256(encode_ppm(img)).hexdigest() == digest
+
+    @pytest.mark.parametrize("bounds, size", [
+        (square(README_A, 0.1), (200, 200)),
+        (square(README_A, 0.1), (1600, 400)),
+        (square(README_A, 0.1), (20, 1000)),
+        ((-5.0, 5.0, -5.0, 5.0), (200, 200)),
+        ((-5.0, 5.0, -5.0, 5.0), (1600, 400)),
+    ])
+    def test_peak_within_render_bytes(self, bounds, size):
+        # deep zooms (the pool full, bounded orbits to max_iter), a narrow one
+        # (the pool's part, not the band's, dominates) and wide views (most
+        # orbits leave at their first step): render_slice plus encode_ppm stays
+        # within the estimate
+        vp = Viewport(*bounds, *size)
+        tracemalloc.start()
+        try:
+            encode_ppm(render_slice(4, FixedC(6j), vp, RenderConfig(max_iter=1000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= render_bytes(vp)
+
     @pytest.mark.parametrize("max_iter", [1, 255, 511, 1000])
     def test_palette_is_color_block(self, max_iter):
         cfg = RenderConfig(max_iter=max_iter)
@@ -431,16 +470,27 @@ class TestPooledRender:
                                           np.floor(sum(pix) / k + 0.5))
 
     def test_loop_steps_pooled_for_the_same_arithmetic(self, monkeypatch):
-        # One 200x200, max_iter 1000 zoom around a fixed-critical center: pooling
-        # computes exactly the orbit steps of the band-by-band kernel calls, in far
-        # fewer loop steps. Measured: 2,065 loop steps (band by band: 13,013);
-        # the bound is that plus 10%.
+        # One 200x200, max_iter 1000 zoom around a fixed-critical center, pooled
+        # and in band-by-band kernel calls. With one-step windows both compute
+        # exactly the steps each orbit takes until it leaves, E. With windows of
+        # W steps an orbit that leaves inside a window computes at most W - 1
+        # steps more, up to the window's end, and only orbits that reach the
+        # pool can leave inside one; so each schedule computes from E to
+        # E + (W - 1) * P orbit steps, P the orbits that reach the pool. With no
+        # first iterate at 0 (a pole dated 1), those are the orbits with counts
+        # of 2 or more (here every lower-sign one, 40,000). Measured: 7,289,627
+        # (E), 7,522,149 pooled and 7,583,976 band by band at W = 16, against a
+        # bound of E + 600,000; 2,099 loop steps pooled (band by band: 13,013);
+        # the loop bound is the one-step schedule's 2,065 plus 10%.
         vp = Viewport(*square(README_A, 0.1), 200, 200)
         cfg = RenderConfig(max_iter=1000)
         calls = []
         for r0 in range(0, 200, 16):
             pts = np.concatenate([vp.row_points(r) for r in range(r0, min(r0 + 16, 200))])
             calls += critical_orbit_args(4, pts, np.full(pts.size, 6j), 1000)
+        for n, a, c, z0, _, _ in calls:
+            zn = pow_int(z0, n)
+            assert (zn + a / zn + c != 0).all()
         counts = [0, 0]
 
         def counting(z, n):
@@ -448,11 +498,22 @@ class TestPooledRender:
             counts[1] += np.size(z)
             return pow_int(z, n)
 
+        def run(window):
+            monkeypatch.setattr(family, "_WINDOW", window)
+            counts[:] = [0, 0]
+            render_slice(4, FixedC(6j), vp, cfg)
+            pooled = counts.copy()
+            counts[:] = [0, 0]
+            reach = sum(int(np.count_nonzero(iterate_orbits_bulk(*args)[1] >= 2))
+                        for args in calls)
+            return pooled, counts.copy(), reach
+
         monkeypatch.setattr(family, "pow_int", counting)
-        render_slice(4, FixedC(6j), vp, cfg)
-        pooled = counts.copy()
-        counts[:] = [0, 0]
-        for args in calls:
-            iterate_orbits_bulk(*args)
-        assert pooled[1] == counts[1]
-        assert pooled[0] <= 2272 < counts[0]
+        window = family._WINDOW
+        one_pooled, one_banded, reach = run(1)
+        exact = one_pooled[1]
+        assert one_banded[1] == exact and reach == 200 * 200
+        pooled, banded, _ = run(window)
+        for steps in (pooled[1], banded[1]):
+            assert exact <= steps <= exact + (window - 1) * reach
+        assert pooled[0] <= 2272 < banded[0]
