@@ -9,6 +9,7 @@ is a `;`-separated key=value string so CSV rows need no quoting.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -43,13 +44,39 @@ from .spine import SpineSpec, spine_radii, spine_within
 BOUNDARY_INSET = 1e-6
 BOUNDARY_DILATION = 1e-6
 
-# Estimated peak bytes per sample point of a check: the points, their images and
-# the float temporaries, or the orbit kernel's arrays (at most about 200 B measured).
+# Estimated peak bytes per sample point of the orbit checks (annulus, spine-locus):
+# the orbit kernel's arrays (at most about 200 B measured).
 _SAMPLE_BYTES = 512
+
+# The sampled geometry checks (image-ellipse, containment, winding) evaluate their
+# samples _CHUNK at a time, so their temporaries stay in a core's cache and no
+# complex temporary reaches NumPy's 256 KiB elision threshold (an elided product is
+# evaluated in place with its operands swapped, which changes its bits). Their
+# estimate is a fixed _CHUNK_BYTES for one chunk's temporaries (at most 1.25 MB
+# measured, in winding) plus the bytes per sample of what they keep at full length:
+# image-ellipse its four boundary pieces (22 B per point measured), containment its
+# four boundary pieces (11 B per sample), winding its walk, v - xi and the winding
+# sum's float passes (73 B per sample).
+_CHUNK = 8192
+_CHUNK_BYTES = _CHUNK * 256
+_IMAGE_ELLIPSE_BYTES = 32
+_CONTAINMENT_BYTES = 16
+_WINDING_BYTES = 96
 
 
 def _check_points(points: int, what: str) -> None:
     check_memory_budget(points * _SAMPLE_BYTES, what)
+
+
+def _check_chunked(points: int, point_bytes: int, what: str) -> None:
+    check_memory_budget(_CHUNK_BYTES + points * point_bytes, what)
+
+
+def _chunks(*pieces: np.ndarray):
+    """Consecutive slices of at most _CHUNK samples, piece after piece."""
+    for piece in pieces:
+        for i in range(0, piece.size, _CHUNK):
+            yield piece[i:i + _CHUNK]
 
 
 @dataclass(frozen=True)
@@ -116,10 +143,10 @@ def _uprime_boundary_pieces(
     da = rect.arg_halfwidth * inset
     lo = rect.arg_center - rect.arg_halfwidth + da
     hi = rect.arg_center + rect.arg_halfwidth - da
-    theta = np.linspace(lo, hi, per_piece)
+    arc = np.exp(1j * np.linspace(lo, hi, per_piece))
     rr = np.linspace(r1 + dr, r2 - dr, per_piece)
-    outer = (r2 - dr) * np.exp(1j * theta)
-    inner = (r1 + dr) * np.exp(1j * theta)
+    outer = (r2 - dr) * arc
+    inner = (r1 + dr) * arc
     ray_hi = rr * np.exp(1j * hi)
     ray_lo = rr * np.exp(1j * lo)
     return outer, inner, ray_hi, ray_lo
@@ -132,29 +159,36 @@ def verify_image_ellipse(p: MapParams, k: int, samples: int = 1000) -> Verificat
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
-    _check_points(4 * samples, f"image-ellipse with {samples} samples per piece")
+    _check_chunked(4 * samples, _IMAGE_ELLIPSE_BYTES,
+                   f"image-ellipse with {samples} samples per piece")
     spec = ellipse_spec(p, 0)
     semi_major, semi_minor = spec.semi_major, spec.semi_minor
-    pts = np.concatenate(_uprime_boundary_pieces(p, k, samples, inset=0.0))
-    x, y, q, _ = ellipse_frame(
-        _map_array(pts, p.n, p.a, p.c), spec.center, spec.rotation, semi_major, semi_minor
-    )
-    m = 2 * samples  # the outer and inner arcs come first, then the two rays
+    outer, inner, ray_hi, ray_lo = _uprime_boundary_pieces(p, k, samples, inset=0.0)
+
     tol = 1e-8
-    devs = np.concatenate([
-        np.abs(q[:m] - 1.0),
-        np.maximum(np.abs(x[m:]) / semi_major,
-                   np.maximum(0.0, np.abs(y[m:]) - semi_minor) / semi_minor),
-    ])
-    failures = int(np.count_nonzero(devs > tol))
+    tested, failures, worst = 0, 0, []
+    # The outer and inner arcs map onto the ellipse, the two rays onto its minor axis.
+    for on_arc, pieces in ((True, (outer, inner)), (False, (ray_hi, ray_lo))):
+        for z in _chunks(*pieces):
+            x, y, q, _ = ellipse_frame(
+                _map_array(z, p.n, p.a, p.c), spec.center, spec.rotation, semi_major, semi_minor
+            )
+            if on_arc:
+                devs = np.abs(q - 1.0)
+            else:
+                devs = np.maximum(np.abs(x) / semi_major,
+                                  np.maximum(0.0, np.abs(y) - semi_minor) / semi_minor)
+            tested += devs.size
+            failures += int(np.count_nonzero(devs > tol))
+            worst.append(devs.max())
     return VerificationReport(
         check_name="image-ellipse",
         params=_fmt_params(
             n=p.n, a=p.a, c=p.c, k=k, semi_major=semi_major, semi_minor=semi_minor, tol=tol
         ),
-        samples=int(devs.size),
+        samples=tested,
         failures=failures,
-        worst_margin=float(devs.max()),
+        worst_margin=float(np.max(worst)),
     )
 
 
@@ -169,31 +203,35 @@ def verify_containment(p: MapParams, k: int, samples: int = 2000) -> Verificatio
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
-    _check_points(2 * samples, f"containment with {samples} samples")
+    _check_chunked(samples, _CONTAINMENT_BYTES, f"containment with {samples} samples")
     rect = u_prime_rect(p, k)
     half_sign = 1 if k % 2 == 0 else -1
     spec = ellipse_spec(p, half_sign)
 
     per = max(4, samples // 8)
     pieces = _uprime_boundary_pieces(p, k, per, inset=BOUNDARY_INSET)
-    boundary = np.concatenate(pieces)
 
-    g = max(2, int(math.sqrt(max(samples - boundary.size, 4))))
+    g = max(2, int(math.sqrt(max(samples - 4 * per, 4))))
     r_lattice = np.linspace(rect.r_inner, rect.r_outer, g + 2)[1:-1]
     t_lattice = np.linspace(
         rect.arg_center - rect.arg_halfwidth, rect.arg_center + rect.arg_halfwidth, g + 2
     )[1:-1]
-    interior = (r_lattice[:, None] * np.exp(1j * t_lattice)[None, :]).ravel()
+    arc = np.exp(1j * t_lattice)
+    rows = max(1, _CHUNK // g)
+    interior = ((r_lattice[i:i + rows, None] * arc[None, :]).ravel() for i in range(0, g, rows))
 
-    pts = np.concatenate([boundary, interior])
-    inside, margins = half_ellipse_membership(spec, _map_array(pts, p.n, p.a, p.c))
-    failures = int(np.count_nonzero(~inside))
+    tested, failures, worst = 0, 0, []
+    for z in itertools.chain(_chunks(*pieces), interior):
+        inside, margins = half_ellipse_membership(spec, _map_array(z, p.n, p.a, p.c))
+        tested += z.size
+        failures += int(np.count_nonzero(~inside))
+        worst.append(margins.min())
     return VerificationReport(
         check_name="containment",
         params=_fmt_params(n=p.n, a=p.a, c=p.c, k=k, half=half_sign, inset=BOUNDARY_INSET),
-        samples=int(pts.size),
+        samples=tested,
         failures=failures,
-        worst_margin=float(margins.min()),
+        worst_margin=float(np.min(worst)),
     )
 
 
@@ -234,7 +272,8 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
     """
     if boundary_samples < 256:
         raise ValueError(f"boundary_samples must be >= 256, got {boundary_samples}")
-    _check_points(boundary_samples, f"winding with {boundary_samples} boundary samples")
+    _check_chunked(boundary_samples, _WINDING_BYTES,
+                   f"winding with {boundary_samples} boundary samples")
     n, c, wj = w.n, w.c, w.w_j
     rect = v_rect(w)
     r_in, r_out, th_c, hw = rect.r_inner, rect.r_outer, rect.arg_center, rect.arg_halfwidth
@@ -253,31 +292,38 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
         ]
     )
 
-    half = (v - c) / 2.0
-    # The ellipse at each sample's parameter a(v) = ((v - c)/2)**2; for n >= 1024
-    # its semi-axes overflow, which refuses the check before the walk.
-    semi_major, semi_minor = ellipse_semi_axes(n, np.abs(half) ** 2)
+    # v - xi over the whole walk, for one winding sum; everything else per chunk.
+    deltas = np.empty_like(v)
     wjn = (wj - c) / 2.0
-    xi = np.abs(half) ** (1.0 / n) * np.exp(1j * (th_c + np.angle(half / wjn) / n))
-    turns, max_step = _checked_winding(v - xi)
+    failures, worst = 0, []
+    for i in range(0, v.size, _CHUNK):
+        vc = v[i:i + _CHUNK]
+        half = (vc - c) / 2.0
+        abs_half = np.abs(half)
+        # The ellipse at each sample's parameter a(v) = ((v - c)/2)**2; for n >= 1024
+        # its semi-axes overflow, which refuses the check at the first chunk.
+        semi_major, semi_minor = ellipse_semi_axes(n, abs_half ** 2)
+        xi = abs_half ** (1.0 / n) * np.exp(1j * (th_c + np.angle(half / wjn) / n))
+        np.subtract(vc, xi, out=deltas[i:i + _CHUNK])
+
+        # Membership of v in (half-ellipse including minor axis) minus the open critical
+        # rectangle, at the pulled-back parameter a(v) of each sample.
+        a_vals = half * half
+        psi = np.angle(np.where(a_vals.imag == 0.0, a_vals.real + 0.0j, a_vals))
+        x, _, q, ell_margin = ellipse_frame(vc, c, psi / 2.0, semi_major, semi_minor)
+
+        r1 = abs_half ** (2.0 / n) / 2.0
+        rv = np.abs(vc)
+        # conj(xi) first: the operand order of a complex product changes its bits.
+        d_ang = np.abs(np.angle(np.conj(xi) * vc))
+        depth = np.minimum(np.minimum(rv - r1, r_out - rv), (hw - d_ang) * rv)
+
+        bad = (semi_minor <= 0.0) | ~np.isfinite(q)
+        failures += int(np.count_nonzero(bad | (q >= 1.0) | (depth > 1e-9)))
+        margins = np.minimum(np.minimum(ell_margin, -depth), np.abs(x))  # |x|: minor-axis distance
+        worst.append(np.where(bad, -1.0, margins).min())
+    turns, max_step = _checked_winding(deltas)
     winding = round(turns)
-
-    # Membership of v in (half-ellipse including minor axis) minus the open critical
-    # rectangle, at the pulled-back parameter a(v) of each sample.
-    a_vals = half * half
-    psi = np.angle(np.where(a_vals.imag == 0.0, a_vals.real + 0.0j, a_vals))
-    x, _, q, ell_margin = ellipse_frame(v, c, psi / 2.0, semi_major, semi_minor)
-
-    r1 = np.abs(half) ** (2.0 / n) / 2.0
-    rv = np.abs(v)
-    d_ang = np.abs(np.angle(v * np.conj(xi)))
-    depth = np.minimum(np.minimum(rv - r1, r_out - rv), (hw - d_ang) * rv)
-
-    bad = (semi_minor <= 0.0) | ~np.isfinite(q)
-    sample_fail = bad | (q >= 1.0) | (depth > 1e-9)
-    margins = np.minimum(np.minimum(ell_margin, -depth), np.abs(x))  # |x|: minor-axis distance
-    margins = np.where(bad, -1.0, margins)
-    failures = int(np.count_nonzero(sample_fail))
     if winding != 1:
         failures += 1
     if abs(turns - winding) >= 0.01:
@@ -290,7 +336,7 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
         ),
         samples=int(v.size),
         failures=failures,
-        worst_margin=float(margins.min()),
+        worst_margin=float(np.min(worst)),
     )
 
 

@@ -228,6 +228,21 @@ class TestVerifyCommand:
         assert len(lines) == 5
         assert all("winding=1" in line for line in lines[1:])
 
+    @pytest.mark.parametrize("check, samples, rc, digest", [
+        ("containment", "200000", 0,
+         "b178e9e86b8d53d486f8e6d4cefcb547ab0a14437c279e159f6df2af039c57db"),
+        ("winding", "65536", 3,
+         "186d7e65d4de2ed1c558835f02e98a3fa2b03e3dd7dacd70bc529aede5833c1b"),
+    ])
+    def test_golden_csv(self, capsys, check, samples, rc, digest):
+        # sha256 of the CSV, taken before the checks ran in chunks: the
+        # benchmark's own containment and winding ops. The chunking may change;
+        # these bytes may not.
+        code, out, _ = run(capsys, "verify", "--check", check, "--n", "8", "--c", "6",
+                           "--samples", samples)
+        assert code == rc
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_annulus(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--check", "annulus", "--n", "5", "--a", "2,0",

@@ -1,6 +1,7 @@
 """Sampling-based certification checks and their report plumbing."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from mcmullen.verify import (
     winding_turns,
 )
 from mcmullen.errors import MEMORY_BUDGET_BYTES
-from mcmullen.verify import _SAMPLE_BYTES, _checked_winding
+from mcmullen.verify import (
+    _CHUNK_BYTES,
+    _CONTAINMENT_BYTES,
+    _IMAGE_ELLIPSE_BYTES,
+    _SAMPLE_BYTES,
+    _WINDING_BYTES,
+    _checked_winding,
+)
 
 
 class TestMemoryBudget:
@@ -44,6 +52,81 @@ class TestMemoryBudget:
         # spine-locus and annulus grids, winding and containment sample counts
         for points in (300**2, 128**2, 65536, 2 * 200_000):
             assert points * _SAMPLE_BYTES < MEMORY_BUDGET_BYTES
+        # what the chunked winding and containment checks are charged
+        for samples, point_bytes in ((65536, _WINDING_BYTES), (200_000, _CONTAINMENT_BYTES)):
+            assert _CHUNK_BYTES + samples * point_bytes < MEMORY_BUDGET_BYTES
+
+    @pytest.mark.parametrize("check, samples, point_bytes", [
+        ("containment", 200_000, _CONTAINMENT_BYTES),
+        ("containment", 800_000, _CONTAINMENT_BYTES),
+        ("winding", 65_536, _WINDING_BYTES),
+        ("winding", 262_144, _WINDING_BYTES),
+        ("image-ellipse", 50_000, 4 * _IMAGE_ELLIPSE_BYTES),  # four points per sample
+    ])
+    def test_peak_within_estimate(self, check, samples, point_bytes):
+        # the chunked checks' traced peak stays within what the budget charges:
+        # one chunk's temporaries plus the per-sample arrays kept at full length
+        spec = fixed_critical_params(8, 6 + 0j)[0]
+        p = MapParams(8, spec.a_j, 6 + 0j)
+        call = {
+            "containment": lambda: verify_containment(p, spec.k, samples),
+            "winding": lambda: verify_winding(spec, samples),
+            "image-ellipse": lambda: verify_image_ellipse(p, spec.k, samples),
+        }[check]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _CHUNK_BYTES + samples * point_bytes
+
+
+class TestChunks:
+    """image-ellipse, containment and winding evaluate their samples
+    verify._CHUNK at a time; no report may depend on the chunk size."""
+
+    @pytest.mark.parametrize("chunks, sizes", [
+        ((1, 1000, 8192, 10**6), (1001, 5003, 4100)),
+        # single chunks of 20,000 samples or more hold complex temporaries above
+        # NumPy's 256 KiB elision threshold
+        ((1000, 8192, 10**6), (20_001, 70_001, 20_004)),
+    ])
+    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, chunks, sizes):
+        spec = fixed_critical_params(8, 6 + 0j)[0]
+        p = MapParams(8, spec.a_j, 6 + 0j)
+        ellipse, containment, winding = sizes
+        true_spec = verify.ellipse_spec
+
+        def shrunk(p, half_sign=0):
+            # a 0.1% smaller ellipse, so that failures fall in many chunks
+            s = true_spec(p, half_sign)
+            return dataclasses.replace(s, semi_major=s.semi_major * 0.999,
+                                       semi_minor=s.semi_minor * 0.999)
+
+        texts = set()
+        for chunk in chunks:
+            monkeypatch.setattr(verify, "_CHUNK", chunk)
+            reports = [verify_winding(spec, winding)]
+            for ellipse_spec_ in (true_spec, shrunk):
+                monkeypatch.setattr(verify, "ellipse_spec", ellipse_spec_)
+                reports += [verify_image_ellipse(p, spec.k, ellipse),
+                            verify_containment(p, spec.k, containment)]
+            texts.add(reports_to_csv(reports))
+        assert len(texts) == 1
+        failures = [int(row.split(",")[3]) for row in texts.pop().splitlines()[1:]]
+        assert failures[0] > 0 and failures[3] > 0 and failures[4] > 0
+
+    def test_winding_product_order(self, monkeypatch):
+        # at 16,384 samples one chunk of 10**6 holds 256 KiB complex temporaries,
+        # which NumPy evaluates in place; a complex product whose operands that
+        # swaps would change the worst margin against chunks of 1,000
+        spec = fixed_critical_params(8, 6 + 0j)[0]
+        reports = []
+        for chunk in (1000, 10**6):
+            monkeypatch.setattr(verify, "_CHUNK", chunk)
+            reports.append(verify_winding(spec, 16_384))
+        assert reports[0] == reports[1]
 
 
 class TestOverflowingN:
