@@ -198,7 +198,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
     data = encode_ppm(img)
     Path(args.out).write_bytes(data)
     elapsed = time.perf_counter() - t0
-    bounded = int(np.count_nonzero((img.pixels == cfg.bounded_color).all(axis=-1)))
+    # one channel at a time, combined in place: no (height, width, 3) mask
+    is_bounded = img.pixels[..., 0] == cfg.bounded_color[0]
+    for ch in (1, 2):
+        is_bounded &= img.pixels[..., ch] == cfg.bounded_color[ch]
+    bounded = int(np.count_nonzero(is_bounded))
     print(f"pixels={width * height} bounded={bounded} elapsed={elapsed:.3f}s")
     return 0
 

@@ -415,21 +415,18 @@ class _Pool:
         blocks done: [(k, iters)] if none survive or max_iter is 1, else []."""
         a, c, z0, thr = block
         _check_thresholds(thr)
-        finite = np.isfinite(z0)
-        iters = np.full(z0.size, -1, dtype=np.int32)  # -1 until the orbit escapes
-        iters[~finite] = 0
-        if finite.all():
-            idx = np.arange(z0.size)
-        else:
-            idx = np.flatnonzero(finite)
-            z0, a, c, thr = z0[idx], a[idx], c[idx], thr[idx]
-        if idx.size:
-            z = _map_array(z0, self.n, a, c)
-            keep = _within(np.abs(z), thr)
-            out = np.flatnonzero(~keep)
-            if out.size:
-                iters[idx[out]] = 1 - (z0[out] == 0)
-                idx, z, a, c, thr = idx[keep], z[keep], a[keep], c[keep], thr[keep]
+        # a non-finite start maps to a non-finite z (each product with a nan or
+        # inf factor has a non-finite real part), which fails _within
+        z = _map_array(z0, self.n, a, c)
+        keep = _within(np.abs(z), thr)
+        # -1 until the orbit escapes; an escape at step 1 is dated 1, a pole
+        # (z0 = 0) and a non-finite start 0
+        iters = np.full(z0.size, -1, dtype=np.int32)
+        np.copyto(iters, z0 != 0, where=~keep)
+        iters[~np.isfinite(z0)] = 0
+        idx = np.flatnonzero(keep)
+        if idx.size < z0.size:
+            z, a, c, thr = z[idx], a[idx], c[idx], thr[idx]
         if idx.size == 0 or self.max_iter == 1:
             return [(k, iters)]
         s = min(set(range(_OPEN_MAX)) - self.open.keys())

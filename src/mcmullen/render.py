@@ -49,14 +49,15 @@ RGB8 = tuple[int, int, int]
 _ROW_BAND = 16
 
 # Estimated peak bytes of a render: per pixel, the uint8 grid, the encoded PPM
-# and the CLI's bounded count (about 9 B measured); per point of one band, the
-# orbit kernel's blocks and pool and the shading blocks; and the orbit pool's
-# own part, which holds up to about 4096 orbits and their window masks whatever
-# the width. With tracemalloc, render_slice plus encode_ppm peaked at 0.24 to
-# 0.59 of the estimate on 200x200 and 1600x400 deep zooms and wide views at
-# max_iter 1000 (less 6 B per pixel, 140 to 530 B per band point), and at most
-# 0.61 on deep zooms 1 to 256 pixels wide, which exceed the estimate without
-# the pool's part.
+# and the CLI's bounded count (the render command's traced peak grows by about
+# 7.6 B per pixel, measured from 800x400 to 800x1600 wide views); per point of
+# one band, the orbit kernel's blocks and pool and the shading blocks; and the
+# orbit pool's own part, which holds up to about 4096 orbits and their window
+# masks whatever the width. With tracemalloc, render_slice plus encode_ppm
+# peaked at 0.24 to 0.59 of the estimate on 200x200 and 1600x400 deep zooms and
+# wide views at max_iter 1000 (less 6 B per pixel, 140 to 530 B per band
+# point), and at most 0.61 on deep zooms 1 to 256 pixels wide, which exceed the
+# estimate without the pool's part.
 _PIXEL_BYTES = 16
 _BAND_POINT_BYTES = 512
 _POOL_BYTES = 2**20
@@ -113,10 +114,7 @@ class Viewport:
 
     def row_points(self, row: int) -> np.ndarray:
         """Pixel centers of one row as a complex array of length `width`."""
-        cols = np.arange(self.width)
-        re = self.re_min + (cols + 0.5) * self.pixel_dx
-        im = self.im_max - (row + 0.5) * self.pixel_dy
-        return re + 1j * im
+        return _band_points(self, row, row + 1)
 
 
 @dataclass(frozen=True)
@@ -280,10 +278,13 @@ def _palette(base: RGB8, cfg: RenderConfig, top: int) -> np.ndarray:
     return _color_block(m <= top, m, base, cfg).astype(np.uint16)
 
 
-def _band_points(vp: Viewport, row0: int) -> np.ndarray:
-    """Pixel centers of the band starting at row0, row by row."""
-    rows = range(row0, min(row0 + _ROW_BAND, vp.height))
-    return np.concatenate([vp.row_points(r) for r in rows])
+def _band_points(vp: Viewport, row0: int, row1: int) -> np.ndarray:
+    """Pixel centers of rows row0 to row1 - 1, row by row, as one flat complex
+    array: the column formula gives the real parts and the row formula the
+    imaginary parts, added in one broadcast."""
+    re = vp.re_min + (np.arange(vp.width) + 0.5) * vp.pixel_dx
+    im = vp.im_max - (np.arange(row0, row1) + 0.5) * vp.pixel_dy
+    return (re + 1j * im[:, None]).ravel()
 
 
 def render_bytes(vp: Viewport) -> int:
@@ -310,7 +311,7 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
 
     def blocks():
         for band, r0 in enumerate(range(0, vp.height, _ROW_BAND)):
-            pts = _band_points(vp, r0)
+            pts = _band_points(vp, r0, min(r0 + _ROW_BAND, vp.height))
             a, c = _slice_params(slc, pts)
             if dynamical:
                 yield a, c, pts, escape_radius_bulk(a, c)
@@ -332,9 +333,15 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
         if any(it is None for it in done):
             continue
         del pending[band]
-        # the channel mean floor(sum / k + 0.5) of the k orbit colors, exact in integers
-        pix = (sum(_palette(base, cfg, int(it.max()))[it] for it, base in zip(done, bases))
-               + k // 2) // k
+        # the channel mean floor(sum / k + 0.5) of the k orbit colors, exact in
+        # integers, formed in place in one uint16 buffer
+        colors = (np.take(_palette(base, cfg, int(it.max())), it, axis=0)
+                  for it, base in zip(done, bases))
+        pix = next(colors)
+        for color in colors:
+            pix += color
+        pix += k // 2
+        pix //= k
         zero = zero_a.pop(band, None)
         if zero is not None:
             pix[zero] = cfg.bounded_color

@@ -34,6 +34,18 @@ _DEDUPE_TOL = 1e-9
 _ROOT_TOL = 1e-12
 
 
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.polyval(coeffs, x) for coefficients and x of one dtype, by the same
+    operations in place, less the additions of zero coefficients, of which the
+    slice polynomials (trinomials) are mostly made."""
+    y = np.zeros_like(x)
+    for coeff in coeffs.tolist():
+        np.multiply(y, x, out=y)
+        if coeff:
+            y += coeff
+    return y
+
+
 def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
     """All d roots (with multiplicity) of a degree-d polynomial, via simultaneous
     Aberth-Ehrlich iteration.
@@ -63,8 +75,8 @@ def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
 
     with np.errstate(all="ignore"):
         for _ in range(_MAX_SWEEPS):
-            pv = np.polyval(monic, z)
-            dv = np.polyval(deriv, z)
+            pv = _horner(monic, z)
+            dv = _horner(deriv, z)
             dv = np.where(dv == 0, 1e-300, dv)
             w = pv / dv
             diff = z[:, None] - z[None, :]
@@ -78,8 +90,8 @@ def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
             z = z - delta
             if np.all(np.abs(delta) <= 1e-14 * (1.0 + np.abs(z))):
                 break
-        residuals = np.abs(np.polyval(coeff_arr, z))
-        bound = _ROOT_TOL * np.maximum(1.0 + max_mod, np.polyval(np.abs(coeff_arr), np.abs(z)))
+        residuals = np.abs(_horner(coeff_arr, z))
+        bound = _ROOT_TOL * np.maximum(1.0 + max_mod, _horner(np.abs(coeff_arr), np.abs(z)))
         failing = np.flatnonzero(~(np.isfinite(residuals) & (residuals <= bound)))
         ratio = np.nan_to_num(residuals[failing] / bound[failing], nan=np.inf)
     if failing.size:

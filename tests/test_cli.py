@@ -11,7 +11,15 @@ import pytest
 from mcmullen import cli, spine
 from mcmullen.cli import main
 from mcmullen.family import MapParams, escape_radius, iterate_orbit
-from mcmullen.render import FixedC, RenderConfig, Viewport, encode_ppm, render_slice
+from mcmullen.render import (
+    FixedC,
+    RenderConfig,
+    Viewport,
+    classify_pixel,
+    encode_ppm,
+    render_bytes,
+    render_slice,
+)
 from mcmullen.solvers import fixed_critical_params
 from mcmullen.spine import SpineSpec, spine_points
 from mcmullen.verify import (
@@ -111,6 +119,43 @@ class TestRenderCommand:
             )
             assert 0 < want < 256
             assert f"bounded={want} " in stdout, (max_iter, stdout)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 256])
+    def test_bounded_count_matches_pixels(self, tmp_path, capsys, max_iter):
+        # 5x5 on [-1, 1]**2: the center pixel is a = 0, and at max_iter 1 six more
+        # pixels are bounded; the count equals the scalar classifier's and the
+        # bounded triples of the written PPM
+        vp, cfg = Viewport(-1.0, 1.0, -1.0, 1.0, 5, 5), RenderConfig(max_iter=max_iter)
+        assert vp.point_at(2, 2) == 0
+        out = tmp_path / "z.ppm"
+        code, stdout, _ = run(
+            capsys, "render", "--n", "3", "--slice", "fixed-c", "--c", "-0.2,0",
+            "--view", "-1,1,-1,1", "--size", "5x5", "--max-iter", str(max_iter),
+            "--out", str(out),
+        )
+        assert code == 0
+        want = sum(classify_pixel(3, FixedC(-0.2), vp.point_at(col, row), cfg)
+                   == cfg.bounded_color for row in range(5) for col in range(5))
+        body = out.read_bytes()[len(b"P6\n5 5\n255\n"):]
+        triples = [tuple(body[i:i + 3]) for i in range(0, len(body), 3)]
+        assert triples.count(cfg.bounded_color) == want
+        assert want >= (7 if max_iter == 1 else 1)
+        assert f"bounded={want} " in stdout
+
+    def test_peak_within_render_bytes(self, tmp_path, capsys):
+        # the whole command, the bounded count included, on a wide 800x800 view
+        # (most orbits leave at their first step) stays within the estimate
+        vp = Viewport(-5.0, 5.0, -5.0, 5.0, 800, 800)
+        tracemalloc.start()
+        try:
+            assert main(["render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
+                         "--view", "-5,5,-5,5", "--size", "800x800",
+                         "--out", str(tmp_path / "w.ppm")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "pixels=640000 " in capsys.readouterr().out
+        assert peak <= render_bytes(vp)
 
     def test_non_finite_slice_parameters(self, tmp_path, capsys):
         out = tmp_path / "nf.ppm"

@@ -27,6 +27,7 @@ from mcmullen.render import (
     render_slice,
 )
 from mcmullen.render import (
+    _band_points,
     _color_block,
     _intensity,
     _palette,
@@ -95,6 +96,36 @@ class TestViewport:
         assert pts.shape == (8,)
         for col in range(8):
             assert pts[col] == vp.point_at(col, 2)
+
+    @pytest.mark.parametrize("bounds", [
+        (-1.0, 1.0, -1.0, 1.0),  # odd sizes put a pixel center on re = 0 and on im = 0
+        (-16.0, -3.0, -6.5, 6.5),
+        (0.1, 0.7, -3e-3, 5e-3),
+        (-0.0, 1e-320, -1e-320, 0.0),  # subnormal pixel sizes, signed-zero bounds
+    ])
+    def test_band_points_are_row_points(self, bounds):
+        # a band's broadcast centers are its rows' centers, and each row is the
+        # column formula plus 1j times the row formula evaluated for that row as
+        # a Python float; compared as bit patterns, so signed zeros count
+        for width, height in ((1, 1), (1, 17), (2, 15), (3, 3), (5, 5), (7, 33), (64, 40)):
+            vp = Viewport(*bounds, width, height)
+            cols = np.arange(width)
+            for r0 in range(0, height, 16):
+                r1 = min(r0 + 16, height)
+                rows = [vp.row_points(r) for r in range(r0, r1)]
+                for r, pts in zip(range(r0, r1), rows):
+                    im = vp.im_max - (r + 0.5) * vp.pixel_dy
+                    want = vp.re_min + (cols + 0.5) * vp.pixel_dx + 1j * im
+                    np.testing.assert_array_equal(pts.view(np.uint64), want.view(np.uint64))
+                np.testing.assert_array_equal(_band_points(vp, r0, r1).view(np.uint64),
+                                              np.concatenate(rows).view(np.uint64))
+        vp = Viewport(-1.0, 1.0, -1.0, 1.0, 5, 5)
+        assert vp.row_points(2)[2] == 0 and (_band_points(vp, 0, 5).view(float) == 0).sum() == 10
+        # the row formula gives -0.0 here (-0.0 minus an underflowed 0.0), and the
+        # center's imaginary part is +0.0, as 1j * im plus a real part makes it
+        vp = Viewport(-0.0, 5e-324, -5e-324, -0.0, 1, 1)
+        assert math.copysign(1.0, vp.im_max - 0.5 * vp.pixel_dy) == -1.0
+        assert _band_points(vp, 0, 1).view(np.uint64).tolist() == [0, 0]
 
 
 class TestSliceSpecs:
@@ -413,10 +444,13 @@ class TestPooledRender:
         np.testing.assert_array_equal(img.pixels, band_by_band(0, Dynamical(p), vp, cfg)[0])
 
     def test_golden_bytes(self):
-        # sha256 of encode_ppm, taken before the orbit pool stepped in windows:
-        # a 64x64, max_iter 1000 zoom around the first center of n = 4, c = 6i,
-        # and the README's dynamical plane at 64x64. The kernel's schedule may
-        # change; these bytes may not.
+        # sha256 of encode_ppm: a 64x64, max_iter 1000 zoom around the first
+        # center of n = 4, c = 6i, and the README's dynamical plane at 64x64,
+        # taken before the orbit pool stepped in windows; the wide fixed-c view
+        # of n = 4, c = 6i and the diagonal view of n = 8, t = 2 at 96x96, where
+        # most orbits leave at their first step, taken before the image
+        # assembly went to np.take palettes and broadcast band points. The
+        # kernel's schedule and the assembly may change; these bytes may not.
         a0 = fixed_critical_params(4, 6j)[0].a_j
         renders = {
             "4269ded86355f32c67448add6405a7529149bc0eecc6c0daea1e3d68df214287": render_slice(
@@ -424,6 +458,10 @@ class TestPooledRender:
             "aec546ece5fd828e9bc884b109da2e1178e42bd3ce1b3daff6b853729a3b7cbe": render_slice(
                 4, Dynamical(MapParams(4, README_A, 6j)), Viewport(-2.0, 2.0, -2.0, 2.0, 64, 64),
                 RenderConfig()),
+            "e60de199d4e424a4cf2430077af01c62268c9e3fcf9782a10c4b17cc4da4defc": render_slice(
+                4, FixedC(6j), Viewport(-5.0, 5.0, -5.0, 5.0, 96, 96), RenderConfig()),
+            "7edea5670fbdf6a33dda5dc52a5accae7c46ed0ad1a07d52e9693528651eff9f": render_slice(
+                8, Diagonal(2 + 0j), Viewport(-2.0, 2.0, -2.0, 2.0, 96, 96), RenderConfig()),
         }
         for digest, img in renders.items():
             assert hashlib.sha256(encode_ppm(img)).hexdigest() == digest

@@ -55,6 +55,24 @@ class TestPolyRoots:
         assert keys == sorted(keys)
         assert poly_roots([1, 0, 0, 0, -1]) == roots  # bit-for-bit repeatable
 
+    def test_horner_is_polyval(self):
+        # the in-place Horner runs np.polyval's operations less the additions of
+        # zero coefficients, so it equals np.polyval bit for bit: on both slice
+        # polynomials and a dense one, at complex points (some on the axes) and,
+        # as in the residual bound, on moduli
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.normal(size=64) + 1j * rng.normal(size=64),
+                            1.01 * np.exp(2j * np.pi * np.arange(64) / 64),
+                            rng.normal(size=8) + 0j, 1j * rng.normal(size=8), [0j]])
+        for n in (3, 8, 48):
+            for coeffs in ([2.0] + [0.0] * (n - 2) + [-1.0, 6j],
+                           [2 + 0.5j] + [0.0] * (n - 1) + [2.0] + [0.0] * (n - 2) + [-1.0],
+                           rng.normal(size=n) + 1j * rng.normal(size=n)):
+                coeffs = np.array(coeffs, dtype=complex)
+                for cf, x in ((coeffs, z), (coeffs / coeffs[0], z), (np.abs(coeffs), np.abs(z))):
+                    np.testing.assert_array_equal(solvers._horner(cf, x).view(np.uint64),
+                                                  np.polyval(cf, x).view(np.uint64))
+
     def test_quintic_real_root_vs_bisection(self):
         root = bisect_real_root(lambda w: 2 * w**5 - w + 6, -2.0, -1.0)
         assert root == pytest.approx(-1.2953997832657647, abs=1e-12)  # frozen oracle
