@@ -195,8 +195,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     img = render_slice(args.n, slc, vp, cfg)
-    data = encode_ppm(img)
-    Path(args.out).write_bytes(data)
+    Path(args.out).write_bytes(encode_ppm(img))  # the encoded bytes are freed before the count
     elapsed = time.perf_counter() - t0
     # one channel at a time, combined in place: no (height, width, 3) mask
     is_bounded = img.pixels[..., 0] == cfg.bounded_color[0]

@@ -319,12 +319,174 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
 # held at once. A window records, retires and removes the orbits that left
 # once, not at every step, for at most _WINDOW - 1 throwaway steps per orbit
 # that left. On the four 200x200, max_iter 1000 zooms of the paper's n = 4,
-# c = 6i centers, 4096, 12 and 16 take 7,647 loop steps and 25.2 M orbit steps
-# (one-step windows: 7,507 and 24.4 M; one band at a time: 46,667 loop steps),
-# and windows of 8 or 24 steps ran slower.
+# c = 6i centers, 4096, 12 and 16 take 5,550 loop steps and 12.4 M orbit steps
+# with proved retirement (below), and 7,647 and 25.2 M with Brent's test alone
+# (one-step windows: 7,507 and 24.4 M; one band at a time: 46,667 loop steps);
+# windows of 8 or 24 steps ran slower, and with proved retirement 8,192 live
+# orbits or 24 or 32 open blocks ran no faster.
 _POOL_MIN = 4096
 _OPEN_MAX = 12
 _WINDOW = 16
+
+# Proved retirement. A window of more than _LAG steps nominates the live orbits
+# whose state came back to within _TOL max(1, |z|) of their state _LAG steps
+# before; _LAG = 12 covers periods 1, 2, 3, 4, 6 and 12. When at least _BATCH
+# orbits are nominated, _proved_bounded tries them, _PROOF_CHUNK at a time,
+# with a disc of radius _GROW times that drift plus _ROOM max(1, |z|); it marks
+# `weak` an orbit whose multiplier bound is at least _CUTOFF, and the trigger
+# passes it over from then on. Measured on the four 200x200, max_iter 1000
+# zooms of n = 4, c = 6i (the benchmark's render-deep at seed 1), where these
+# settings give 65,021 nominations, 61,776 proofs and 12.43 M kernel steps:
+# - _TOL 1e-5 and 1e-4 save 0.5 M steps, but fail 48% of 117,527 and 67% of
+#   182,174 nominations, and at 1e-5 the proofs took twice as long;
+# - _GROW 4, 16, 64 and 1,024 prove 27%, 40%, 92% and 80% of their
+#   nominations (256: 95%), for 15.0, 13.6, 12.5 and 12.6 M steps;
+# - a proof call costs about 0.2 ms plus 0.1 us per nominee, and a nominee
+#   left to the next window 16 steps: _BATCH 1, 128 and 512 make 313, 145
+#   and 87 calls (256: 102) for 12.1, 12.2 and 12.8 M steps, and the trigger
+#   and proofs took about 106, 71 and 52 ms a pass (256: 58), while whole
+#   passes took about as long in all four;
+# - chains that have not closed after 4 steps run on to 12 only in groups of
+#   _LATE_MIN or more: groups of any size save 0.1 M steps and cost about
+#   10 ms of proofs a pass.
+_LAG = 12
+_PERIODS = (1, 2, 3, 4, 6, 12)
+_TOL = 1e-6
+_GROW = 256.0
+_ROOM = 2.0**-32
+_CUTOFF = 1.0
+_BATCH = 256
+_PROOF_CHUNK = 1024
+_LATE_MIN = 64
+
+# Rounding of _map_array. In binary64, with unit roundoff u = _U = 2**-53, a
+# real + or - rounds by at most u relatively, and a * or / by at most u
+# relatively plus 2**-1075 absolutely. For complex x, y, NumPy's ac - bd and
+# ad + bc, with or without a fused multiply-add, give |fl(xy) - xy| <=
+# 3u|x||y| + 2**-1073, so pow_int's n - 1 products give |P - w**n| <=
+# ((1 + 3u)**(n-1) - 1)|w|**n, plus an absolute part that is negligible when
+# every |w|**k, k <= n, is at least _TINY. NumPy divides by Smith's method (r =
+# d/c, then (a + b r)/(c + d r) and (b - a r)/(c + d r) if |c| >= |d|, the
+# mirror image if not); c and d r have one sign, so the denominator does not
+# cancel, and |fl(x/y) - x/y| <= 9u|x/y| + 2**-1070 (1 + (1 + |x|)/|y|).
+# With A >= |w|**n >= _TINY, B >= |a|/|w|**n and the two rounded additions,
+#   |_map_array(w) - R(w)| <= u ((3n - 1) A + (3n + 8) B + |c|) + 2**-569 (1 + |a|)
+#                          <= _KAPPA u ((n + 5)(A + B) + |c|) + _FLOOR (1 + |a|)
+# for every n >= 1, _KAPPA = 8 being 8/3 times what the terms need; the margin
+# covers the rounding of evaluating the bound. tests/test_family.py checks it
+# against mpmath, at random points and where it is tight.
+_U = 2.0**-53
+_KAPPA = 8.0
+_FLOOR = 2.0**-560
+_TINY = 2.0**-500
+# np.abs rounds by under one ulp and a sum of two moduli by u, so a disc whose
+# outer modulus is at most thr * _INSET has fl(|w|) <= thr at every point.
+_INSET = 1.0 - 8 * _U
+
+
+def _map_error(n, big, small, c_mod, a_mod):
+    """The bound above on |_map_array(w) - R(w)|, for every w with
+    |w|**n <= big, |a|/|w|**n <= small and |w|**n >= _TINY, where c_mod = |c|
+    and a_mod = |a|."""
+    return _KAPPA * _U * ((n + 5) * (big + small) + c_mod) + _FLOOR * (1 + a_mod)
+
+
+@np.errstate(all="ignore")
+def _proved_bounded(n, a, c, thr, z, rho0):
+    """(proved, weak) for orbits in state z, each with the disc D_0 of radius
+    rho0 about it.
+
+    The chain c_0 = z, c_{j+1} = _map_array(c_j) closes at the least p of 1,
+    2, 3, 4, 6, 12 with |c_p - c_0| <= _TOL max(1, |z|). D_j is the disc of
+    radius rho_j about c_j, where
+        rho_{j+1} = (|R'(c_j)| + rho_j sup|R''|) rho_j + 2 E_j,
+    sup over a disc of radius tau |c_j|, tau = 1/(8n), and E_j bounds the
+    rounding of _map_array (the comment above) over that disc. By the mean
+    value theorem and the rounding bound, _map_array sends D_j into D_{j+1},
+    for every point of D_j and for c_j, whose image is c_{j+1}. An orbit is
+    proved when, for j < p, every rho_j <= tau |c_j|, every D_j lies in
+    0 < |w| <= thr * _INSET (so each point passes the kernel's test and is no
+    pole) with |w|**n >= _TINY, and D_p lies in D_0: |c_p - c_0| + rho_p <=
+    rho_0. Then z, in D_0, which p steps map into itself, never escapes.
+    Every bound is rounded up by the factor `up`. An orbit whose p-step
+    multiplier bound, the product of the |R'(c_j)| bounds, is at least
+    _CUTOFF is weak. Orbits that have not closed after 4 steps run on to 12
+    only if there are at least _LATE_MIN of them; the others stay unproved.
+
+    |R'(c_j)| is bounded through n |c**n - a/c**n| / |c| at the centre, which
+    keeps the cancellation of the two terms near the critical points; ball
+    arithmetic, bounding z**n and a/z**n apart, reads about 2n |c|**(n-1)
+    there, and no cycle that passes near a critical point would contract."""
+    k = z.size
+    tau = 1.0 / (8 * n)
+    up = 1.0 + 8 * (n + 32) * _U
+    grow, shrink = (1 + tau) ** n * up, (1 - tau) ** -n * up
+    top = thr * _INSET
+    c_mod, a_mod = np.abs(c), np.abs(a)
+
+    def bounds(cen, a, c_mod, a_mod):
+        """q + zn, and 2 E_j and the bounds on |R'(c_j)| and sup|R''| at centres cen."""
+        zn = pow_int(cen, n)
+        q = a / zn
+        r = np.abs(cen)
+        big, small = np.abs(zn) * grow, np.abs(q) * shrink
+        err = 2 * _map_error(n, big, small, c_mod, a_mod)
+        slope = (np.abs(zn - q) * (n * up) + err * (n * up / (2 * (1 - tau)))) / r
+        curve = (n * (n - 1) * big + n * (n + 1) * small) / (r * r * (1 - tau) ** 2)
+        return q + zn, r, err, slope, curve  # q + zn: _map_array's operations, in its order
+
+    def fits(rho, r, top):
+        """Whether discs of radii rho about centres of modulus r fit."""
+        return (rho * (up / tau) <= r) & (r + rho <= top) & (r >= _TINY ** (1 / n) / (1 - tau) * up)
+
+    scale = _TOL * np.maximum(np.abs(z), 1.0)
+    w1, r, err, mult, curve = bounds(z, a, c_mod, a_mod)  # mult: the p-step multiplier bound
+    w1 += c  # c_1
+    ok = fits(rho0, r, top)
+    rho = (curve * rho0 + mult) * rho0 + err
+    drift = np.abs(w1 - z)  # |c_p - c_0| once the chain closes at p
+    p = np.zeros(k, dtype=np.intp)  # 0 while the chain is open
+    p[drift <= scale] = 1
+    live = np.flatnonzero((p == 0) & ok)
+    cur, j = w1[live], 1  # c_j of the open chains
+    for stop, least in ((4, 1), (_LAG, _LATE_MIN)):
+        if live.size < least:
+            break
+        al, cl, z_, s_ = a[live], c[live], z[live], scale[live]
+        while j < stop:
+            j += 1
+            cur = _map_array(cur, n, al, cl)
+            if j in _PERIODS:
+                d = np.abs(cur - z_)
+                hit = (d <= s_) & (p[live] == 0)  # the least p that closes
+                p[live[hit]] = j
+                drift[live[hit]] = d[hit]
+        open_ = p[live] == 0
+        live, cur = live[open_], cur[open_]
+    # steps 1 to p - 1 of the orbits with p >= 2, longest first, so that step j
+    # concerns a prefix of them: their centres again, then all bounds at once
+    more = np.concatenate([np.flatnonzero(p == j) for j in reversed(_PERIODS[1:])])
+    if more.size:
+        counts = [int(np.count_nonzero(p[more] > j)) for j in range(1, int(p[more[0]]))]
+        centres, al, cl = [w1[more]], a[more], c[more]
+        for m in counts[1:]:
+            centres.append(_map_array(centres[-1][:m], n, al[:m], cl[:m]))
+        at = np.concatenate([more[:m] for m in counts])
+        _, r, err, slope, curve = bounds(np.concatenate(centres), a[at], c_mod[at], a_mod[at])
+        rest, radii = rho[more], np.empty(at.size)
+        start = 0
+        for m in counts:
+            s = slice(start, start + m)
+            radii[s] = rest[:m]
+            rest[:m] = (curve[s] * rest[:m] + slope[s]) * rest[:m] + err[s]
+            mult[more[:m]] *= slope[s]
+            start += m
+        rho[more] = rest
+        ok[at[~fits(radii, r, top[at])]] = False
+    closed = p > 0
+    weak = closed & (mult >= _CUTOFF)
+    proved = ok & closed & ~weak & (drift * up + rho <= rho0)
+    return proved, weak
 
 
 def iterate_orbit_blocks(n, blocks, max_iter):
@@ -345,7 +507,7 @@ def iterate_orbit_blocks(n, blocks, max_iter):
     its first step alone (most orbits of a wide view leave there). Its survivors
     join the pool of live orbits of all open blocks. Each block counts its own
     steps from its birth, so iteration counts, pole dating, Brent reference steps
-    and the max_iter cut are each block's own. Three shortcuts never change a
+    and the max_iter cut are each block's own. Four shortcuts never change a
     result:
     - a pole is the step after z = 0: R(0) evaluates to a non-finite value (a / 0),
       so it fails the comparison, and the pre-step z = 0 dates it at m - 1;
@@ -363,7 +525,18 @@ def iterate_orbit_blocks(n, blocks, max_iter):
       a pole when z == 0 the step before, for every finite threshold and
       whatever the orbit computes after that. An orbit that left computes at
       most _WINDOW - 1 further steps; a retired one cannot fail later, as it
-      repeats states that passed.
+      repeats states that passed;
+    - at the end of a window of more than _LAG steps, an orbit that passed
+      every step and whose state z came back to within a relative _TOL of its
+      state _LAG steps before is nominated, and retired as bounded if
+      _proved_bounded proves a disc D_0 about z, with p floating-point steps
+      of the map (p = 1, 2, 3, 4, 6 or 12) sending D_0 into discs D_1, ...,
+      D_p and D_p into D_0, for every rounding within an a-priori bound.
+      Every disc lies in 0 < |w| <= threshold with room for np.abs's
+      rounding, so every later state of the orbit, as this kernel computes
+      it, is nonzero and finite and passes the comparison: its count is
+      max_iter, as running on would give. Which orbits are nominated, and
+      when, depends on the schedule; no count does.
     """
     check_max_iter(max_iter)
     pool = _Pool(n, max_iter)
@@ -392,7 +565,7 @@ class _Pool:
     on its position, so orbits that leave are replaced by the last ones, which
     moves a few elements per array instead of compacting every array."""
 
-    _FIELDS = ("idx", "slot", "z", "a", "c", "thr", "ref")
+    _FIELDS = ("idx", "slot", "z", "a", "c", "thr", "ref", "weak")
 
     def __init__(self, n, max_iter):
         self.n, self.max_iter = n, max_iter
@@ -404,6 +577,7 @@ class _Pool:
         self.slot = np.empty(0, dtype=np.int8)
         self.z = self.a = self.c = self.ref = np.empty(0, dtype=complex)
         self.thr = np.empty(0)
+        self.weak = np.empty(0, dtype=bool)
 
     @property
     def size(self):
@@ -433,7 +607,7 @@ class _Pool:
         self.open[s] = (k, iters)
         self.births[s] = self.steps
         joining = dict(idx=idx, slot=np.full(idx.size, s, dtype=np.int8), z=z, a=a, c=c,
-                       thr=thr, ref=z)
+                       thr=thr, ref=z, weak=np.zeros(idx.size, dtype=bool))
         del idx, z, a, c, thr, z0, block
         for name in self._FIELDS:
             setattr(self, name, np.concatenate([getattr(self, name), joining.pop(name)]))
@@ -459,7 +633,8 @@ class _Pool:
         An orbit escapes at the first step it fails _within, a pole when its
         state before that step is 0. It is retired if it never fails and meets
         its reference, which is fixed for the window: from there it repeats
-        states that passed, so it cannot fail later."""
+        states that passed, so it cannot fail later. A window of more than
+        _LAG steps then retires the orbits _prove proves bounded."""
         steps = min(_WINDOW, self.next_event - self.steps)
         keep = np.empty((steps, self.size), dtype=bool)
         zero = np.empty((steps + 1, self.size), dtype=bool)  # row j: z == 0 after j steps
@@ -467,24 +642,53 @@ class _Pool:
         z = self.z
         np.equal(np.abs(z), 0.0, out=zero[0])
         ref = self.ref.view(float)
+        back = None
         for j in range(steps):
             z = _map_array(z, self.n, self.a, self.c)
             mod = np.abs(z)  # 0 exactly where z is 0
             _within(mod, self.thr, out=keep[j])
             np.equal(mod, 0.0, out=zero[j + 1])
             np.equal(z.view(float), ref, out=same[j])
+            if j == steps - 1 - _LAG:
+                back = z
         start = self.steps
         self.steps += steps
         self.z = z
         escaped = ~keep.all(axis=0)
         gone = escaped | (same.view(np.uint16) == 0x0101).any(axis=0)  # both parts equal
+        del same
+        out = np.flatnonzero(escaped)
+        if out.size:
+            first = keep[:, out].argmin(axis=0)
+            self._record(out, start + 1 + first - zero[first, out])
+        del keep, zero
+        if back is not None:
+            self._prove(z, mod, back, gone)
+            del back
         if gone.any():
-            out = np.flatnonzero(escaped)
-            if out.size:
-                first = keep[:, out].argmin(axis=0)
-                self._record(out, start + 1 + first - zero[first, out])
             self._remove(~gone)
         return self._settle() if self.steps >= self.next_event or not self.size else []
+
+    def _prove(self, z, mod, back, gone):
+        """Nominate the orbits, not gone or weak, whose state z (of modulus mod)
+        came back to within _TOL max(1, |z|) of back, their state _LAG steps
+        before, and set gone where _proved_bounded proves one bounded and weak
+        where it finds one so."""
+        drift = np.abs(np.subtract(z, back, out=back))  # back and mod are the window's
+        scale = np.maximum(mod, 1.0, out=mod)
+        near = drift <= np.multiply(scale, _TOL, out=scale)
+        near &= ~gone
+        near &= ~self.weak
+        nominees = np.flatnonzero(near)
+        if nominees.size < _BATCH:
+            return
+        for i in range(0, nominees.size, _PROOF_CHUNK):
+            sel = nominees[i:i + _PROOF_CHUNK]
+            rho0 = _GROW * drift[sel] + (_ROOM / _TOL) * scale[sel]
+            proved, weak = _proved_bounded(self.n, self.a[sel], self.c[sel], self.thr[sel],
+                                           z[sel], rho0)
+            gone[sel[proved]] = True
+            self.weak[sel[weak]] = True
 
     def _record(self, out, at):
         """Iteration counts of the escaping orbits at pool positions out: each

@@ -50,7 +50,7 @@ _ROW_BAND = 16
 
 # Estimated peak bytes of a render: per pixel, the uint8 grid, the encoded PPM
 # and the CLI's bounded count (the render command's traced peak grows by about
-# 7.6 B per pixel, measured from 800x400 to 800x1600 wide views); per point of
+# 3.6 B per pixel, measured from 800x400 to 800x1600 wide views); per point of
 # one band, the orbit kernel's blocks and pool and the shading blocks; and the
 # orbit pool's own part, which holds up to about 4096 orbits and their window
 # masks whatever the width. With tracemalloc, render_slice plus encode_ppm
@@ -356,4 +356,4 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
 def encode_ppm(img: Image) -> bytes:
     """Binary PPM (P6, maxval 255): ASCII header then row-major RGB byte triples."""
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return b"".join((header, np.ascontiguousarray(img.pixels).data))  # one copy of the pixels

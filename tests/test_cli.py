@@ -157,6 +157,24 @@ class TestRenderCommand:
         assert "pixels=640000 " in capsys.readouterr().out
         assert peak <= render_bytes(vp)
 
+    def test_peak_grows_by_one_image(self, tmp_path, capsys):
+        # from an 800x400 to an 800x1600 wide view the command's traced peak
+        # grows by at most 4 B per pixel: the 3-byte grid, and the encoded
+        # bytes made from it in one copy and freed before the bounded count
+        # (7.6 B per pixel when the bytes were built twice and kept alive)
+        peaks = []
+        for height in (400, 1600):
+            tracemalloc.start()
+            try:
+                assert main(["render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
+                             "--view", "-5,5,-5,5", "--size", f"800x{height}",
+                             "--out", str(tmp_path / "w.ppm")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert (peaks[1] - peaks[0]) / (800 * 1200) <= 4.0
+
     def test_non_finite_slice_parameters(self, tmp_path, capsys):
         out = tmp_path / "nf.ppm"
         common = ["--view", "-1,1,-1,1", "--size", "4x4", "--out", str(out)]
@@ -286,6 +304,26 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--check", check, "--n", "8", "--c", "6",
                            "--samples", samples)
         assert code == rc
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--check", "annulus", "--n", "4", "--c", "0,6", "--a",
+          "-13.122875503987459,2.008554506696609", "--max-iter", "1000", "--samples", "128"],
+         "435bf551a07b8ca26226d270e2a382f1db715016382ebf377d5c3b324ba8e537"),
+        (["--check", "annulus", "--n", "4", "--c", "0,6", "--a",
+          "-7.068231743314014,3.172512758208529", "--max-iter", "1000", "--samples", "128"],
+         "630f43de403cfce065b454bed9c2e6b7c6a2320b7f27adfc229d9127fcec3d50"),
+        (["--check", "spine-locus", "--n", "20", "--t", "2.017228050435922,0.02732673218497765",
+          "--eps", "0.25", "--max-iter", "200", "--samples", "300"],
+         "44fb5791d23f5c1c4bc9c64f4b4b0867badc45cd9cbc96a071daa5e1d9372017"),
+    ])
+    def test_golden_kernel_csv(self, capsys, argv, digest):
+        # sha256 of the CSV of the two checks that run the orbit kernel, taken
+        # before orbits were retired on proofs: the benchmark's annulus ops at
+        # its two centers (seed 1) and its spine-locus op. The kernel's
+        # schedule and retirement may change; these bytes may not.
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_annulus(self, capsys):

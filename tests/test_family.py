@@ -787,6 +787,9 @@ class TestPooledKernel:
         # Uneven blocks of a zoom's critical orbits at max_iter 400: the pooled run
         # computes exactly the orbit steps of the blocks run one by one, in fewer
         # loop steps, and bounded orbits are retired early in several blocks.
+        # Proved retirement runs at window ends, which depend on the schedule,
+        # so the trigger nominates nothing here: Brent's test alone.
+        monkeypatch.setattr(family, "_TOL", -1.0)
         a = lattice(fixed_critical_params(4, 6j)[1].a_j, 0.1, 40)
         cuts = [0, 13, 200, 201, 650, 900, 1301, a.size]
         blocks = []
@@ -885,3 +888,280 @@ class TestPooledKernel:
         assert [k for k, _ in got] == [0, 1] and all(it.size == 0 for _, it in got)
         with pytest.raises(ValueError):
             list(iterate_orbit_blocks(4, [empty], 0))
+
+
+# The four 200x200, max_iter 1000 zooms of the benchmark's render-deep workload
+# at seed 1 (bench/workloads.py), around the centers of n = 4, c = 6i.
+BENCH_ZOOMS = (
+    (-13.223042938493737, -13.022648115590442, 1.9087314547975454, 2.1091262777008386),
+    (-5.896204658185391, -5.695867948785062, -1.1896602801705694, -0.9893235707702402),
+    (-10.113563721999109, -9.913319893263923, -4.190728793033498, -3.990484964298311),
+    (-7.168343858558379, -6.968045696798121, 3.072399970366553, 3.2726981321268127),
+)
+
+
+def spy_on_proofs(monkeypatch):
+    """(block key, index in the block) of every orbit the pool retires on a proof."""
+    retired = []
+    prove = family._Pool._prove
+
+    def spy(pool, z, mod, back, gone):
+        before = gone.copy()
+        prove(pool, z, mod, back, gone)
+        for i in np.flatnonzero(gone & ~before).tolist():
+            retired.append((pool.open[int(pool.slot[i])][0], int(pool.idx[i])))
+
+    monkeypatch.setattr(family._Pool, "_prove", spy)
+    return retired
+
+
+def band_blocks(n, slc, vp):
+    """The kernel blocks (a, c, z0, threshold) render_slice makes of a slice."""
+    from mcmullen.render import Dynamical, _band_points, _slice_params
+
+    blocks = []
+    for r0 in range(0, vp.height, 16):
+        pts = _band_points(vp, r0, min(r0 + 16, vp.height))
+        a, c = _slice_params(slc, pts)
+        if isinstance(slc, Dynamical):
+            blocks.append((a, c, pts, escape_radius_bulk(a, c)))
+        else:
+            blocks += critical_blocks(a, c)
+    return blocks
+
+
+# An attracting fixed point at exactly 1: with a = 1.0625 and c = -a, R(1) =
+# 1 + a - a = 1 in binary64, and R'(1) = n (1 - a) = -0.25 at n = 4.
+FIXED_ONE = dict(n=4, a=1.0625 + 0j, c=-1.0625 + 0j)
+
+
+def prove(n, a, c, thr, z, rho0):
+    """family._proved_bounded on arrays broadcast from scalars or arrays."""
+    a, c, thr, z, rho0 = np.broadcast_arrays(np.asarray(a, complex), np.asarray(c, complex),
+                                             np.asarray(thr, float), np.asarray(z, complex),
+                                             np.asarray(rho0, float))
+    return family._proved_bounded(n, *(np.atleast_1d(x).copy() for x in (a, c, thr, z, rho0)))
+
+
+def creepers(eps):
+    """Rows (a, c, z0, thr), n = 3, of real orbits that creep through the
+    bottleneck of z**3 + c just past its parabolic parameter 2/(3 sqrt(3)): from
+    z0 = 0.5 with a = 1e-30, each moves by about eps a step near the ghost of the
+    fixed point 1/sqrt(3), so the trigger nominates it (12 eps is below _TOL),
+    and escapes past 0.75 after about 2.4/sqrt(eps) steps."""
+    c = 2 / (3 * math.sqrt(3)) + np.asarray(eps, dtype=float)
+    one = np.ones(c.size)
+    return 1e-30 * one + 0j, c + 0j, 0.5 * one + 0j, 0.75 * one
+
+
+class TestProvedRetirement:
+    """The pool retires an orbit early on a proof that a disc about its state
+    maps into itself under p floating-point steps, which changes no count."""
+
+    @pytest.mark.parametrize("view", BENCH_ZOOMS + ((-2.0, 2.0, -2.0, 2.0),))
+    def test_retired_orbits_are_bounded_in_the_oracle(self, monkeypatch, view):
+        # the four bench zooms and the README's dynamical plane at max_iter
+        # 1000: every count equals the plain oracle's, every orbit the proof
+        # retires is bounded to max_iter there, and a sample of them also in
+        # the scalar iterate_orbit
+        from mcmullen.render import Dynamical, FixedC
+
+        dynamical = view[0] == -2.0
+        slc = Dynamical(MapParams(4, -13.122875503987459 + 2.008554506696609j, 6j)) \
+            if dynamical else FixedC(6j)
+        vp = Viewport(*view, 200, 200)
+        blocks = band_blocks(4, slc, vp)
+        retired = spy_on_proofs(monkeypatch)
+        got = pooled_orbits(4, blocks, 1000)
+        for k, (a, c, z0, thr) in enumerate(blocks):
+            want = reference_orbits_bulk(4, a, c, z0, 1000, thr)
+            np.testing.assert_array_equal(got[k][0], want[0])
+            np.testing.assert_array_equal(got[k][1], want[1])
+        # the dynamical plane's bounded orbits fall into the superattracting
+        # fixed point and meet it exactly, so Brent's test retires them first
+        assert len(retired) > 5000 or dynamical
+        for k, i in retired:
+            assert not got[k][0][i] and got[k][1][i] == 1000
+        for k, i in retired[:: max(1, len(retired) // 25)]:
+            a, c, z0, thr = (col[i] for col in blocks[k])
+            res = iterate_orbit(MapParams(4, complex(a), complex(c)), complex(z0), 1000, float(thr))
+            assert (res.escaped, res.iterations) == (False, 1000)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 17])
+    def test_rounding_bound_holds_against_mpmath(self, n):
+        # |_map_array(w) - R(w)| <= _map_error with the exact |w|**n and
+        # |a|/|w|**n, R(w) in 200-bit arithmetic: on random points, where
+        # w**(2n) is near a (z**n and a/z**n nearly equal) or near -a (their
+        # sum cancels), where w**n lies near the real or the imaginary axis
+        # (both branches of the complex division), and where a or |w|**n are
+        # tiny
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 200
+        rng = np.random.default_rng(n)
+        m = 400
+        w = rng.uniform(0.3, 3, m) * np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+        a = rng.uniform(0.1, 40, m) * np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+        c = rng.uniform(-8, 8, m) + 1j * rng.uniform(-8, 8, m)
+        near = 1 + rng.uniform(-1e-9, 1e-9, m) + 1j * rng.uniform(-1e-9, 1e-9, m)
+        w2n = w ** (2 * n)
+        sets = [
+            (w, a, c),
+            (w, w2n * near, c),
+            (w, -w2n * near, c),
+            (w, w2n * near, 0 * c),
+            (w, -w2n * near, 0 * c),
+            (np.exp(1j * (np.pi / (2 * n)) * rng.integers(0, 4 * n, m)) * rng.uniform(0.5, 2, m)
+             * np.exp(1j * rng.uniform(-1e-9, 1e-9, m)), a, c),
+            (np.exp(1j * (np.pi / (4 * n)) * (2 * rng.integers(0, 4 * n, m) + 1)) * rng.uniform(0.5, 2, m),
+             a, c),
+            (w, a * 1e-300, c),
+            (w * 2.0 ** (-400 / n), a * 2.0 ** -400, c * 2.0 ** -400),
+            (w * 2.0 ** (-480 / n), a, c),
+        ]
+        checked = 0
+        for w_, a_, c_ in sets:
+            with np.errstate(all="ignore"):
+                got = family._map_array(w_, n, a_, c_)
+            for wi, ai, ci, gi in zip(w_.tolist(), a_.tolist(), c_.tolist(), got.tolist()):
+                W, A, C = mpmath.mpc(wi), mpmath.mpc(ai), mpmath.mpc(ci)
+                big = abs(W) ** n
+                if big < family._TINY:
+                    continue
+                exact = W**n + A / W**n + C
+                bound = family._map_error(n, float(big * (1 + 2.0**-50)),
+                                          float(abs(A) / big * (1 + 2.0**-50)), abs(ci), abs(ai))
+                assert abs(mpmath.mpc(gi) - exact) <= bound, (n, wi, ai, ci)
+                checked += 1
+        assert checked >= 9 * m
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_rounding_bound_is_not_loose_by_orders(self, scale):
+        # the bound is a small multiple of what rounding does: at least one
+        # point of many comes within a factor 64 of it
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 200
+        rng = np.random.default_rng(7)
+        n, m = 4, 2000
+        w = (rng.uniform(0.5, 2, m) * np.exp(1j * rng.uniform(-np.pi, np.pi, m))) * scale ** (1 / n)
+        a = rng.uniform(0.5, 2, m) * np.exp(1j * rng.uniform(-np.pi, np.pi, m)) * scale
+        c = (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)) * scale
+        got = family._map_array(w, n, a, c)
+        worst = 0.0
+        for wi, ai, ci, gi in zip(w.tolist(), a.tolist(), c.tolist(), got.tolist()):
+            W, A = mpmath.mpc(wi), mpmath.mpc(ai)
+            big = abs(W) ** n
+            err = abs(mpmath.mpc(gi) - (W**n + A / W**n + ci))
+            worst = max(worst, float(err) / family._map_error(n, float(big), float(abs(A) / big),
+                                                              abs(ci), abs(ai)))
+        assert 1 / 64 < worst <= 1
+
+    def test_threshold_inset(self):
+        # at the fixed point 1 with a disc of radius 1e-9, the disc reaches
+        # modulus 1 + 1e-9: a threshold within 8 ulps above that is refused, as
+        # np.abs may round a point of the disc past it, and one 16 ulps above
+        # is accepted
+        edge = 1 + 1e-9
+        u = 2.0**-53
+        proved, weak = prove(**FIXED_ONE, thr=[edge * (1 + 4 * u), edge * (1 + 16 * u)],
+                             z=1 + 0j, rho0=1e-9)
+        assert proved.tolist() == [False, True] and not weak.any()
+        for thr in (math.nextafter(1.0, 0.0), 1.0, edge, edge * (1 - 4 * u)):
+            assert not prove(**FIXED_ONE, thr=thr, z=1 + 0j, rho0=1e-9)[0][0]
+
+    def test_proved_discs_map_into_themselves(self):
+        # R'(1) = -0.99 (a = 1 + 0.99/4, c = -a): the orbit of 1 + d overshoots
+        # the fixed point, so a disc about 1 + d maps into itself only when it
+        # is about 200 times wider than d. Whatever rho0 is offered, a disc
+        # the proof accepts must contain the images of its boundary points
+        # under p steps of _map_array, p = 1 here.
+        n, a = 4, 1 + 0.99 / 4 + 0j
+        d = 1e-7
+        rho0 = d * np.geomspace(0.01, 5000, 120)
+        proved, weak = prove(n, a, -a, 4.0, 1 + d + 0j, rho0)
+        assert proved.any() and not proved.all() and not weak.any()
+        ring = np.exp(2j * np.pi * np.arange(64) / 64)
+        for rho in rho0[proved]:
+            edge = 1 + d + rho * ring
+            images = family._map_array(edge, n, a, -a)
+            assert (np.abs(images - (1 + d)) <= rho).all(), rho / d
+        assert rho0[proved].min() > 100 * d
+
+    def test_fixed_point_is_proved_and_a_repelling_one_is_weak(self):
+        proved, weak = prove(**FIXED_ONE, thr=4.0, z=1 + 0j, rho0=1e-9)
+        assert proved.tolist() == [True] and not weak.any()
+        # R'(1) = 4 (1 - a) = -2 with a = 1.5: the fixed point 1 repels
+        proved, weak = prove(4, 1.5 + 0j, -1.5 + 0j, 4.0, 1 + 0j, 1e-9)
+        assert proved.tolist() == [False] and weak.tolist() == [True]
+
+    def test_creeping_orbits_are_nominated_and_escape(self, monkeypatch):
+        # creepers through a parabolic bottleneck pass the trigger over many
+        # windows (every window proves, from a single nominee on) but escape
+        # in the end: the proof must refuse each of them, so the pooled counts
+        # equal the scalar iterate_orbit's
+        monkeypatch.setattr(family, "_BATCH", 1)
+        eps = np.array([3e-8, 5e-8, 8e-8])
+        block = creepers(eps)
+        nominated = []
+        proved_bounded = family._proved_bounded
+
+        def spy(n, a, c, thr, z, rho0):
+            nominated.append(z.size)
+            return proved_bounded(n, a, c, thr, z, rho0)
+
+        monkeypatch.setattr(family, "_proved_bounded", spy)
+        esc, iters = iterate_orbits_bulk(3, *block[:3], 30000, block[3])
+        assert len(nominated) > 10
+        for i, e in enumerate(eps.tolist()):
+            a, c, z0, thr = (col[i] for col in block)
+            res = iterate_orbit(MapParams(3, complex(a), complex(c)), complex(z0), 30000, float(thr))
+            assert res.escaped and (bool(esc[i]), int(iters[i])) == (True, res.iterations)
+            assert 2000 < res.iterations < 30000
+
+    @pytest.mark.parametrize("window", [13, family._WINDOW])
+    def test_every_window_proving_matches_the_oracle(self, monkeypatch, window):
+        # with a proof at the end of every window long enough for the trigger,
+        # from a single nominee on, the edge rows (poles, z == 0 mid-window,
+        # Brent retirements and escapes at every step) and a zoom's orbits
+        # still get the oracle's counts, block by block and pooled
+        monkeypatch.setattr(family, "_BATCH", 1)
+        monkeypatch.setattr(family, "_LATE_MIN", 1)
+        monkeypatch.setattr(family, "_WINDOW", window)
+        retired = spy_on_proofs(monkeypatch)
+        rows = window_edge_rows(2 * window + 1)
+        rows = [np.concatenate([x, y]) for x, y in zip(rows, EDGE_ROWS)]
+        order = np.random.default_rng(window).permutation(rows[0].size)
+        blocks = [tuple(col[ix] for col in rows) for ix in np.array_split(order, 7)]
+        for max_iter in (window, 2 * window + 1, 300):
+            got = pooled_orbits(4, blocks, max_iter)
+            for k, (a, c, z0, thr) in enumerate(blocks):
+                want = reference_orbits_bulk(4, a, c, z0, max_iter, thr)
+                np.testing.assert_array_equal(got[k][0], want[0])
+                np.testing.assert_array_equal(got[k][1], want[1])
+        assert len(retired) > 100
+
+    @pytest.mark.parametrize("n, c, spread", [(3, 4 - 3j, 0.01), (6, -7 + 2j, 0.003),
+                                              (8, 6 + 0j, 0.003)])
+    def test_families_near_centers_match_the_oracle(self, monkeypatch, n, c, spread):
+        # parameters scattered near a fixed-critical center, whose critical
+        # orbits are mostly attracted to cycles; half the orbits start a
+        # little off the critical value, and some thresholds lie below the
+        # escape radius. With a proof at every window, every count equals the
+        # oracle's
+        monkeypatch.setattr(family, "_BATCH", 1)
+        monkeypatch.setattr(family, "_LATE_MIN", 1)
+        retired = spy_on_proofs(monkeypatch)
+        rng = np.random.default_rng(n)
+        centre = fixed_critical_params(n, c)[0].a_j
+        m = 1200
+        a = centre + spread * abs(centre) * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))
+        cs = np.full(m, c)
+        z0 = cs + 2 * np_principal_sqrt(a) * rng.choice([1, -1], m)
+        z0[::2] += 1e-3 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m))[::2]
+        thr = escape_radius_bulk(a, cs) * np.where(rng.random(m) < 0.3, rng.uniform(0.3, 1, m), 1.0)
+        blocks = [tuple(x[i:i + 300] for x in (a, cs, z0, thr)) for i in range(0, m, 300)]
+        got = pooled_orbits(n, blocks, 1000)
+        for k, (a_, c_, z_, t_) in enumerate(blocks):
+            want = reference_orbits_bulk(n, a_, c_, z_, 1000, t_)
+            np.testing.assert_array_equal(got[k][0], want[0])
+            np.testing.assert_array_equal(got[k][1], want[1])
+        assert len(retired) > 100

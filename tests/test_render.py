@@ -519,7 +519,11 @@ class TestPooledRender:
         # of 2 or more (here every lower-sign one, 40,000). Measured: 7,289,627
         # (E), 7,522,149 pooled and 7,583,976 band by band at W = 16, against a
         # bound of E + 600,000; 2,099 loop steps pooled (band by band: 13,013);
-        # the loop bound is the one-step schedule's 2,065 plus 10%.
+        # the loop bound is the one-step schedule's 2,065 plus 10%. These
+        # counts hold for Brent's retirement alone, so the trigger nominates
+        # nothing for them; with proved retirement the pooled render computes
+        # 3,775,436 orbit steps (38,102 of them in the proofs) in 2,210 map
+        # calls.
         vp = Viewport(*square(README_A, 0.1), 200, 200)
         cfg = RenderConfig(max_iter=1000)
         calls = []
@@ -548,6 +552,9 @@ class TestPooledRender:
 
         monkeypatch.setattr(family, "pow_int", counting)
         window = family._WINDOW
+        render_slice(4, FixedC(6j), vp, cfg)
+        assert counts == [2210, 3775436]
+        monkeypatch.setattr(family, "_TOL", -1.0)  # nominate nothing: Brent's test alone
         one_pooled, one_banded, reach = run(1)
         exact = one_pooled[1]
         assert one_banded[1] == exact and reach == 200 * 200
