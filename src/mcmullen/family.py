@@ -319,24 +319,28 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
 # held at once. A window records, retires and removes the orbits that left
 # once, not at every step, for at most _WINDOW - 1 throwaway steps per orbit
 # that left. On the four 200x200, max_iter 1000 zooms of the paper's n = 4,
-# c = 6i centers, 4096, 12 and 16 take 5,550 loop steps and 12.4 M orbit steps
-# with proved retirement (below), and 7,647 and 25.2 M with Brent's test alone
-# (one-step windows: 7,507 and 24.4 M; one band at a time: 46,667 loop steps);
-# windows of 8 or 24 steps ran slower, and with proved retirement 8,192 live
-# orbits or 24 or 32 open blocks ran no faster.
+# c = 6i centers, 4096, 12 and 16 take 5,931 loop steps and 13.1 M orbit steps
+# with exact and proved retirement (below), and 8,640 and 30.3 M with exact
+# retirement alone. Measured when exact repeats were found against Brent's
+# power-of-two references at every step: one band at a time took 46,667 loop
+# steps, windows of 8 or 24 steps ran slower, and with proved retirement 8,192
+# live orbits or 24 or 32 open blocks ran no faster.
 _POOL_MIN = 4096
 _OPEN_MAX = 12
 _WINDOW = 16
 
-# Proved retirement. A window of more than _LAG steps nominates the live orbits
-# whose state came back to within _TOL max(1, |z|) of their state _LAG steps
-# before; _LAG = 12 covers periods 1, 2, 3, 4, 6 and 12. When at least _BATCH
-# orbits are nominated, _proved_bounded tries them, _PROOF_CHUNK at a time,
-# with a disc of radius _GROW times that drift plus _ROOM max(1, |z|); it marks
+# Exact and proved retirement. A window of more than _LAG steps retires the
+# live orbits whose state equals their state _LAG steps before, and nominates
+# those whose state came back to within _TOL max(1, |z|) of it; _LAG = 12
+# covers periods 1, 2, 3, 4, 6 and 12. When at least _BATCH orbits are
+# nominated, _proved_bounded tries them, _PROOF_CHUNK at a time, with a disc
+# of radius _GROW times that drift plus _ROOM max(1, |z|); it marks
 # `weak` an orbit whose multiplier bound is at least _CUTOFF, and the trigger
-# passes it over from then on. Measured on the four 200x200, max_iter 1000
-# zooms of n = 4, c = 6i (the benchmark's render-deep at seed 1), where these
-# settings give 65,021 nominations, 61,776 proofs and 12.43 M kernel steps:
+# passes it over from then on. On the four 200x200, max_iter 1000 zooms of
+# n = 4, c = 6i (the benchmark's render-deep at seed 1) these settings give
+# 68,861 nominations, 64,290 proofs and 13.11 M kernel steps. Measured there
+# when exact repeats were found against Brent's references, with 65,021
+# nominations, 61,776 proofs and 12.43 M steps:
 # - _TOL 1e-5 and 1e-4 save 0.5 M steps, but fail 48% of 117,527 and 67% of
 #   182,174 nominations, and at 1e-5 the proofs took twice as long;
 # - _GROW 4, 16, 64 and 1,024 prove 27%, 40%, 92% and 80% of their
@@ -503,41 +507,40 @@ def iterate_orbit_blocks(n, blocks, max_iter):
 
     Every step decides every orbit with one comparison, |z| <= threshold
     (_within), which equals the documented rule for every finite threshold; a
-    block with a nan or infinite threshold raises ValueError. A new block takes
-    its first step alone (most orbits of a wide view leave there). Its survivors
-    join the pool of live orbits of all open blocks. Each block counts its own
-    steps from its birth, so iteration counts, pole dating, Brent reference steps
-    and the max_iter cut are each block's own. Four shortcuts never change a
-    result:
+    block with a nan or infinite threshold, or an n that check_exponent
+    refuses, raises ValueError. A new block takes its first step alone (most
+    orbits of a wide view leave there). Its survivors join the pool of live
+    orbits of all open blocks. Each block counts its own steps from its birth,
+    so iteration counts, pole dating and the max_iter cut are each block's own.
+    Three shortcuts never change a result:
     - a pole is the step after z = 0: R(0) evaluates to a non-finite value (a / 0),
       so it fails the comparison, and the pre-step z = 0 dates it at m - 1;
-    - an orbit whose z equals its Brent reference (z at steps 1, 2, 4, 8, ...)
-      is retired as bounded. The map is deterministic, so z repeats the states
-      from the reference on, each of which was nonzero and passed every test.
-      Signed zeros can differ between the two, but they change only the sign of
-      zero results, never a modulus, a pole or a finiteness test;
-    - the pool steps in windows of up to _WINDOW steps, each ending at the next
-      event at the latest (a block's power-of-two or max_iter-th step, where
-      references are set and blocks are cut), and records, retires and removes
-      the orbits that left only at the window's end. Every step still decides
-      every orbit and keeps masks of the comparison, of z == 0 and of
-      z == reference, so an orbit's count comes from its first failing step,
-      a pole when z == 0 the step before, for every finite threshold and
-      whatever the orbit computes after that. An orbit that left computes at
-      most _WINDOW - 1 further steps; a retired one cannot fail later, as it
-      repeats states that passed;
+    - the pool steps in windows of up to _WINDOW steps, each ending at a
+      block's max_iter-th step at the latest, where the block is cut, and
+      records, retires and removes the orbits that left only at the window's
+      end. Every step still decides every orbit and keeps masks of the
+      comparison and of z == 0, so an orbit's count comes from its first
+      failing step, a pole when z == 0 the step before, for every finite
+      threshold and whatever the orbit computes after that. An orbit that
+      left computes at most _WINDOW - 1 further steps;
     - at the end of a window of more than _LAG steps, an orbit that passed
-      every step and whose state z came back to within a relative _TOL of its
-      state _LAG steps before is nominated, and retired as bounded if
+      every step and whose state z equals its state _LAG steps before is
+      retired as bounded. The map is deterministic, so z repeats the states
+      from then on, each of which was nonzero and finite and passed every
+      test. Signed zeros can differ between the two, but they change only the
+      sign of zero results, never a modulus, a pole or a finiteness test. An
+      orbit that passed every step and whose z came back to within a relative
+      _TOL of that state is nominated, and retired as bounded if
       _proved_bounded proves a disc D_0 about z, with p floating-point steps
       of the map (p = 1, 2, 3, 4, 6 or 12) sending D_0 into discs D_1, ...,
       D_p and D_p into D_0, for every rounding within an a-priori bound.
       Every disc lies in 0 < |w| <= threshold with room for np.abs's
       rounding, so every later state of the orbit, as this kernel computes
       it, is nonzero and finite and passes the comparison: its count is
-      max_iter, as running on would give. Which orbits are nominated, and
+      max_iter, as running on would give. Which orbits are retired, and
       when, depends on the schedule; no count does.
     """
+    check_exponent(n)
     check_max_iter(max_iter)
     pool = _Pool(n, max_iter)
     blocks = enumerate(blocks)
@@ -557,25 +560,24 @@ def iterate_orbit_blocks(n, blocks, max_iter):
 
 class _Pool:
     """The working set of iterate_orbit_blocks. Per live orbit (_FIELDS): its
-    position in its block, its block's slot, z, a, c, thr and the Brent reference
-    ref. Per open block, by slot: its key and iters, and the pool step before its
-    first step (birth). A block is closed at the first event (a power-of-two or
-    max_iter-th step of any block) after its last orbit has left, or at the end
-    of the window that empties the pool. An orbit's arithmetic does not depend
-    on its position, so orbits that leave are replaced by the last ones, which
-    moves a few elements per array instead of compacting every array."""
+    position in its block, its block's slot, z, a, c, thr, and whether a proof
+    found it weak. Per open block, by slot: its key and iters, and the pool step
+    before its first step (birth). A block is closed at the end of the window
+    in which its last orbit leaves or in which it takes its max_iter-th step.
+    An orbit's arithmetic does not depend on its position, so orbits that leave
+    are replaced by the last ones, which moves a few elements per array instead
+    of compacting every array."""
 
-    _FIELDS = ("idx", "slot", "z", "a", "c", "thr", "ref", "weak")
+    _FIELDS = ("idx", "slot", "z", "a", "c", "thr", "weak")
 
     def __init__(self, n, max_iter):
         self.n, self.max_iter = n, max_iter
         self.steps = 0
-        self.next_event = math.inf  # the next step at which a block reaches 2**j or max_iter
         self.open = {}  # slot -> (key, iters) of an open block
         self.births = np.zeros(_OPEN_MAX, dtype=np.int64)
         self.idx = np.empty(0, dtype=np.intp)
         self.slot = np.empty(0, dtype=np.int8)
-        self.z = self.a = self.c = self.ref = np.empty(0, dtype=complex)
+        self.z = self.a = self.c = np.empty(0, dtype=complex)
         self.thr = np.empty(0)
         self.weak = np.empty(0, dtype=bool)
 
@@ -607,11 +609,10 @@ class _Pool:
         self.open[s] = (k, iters)
         self.births[s] = self.steps
         joining = dict(idx=idx, slot=np.full(idx.size, s, dtype=np.int8), z=z, a=a, c=c,
-                       thr=thr, ref=z, weak=np.zeros(idx.size, dtype=bool))
+                       thr=thr, weak=np.zeros(idx.size, dtype=bool))
         del idx, z, a, c, thr, z0, block
         for name in self._FIELDS:
             setattr(self, name, np.concatenate([getattr(self, name), joining.pop(name)]))
-        self.next_event = min(self.next_event, self.steps + 1)
         return []
 
     @np.errstate(all="ignore")
@@ -624,40 +625,33 @@ class _Pool:
                 return closed
 
     def _window(self):
-        """Up to _WINDOW steps of every pooled orbit, ending at the next event at
-        the latest, then one pass of bookkeeping; returns the blocks it closes.
+        """Up to _WINDOW steps of every pooled orbit, ending at the next
+        max_iter cut at the latest, then one pass of bookkeeping; returns the
+        blocks it closes.
 
-        Every step decides every orbit and keeps three masks: _within, z == 0,
-        and z == ref, the last as its two component equalities, which compare
-        about twice as fast as the complex ones and are paired once per window.
+        Every step decides every orbit and keeps two masks: _within and z == 0.
         An orbit escapes at the first step it fails _within, a pole when its
-        state before that step is 0. It is retired if it never fails and meets
-        its reference, which is fixed for the window: from there it repeats
-        states that passed, so it cannot fail later. A window of more than
-        _LAG steps then retires the orbits _prove proves bounded."""
-        steps = min(_WINDOW, self.next_event - self.steps)
+        state before that step is 0. A window of more than _LAG steps then
+        retires the orbits _prove finds bounded."""
+        cut = min(int(self.births[s]) for s in self.open) + self.max_iter - 1  # oldest block's
+        steps = min(_WINDOW, cut - self.steps)
         keep = np.empty((steps, self.size), dtype=bool)
         zero = np.empty((steps + 1, self.size), dtype=bool)  # row j: z == 0 after j steps
-        same = np.empty((steps, 2 * self.size), dtype=bool)  # real and imaginary parts
         z = self.z
         np.equal(np.abs(z), 0.0, out=zero[0])
-        ref = self.ref.view(float)
         back = None
         for j in range(steps):
             z = _map_array(z, self.n, self.a, self.c)
             mod = np.abs(z)  # 0 exactly where z is 0
             _within(mod, self.thr, out=keep[j])
             np.equal(mod, 0.0, out=zero[j + 1])
-            np.equal(z.view(float), ref, out=same[j])
             if j == steps - 1 - _LAG:
                 back = z
         start = self.steps
         self.steps += steps
         self.z = z
-        escaped = ~keep.all(axis=0)
-        gone = escaped | (same.view(np.uint16) == 0x0101).any(axis=0)  # both parts equal
-        del same
-        out = np.flatnonzero(escaped)
+        gone = ~keep.all(axis=0)  # the escapes, then the retired orbits too
+        out = np.flatnonzero(gone)
         if out.size:
             first = keep[:, out].argmin(axis=0)
             self._record(out, start + 1 + first - zero[first, out])
@@ -667,14 +661,19 @@ class _Pool:
             del back
         if gone.any():
             self._remove(~gone)
-        return self._settle() if self.steps >= self.next_event or not self.size else []
+        elif self.steps < cut:
+            return []
+        return self._settle()
 
     def _prove(self, z, mod, back, gone):
-        """Nominate the orbits, not gone or weak, whose state z (of modulus mod)
-        came back to within _TOL max(1, |z|) of back, their state _LAG steps
-        before, and set gone where _proved_bounded proves one bounded and weak
-        where it finds one so."""
+        """Set gone for the orbits whose state z (of modulus mod) equals back,
+        their state _LAG steps before: from there they repeat states that
+        passed, so they cannot fail later. Then nominate the
+        orbits, not gone or weak, whose z came back to within _TOL max(1, |z|)
+        of back, and set gone where _proved_bounded proves one bounded and
+        weak where it finds one so."""
         drift = np.abs(np.subtract(z, back, out=back))  # back and mod are the window's
+        gone |= drift == 0
         scale = np.maximum(mod, 1.0, out=mod)
         near = drift <= np.multiply(scale, _TOL, out=scale)
         near &= ~gone
@@ -715,26 +714,13 @@ class _Pool:
 
     def _settle(self):
         """Close the blocks that have taken max_iter steps or have no live orbits
-        left, and set the Brent references of the others at a power-of-two step.
-        Returns the closed blocks in key order."""
-        closed = []
-        renew = np.zeros(_OPEN_MAX, dtype=bool)  # by slot: set the reference now
-        self.next_event = math.inf
+        left. Returns the closed blocks in key order."""
         live = np.bincount(self.slot, minlength=_OPEN_MAX)
-        for s in sorted(self.open, key=lambda s: self.open[s][0]):
-            birth = int(self.births[s])
-            m = self.steps - birth + 1
-            if m == self.max_iter or live[s] == 0:
-                closed.append(s)
-                continue
-            renew[s] = m & (m - 1) == 0
-            event = birth + min(1 << m.bit_length(), self.max_iter) - 1
-            self.next_event = min(self.next_event, event)
-        if renew.any():
-            np.copyto(self.ref, self.z, where=renew[self.slot])
+        cut = self.steps + 1 - self.max_iter  # the birth of a block at its max_iter-th step
+        closed = [s for s in sorted(self.open, key=lambda s: self.open[s][0])
+                  if self.births[s] == cut or live[s] == 0]
         if closed and live[closed].any():
             shut = np.zeros(_OPEN_MAX, dtype=bool)
             shut[closed] = True
             self._remove(~shut[self.slot])
         return [self.open.pop(s) for s in closed]
-

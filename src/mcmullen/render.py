@@ -54,10 +54,10 @@ _ROW_BAND = 16
 # one band, the orbit kernel's blocks and pool and the shading blocks; and the
 # orbit pool's own part, which holds up to about 4096 orbits and their window
 # masks whatever the width. With tracemalloc, render_slice plus encode_ppm
-# peaked at 0.24 to 0.59 of the estimate on 200x200 and 1600x400 deep zooms and
-# wide views at max_iter 1000 (less 6 B per pixel, 140 to 530 B per band
-# point), and at most 0.61 on deep zooms 1 to 256 pixels wide, which exceed the
-# estimate without the pool's part.
+# peaked at 0.24 to 0.56 of the estimate on 200x200 and 1600x400 deep zooms and
+# wide views at max_iter 1000 (less 6 B per pixel, 140 to 510 B per band
+# point), and at most 0.63 on deep zooms 1 to 256 pixels wide and 200 high,
+# which exceed the estimate without the pool's part.
 _PIXEL_BYTES = 16
 _BAND_POINT_BYTES = 512
 _POOL_BYTES = 2**20

@@ -144,10 +144,13 @@ class TestMapParams:
         with pytest.raises(AttributeError):
             p.n = 4
 
-    @pytest.mark.parametrize("n", [2, -3, True, 3.0, None])
+    @pytest.mark.parametrize("n", [1, 2, -3, True, 3.0, None])
     def test_one_exponent_check(self, n):
         # every entry point refuses n with the one check and its one message
+        block = (np.ones(1, complex), np.full(1, 0.1 + 0j), np.full(1, 0.5 + 0j), np.full(1, 4.0))
         calls = (
+            lambda: iterate_orbits_bulk(n, 1, 0.1, 0.5, 10, 4.0),
+            lambda: list(iterate_orbit_blocks(n, [block], 10)),
             lambda: MapParams(n, 1 + 0j, 0j),
             lambda: WRegionSpec(c=-1 + 0j, n=n, j=0, w_j=1 + 0j, a_j=1 + 0j, k=0),
             lambda: render_slice(n, FixedC(6j), Viewport(-1, 1, -1, 1, 2, 2), RenderConfig()),
@@ -606,8 +609,8 @@ def pooled_orbits(n, blocks, max_iter):
 
 def edge_rows():
     """Rows (a, c, z0, thr) for n = 4: both critical orbits of a 24x24 zoom around a
-    fixed-critical center (bounded orbits, some retired by Brent, and escapes at
-    many steps), then every edge of the decision rule."""
+    fixed-critical center (bounded orbits, some retired at an exact repeat, and
+    escapes at many steps), then every edge of the decision rule."""
     a = lattice(fixed_critical_params(4, 6j)[0].a_j, 0.1, 24)
     plus, minus = critical_orbit_args(4, a, np.full(a.shape, 6j), 1)
     cols = [np.concatenate([plus[i], minus[i]]) for i in (1, 2, 3, 5)]
@@ -633,12 +636,13 @@ EDGE_ROWS = edge_rows()
 
 
 def leave_steps(n, a, c, z0, thr, max_iter):
-    """How and at which step each orbit leaves under the one-step schedule, as
+    """How and at which step each orbit leaves under a one-step schedule, as
     (kind, step): "escape" at the step whose value fails |z| <= thr, "pole" at
     the step after a z == 0 (the count is one less), "retire" at the step whose
-    value equals the Brent reference (z at the last power-of-two step before
-    it), and "bounded" at max_iter. reference_orbits_bulk gives only counts;
-    the rows of window_edge_rows are picked by kind."""
+    value repeats exactly an earlier one (z at the last power-of-two step
+    before it, which finds every exact cycle), and "bounded" at max_iter.
+    reference_orbits_bulk gives only counts; the rows of window_edge_rows are
+    picked by kind."""
     kind = np.full(z0.size, "bounded", dtype=object)
     step = np.full(z0.size, max_iter)
     z = z0.astype(complex)
@@ -673,7 +677,7 @@ def window_edge_rows(max_step):
       repelling fixed point 1.2207..., above which it escapes, the later the
       nearer;
     - critical orbits z0 = c escape slowly just outside the cusp of the main
-      cardioid at c = 0.75 / 4**(1/3), and are retired by Brent inside it
+      cardioid at c = 0.75 / 4**(1/3), and repeat exactly inside it
       (period 1) and in the period windows of -1.45 < c < -0.9, at every
       period and entry step the test needs.
     The rows of z**4 - 1 come again with threshold 0.9, below the escape
@@ -783,12 +787,13 @@ class TestPooledKernel:
                 np.testing.assert_array_equal(got[k][0], esc)
                 np.testing.assert_array_equal(got[k][1], iters)
 
-    def test_brent_retires_in_every_block_alike(self, monkeypatch):
+    def test_exact_repeats_retire_in_every_block_alike(self, monkeypatch):
         # Uneven blocks of a zoom's critical orbits at max_iter 400: the pooled run
         # computes exactly the orbit steps of the blocks run one by one, in fewer
         # loop steps, and bounded orbits are retired early in several blocks.
-        # Proved retirement runs at window ends, which depend on the schedule,
-        # so the trigger nominates nothing here: Brent's test alone.
+        # Retirement runs at window ends, which depend on the schedule: every
+        # block here joins at pool step 0, so its windows are the ones it has
+        # alone, and the trigger nominates nothing, so only exact repeats retire.
         monkeypatch.setattr(family, "_TOL", -1.0)
         a = lattice(fixed_critical_params(4, 6j)[1].a_j, 0.1, 40)
         cuts = [0, 13, 200, 201, 650, 900, 1301, a.size]
@@ -839,26 +844,27 @@ class TestPooledKernel:
                 done += 1
             assert done == count == len(pulled)
 
-    def test_a_fixed_point_at_step_1_is_retired_at_step_2(self, monkeypatch):
-        # z0 = 1, a = -1, c = 1: z1 = 1 - 1 + 1 = 1 is a fixed point, so z2 equals
-        # the step-1 reference and the orbit leaves as bounded after two steps
+    def test_a_fixed_point_is_retired_at_the_end_of_the_first_window(self, monkeypatch):
+        # z0 = 1, a = -1, c = 1: z1 = 1 - 1 + 1 = 1 is a fixed point, so at the
+        # end of the first window z equals its state _LAG steps before and the
+        # orbit leaves as bounded after the admission and one window
         computed = []
         monkeypatch.setattr(family, "pow_int", lambda z, n: computed.append(z.size) or pow_int(z, n))
         esc, iters = iterate_orbits_bulk(4, -1 + 0j, 1 + 0j, 1 + 0j, 1000, 4.0)
         assert (bool(esc), int(iters)) == (False, 1000)
-        assert computed == [1, 1]
+        assert computed == [1] * (1 + family._WINDOW)
 
     def test_no_step_after_the_last_orbit_leaves(self, monkeypatch):
         # z0 = 1, a = -1, c = 1.2: z1 = 1.2, |z2| = 2.79 and |z3| = 60.6 > 4, so
-        # the orbit escapes at step 3. Step 1 is the admission, step 2 a window
-        # of its own (the event at step 2), and steps 3 and 4 one window up to
-        # the event at step 4: the kernel computes exactly four steps, the last
-        # after the escape, and stops there, long before max_iter.
+        # the orbit escapes at step 3. Step 1 is the admission and steps 2 to
+        # 17 one window: the kernel computes exactly 17 steps, the last 14
+        # after the escape, and stops at the end of that window, long before
+        # max_iter.
         computed = []
         monkeypatch.setattr(family, "pow_int", lambda z, n: computed.append(z.size) or pow_int(z, n))
         esc, iters = iterate_orbits_bulk(4, -1 + 0j, 1.2 + 0j, 1 + 0j, 1000, 4.0)
         assert (bool(esc), int(iters)) == (True, 3)
-        assert computed == [1, 1, 1, 1]
+        assert computed == [1] * 17
 
     def test_a_block_closes_once_its_orbits_have_left(self):
         # One orbit of a zoom that stays bounded and is not retired in 300 steps,
@@ -874,8 +880,9 @@ class TestPooledKernel:
 
     @pytest.mark.parametrize("max_iter", [1, 128, 2**31 - 1])
     def test_counts_are_int32(self, max_iter):
-        # z0 = 1 (a = -1, c = 1) is a fixed point, retired as bounded after two
-        # steps; z0 = 10 escapes at step 1; every count of every budget is int32
+        # z0 = 1 (a = -1, c = 1) is a fixed point, retired as bounded at the end
+        # of the first window; z0 = 10 escapes at step 1; every count of every
+        # budget is int32
         block = (np.full(2, -1 + 0j), np.full(2, 1 + 0j), np.array([1, 10 + 0j]), np.full(2, 4.0))
         ((k, iters),) = iterate_orbit_blocks(4, [block], max_iter)
         assert k == 0 and iters.dtype == np.int32
@@ -888,6 +895,111 @@ class TestPooledKernel:
         assert [k for k, _ in got] == [0, 1] and all(it.size == 0 for _, it in got)
         with pytest.raises(ValueError):
             list(iterate_orbit_blocks(4, [empty], 0))
+
+
+# Real c of z**4 + c (a = 1e-300, which rounds away beside z**4 + c here) whose
+# critical orbit falls, in binary64, onto an exact cycle of _map_array of the
+# given least period.
+CYCLE_C = {1: -0.5, 2: -0.9, 3: -1.23, 4: -1.125, 5: -1.2, 6: -1.2369, 12: -1.1798}
+
+
+def exact_cycle(period):
+    """(a, c, z0) of n = 4: z0 on the exact binary64 cycle of CYCLE_C[period],
+    reached from z = c in 4000 steps, with its least period checked."""
+    a, c = np.array([1e-300 + 0j]), np.array([CYCLE_C[period] + 0j])
+    z = c.copy()
+    for _ in range(4000):
+        z = family._map_array(z, 4, a, c)
+    w = z
+    for p in range(1, 25):
+        w = family._map_array(w, 4, a, c)
+        if w[0] == z[0]:
+            break
+    assert w[0] == z[0] and p == period and np.isfinite(z).all() and z[0] != 0
+    return a, c, z
+
+
+class TestExactRetirement:
+    """At the end of a window longer than _LAG, an orbit that passed every step
+    and whose state equals its state _LAG steps before is retired as bounded,
+    with no proof, whatever _BATCH and its weak flag say."""
+
+    @staticmethod
+    def computed(monkeypatch):
+        """The sizes of the pool's map calls, in order."""
+        sizes = []
+        monkeypatch.setattr(family, "pow_int", lambda z, n: sizes.append(z.size) or pow_int(z, n))
+        return sizes
+
+    @pytest.mark.parametrize("window", [family._LAG + 1, family._WINDOW])
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_cycles_dividing_the_lag_retire_at_the_first_window(self, monkeypatch, window, weak):
+        # periods 1, 2, 3, 4, 6 and 12 repeat exactly over the _LAG steps of
+        # the first window, so after the admission and that window the block
+        # is done: one orbit alone (fewer than _BATCH) and all six together,
+        # and also with every orbit marked weak from its admission on
+        monkeypatch.setattr(family, "_WINDOW", window)
+        if weak:
+            admit = family._Pool.admit
+
+            def weak_admit(pool, k, block):
+                done = admit(pool, k, block)
+                pool.weak[:] = True
+                return done
+
+            monkeypatch.setattr(family._Pool, "admit", weak_admit)
+        rows = [exact_cycle(p) for p in (1, 2, 3, 4, 6, 12)]
+        blocks = [row + (np.full(1, 4.0),) for row in rows]
+        blocks.append(tuple(np.concatenate(col) for col in zip(*blocks)))
+        computed = self.computed(monkeypatch)
+        for block in blocks:
+            computed.clear()
+            got = pooled_orbits(4, [block], 1000)
+            want = reference_orbits_bulk(4, *block[:3], 1000, block[3])
+            np.testing.assert_array_equal(got[0][0], want[0])
+            np.testing.assert_array_equal(got[0][1], want[1])
+            assert not want[0].any()
+            assert computed == [block[0].size] * (1 + window)
+
+    def test_a_period_5_cycle_runs_to_max_iter(self, monkeypatch):
+        # 5 does not divide _LAG: the state 12 steps back is never the same,
+        # so the orbit takes every step up to the max_iter cut
+        a, c, z0 = exact_cycle(5)
+        computed = self.computed(monkeypatch)
+        esc, iters = iterate_orbits_bulk(4, a, c, z0, 300, 4.0)
+        assert (bool(esc[0]), int(iters[0])) == (False, 300)
+        want = reference_orbits_bulk(4, a, c, z0, 300, 4.0)
+        assert (esc[0], iters[0]) == (want[0][0], want[1][0])
+        assert computed == [1] * 300
+
+    def test_a_cycle_that_failed_in_the_window_escapes(self):
+        # the 2-cycle of c = -0.9 has states of modulus 0.896 and 0.256; with
+        # threshold 0.5 and z0 the larger, step 1 passes and step 2 fails,
+        # though at the end of the first window the state repeats exactly and
+        # its last step passed: the escape at 2 stands, alone and pooled with
+        # the cycles that retire
+        a, c, z0 = exact_cycle(2)
+        z0 = z0 if abs(z0[0]) > 0.5 else family._map_array(z0, 4, a, c)
+        want = reference_orbits_bulk(4, a, c, z0, 1000, 0.5)
+        assert (bool(want[0][0]), int(want[1][0])) == (True, 2)
+        rows = [exact_cycle(p) + (np.full(1, 4.0),) for p in (1, 3)] + [(a, c, z0, np.full(1, 0.5))]
+        block = tuple(np.concatenate(col) for col in zip(*rows))
+        got = pooled_orbits(4, [(a, c, z0, np.full(1, 0.5)), block], 1000)
+        assert (bool(got[0][0][0]), int(got[0][1][0])) == (True, 2)
+        want = reference_orbits_bulk(4, *block[:3], 1000, block[3])
+        np.testing.assert_array_equal(got[1][0], want[0])
+        np.testing.assert_array_equal(got[1][1], want[1])
+
+    def test_a_subnormal_drift_is_no_repeat(self):
+        # R'(1) = 4 (1 - a) = -6 at the repelling fixed point 1 of a = 2.5,
+        # c = -2.5; from z0 = 1 + 5e-324j the imaginary part grows sixfold a
+        # step, so over the first window the state moves by about 1e-310 in
+        # _LAG steps, no exact repeat, and the orbit escapes at step 417
+        block = (np.array([2.5 + 0j]), np.array([-2.5 + 0j]), np.array([complex(1, 5e-324)]))
+        want = reference_orbits_bulk(4, *block, 1000, 4.0)
+        assert (bool(want[0][0]), int(want[1][0])) == (True, 417)
+        got = pooled_orbits(4, [block + (np.full(1, 4.0),)], 1000)
+        assert (bool(got[0][0][0]), int(got[0][1][0])) == (True, 417)
 
 
 # The four 200x200, max_iter 1000 zooms of the benchmark's render-deep workload
@@ -978,7 +1090,7 @@ class TestProvedRetirement:
             np.testing.assert_array_equal(got[k][0], want[0])
             np.testing.assert_array_equal(got[k][1], want[1])
         # the dynamical plane's bounded orbits fall into the superattracting
-        # fixed point and meet it exactly, so Brent's test retires them first
+        # fixed point and meet it exactly, so they retire as exact repeats
         assert len(retired) > 5000 or dynamical
         for k, i in retired:
             assert not got[k][0][i] and got[k][1][i] == 1000
@@ -1121,7 +1233,7 @@ class TestProvedRetirement:
     def test_every_window_proving_matches_the_oracle(self, monkeypatch, window):
         # with a proof at the end of every window long enough for the trigger,
         # from a single nominee on, the edge rows (poles, z == 0 mid-window,
-        # Brent retirements and escapes at every step) and a zoom's orbits
+        # exact repeats and escapes at every step) and a zoom's orbits
         # still get the oracle's counts, block by block and pooled
         monkeypatch.setattr(family, "_BATCH", 1)
         monkeypatch.setattr(family, "_LATE_MIN", 1)

@@ -383,8 +383,9 @@ def square(center, half):
     return (center.real - half, center.real + half, center.imag - half, center.imag + half)
 
 
-# (n, slice, view bounds): zooms where orbits stay bounded and are retired by
-# Brent, wide views, views centered on a = 0 or on the dynamical pole z = 0.
+# (n, slice, view bounds): zooms where orbits stay bounded and are retired at
+# an exact repeat, wide views, views centered on a = 0 or on the dynamical pole
+# z = 0.
 POOLED_CASES = (
     (4, FixedC(6j), square(README_A, 0.1)),
     (4, FixedC(6j), (-16.0, -3.0, -6.5, 6.5)),
@@ -516,14 +517,14 @@ class TestPooledRender:
         # pool can leave inside one; so each schedule computes from E to
         # E + (W - 1) * P orbit steps, P the orbits that reach the pool. With no
         # first iterate at 0 (a pole dated 1), those are the orbits with counts
-        # of 2 or more (here every lower-sign one, 40,000). Measured: 7,289,627
-        # (E), 7,522,149 pooled and 7,583,976 band by band at W = 16, against a
-        # bound of E + 600,000; 2,099 loop steps pooled (band by band: 13,013);
-        # the loop bound is the one-step schedule's 2,065 plus 10%. These
-        # counts hold for Brent's retirement alone, so the trigger nominates
-        # nothing for them; with proved retirement the pooled render computes
-        # 3,775,436 orbit steps (38,102 of them in the proofs) in 2,210 map
-        # calls.
+        # of 2 or more (here every lower-sign one, 40,000). These counts hold
+        # with no retirement at all, which a lag of W switches off, as no
+        # window is longer than it. Measured: 21,759,364 (E), and 21,923,184
+        # pooled and band by band at W = 16, against a bound of E + 600,000;
+        # 5,053 loop steps pooled (band by band: 13,013); the loop bound is the
+        # one-step schedule's 5,037 plus 10%. With exact and proved
+        # retirement the pooled render computes 3,828,705 orbit steps (40,979
+        # of them in the proofs) in 2,254 map calls.
         vp = Viewport(*square(README_A, 0.1), 200, 200)
         cfg = RenderConfig(max_iter=1000)
         calls = []
@@ -553,12 +554,12 @@ class TestPooledRender:
         monkeypatch.setattr(family, "pow_int", counting)
         window = family._WINDOW
         render_slice(4, FixedC(6j), vp, cfg)
-        assert counts == [2210, 3775436]
-        monkeypatch.setattr(family, "_TOL", -1.0)  # nominate nothing: Brent's test alone
+        assert counts == [2254, 3828705]
+        monkeypatch.setattr(family, "_LAG", window)  # retire nothing
         one_pooled, one_banded, reach = run(1)
         exact = one_pooled[1]
         assert one_banded[1] == exact and reach == 200 * 200
         pooled, banded, _ = run(window)
         for steps in (pooled[1], banded[1]):
             assert exact <= steps <= exact + (window - 1) * reach
-        assert pooled[0] <= 2272 < banded[0]
+        assert pooled[0] <= 5540 < banded[0]
