@@ -51,10 +51,8 @@ def principal_root(z: complex, m: int) -> complex:
 
 
 def np_principal_sqrt(a: np.ndarray) -> np.ndarray:
-    """Vectorized principal square root with the same -0.0 handling as principal_sqrt."""
-    a = np.asarray(a, dtype=complex)
-    a = np.where(a.imag == 0.0, a.real + 0.0j, a)
-    return np.sqrt(a)
+    """Vectorized principal_sqrt: adding 0.0 turns -0.0 into +0.0 and changes nothing else."""
+    return np.sqrt(np.add(a, 0.0, dtype=complex))
 
 
 def safe_abs(z: complex) -> float:
@@ -218,7 +216,8 @@ def _map_array(z, n, a, c):
 def critical_values_bulk(a, c):
     """(c + 2*sqrt(a), c - 2*sqrt(a)) of elementwise (a, c), principal square root."""
     root = np_principal_sqrt(a)
-    return c + 2.0 * root, c - 2.0 * root
+    root *= 2.0
+    return c + root, c - root
 
 
 def critical_values(p: MapParams) -> tuple[complex, complex]:
@@ -318,16 +317,18 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
 # keeps the overhead small; the cap on open blocks bounds the per-block results
 # held at once. A window records, retires and removes the orbits that left
 # once, not at every step, for at most _WINDOW - 1 throwaway steps per orbit
-# that left. On the four 200x200, max_iter 1000 zooms of the paper's n = 4,
-# c = 6i centers, 4096, 12 and 16 take 5,931 loop steps and 13.1 M orbit steps
-# with exact and proved retirement (below), and 8,640 and 30.3 M with exact
-# retirement alone. Measured when exact repeats were found against Brent's
-# power-of-two references at every step: one band at a time took 46,667 loop
-# steps, windows of 8 or 24 steps ran slower, and with proved retirement 8,192
-# live orbits or 24 or 32 open blocks ran no faster.
+# that left, and ends at a step of _STOPS where half the pool failed: 0.16 M
+# window steps on render-wide's seed-1 ops, not 2.07 M. On the four 200x200,
+# max_iter 1000 zooms of the paper's n = 4, c = 6i centers, 4096, 12 and 16
+# take 5,915 loop steps and 12.95 M orbit steps with exact and proved
+# retirement (below), and 8,640 and 30.2 M with exact retirement alone.
+# Measured with Brent's power-of-two references: one band at a time took
+# 46,667 loop steps, windows of 8 or 24 steps ran slower, and with proved
+# retirement 8,192 live orbits or 24 or 32 open blocks ran no faster.
 _POOL_MIN = 4096
 _OPEN_MAX = 12
 _WINDOW = 16
+_STOPS = (1, 2, 4, 8)
 
 # Exact and proved retirement. A window of more than _LAG steps retires the
 # live orbits whose state equals their state _LAG steps before, and nominates
@@ -338,7 +339,7 @@ _WINDOW = 16
 # `weak` an orbit whose multiplier bound is at least _CUTOFF, and the trigger
 # passes it over from then on. On the four 200x200, max_iter 1000 zooms of
 # n = 4, c = 6i (the benchmark's render-deep at seed 1) these settings give
-# 68,861 nominations, 64,290 proofs and 13.11 M kernel steps. Measured there
+# 69,243 nominations, 64,328 proofs and 12.95 M kernel steps. Measured there
 # when exact repeats were found against Brent's references, with 65,021
 # nominations, 61,776 proofs and 12.43 M steps:
 # - _TOL 1e-5 and 1e-4 save 0.5 M steps, but fail 48% of 117,527 and 67% of
@@ -515,14 +516,15 @@ def iterate_orbit_blocks(n, blocks, max_iter):
     Three shortcuts never change a result:
     - a pole is the step after z = 0: R(0) evaluates to a non-finite value (a / 0),
       so it fails the comparison, and the pre-step z = 0 dates it at m - 1;
-    - the pool steps in windows of up to _WINDOW steps, each ending at a
-      block's max_iter-th step at the latest, where the block is cut, and
-      records, retires and removes the orbits that left only at the window's
-      end. Every step still decides every orbit and keeps masks of the
-      comparison and of z == 0, so an orbit's count comes from its first
-      failing step, a pole when z == 0 the step before, for every finite
-      threshold and whatever the orbit computes after that. An orbit that
-      left computes at most _WINDOW - 1 further steps;
+    - the pool steps in windows of up to _WINDOW steps, cut short at a
+      block's max_iter-th step, where the block is cut, and at a step of
+      _STOPS (1, 2, 4, 8) that half the pool failed; it records, retires and
+      removes the orbits that left only at the window's end. Every step still
+      decides every orbit and keeps masks of the comparison and of z == 0, so
+      an orbit's count comes from its first failing step, a pole when z == 0
+      the step before, for every finite threshold and whatever the orbit
+      computes after that. An orbit that left computes at most _WINDOW - 1
+      further steps;
     - at the end of a window of more than _LAG steps, an orbit that passed
       every step and whose state z equals its state _LAG steps before is
       retired as bounded. The map is deterministic, so z repeats the states
@@ -594,12 +596,15 @@ class _Pool:
         # a non-finite start maps to a non-finite z (each product with a nan or
         # inf factor has a non-finite real part), which fails _within
         z = _map_array(z0, self.n, a, c)
-        keep = _within(np.abs(z), thr)
-        # -1 until the orbit escapes; an escape at step 1 is dated 1, a pole
-        # (z0 = 0) and a non-finite start 0
-        iters = np.full(z0.size, -1, dtype=np.int32)
-        np.copyto(iters, z0 != 0, where=~keep)
-        iters[~np.isfinite(z0)] = 0
+        mod = np.abs(z)
+        keep = _within(mod, thr)
+        # -1 until the orbit escapes, 1 for an escape at step 1, and 0 for a
+        # pole (z0 = 0, so z = a/0) or a non-finite start: both give a non-finite |z|
+        iters = keep.astype(np.int32)
+        iters *= -2
+        iters += 1
+        bad = np.flatnonzero(~np.isfinite(mod))
+        iters[bad[(z0[bad] == 0) | ~np.isfinite(z0[bad])]] = 0
         idx = np.flatnonzero(keep)
         if idx.size < z0.size:
             z, a, c, thr = z[idx], a[idx], c[idx], thr[idx]
@@ -626,8 +631,9 @@ class _Pool:
 
     def _window(self):
         """Up to _WINDOW steps of every pooled orbit, ending at the next
-        max_iter cut at the latest, then one pass of bookkeeping; returns the
-        blocks it closes.
+        max_iter cut at the latest or after a step of _STOPS that at least
+        half the pool failed, then one pass of bookkeeping; returns the blocks
+        it closes.
 
         Every step decides every orbit and keeps two masks: _within and z == 0.
         An orbit escapes at the first step it fails _within, a pole when its
@@ -647,6 +653,9 @@ class _Pool:
             np.equal(mod, 0.0, out=zero[j + 1])
             if j == steps - 1 - _LAG:
                 back = z
+            if j + 1 in _STOPS and 2 * np.count_nonzero(keep[j]) <= self.size:
+                steps, keep, back = j + 1, keep[:j + 1], None  # half the pool failed
+                break
         start = self.steps
         self.steps += steps
         self.z = z

@@ -272,8 +272,8 @@ def _color_block(escaped: np.ndarray, iters: np.ndarray, base: RGB8, cfg: Render
 def _palette(base: RGB8, cfg: RenderConfig, top: int) -> np.ndarray:
     """Orbit colors by the kernel's iteration count: row m is _color_block of an
     escape at m = 0..top, the last row (the kernel's -1) is bounded_color. uint16,
-    so that two rows add without overflow. Sized by the largest count of a block,
-    not by max_iter, so a large max_iter on a fast-escaping view costs nothing."""
+    so that two rows add without overflow. Row m does not depend on top, so
+    render_slice grows one palette per orbit sign only as its counts need."""
     m = np.arange(top + 2)
     return _color_block(m <= top, m, base, cfg).astype(np.uint16)
 
@@ -326,6 +326,8 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
     zero_total = 0
     pending: dict[int, list] = {}
     k = len(bases)
+    tops = [0] * k
+    palettes = [_palette(base, cfg, 0) for base in bases]
     for key, iters in iterate_orbit_blocks(n, blocks(), cfg.max_iter):
         band, j = divmod(key, k)
         done = pending.setdefault(band, [None] * k)
@@ -333,10 +335,14 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
         if any(it is None for it in done):
             continue
         del pending[band]
+        for i, it in enumerate(done):
+            top = int(it.max())
+            if top > tops[i]:
+                tops[i] = min(cfg.max_iter, max(top, 2 * tops[i]))
+                palettes[i] = _palette(bases[i], cfg, tops[i])
         # the channel mean floor(sum / k + 0.5) of the k orbit colors, exact in
         # integers, formed in place in one uint16 buffer
-        colors = (np.take(_palette(base, cfg, int(it.max())), it, axis=0)
-                  for it, base in zip(done, bases))
+        colors = (np.take(pal, it, axis=0) for it, pal in zip(done, palettes))
         pix = next(colors)
         for color in colors:
             pix += color

@@ -309,7 +309,7 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
         # Membership of v in (half-ellipse including minor axis) minus the open critical
         # rectangle, at the pulled-back parameter a(v) of each sample.
         a_vals = half * half
-        psi = np.angle(np.where(a_vals.imag == 0.0, a_vals.real + 0.0j, a_vals))
+        psi = np.angle(a_vals + 0.0)  # -0.0 + 0.0 is +0.0, as in np_principal_sqrt
         x, _, q, ell_margin = ellipse_frame(vc, c, psi / 2.0, semi_major, semi_minor)
 
         r1 = abs_half ** (2.0 / n) / 2.0

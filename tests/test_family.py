@@ -60,6 +60,18 @@ def involute(p, z):
     return principal_root(p.a, p.n) / z
 
 
+def where_principal_sqrt(a):
+    """np_principal_sqrt as first written: the principal root after np.where
+    replaces a zero imaginary part by +0.0."""
+    a = np.asarray(a, dtype=complex)
+    return np.sqrt(np.where(a.imag == 0.0, a.real + 0.0j, a))
+
+
+def bits(x):
+    """The binary64 bits of the real and imaginary parts of complex x."""
+    return np.asarray(x, dtype=complex).reshape(-1).view(np.uint64)
+
+
 class TestAngleAndBranches:
     def test_wrap_angle_interval(self):
         for theta in np.linspace(-25, 25, 401):
@@ -86,6 +98,32 @@ class TestAngleAndBranches:
             assert -math.pi / 2 < principal_arg(r) <= math.pi / 2
             assert abs(r * r - complex(z.real, 0.0 if z.imag == 0 else z.imag)) < 1e-12
         assert principal_sqrt(complex(-4, -0.0)) == 2j  # not -2j
+
+    def test_np_principal_sqrt_bits(self):
+        # every sign of zero, infinity and nan in each part, subnormals, the
+        # largest binary64, negative reals with -0.0 imaginary parts, and random
+        # values: np_principal_sqrt and the critical values built on it equal,
+        # bit for bit, the np.where form, element by element and for scalars
+        parts = np.array([0.0, -0.0, 1.0, -1.0, -4.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
+                          math.inf, -math.inf, math.nan])
+        grid = np.empty(parts.size ** 2, dtype=complex)
+        grid.real, grid.imag = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+        rng = np.random.default_rng(5)
+        negative = -rng.exponential(size=200) - 0.0j
+        negative.imag = -0.0
+        scaled = rng.normal(size=400) + 1j * rng.normal(size=400)
+        scaled *= 10.0 ** rng.integers(-300, 300, 400)
+        for a in (grid, negative, scaled, -scaled):
+            want = where_principal_sqrt(a)
+            np.testing.assert_array_equal(bits(np_principal_sqrt(a)), bits(want))
+            for x, w in zip(a[::7].tolist(), want[::7]):
+                assert bits(np_principal_sqrt(x)).tolist() == bits(w).tolist()
+            c = rng.normal(size=a.size) + 1j * rng.normal(size=a.size)
+            c[:parts.size] = grid[:parts.size]
+            with np.errstate(invalid="ignore", over="ignore"):  # inf and nan parts
+                got, want = critical_values_bulk(a, c), (c + 2.0 * want, c - 2.0 * want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(bits(g), bits(w))
 
     def test_principal_root_identity(self):
         rng = np.random.default_rng(7)
@@ -792,9 +830,11 @@ class TestPooledKernel:
         # computes exactly the orbit steps of the blocks run one by one, in fewer
         # loop steps, and bounded orbits are retired early in several blocks.
         # Retirement runs at window ends, which depend on the schedule: every
-        # block here joins at pool step 0, so its windows are the ones it has
-        # alone, and the trigger nominates nothing, so only exact repeats retire.
+        # block here joins at pool step 0 and no window ends early, so its
+        # windows are the ones it has alone, and the trigger nominates nothing,
+        # so only exact repeats retire.
         monkeypatch.setattr(family, "_TOL", -1.0)
+        monkeypatch.setattr(family, "_STOPS", ())
         a = lattice(fixed_critical_params(4, 6j)[1].a_j, 0.1, 40)
         cuts = [0, 13, 200, 201, 650, 900, 1301, a.size]
         blocks = []
@@ -822,6 +862,66 @@ class TestPooledKernel:
         assert pooled[1] == banded[1]
         assert pooled[0] < banded[0] / 2
         assert retired >= 4
+
+    def test_admission_dates_alone_and_pooled(self):
+        # z0 = 1e100 is finite and nonzero, and its first iterate overflows: an
+        # escape at step 1. z0 = 0 is a pole and a non-finite z0 escapes before
+        # the first step: both at 0. From z0 = 1, a = -1, c = 0 the first iterate
+        # is 0 exactly, a pole at step 2, dated 1. Each row alone, all in one
+        # block, and pooled with zoom rows and after a zoom block.
+        nan, inf = math.nan, math.inf
+        rows = [(1, 6j, 1e100, 1), (1, 0, 1e100 + 1e100j, 1), (1, 6j, 0, 0), (-1, 0, 0, 0),
+                (1, 0, complex(nan, 0), 0), (1, 0, complex(1, inf), 0), (-1, 0, 1, 1)]
+        a, c, z0 = (np.array(col, dtype=complex) for col in list(zip(*rows))[:3])
+        want = np.array([m for *_, m in rows])
+        thr = np.full(a.size, 4.0)
+        ref = reference_orbits_bulk(4, a, c, z0, 100, thr)
+        assert ref[0].all() and ref[1].tolist() == want.tolist()
+        for i in range(a.size):
+            esc, iters = iterate_orbits_bulk(4, a[i], c[i], z0[i], 100, 4.0)
+            assert (bool(esc), int(iters)) == (True, want[i])
+        zoom = tuple(col[:300] for col in EDGE_ROWS)
+        block = (a, c, z0, thr)
+        mixed = tuple(np.concatenate(cols) for cols in zip(zoom, block))
+        got = pooled_orbits(4, [block, zoom, block, mixed], 100)
+        for k in (0, 2):
+            assert got[k][0].all() and got[k][1].tolist() == want.tolist()
+        assert got[3][0][300:].all() and got[3][1][300:].tolist() == want.tolist()
+
+    def test_windows_end_once_half_the_pool_failed(self, monkeypatch):
+        # Rows that escape at steps 2, 4, 8 and 16, 64, 32, 16 and 8 of them,
+        # and 8 that stay bounded. After the admission, half the pool fails at
+        # step 1 of the first window (orbit step 2), half of the rest at step 2
+        # of the next (orbit step 4), then at step 4 (orbit step 8) and at
+        # step 8 (orbit step 16) of the two windows after: exactly half, each
+        # time. The block alone and three copies of it pooled take those
+        # windows, and every count equals the oracle's.
+        rows = window_edge_rows(16)
+        kind, step = leave_steps(4, *rows, 16)
+        at4 = rows[3] == 4.0
+        pick = [np.repeat(np.flatnonzero((kind == "escape") & (step == s) & at4), 128 // s)
+                for s in (2, 4, 8, 16)]
+        pick.append(np.flatnonzero((kind == "retire") & at4)[:8])
+        block = tuple(col[np.concatenate(pick)] for col in rows)
+        assert block[0].size == 128
+        lengths = []
+        window = family._Pool._window
+
+        def spy(pool):
+            steps = pool.steps
+            closed = window(pool)
+            lengths.append(pool.steps - steps)
+            return closed
+
+        monkeypatch.setattr(family._Pool, "_window", spy)
+        want = reference_orbits_bulk(4, *block[:3], 100, block[3])
+        for copies in (1, 3):
+            lengths.clear()
+            got = pooled_orbits(4, [block] * copies, 100)
+            assert lengths[:5] == [1, 2, 4, 8, family._WINDOW]
+            for k in range(copies):
+                np.testing.assert_array_equal(got[k][0], want[0])
+                np.testing.assert_array_equal(got[k][1], want[1])
 
     def test_reads_blocks_lazily_within_the_open_cap(self):
         # Blocks are read only when the pool runs low and fewer than _OPEN_MAX are
@@ -856,15 +956,15 @@ class TestPooledKernel:
 
     def test_no_step_after_the_last_orbit_leaves(self, monkeypatch):
         # z0 = 1, a = -1, c = 1.2: z1 = 1.2, |z2| = 2.79 and |z3| = 60.6 > 4, so
-        # the orbit escapes at step 3. Step 1 is the admission and steps 2 to
-        # 17 one window: the kernel computes exactly 17 steps, the last 14
-        # after the escape, and stops at the end of that window, long before
+        # the orbit escapes at step 3. Step 1 is the admission, and the window
+        # that follows ends at its step 2, step 3 of the orbit, where the whole
+        # pool failed: the kernel computes exactly 3 steps, long before
         # max_iter.
         computed = []
         monkeypatch.setattr(family, "pow_int", lambda z, n: computed.append(z.size) or pow_int(z, n))
         esc, iters = iterate_orbits_bulk(4, -1 + 0j, 1.2 + 0j, 1 + 0j, 1000, 4.0)
         assert (bool(esc), int(iters)) == (True, 3)
-        assert computed == [1] * 17
+        assert computed == [1] * 3
 
     def test_a_block_closes_once_its_orbits_have_left(self):
         # One orbit of a zoom that stays bounded and is not retired in 300 steps,
@@ -879,14 +979,28 @@ class TestPooledKernel:
         assert [int(it[0]) for _, it in got] == [2] * 30 + [-1]
 
     @pytest.mark.parametrize("max_iter", [1, 128, 2**31 - 1])
-    def test_counts_are_int32(self, max_iter):
+    def test_counts_are_int32(self, monkeypatch, max_iter):
         # z0 = 1 (a = -1, c = 1) is a fixed point, retired as bounded at the end
         # of the first window; z0 = 10 escapes at step 1; every count of every
-        # budget is int32
+        # budget is int32. Alone in the pool the fixed point never fails, so
+        # its window runs past _LAG steps. A kernel that stops retiring it
+        # would run 2**31 - 1 steps; the window budget fails it instead.
+        lengths = []
+        window = family._Pool._window
+
+        def budget(pool):
+            assert len(lengths) < 4, f"windows of {lengths} steps and not done"
+            steps = pool.steps
+            closed = window(pool)
+            lengths.append(pool.steps - steps)
+            return closed
+
+        monkeypatch.setattr(family._Pool, "_window", budget)
         block = (np.full(2, -1 + 0j), np.full(2, 1 + 0j), np.array([1, 10 + 0j]), np.full(2, 4.0))
         ((k, iters),) = iterate_orbit_blocks(4, [block], max_iter)
         assert k == 0 and iters.dtype == np.int32
         assert iters.tolist() == [-1, 1]
+        assert lengths == ([] if max_iter == 1 else [family._WINDOW])
 
     def test_no_blocks_and_empty_blocks(self):
         assert list(iterate_orbit_blocks(4, [], 10)) == []
