@@ -332,34 +332,26 @@ _STOPS = (1, 2, 4, 8)
 
 # Exact and proved retirement. A window of more than _LAG steps retires the
 # live orbits whose state equals their state _LAG steps before, and nominates
-# those whose state came back to within _TOL max(1, |z|) of it; _LAG = 12
-# covers periods 1, 2, 3, 4, 6 and 12. When at least _BATCH orbits are
-# nominated, _proved_bounded tries them, _PROOF_CHUNK at a time, with a disc
-# of radius _GROW times that drift plus _ROOM max(1, |z|); it marks
-# `weak` an orbit whose multiplier bound is at least _CUTOFF, and the trigger
-# passes it over from then on. On the four 200x200, max_iter 1000 zooms of
-# n = 4, c = 6i (the benchmark's render-deep at seed 1) these settings give
-# 69,243 nominations, 64,328 proofs and 12.95 M kernel steps. Measured there
-# when exact repeats were found against Brent's references, with 65,021
-# nominations, 61,776 proofs and 12.43 M steps:
-# - _TOL 1e-5 and 1e-4 save 0.5 M steps, but fail 48% of 117,527 and 67% of
-#   182,174 nominations, and at 1e-5 the proofs took twice as long;
-# - _GROW 4, 16, 64 and 1,024 prove 27%, 40%, 92% and 80% of their
-#   nominations (256: 95%), for 15.0, 13.6, 12.5 and 12.6 M steps;
-# - a proof call costs about 0.2 ms plus 0.1 us per nominee, and a nominee
-#   left to the next window 16 steps: _BATCH 1, 128 and 512 make 313, 145
-#   and 87 calls (256: 102) for 12.1, 12.2 and 12.8 M steps, and the trigger
-#   and proofs took about 106, 71 and 52 ms a pass (256: 58), while whole
-#   passes took about as long in all four;
-# - chains that have not closed after 4 steps run on to 12 only in groups of
-#   _LATE_MIN or more: groups of any size save 0.1 M steps and cost about
-#   10 ms of proofs a pass.
+# those whose state came back to within _TOL max(1, |z|) of it. When at least
+# _BATCH orbits are nominated, _proved_bounded tries them, _PROOF_CHUNK at a
+# time, with a disc of radius _GROW times that drift plus _ROOM max(1, |z|).
+# On the four 200x200, max_iter 1000 zooms of n = 4, c = 6i (the benchmark's
+# render-deep at seed 1) these settings give 69,243 nominations, 64,328 proofs
+# and 12.95 M kernel steps. Why each setting, measured there:
+# - _LAG = 12 covers periods 1, 2, 3, 4, 6 and 12, those of most bounded orbits;
+# - _TOL 1e-5 saves 0.7 M steps for twice the nominations and proof time;
+# - _GROW 16 and 1,024 make 161,019 and 86,816 nominations for 14.0 and 13.2 M steps;
+# - _ROOM leaves room for the rounding terms when the drift is tiny (17 proofs);
+# - a call costs about 0.2 ms plus 0.1 us a nominee, and a nominee left to the
+#   next window 16 steps, which _BATCH = 256 balances;
+# - _PROOF_CHUNK bounds a call's memory (a traced peak of about 125 KiB);
+# - chains still open after 4 steps run on to 12 only in groups of _LATE_MIN
+#   or more: groups of any size save 0.11 M steps for about 35 ms of proofs.
 _LAG = 12
 _PERIODS = (1, 2, 3, 4, 6, 12)
 _TOL = 1e-6
 _GROW = 256.0
 _ROOM = 2.0**-32
-_CUTOFF = 1.0
 _BATCH = 256
 _PROOF_CHUNK = 1024
 _LATE_MIN = 64
@@ -398,8 +390,8 @@ def _map_error(n, big, small, c_mod, a_mod):
 
 @np.errstate(all="ignore")
 def _proved_bounded(n, a, c, thr, z, rho0):
-    """(proved, weak) for orbits in state z, each with the disc D_0 of radius
-    rho0 about it.
+    """Whether each orbit in state z is proved bounded, with the disc D_0 of
+    radius rho0 about z.
 
     The chain c_0 = z, c_{j+1} = _map_array(c_j) closes at the least p of 1,
     2, 3, 4, 6, 12 with |c_p - c_0| <= _TOL max(1, |z|). D_j is the disc of
@@ -408,90 +400,67 @@ def _proved_bounded(n, a, c, thr, z, rho0):
     sup over a disc of radius tau |c_j|, tau = 1/(8n), and E_j bounds the
     rounding of _map_array (the comment above) over that disc. By the mean
     value theorem and the rounding bound, _map_array sends D_j into D_{j+1},
-    for every point of D_j and for c_j, whose image is c_{j+1}. An orbit is
-    proved when, for j < p, every rho_j <= tau |c_j|, every D_j lies in
-    0 < |w| <= thr * _INSET (so each point passes the kernel's test and is no
-    pole) with |w|**n >= _TINY, and D_p lies in D_0: |c_p - c_0| + rho_p <=
-    rho_0. Then z, in D_0, which p steps map into itself, never escapes.
-    Every bound is rounded up by the factor `up`. An orbit whose p-step
-    multiplier bound, the product of the |R'(c_j)| bounds, is at least
-    _CUTOFF is weak. Orbits that have not closed after 4 steps run on to 12
-    only if there are at least _LATE_MIN of them; the others stay unproved.
+    for every point of D_j and for c_j, whose image is c_{j+1}.
+
+    One pass steps the chains: step j drops from the open ones those whose
+    D_{j-1} does not fit (rho_{j-1} <= tau |c_{j-1}|, D_{j-1} in 0 < |w| <=
+    thr * _INSET, so each point passes the kernel's test and is no pole, and
+    |w|**n >= _TINY), evaluates the bounds at c_{j-1}, and forms rho_j and
+    c_j. A chain that closes at j = p is proved when D_p lies in D_0:
+    |c_p - c_0| + rho_p <= rho_0. Then z, in D_0, which p steps map into
+    itself, never escapes. Every bound is rounded up by the factor `up`. The
+    chains still open after 4 steps run on to 12 only if at least _LATE_MIN
+    of them are left; the others stay unproved. A mask drops the chains and
+    the arrays keep their size: shrinking them saved at most 3% of the time
+    and left NumPy's cache of small buffers up to 0.6 MB fuller.
 
     |R'(c_j)| is bounded through n |c**n - a/c**n| / |c| at the centre, which
     keeps the cancellation of the two terms near the critical points; ball
     arithmetic, bounding z**n and a/z**n apart, reads about 2n |c|**(n-1)
     there, and no cycle that passes near a critical point would contract."""
-    k = z.size
     tau = 1.0 / (8 * n)
     up = 1.0 + 8 * (n + 32) * _U
     grow, shrink = (1 + tau) ** n * up, (1 - tau) ** -n * up
-    top = thr * _INSET
+    least = _TINY ** (1 / n) / (1 - tau) * up
+    proved = np.zeros(z.size, dtype=bool)
+    top, scale = thr * _INSET, _TOL * np.maximum(np.abs(z), 1.0)
     c_mod, a_mod = np.abs(c), np.abs(a)
-
-    def bounds(cen, a, c_mod, a_mod):
-        """q + zn, and 2 E_j and the bounds on |R'(c_j)| and sup|R''| at centres cen."""
+    cen, rho, live = z, rho0, np.ones(z.size, dtype=bool)  # c_{j-1}, rho_{j-1}, the open chains
+    for j in range(1, _LAG + 1):
+        r = np.abs(cen)
+        live &= (rho * (up / tau) <= r) & (r + rho <= top) & (r >= least)  # D_{j-1} fits
         zn = pow_int(cen, n)
         q = a / zn
-        r = np.abs(cen)
-        big, small = np.abs(zn) * grow, np.abs(q) * shrink
-        err = 2 * _map_error(n, big, small, c_mod, a_mod)
-        slope = (np.abs(zn - q) * (n * up) + err * (n * up / (2 * (1 - tau)))) / r
-        curve = (n * (n - 1) * big + n * (n + 1) * small) / (r * r * (1 - tau) ** 2)
-        return q + zn, r, err, slope, curve  # q + zn: _map_array's operations, in its order
-
-    def fits(rho, r, top):
-        """Whether discs of radii rho about centres of modulus r fit."""
-        return (rho * (up / tau) <= r) & (r + rho <= top) & (r >= _TINY ** (1 / n) / (1 - tau) * up)
-
-    scale = _TOL * np.maximum(np.abs(z), 1.0)
-    w1, r, err, mult, curve = bounds(z, a, c_mod, a_mod)  # mult: the p-step multiplier bound
-    w1 += c  # c_1
-    ok = fits(rho0, r, top)
-    rho = (curve * rho0 + mult) * rho0 + err
-    drift = np.abs(w1 - z)  # |c_p - c_0| once the chain closes at p
-    p = np.zeros(k, dtype=np.intp)  # 0 while the chain is open
-    p[drift <= scale] = 1
-    live = np.flatnonzero((p == 0) & ok)
-    cur, j = w1[live], 1  # c_j of the open chains
-    for stop, least in ((4, 1), (_LAG, _LATE_MIN)):
-        if live.size < least:
-            break
-        al, cl, z_, s_ = a[live], c[live], z[live], scale[live]
-        while j < stop:
-            j += 1
-            cur = _map_array(cur, n, al, cl)
-            if j in _PERIODS:
-                d = np.abs(cur - z_)
-                hit = (d <= s_) & (p[live] == 0)  # the least p that closes
-                p[live[hit]] = j
-                drift[live[hit]] = d[hit]
-        open_ = p[live] == 0
-        live, cur = live[open_], cur[open_]
-    # steps 1 to p - 1 of the orbits with p >= 2, longest first, so that step j
-    # concerns a prefix of them: their centres again, then all bounds at once
-    more = np.concatenate([np.flatnonzero(p == j) for j in reversed(_PERIODS[1:])])
-    if more.size:
-        counts = [int(np.count_nonzero(p[more] > j)) for j in range(1, int(p[more[0]]))]
-        centres, al, cl = [w1[more]], a[more], c[more]
-        for m in counts[1:]:
-            centres.append(_map_array(centres[-1][:m], n, al[:m], cl[:m]))
-        at = np.concatenate([more[:m] for m in counts])
-        _, r, err, slope, curve = bounds(np.concatenate(centres), a[at], c_mod[at], a_mod[at])
-        rest, radii = rho[more], np.empty(at.size)
-        start = 0
-        for m in counts:
-            s = slice(start, start + m)
-            radii[s] = rest[:m]
-            rest[:m] = (curve[s] * rest[:m] + slope[s]) * rest[:m] + err[s]
-            mult[more[:m]] *= slope[s]
-            start += m
-        rho[more] = rest
-        ok[at[~fits(radii, r, top[at])]] = False
-    closed = p > 0
-    weak = closed & (mult >= _CUTOFF)
-    proved = ok & closed & ~weak & (drift * up + rho <= rho0)
-    return proved, weak
+        slope = np.abs(zn - q)
+        cen = q + zn  # c_j: _map_array's operations, in its order
+        cen += c
+        big = np.abs(zn)
+        big *= grow
+        small = np.abs(q)
+        small *= shrink
+        del zn, q
+        err = _map_error(n, big, small, c_mod, a_mod)
+        err *= 2
+        slope *= n * up
+        slope += err * (n * up / (2 * (1 - tau)))
+        slope /= r
+        curve = big  # the bound on sup|R''| over the disc of radius tau |c_{j-1}|
+        curve *= n * (n - 1)
+        small *= n * (n + 1)
+        curve += small
+        del big, small
+        curve /= r * r * (1 - tau) ** 2
+        rho = (curve * rho + slope) * rho + err
+        del curve, slope, err
+        if j in _PERIODS:  # prove the chains that close at j, and drop them
+            drift = np.abs(cen - z)
+            closed = live & (drift <= scale)
+            proved |= closed & (drift * up + rho <= rho0)
+            live &= ~closed
+            del drift, closed
+            if np.count_nonzero(live) < (_LATE_MIN if j == 4 else 1):
+                break
+    return proved
 
 
 def iterate_orbit_blocks(n, blocks, max_iter):
@@ -562,15 +531,15 @@ def iterate_orbit_blocks(n, blocks, max_iter):
 
 class _Pool:
     """The working set of iterate_orbit_blocks. Per live orbit (_FIELDS): its
-    position in its block, its block's slot, z, a, c, thr, and whether a proof
-    found it weak. Per open block, by slot: its key and iters, and the pool step
-    before its first step (birth). A block is closed at the end of the window
+    position in its block, its block's slot, z, a, c and thr. Per open block,
+    by slot: its key and iters, and the pool step before its first step
+    (birth). A block is closed at the end of the window
     in which its last orbit leaves or in which it takes its max_iter-th step.
     An orbit's arithmetic does not depend on its position, so orbits that leave
     are replaced by the last ones, which moves a few elements per array instead
     of compacting every array."""
 
-    _FIELDS = ("idx", "slot", "z", "a", "c", "thr", "weak")
+    _FIELDS = ("idx", "slot", "z", "a", "c", "thr")
 
     def __init__(self, n, max_iter):
         self.n, self.max_iter = n, max_iter
@@ -581,7 +550,6 @@ class _Pool:
         self.slot = np.empty(0, dtype=np.int8)
         self.z = self.a = self.c = np.empty(0, dtype=complex)
         self.thr = np.empty(0)
-        self.weak = np.empty(0, dtype=bool)
 
     @property
     def size(self):
@@ -613,8 +581,7 @@ class _Pool:
         s = min(set(range(_OPEN_MAX)) - self.open.keys())
         self.open[s] = (k, iters)
         self.births[s] = self.steps
-        joining = dict(idx=idx, slot=np.full(idx.size, s, dtype=np.int8), z=z, a=a, c=c,
-                       thr=thr, weak=np.zeros(idx.size, dtype=bool))
+        joining = dict(idx=idx, slot=np.full(idx.size, s, dtype=np.int8), z=z, a=a, c=c, thr=thr)
         del idx, z, a, c, thr, z0, block
         for name in self._FIELDS:
             setattr(self, name, np.concatenate([getattr(self, name), joining.pop(name)]))
@@ -677,26 +644,22 @@ class _Pool:
     def _prove(self, z, mod, back, gone):
         """Set gone for the orbits whose state z (of modulus mod) equals back,
         their state _LAG steps before: from there they repeat states that
-        passed, so they cannot fail later. Then nominate the
-        orbits, not gone or weak, whose z came back to within _TOL max(1, |z|)
-        of back, and set gone where _proved_bounded proves one bounded and
-        weak where it finds one so."""
+        passed, so they cannot fail later. Then nominate the orbits not gone
+        whose z came back to within _TOL max(1, |z|) of back, and set gone
+        where _proved_bounded proves one bounded."""
         drift = np.abs(np.subtract(z, back, out=back))  # back and mod are the window's
         gone |= drift == 0
         scale = np.maximum(mod, 1.0, out=mod)
         near = drift <= np.multiply(scale, _TOL, out=scale)
         near &= ~gone
-        near &= ~self.weak
         nominees = np.flatnonzero(near)
         if nominees.size < _BATCH:
             return
         for i in range(0, nominees.size, _PROOF_CHUNK):
             sel = nominees[i:i + _PROOF_CHUNK]
             rho0 = _GROW * drift[sel] + (_ROOM / _TOL) * scale[sel]
-            proved, weak = _proved_bounded(self.n, self.a[sel], self.c[sel], self.thr[sel],
-                                           z[sel], rho0)
+            proved = _proved_bounded(self.n, self.a[sel], self.c[sel], self.thr[sel], z[sel], rho0)
             gone[sel[proved]] = True
-            self.weak[sel[weak]] = True
 
     def _record(self, out, at):
         """Iteration counts of the escaping orbits at pool positions out: each

@@ -1036,7 +1036,7 @@ def exact_cycle(period):
 class TestExactRetirement:
     """At the end of a window longer than _LAG, an orbit that passed every step
     and whose state equals its state _LAG steps before is retired as bounded,
-    with no proof, whatever _BATCH and its weak flag say."""
+    with no proof, whatever _BATCH says."""
 
     @staticmethod
     def computed(monkeypatch):
@@ -1046,22 +1046,11 @@ class TestExactRetirement:
         return sizes
 
     @pytest.mark.parametrize("window", [family._LAG + 1, family._WINDOW])
-    @pytest.mark.parametrize("weak", [False, True])
-    def test_cycles_dividing_the_lag_retire_at_the_first_window(self, monkeypatch, window, weak):
+    def test_cycles_dividing_the_lag_retire_at_the_first_window(self, monkeypatch, window):
         # periods 1, 2, 3, 4, 6 and 12 repeat exactly over the _LAG steps of
         # the first window, so after the admission and that window the block
-        # is done: one orbit alone (fewer than _BATCH) and all six together,
-        # and also with every orbit marked weak from its admission on
+        # is done: one orbit alone (fewer than _BATCH) and all six together
         monkeypatch.setattr(family, "_WINDOW", window)
-        if weak:
-            admit = family._Pool.admit
-
-            def weak_admit(pool, k, block):
-                done = admit(pool, k, block)
-                pool.weak[:] = True
-                return done
-
-            monkeypatch.setattr(family._Pool, "admit", weak_admit)
         rows = [exact_cycle(p) for p in (1, 2, 3, 4, 6, 12)]
         blocks = [row + (np.full(1, 4.0),) for row in rows]
         blocks.append(tuple(np.concatenate(col) for col in zip(*blocks)))
@@ -1288,11 +1277,11 @@ class TestProvedRetirement:
         # is accepted
         edge = 1 + 1e-9
         u = 2.0**-53
-        proved, weak = prove(**FIXED_ONE, thr=[edge * (1 + 4 * u), edge * (1 + 16 * u)],
-                             z=1 + 0j, rho0=1e-9)
-        assert proved.tolist() == [False, True] and not weak.any()
+        proved = prove(**FIXED_ONE, thr=[edge * (1 + 4 * u), edge * (1 + 16 * u)],
+                       z=1 + 0j, rho0=1e-9)
+        assert proved.tolist() == [False, True]
         for thr in (math.nextafter(1.0, 0.0), 1.0, edge, edge * (1 - 4 * u)):
-            assert not prove(**FIXED_ONE, thr=thr, z=1 + 0j, rho0=1e-9)[0][0]
+            assert not prove(**FIXED_ONE, thr=thr, z=1 + 0j, rho0=1e-9)[0]
 
     def test_proved_discs_map_into_themselves(self):
         # R'(1) = -0.99 (a = 1 + 0.99/4, c = -a): the orbit of 1 + d overshoots
@@ -1303,8 +1292,8 @@ class TestProvedRetirement:
         n, a = 4, 1 + 0.99 / 4 + 0j
         d = 1e-7
         rho0 = d * np.geomspace(0.01, 5000, 120)
-        proved, weak = prove(n, a, -a, 4.0, 1 + d + 0j, rho0)
-        assert proved.any() and not proved.all() and not weak.any()
+        proved = prove(n, a, -a, 4.0, 1 + d + 0j, rho0)
+        assert proved.any() and not proved.all()
         ring = np.exp(2j * np.pi * np.arange(64) / 64)
         for rho in rho0[proved]:
             edge = 1 + d + rho * ring
@@ -1312,12 +1301,29 @@ class TestProvedRetirement:
             assert (np.abs(images - (1 + d)) <= rho).all(), rho / d
         assert rho0[proved].min() > 100 * d
 
-    def test_fixed_point_is_proved_and_a_repelling_one_is_weak(self):
-        proved, weak = prove(**FIXED_ONE, thr=4.0, z=1 + 0j, rho0=1e-9)
-        assert proved.tolist() == [True] and not weak.any()
+    @pytest.mark.parametrize("period", [2, 3, 4, 6, 12])
+    def test_every_disc_of_the_chain_must_fit(self, monkeypatch, period):
+        # an exact attracting cycle of z**4 + c, started at each of its states
+        # in turn, with a threshold between the largest modulus on the cycle
+        # and the others: the disc about the largest state, D_j for some j < p,
+        # crosses the threshold, so the orbit is not proved from any start,
+        # though it is with the threshold 4 (chains of 6 and 12 steps, alone)
+        monkeypatch.setattr(family, "_LATE_MIN", 1)
+        a, c, z = exact_cycle(period)
+        states = [z]
+        for _ in range(period - 1):
+            states.append(family._map_array(states[-1], 4, a, c))
+        states = np.concatenate(states)
+        mods = np.sort(np.abs(states))
+        assert mods[-2] < mods[-1]
+        thr = (mods[-2] + mods[-1]) / 2
+        assert not prove(4, a, c, thr, states, 1e-9).any()
+        assert prove(4, a, c, 4.0, states, 1e-9).all()
+
+    def test_fixed_point_is_proved_and_a_repelling_one_is_not_proved(self):
+        assert prove(**FIXED_ONE, thr=4.0, z=1 + 0j, rho0=1e-9).tolist() == [True]
         # R'(1) = 4 (1 - a) = -2 with a = 1.5: the fixed point 1 repels
-        proved, weak = prove(4, 1.5 + 0j, -1.5 + 0j, 4.0, 1 + 0j, 1e-9)
-        assert proved.tolist() == [False] and weak.tolist() == [True]
+        assert prove(4, 1.5 + 0j, -1.5 + 0j, 4.0, 1 + 0j, 1e-9).tolist() == [False]
 
     def test_creeping_orbits_are_nominated_and_escape(self, monkeypatch):
         # creepers through a parabolic bottleneck pass the trigger over many

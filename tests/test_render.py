@@ -524,8 +524,9 @@ class TestPooledRender:
         # once half the pool failed differ between the two), against a bound
         # of E + 600,000; 5,061 loop steps pooled (band by band: 13,013); the
         # loop bound is the one-step schedule's 5,037 plus 10%. With exact and
-        # proved retirement the pooled render computes 3,767,940 orbit steps
-        # (42,234 of them in the proofs) in 2,269 map calls.
+        # proved retirement the pooled render computes 3,807,581 orbit steps
+        # (81,875 of them in the proofs, which form each centre once but step
+        # every chain of a call while any is open) in 2,167 pow_int calls.
         vp = Viewport(*square(README_A, 0.1), 200, 200)
         cfg = RenderConfig(max_iter=1000)
         calls = []
@@ -555,7 +556,7 @@ class TestPooledRender:
         monkeypatch.setattr(family, "pow_int", counting)
         window = family._WINDOW
         render_slice(4, FixedC(6j), vp, cfg)
-        assert counts == [2269, 3767940]
+        assert counts == [2167, 3807581]
         monkeypatch.setattr(family, "_LAG", window)  # retire nothing
         one_pooled, one_banded, reach = run(1)
         exact = one_pooled[1]
