@@ -310,21 +310,22 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
     return escaped.reshape(z0.shape), iters.reshape(z0.shape)
 
 
-# iterate_orbit_blocks admits the next block once its pool holds at most
-# _POOL_MIN live orbits and fewer than _OPEN_MAX blocks are open, and steps the
-# pool in windows of at most _WINDOW steps. A step costs about 10 us of fixed
-# NumPy overhead plus about 10 ns per orbit, so a pool of a few thousand orbits
-# keeps the overhead small; the cap on open blocks bounds the per-block results
-# held at once. A window records, retires and removes the orbits that left
-# once, not at every step, for at most _WINDOW - 1 throwaway steps per orbit
-# that left, and ends at a step of _STOPS where half the pool failed: 0.16 M
-# window steps on render-wide's seed-1 ops, not 2.07 M. On the four 200x200,
-# max_iter 1000 zooms of the paper's n = 4, c = 6i centers, 4096, 12 and 16
-# take 5,915 loop steps and 12.95 M orbit steps with exact and proved
-# retirement (below), and 8,640 and 30.2 M with exact retirement alone.
-# Measured with Brent's power-of-two references: one band at a time took
-# 46,667 loop steps, windows of 8 or 24 steps ran slower, and with proved
-# retirement 8,192 live orbits or 24 or 32 open blocks ran no faster.
+# iterate_orbit_blocks admits the next block while its pool holds at most
+# _POOL_MIN live orbits and fewer than _OPEN_MAX blocks are open, and else runs
+# one window of at most _WINDOW steps. A step costs about 10 us of fixed NumPy
+# overhead plus about 10 ns per orbit, so a pool of a few thousand orbits keeps
+# the overhead small; the cap on open blocks bounds the per-block results held
+# at once. A window records, retires and removes the orbits that left once,
+# not at every step, for at most _WINDOW - 1 throwaway steps per orbit that
+# left, and ends at a step of _STOPS where half the pool failed: 0.16 M window
+# steps on render-wide's seed-1 ops, not 2.07 M. On render-deep's (four
+# 200x200, max_iter 1000 zooms of the paper's n = 4, c = 6i centers) 4096, 12
+# and 16 take 5,915 loop steps, 370 windows and 12.95 M orbit steps. In 7
+# alternating in-process pairs each there, 2048 or 8192 live orbits (7,039 or
+# 5,479 loop steps), 6 or 24 open blocks (9,399 or 5,276) and 24-step windows
+# (5,979) were faster in 1, 3, 1, 4 and 3 pairs; 8-step windows never pass
+# _LAG, so nothing retires (17,223, three times the time). On render-wide
+# (804 loop steps) none was faster in more than 4 of 7.
 _POOL_MIN = 4096
 _OPEN_MAX = 12
 _WINDOW = 16
@@ -467,10 +468,11 @@ def iterate_orbit_blocks(n, blocks, max_iter):
     """iterate_orbits_bulk over a sequence of input blocks through one working set.
 
     Each block is a tuple (a, c, z0, threshold) of 1-D arrays of one length
-    (complex, complex, complex, float). Blocks are read lazily, one at a time,
-    when the working set runs low. Yields (k, iters) for block k = 0, 1, ... in
-    the order the blocks complete: iters holds each orbit's iteration count as
-    iterate_orbits_bulk gives it for an escaped orbit, and -1 for a bounded one.
+    (complex, complex, complex, float). One loop admits the next block, read
+    lazily, while the working set holds at most _POOL_MIN orbits and fewer than
+    _OPEN_MAX blocks are open, and else runs one window. Yields (k, iters) for
+    block k = 0, 1, ... in the order the blocks complete: iters holds each
+    orbit's count as iterate_orbits_bulk gives it if it escaped, -1 if bounded.
     Every orbit runs the same arithmetic and reaches the same decision whatever
     block it is in and whatever else shares the working set, so the results do
     not depend on how the inputs are ordered or split into blocks.
@@ -487,13 +489,13 @@ def iterate_orbit_blocks(n, blocks, max_iter):
       so it fails the comparison, and the pre-step z = 0 dates it at m - 1;
     - the pool steps in windows of up to _WINDOW steps, cut short at a
       block's max_iter-th step, where the block is cut, and at a step of
-      _STOPS (1, 2, 4, 8) that half the pool failed; it records, retires and
-      removes the orbits that left only at the window's end. Every step still
-      decides every orbit and keeps masks of the comparison and of z == 0, so
-      an orbit's count comes from its first failing step, a pole when z == 0
-      the step before, for every finite threshold and whatever the orbit
-      computes after that. An orbit that left computes at most _WINDOW - 1
-      further steps;
+      _STOPS (1, 2, 4, 8) that half the pool failed; one pass at the window's
+      end records, retires and removes the orbits that left, and closes blocks.
+      Every step still decides every orbit and keeps masks of the comparison
+      and of z == 0, so an orbit's count comes from its first failing step, a
+      pole when z == 0 the step before, for every finite threshold and
+      whatever the orbit computes after that. An orbit that left computes at
+      most _WINDOW - 1 further steps;
     - at the end of a window of more than _LAG steps, an orbit that passed
       every step and whose state z equals its state _LAG steps before is
       retired as bounded. The map is deterministic, so z repeats the states
@@ -516,24 +518,23 @@ def iterate_orbit_blocks(n, blocks, max_iter):
     pool = _Pool(n, max_iter)
     blocks = enumerate(blocks)
     more = True
-    while True:
-        while more and pool.size <= _POOL_MIN and len(pool.open) < _OPEN_MAX:
+    while more or pool.open:
+        if more and pool.size <= _POOL_MIN and len(pool.open) < _OPEN_MAX:
             nxt = next(blocks, None)
             more = nxt is not None
             if more:
                 done = pool.admit(*nxt)
                 del nxt  # the pool keeps only the block's survivors
                 yield from done
-        if not pool.open:
-            return
-        yield from pool.run(_POOL_MIN if more else -1)
+        else:
+            yield from pool._window()
 
 
 class _Pool:
     """The working set of iterate_orbit_blocks. Per live orbit (_FIELDS): its
     position in its block, its block's slot, z, a, c and thr. Per open block,
     by slot: its key and iters, and the pool step before its first step
-    (birth). A block is closed at the end of the window
+    (birth). A block is closed, with its live orbits, at the end of the window
     in which its last orbit leaves or in which it takes its max_iter-th step.
     An orbit's arithmetic does not depend on its position, so orbits that leave
     are replaced by the last ones, which moves a few elements per array instead
@@ -588,24 +589,16 @@ class _Pool:
         return []
 
     @np.errstate(all="ignore")
-    def run(self, low):
-        """Run windows until a block closes or at most `low` orbits are left;
-        returns the closed blocks."""
-        while True:
-            closed = self._window()
-            if closed or self.size <= low:
-                return closed
-
     def _window(self):
         """Up to _WINDOW steps of every pooled orbit, ending at the next
         max_iter cut at the latest or after a step of _STOPS that at least
-        half the pool failed, then one pass of bookkeeping; returns the blocks
-        it closes.
+        half the pool failed; returns the blocks it closes, in key order.
 
         Every step decides every orbit and keeps two masks: _within and z == 0.
         An orbit escapes at the first step it fails _within, a pole when its
-        state before that step is 0. A window of more than _LAG steps then
-        retires the orbits _prove finds bounded."""
+        state before that step is 0. One pass then records the escapes,
+        retires the orbits _prove finds bounded, closes the blocks at their
+        cut or with no live orbit, and removes all of these orbits at once."""
         cut = min(int(self.births[s]) for s in self.open) + self.max_iter - 1  # oldest block's
         steps = min(_WINDOW, cut - self.steps)
         keep = np.empty((steps, self.size), dtype=bool)
@@ -635,11 +628,19 @@ class _Pool:
         if back is not None:
             self._prove(z, mod, back, gone)
             del back
-        if gone.any():
-            self._remove(~gone)
-        elif self.steps < cut:
+        if self.steps < cut and not gone.any():
             return []
-        return self._settle()
+        stay = ~gone
+        live = np.bincount(self.slot[stay], minlength=_OPEN_MAX).tolist()
+        born = self.steps + 1 - self.max_iter  # the birth of a block at its max_iter-th step
+        closed = [s for s in sorted(self.open, key=lambda s: self.open[s][0])
+                  if self.births[s] == born or live[s] == 0]
+        if any(live[s] for s in closed):  # a block cut with orbits live: they go too
+            shut = np.zeros(_OPEN_MAX, dtype=bool)
+            shut[closed] = True
+            stay &= ~shut[self.slot]
+        self._remove(stay)
+        return [self.open.pop(s) for s in closed]
 
     def _prove(self, z, mod, back, gone):
         """Set gone for the orbits whose state z (of modulus mod) equals back,
@@ -683,16 +684,3 @@ class _Pool:
             if holes.size:
                 arr[holes] = arr[fill]
             setattr(self, name, arr[:size])
-
-    def _settle(self):
-        """Close the blocks that have taken max_iter steps or have no live orbits
-        left. Returns the closed blocks in key order."""
-        live = np.bincount(self.slot, minlength=_OPEN_MAX)
-        cut = self.steps + 1 - self.max_iter  # the birth of a block at its max_iter-th step
-        closed = [s for s in sorted(self.open, key=lambda s: self.open[s][0])
-                  if self.births[s] == cut or live[s] == 0]
-        if closed and live[closed].any():
-            shut = np.zeros(_OPEN_MAX, dtype=bool)
-            shut[closed] = True
-            self._remove(~shut[self.slot])
-        return [self.open.pop(s) for s in closed]

@@ -63,6 +63,13 @@ _BAND_POINT_BYTES = 512
 _POOL_BYTES = 2**20
 
 
+def _check_size(width, height) -> None:
+    """Raise ValueError unless width and height are ints >= 1 (not bools)."""
+    for size in (width, height):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(f"width and height must be integers >= 1, got {width!r} x {height!r}")
+
+
 @dataclass(frozen=True)
 class Viewport:
     """Axis-aligned complex-plane window mapped onto a width x height pixel grid.
@@ -79,10 +86,7 @@ class Viewport:
     def __post_init__(self) -> None:
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("viewport requires re_min < re_max and im_min < im_max")
-        if not (isinstance(self.width, int) and isinstance(self.height, int)):
-            raise ValueError("width and height must be integers")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("width and height must be >= 1")
+        _check_size(self.width, self.height)
         # A finite pixel size also means finite bounds (inf - x is inf).
         if not (0.0 < self.pixel_dx < math.inf and 0.0 < self.pixel_dy < math.inf):
             raise ValueError(
@@ -184,8 +188,7 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
+        _check_size(self.width, self.height)
         px = self.pixels
         if not (isinstance(px, np.ndarray) and px.dtype == np.uint8 and not px.flags.writeable
                 and px.shape == (self.height, self.width, 3)):

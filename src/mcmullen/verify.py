@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -345,12 +346,19 @@ def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) ->
     radius) escapes: grid**2 points split between an outer band [s*(1+1e-6), 2s] and
     an inner band (0, t*(1-1e-6)], each a radius x angle lattice. worst_margin is the
     smallest unused fraction of the iteration budget (-1 if a sample failed to escape).
+    A lattice whose radii leave binary64 (2s overflows, or t*1e-3 is not a normal
+    float) raises ValueError.
     """
     if grid < 8:
         raise ValueError(f"grid must be >= 8, got {grid}")
     _check_points(grid * grid, f"annulus with grid {grid}")
     s = escape_radius(p)
     t = inner_radius(p)
+    if not 2.0 * s < math.inf:
+        raise ValueError(f"s = {s!r} is too large: the outer band's radius 2s overflows binary64")
+    if not t * 1e-3 >= sys.float_info.min:
+        raise ValueError(f"t_inner = {t!r} is too small: the inner band's radius t_inner*1e-3 "
+                         "is not a normal binary64 number")
     n_out = grid // 2
     n_in = grid - n_out
     theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
@@ -380,7 +388,9 @@ def verify_spine_locus(
     have both critical orbits escape within max_iter. Near-spine lattice points are
     exempt (the claim says nothing about them) but still counted in `samples`. A
     lattice with no point beyond eps raises HypothesisError: it would certify
-    nothing.
+    nothing. An eps for which 4*eps, which bounds spine_within's clearing
+    diameter, or 2|t|(u(t) + eps), which bounds c = t*a and the critical values
+    on the lattice, overflows binary64 raises ValueError.
     """
     check_exponent(n)
     if not (math.isfinite(eps) and eps > 0):
@@ -392,6 +402,9 @@ def verify_spine_locus(
     lo_r, hi_r = spine_radii(t)
     r_lo = max(lo_r - eps, 1e-9 * max(1.0, hi_r))
     r_hi = hi_r + eps
+    if not (4.0 * eps < math.inf and 2.0 * abs(t) * r_hi < math.inf):
+        raise ValueError(f"eps = {eps!r} is too large: 4*eps or 2|t|(u(t) + eps), which bound "
+                         "spine_within's clearing diameter and c = t*a, overflows binary64")
     radii = np.linspace(r_lo, r_hi, grid)
     theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     a = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()

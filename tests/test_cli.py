@@ -372,6 +372,44 @@ class TestVerifyCommand:
         assert out == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("refused, name, runs", [
+        # 2s overflows: the outer band's samples were inf or nan and "escaped"
+        (["annulus", "--n", "4", "--a", "1", "--c", "1e308", "--samples", "8", "--max-iter", "3"],
+         "s = 1e+308",
+         ["annulus", "--n", "4", "--a", "1e300", "--c", "8e307", "--samples", "8",
+          "--max-iter", "3"]),
+        # t_inner underflows to 0, which np.geomspace refused with its own message
+        (["annulus", "--n", "3", "--a", "1e-300", "--c", "1e300"], "t_inner = 0.0",
+         ["annulus", "--n", "3", "--a", "1e-300", "--c", "5e196", "--samples", "8"]),
+        # t_inner * 1e-3 is subnormal
+        (["annulus", "--n", "4", "--a", "1", "--c", "0,1e306", "--samples", "8"],
+         "t_inner = 1e-306",
+         ["annulus", "--n", "4", "--a", "1", "--c", "0,1e300", "--samples", "8"]),
+        # spine_within's clearing diameter 2r overflows
+        (["spine-locus", "--n", "4", "--t", "0.5", "--eps", "1e308", "--samples", "32",
+          "--max-iter", "5"], "eps = 1e+308",
+         ["spine-locus", "--n", "4", "--t", "0.5", "--eps", "1e307", "--samples", "32",
+          "--max-iter", "5"]),
+        # c = t*a overflows on the lattice as well
+        (["spine-locus", "--n", "4", "--t", "2", "--eps", "1e308", "--samples", "32",
+          "--max-iter", "5"], "eps = 1e+308",
+         ["spine-locus", "--n", "4", "--t", "2", "--eps", "1e307", "--samples", "32",
+          "--max-iter", "5"]),
+        # u(t) + eps overflows near the slope limit
+        (["spine-locus", "--n", "4", "--t", "1.5e-154", "--eps", "1e307", "--samples", "32"],
+         "eps = 1e+307",
+         ["spine-locus", "--n", "20", "--t", "1e-150", "--eps", "1e300", "--samples", "32",
+          "--max-iter", "5"]),
+    ])
+    def test_lattice_beyond_binary64_exit_2(self, capsys, refused, name, runs):
+        # refused before any sample is formed, so with no NumPy warning either;
+        # a lattice just inside binary64 runs quietly and passes
+        code, out, err = run(capsys, "verify", "--check", *refused)
+        assert code == 2 and out == ""
+        assert name in err and "binary64" in err
+        code, out, err = run(capsys, "verify", "--check", *runs)
+        assert code == 0 and err == "" and out.splitlines()[1].endswith(",true")
+
     @pytest.mark.parametrize("t", ["1e-200,0", "1e-160,0"])
     def test_spine_locus_tiny_slope_exit_2(self, capsys, t):
         code, out, err = run(

@@ -923,6 +923,40 @@ class TestPooledKernel:
                 np.testing.assert_array_equal(got[k][0], want[0])
                 np.testing.assert_array_equal(got[k][1], want[1])
 
+    def test_blocks_closed_in_one_window_come_in_key_order(self, monkeypatch):
+        # z**3 + 1e-30/z**3 with threshold 4: z0 = 1.3 escapes at step 2,
+        # z0 = e**0.01 at step 5, and z0 on the unit circle stays bounded.
+        # With _POOL_MIN = 4: block 0 (three of 1.3) and block 1 (three bounded)
+        # fill the pool, whose first window ends after one step, where half of
+        # it failed, and closes block 0. Block 2 (one e**0.01) takes the freed
+        # slot 0 and block 3 (two bounded) slot 2, both a step after block 1.
+        # The next window ends at block 1's 10th step: block 1 is cut with its
+        # orbits live, block 2's last orbit escaped and block 3 keeps its own.
+        monkeypatch.setattr(family, "_POOL_MIN", 4)
+        unit = np.exp(1j * np.array([0.3, 1.1, 2.0]))
+        starts = [np.full(3, 1.3 + 0j), unit, np.array([np.exp(0.01) + 0j]), unit[:2]]
+        blocks = [(np.full(z0.size, 1e-30 + 0j), np.zeros(z0.size, complex), z0,
+                   np.full(z0.size, 4.0)) for z0 in starts]
+        windows = []
+        window = family._Pool._window
+
+        def spy(pool):
+            closed = window(pool)
+            windows.append(([k for k, _ in closed], {s: k for s, (k, _) in pool.open.items()},
+                            pool.slot.tolist(), sorted(pool.idx.tolist())))
+            return closed
+
+        monkeypatch.setattr(family._Pool, "_window", spy)
+        got = pooled_orbits(3, blocks, 10)
+        assert windows[0] == ([0], {1: 1}, [1] * 3, [0, 1, 2])
+        # block 1 sits in slot 1 and block 2 in slot 0, so key order is not slot order
+        assert windows[1] == ([1, 2], {2: 3}, [2] * 2, [0, 1])
+        for k, block in enumerate(blocks):
+            want = reference_orbits_bulk(3, *block[:3], 10, block[3])
+            np.testing.assert_array_equal(got[k][0], want[0])
+            np.testing.assert_array_equal(got[k][1], want[1])
+        assert [got[k][1].tolist() for k in range(4)] == [[2] * 3, [10] * 3, [5], [10] * 2]
+
     def test_reads_blocks_lazily_within_the_open_cap(self):
         # Blocks are read only when the pool runs low and fewer than _OPEN_MAX are
         # open, for blocks larger and smaller than the admission level: with 36

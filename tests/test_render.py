@@ -68,6 +68,11 @@ class TestViewport:
             Viewport(-2.0, 2.0, 1.0, -1.0, 10, 10)  # reversed im
         with pytest.raises(ValueError):
             Viewport(-2.0, 2.0, -1.0, 1.0, 0, 10)
+        # sizes are ints, not bools, as check_exponent and check_max_iter ask:
+        # True would render one column
+        for width, height in ((True, 5), (5, True), (False, 5), (1.0, 1), (1, np.int64(1))):
+            with pytest.raises(ValueError, match="integers >= 1"):
+                Viewport(0.0, 1.0, 0.0, 1.0, width, height)
         for bounds in ((0.0, math.inf, -5.0, 5.0), (-math.inf, 0.0, -5.0, 5.0),
                        (0.0, 1.0, math.nan, 1.0),
                        (0.0, 1e308, -1e308, 1e308),  # pixel_dy overflows
@@ -331,6 +336,10 @@ class TestImageAndEncoding:
             empty.flags.writeable = False
             with pytest.raises(ValueError):
                 Image(width, height, empty)
+        one = px[:1, :1]
+        for width, height in ((True, 1), (1, True), (True, True), (1.0, 1)):
+            with pytest.raises(ValueError, match="integers >= 1"):
+                Image(width, height, one)
 
     def test_ppm_layout(self):
         px = np.array([[255, 0, 0], [0, 255, 0], [0, 0, 255], [9, 9, 9]], dtype=np.uint8)
