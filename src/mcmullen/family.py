@@ -100,11 +100,12 @@ def check_exponent(n) -> None:
 
 
 def check_slope(t) -> complex:
-    """The slope t of c = t*a as a complex if finite and nonzero, else ValueError."""
+    """The slope t of c = t*a as a complex if finite and nonzero, else ValueError;
+    a t whose modulus overflows is refused by check_modulus."""
     t = complex(t)
     if t == 0 or not cmath.isfinite(t):
         raise ValueError(f"t must be finite and nonzero, got {t!r}")
-    return t
+    return check_modulus("t", t)
 
 
 # The largest iteration budget. The pool's int32 iteration counts, the render
@@ -318,12 +319,13 @@ def iterate_orbits_bulk(n, a, c, z0, max_iter, threshold):
 # at once. A window records, retires and removes the orbits that left once,
 # not at every step, for at most _WINDOW - 1 throwaway steps per orbit that
 # left, and ends at a step of _STOPS where half the pool failed: 0.16 M window
-# steps on render-wide's seed-1 ops, not 2.07 M. On render-deep's (four
+# steps on render-wide's seed-1 ops, not 2.07 M, and 207 ms a pass, not 221 ms
+# with no stops (faster in 8 of 10 alternating pairs). On render-deep's (four
 # 200x200, max_iter 1000 zooms of the paper's n = 4, c = 6i centers) 4096, 12
-# and 16 take 5,915 loop steps, 370 windows and 12.95 M orbit steps. In 7
+# and 16 take 5,931 loop steps, 371 windows and 12.97 M orbit steps. In 7
 # alternating in-process pairs each there, 2048 or 8192 live orbits (7,039 or
-# 5,479 loop steps), 6 or 24 open blocks (9,399 or 5,276) and 24-step windows
-# (5,979) were faster in 1, 3, 1, 4 and 3 pairs; 8-step windows never pass
+# 5,479 loop steps), 6 or 24 open blocks (9,399 or 5,292) and 24-step windows
+# (6,003) were faster in 1, 3, 1, 4 and 3 pairs; 8-step windows never pass
 # _LAG, so nothing retires (17,223, three times the time). On render-wide
 # (804 loop steps) none was faster in more than 4 of 7.
 _POOL_MIN = 4096
@@ -334,28 +336,24 @@ _STOPS = (1, 2, 4, 8)
 # Exact and proved retirement. A window of more than _LAG steps retires the
 # live orbits whose state equals their state _LAG steps before, and nominates
 # those whose state came back to within _TOL max(1, |z|) of it. When at least
-# _BATCH orbits are nominated, _proved_bounded tries them, _PROOF_CHUNK at a
-# time, with a disc of radius _GROW times that drift plus _ROOM max(1, |z|).
-# On the four 200x200, max_iter 1000 zooms of n = 4, c = 6i (the benchmark's
-# render-deep at seed 1) these settings give 69,243 nominations, 64,328 proofs
-# and 12.95 M kernel steps. Why each setting, measured there:
-# - _LAG = 12 covers periods 1, 2, 3, 4, 6 and 12, those of most bounded orbits;
-# - _TOL 1e-5 saves 0.7 M steps for twice the nominations and proof time;
-# - _GROW 16 and 1,024 make 161,019 and 86,816 nominations for 14.0 and 13.2 M steps;
-# - _ROOM leaves room for the rounding terms when the drift is tiny (17 proofs);
+# _BATCH orbits are nominated, one _proved_bounded call tries them all, with
+# discs of radius _GROW times the drift and chains of up to _CHAIN steps. On
+# the four 200x200, max_iter 1000 zooms of n = 4, c = 6i (the benchmark's
+# render-deep at seed 1) that is 110 calls, 69,427 nominations (at most 1,669
+# a call), 64,250 proofs and 12.97 M kernel steps. Measured there:
+# - _LAG = 12 retires exact cycles of periods 1, 2, 3, 4, 6 and 12 unproved;
+#   proof chains of 6 and 12 steps as well proved 9 to 78 more orbits a pass,
+#   and took 267 ms a pass, not 229 ms, run for every chain (faster in 2 of 14);
+# - _TOL 1e-5 saves 0.68 M steps for twice the nominations and proof time;
+# - _GROW 16 and 1,024 make 232,401 and 86,816 nominations for 15.1 and 13.2 M steps;
 # - a call costs about 0.2 ms plus 0.1 us a nominee, and a nominee left to the
-#   next window 16 steps, which _BATCH = 256 balances;
-# - _PROOF_CHUNK bounds a call's memory (a traced peak of about 125 KiB);
-# - chains still open after 4 steps run on to 12 only in groups of _LATE_MIN
-#   or more: groups of any size save 0.11 M steps for about 35 ms of proofs.
+#   next window 16 steps, which _BATCH = 256 balances: proving from one
+#   nominee on took 304 ms a pass, not 229 ms (faster in 0 of 14 pairs).
 _LAG = 12
-_PERIODS = (1, 2, 3, 4, 6, 12)
+_CHAIN = 4
 _TOL = 1e-6
 _GROW = 256.0
-_ROOM = 2.0**-32
 _BATCH = 256
-_PROOF_CHUNK = 1024
-_LATE_MIN = 64
 
 # Rounding of _map_array. In binary64, with unit roundoff u = _U = 2**-53, a
 # real + or - rounds by at most u relatively, and a * or / by at most u
@@ -394,8 +392,8 @@ def _proved_bounded(n, a, c, thr, z, rho0):
     """Whether each orbit in state z is proved bounded, with the disc D_0 of
     radius rho0 about z.
 
-    The chain c_0 = z, c_{j+1} = _map_array(c_j) closes at the least p of 1,
-    2, 3, 4, 6, 12 with |c_p - c_0| <= _TOL max(1, |z|). D_j is the disc of
+    The chain c_0 = z, c_{j+1} = _map_array(c_j) closes at the least p from 1
+    to _CHAIN = 4 with |c_p - c_0| <= _TOL max(1, |z|). D_j is the disc of
     radius rho_j about c_j, where
         rho_{j+1} = (|R'(c_j)| + rho_j sup|R''|) rho_j + 2 E_j,
     sup over a disc of radius tau |c_j|, tau = 1/(8n), and E_j bounds the
@@ -409,11 +407,10 @@ def _proved_bounded(n, a, c, thr, z, rho0):
     |w|**n >= _TINY), evaluates the bounds at c_{j-1}, and forms rho_j and
     c_j. A chain that closes at j = p is proved when D_p lies in D_0:
     |c_p - c_0| + rho_p <= rho_0. Then z, in D_0, which p steps map into
-    itself, never escapes. Every bound is rounded up by the factor `up`. The
-    chains still open after 4 steps run on to 12 only if at least _LATE_MIN
-    of them are left; the others stay unproved. A mask drops the chains and
-    the arrays keep their size: shrinking them saved at most 3% of the time
-    and left NumPy's cache of small buffers up to 0.6 MB fuller.
+    itself, never escapes. Every bound is rounded up by the factor `up`. A
+    mask drops the chains and the arrays keep their size: shrinking them
+    saved at most 3% of the time and left NumPy's cache of small buffers up
+    to 0.6 MB fuller.
 
     |R'(c_j)| is bounded through n |c**n - a/c**n| / |c| at the centre, which
     keeps the cancellation of the two terms near the critical points; ball
@@ -427,7 +424,7 @@ def _proved_bounded(n, a, c, thr, z, rho0):
     top, scale = thr * _INSET, _TOL * np.maximum(np.abs(z), 1.0)
     c_mod, a_mod = np.abs(c), np.abs(a)
     cen, rho, live = z, rho0, np.ones(z.size, dtype=bool)  # c_{j-1}, rho_{j-1}, the open chains
-    for j in range(1, _LAG + 1):
+    for j in range(1, _CHAIN + 1):
         r = np.abs(cen)
         live &= (rho * (up / tau) <= r) & (r + rho <= top) & (r >= least)  # D_{j-1} fits
         zn = pow_int(cen, n)
@@ -453,14 +450,13 @@ def _proved_bounded(n, a, c, thr, z, rho0):
         curve /= r * r * (1 - tau) ** 2
         rho = (curve * rho + slope) * rho + err
         del curve, slope, err
-        if j in _PERIODS:  # prove the chains that close at j, and drop them
-            drift = np.abs(cen - z)
-            closed = live & (drift <= scale)
-            proved |= closed & (drift * up + rho <= rho0)
-            live &= ~closed
-            del drift, closed
-            if np.count_nonzero(live) < (_LATE_MIN if j == 4 else 1):
-                break
+        drift = np.abs(cen - z)  # prove the chains that close at j, and drop them
+        closed = live & (drift <= scale)
+        proved |= closed & (drift * up + rho <= rho0)
+        live &= ~closed
+        del drift, closed
+        if not live.any():
+            break
     return proved
 
 
@@ -505,8 +501,8 @@ def iterate_orbit_blocks(n, blocks, max_iter):
       orbit that passed every step and whose z came back to within a relative
       _TOL of that state is nominated, and retired as bounded if
       _proved_bounded proves a disc D_0 about z, with p floating-point steps
-      of the map (p = 1, 2, 3, 4, 6 or 12) sending D_0 into discs D_1, ...,
-      D_p and D_p into D_0, for every rounding within an a-priori bound.
+      of the map (p = 1, 2, 3 or 4) sending D_0 into discs D_1, ..., D_p and
+      D_p into D_0, for every rounding within an a-priori bound.
       Every disc lies in 0 < |w| <= threshold with room for np.abs's
       rounding, so every later state of the orbit, as this kernel computes
       it, is nonzero and finite and passes the comparison: its count is
@@ -650,17 +646,13 @@ class _Pool:
         where _proved_bounded proves one bounded."""
         drift = np.abs(np.subtract(z, back, out=back))  # back and mod are the window's
         gone |= drift == 0
-        scale = np.maximum(mod, 1.0, out=mod)
-        near = drift <= np.multiply(scale, _TOL, out=scale)
+        near = drift <= np.multiply(np.maximum(mod, 1.0, out=mod), _TOL, out=mod)
         near &= ~gone
         nominees = np.flatnonzero(near)
-        if nominees.size < _BATCH:
-            return
-        for i in range(0, nominees.size, _PROOF_CHUNK):
-            sel = nominees[i:i + _PROOF_CHUNK]
-            rho0 = _GROW * drift[sel] + (_ROOM / _TOL) * scale[sel]
-            proved = _proved_bounded(self.n, self.a[sel], self.c[sel], self.thr[sel], z[sel], rho0)
-            gone[sel[proved]] = True
+        if nominees.size >= _BATCH:
+            proved = _proved_bounded(self.n, self.a[nominees], self.c[nominees], self.thr[nominees],
+                                     z[nominees], _GROW * drift[nominees])
+            gone[nominees[proved]] = True
 
     def _record(self, out, at):
         """Iteration counts of the escaping orbits at pool positions out: each

@@ -3,6 +3,7 @@ regions attached to fixed critical points, and the parameter rectangle for real 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +51,18 @@ def polar_contains(rect: PolarRect, z: complex) -> bool:
 
 def u_prime_rect(p: MapParams, k: int) -> PolarRect:
     """The open polar rectangle around the k-th critical point:
-    radii (|a|**(1/n)/2, 2), center (psi + 2*k*pi)/(2n), halfwidth pi/(2n)."""
+    radii (|a|**(1/n)/2, 2), center (psi + 2*k*pi)/(2n), halfwidth pi/(2n).
+    HypothesisError when the inner arc's |z|**n = |a|/2**n is below the normal
+    binary64 range, where the map's a/z**n overflows or loses its digits."""
     if not 0 <= k <= 2 * p.n - 1:
         raise ValueError(f"k must be in 0..{2 * p.n - 1}, got {k}")
     if abs(p.a) >= 4**p.n:  # an exact int comparison: 4.0**n overflows from n = 512
         raise HypothesisError(
             f"|a| = {abs(p.a)} >= 4**n collapses the rectangle (inner radius >= 2)"
         )
+    if math.ldexp(abs(p.a), -p.n) < sys.float_info.min:
+        raise HypothesisError(f"a = {p.a!r} is too small: |a|/2**n, |z|**n on the inner "
+                              "arc, is below the normal binary64 range")
     return PolarRect(
         r_inner=abs(p.a) ** (1.0 / p.n) / 2.0,
         r_outer=2.0,

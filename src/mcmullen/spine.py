@@ -123,7 +123,9 @@ def spine_within(s: SpineSpec, a: np.ndarray, eps: float) -> np.ndarray:
     # A repeated sample pads the last block; it changes no minimum and no `any`.
     blocks = np.concatenate([curve, np.repeat(curve[-1:], -curve.size % _BLOCK)])
     blocks = blocks.reshape(-1, _BLOCK)
-    centres = blocks.mean(axis=1)
+    # A block's middle sample is its centre: a mean overflows near the slope
+    # limit, and a disc of radius reach about any centre is sound.
+    centres = blocks[:, _BLOCK // 2]
     reach = np.abs(blocks - centres[:, None]).max(axis=1)
     scale = max(1.0, spine_radii(s.t)[1])
     out = np.zeros(a.size, dtype=bool)
@@ -151,15 +153,15 @@ def _close(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
 
 def _cleared(t: complex, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Stage 1 of spine_within: queries with no curve point within r."""
-    far = np.abs(q) > 2.0 * r
-    # The rest stand in as 2r, which keeps q**-0.5 and (|q| - r)**-1.5 finite.
-    q = np.where(far, q, 2.0 * r)
-    root = np_principal_sqrt(q)
-    # For |q| near the float limit a product can overflow. An inf, or the nan of
-    # inf - inf, fails the `>` below, so it only leaves a query to the exact
-    # stages. The curvature is written without the power (|q| - r)**1.5, which
-    # overflows from |q| of about 1e205 on and would read 0, a low bound.
+    # For |q| or r near the float limit a product can overflow. An inf, or the
+    # nan of inf - inf, fails the `>` below, so it only leaves a query to the
+    # exact stages. The curvature is written without the power (|q| - r)**1.5,
+    # which overflows from |q| of about 1e205 on and would read 0, a low bound.
     with np.errstate(over="ignore", invalid="ignore"):
+        far = np.abs(q) > 2.0 * r
+        # The rest stand in as 2r, which keeps q**-0.5 and (|q| - r)**-1.5 finite.
+        q = np.where(far, q, 2.0 * r)
+        root = np_principal_sqrt(q)
         gap = np.abs(q) - r
         curvature = r / gap / (2.0 * np.sqrt(gap))
         rounding = 1.0 + np.abs(t * q) + 2.0 * np.abs(root)

@@ -205,9 +205,9 @@ def verify_containment(p: MapParams, k: int, samples: int = 2000) -> Verificatio
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
     _check_chunked(samples, _CONTAINMENT_BYTES, f"containment with {samples} samples")
-    rect = u_prime_rect(p, k)
     half_sign = 1 if k % 2 == 0 else -1
-    spec = ellipse_spec(p, half_sign)
+    spec = ellipse_spec(p, half_sign)  # refuses n >= 1024 before u_prime_rect refuses a
+    rect = u_prime_rect(p, k)
 
     per = max(4, samples // 8)
     pieces = _uprime_boundary_pieces(p, k, per, inset=BOUNDARY_INSET)

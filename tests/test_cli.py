@@ -191,6 +191,7 @@ class TestRenderCommand:
         # a held parameter whose modulus overflows is refused by name
         for slc, name in ((["--slice", "fixed-a", "--a", "1.5e308,1.5e308"], "a"),
                           (["--slice", "fixed-c", "--c", "1.5e308,1.5e308"], "c"),
+                          (["--slice", "diagonal", "--t", "1.5e308,1.5e308"], "t"),
                           (["--slice", "dynamical", "--a", "1.5e308,1.5e308", "--c", "6"], "a")):
             code, stdout, err = run(capsys, "render", "--n", "4", *slc, *common)
             assert code == 2 and stdout == "" and f"{name} = (1.5e+308+1.5e+308j)" in err
@@ -749,6 +750,28 @@ class TestDefaultsComeFromTheLibrary:
             assert code == 0 and same, (given, out.count("\n"), len(rows))
 
 
+# Every complex flag of the CLI, with the other flags of its command (small sizes).
+_RENDER = "render --n 4 --view -2,2,-2,2 --size 4x4 --max-iter 20 --slice"
+_EXTREME_CASES = {
+    "spine-t": ("spine --samples 32", "t"),
+    "centers-c": ("centers --n 4", "c"),
+    "centers-t": ("centers --n 4", "t"),
+    "render-fixed-c-c": (f"{_RENDER} fixed-c", "c"),
+    "render-fixed-a-a": (f"{_RENDER} fixed-a", "a"),
+    "render-diagonal-t": (f"{_RENDER} diagonal", "t"),
+    "verify-image-ellipse-a": ("verify --check image-ellipse --n 5 --c 1e13 --samples 16", "a"),
+    "verify-image-ellipse-c": ("verify --check image-ellipse --n 5 --a 1 --samples 16", "c"),
+    "verify-containment-a": ("verify --check containment --n 5 --c 1e-300 --samples 64", "a"),
+    "verify-containment-c": ("verify --check containment --n 5 --a 1 --samples 64", "c"),
+    "verify-winding-c": ("verify --check winding --n 4 --samples 64", "c"),
+    "verify-annulus-a": ("verify --check annulus --n 4 --c 6 --samples 16", "a"),
+    "verify-annulus-c": ("verify --check annulus --n 4 --a 1 --samples 16", "c"),
+    "verify-spine-locus-t": ("verify --check spine-locus --n 4 --eps 0.25 --samples 32", "t"),
+    "verify-vminus-sign-a": ("verify --check vminus-sign --n 4 --c 1", "a"),
+    "verify-vminus-sign-c": ("verify --check vminus-sign --n 4 --a 1", "c"),
+}
+
+
 class TestTopLevel:
     def test_no_args(self, capsys):
         assert run(capsys)[0] == 2
@@ -776,6 +799,24 @@ class TestTopLevel:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", list(_EXTREME_CASES))
+    def test_extreme_magnitudes(self, tmp_path, capsys, case):
+        # every complex flag at a fixed grid of magnitudes from 0 through the
+        # subnormals to the float limit, with either sign, on the real axis and
+        # the diagonal: each run ends in an exit code, with no traceback and no
+        # NumPy warning
+        command, flag = _EXTREME_CASES[case]
+        argv = shlex.split(command)
+        if argv[0] == "render":
+            argv += ["--out", str(tmp_path / "x.ppm")]
+        magnitudes = (0.0, 5e-324, 1e-310, 1.5e-154, 1e-100, 1.0, 1e154, 1e300, 1.7e308)
+        values = dict.fromkeys(f"{x!r},{y!r}" for m in magnitudes for x in (m, -m)
+                               for y in (x, 0.0))
+        for value in values:
+            code = run(capsys, *argv, f"--{flag}={value}")[0]
+            assert 0 <= code <= 3, (argv, flag, value)
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

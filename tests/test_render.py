@@ -565,7 +565,7 @@ class TestPooledRender:
         monkeypatch.setattr(family, "pow_int", counting)
         window = family._WINDOW
         render_slice(4, FixedC(6j), vp, cfg)
-        assert counts == [2167, 3807581]
+        assert counts == [2156, 3810784]
         monkeypatch.setattr(family, "_LAG", window)  # retire nothing
         one_pooled, one_banded, reach = run(1)
         exact = one_pooled[1]

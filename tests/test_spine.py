@@ -244,6 +244,32 @@ class TestSpineWithin:
             assert spine_within(s, np.array([q]), d)[0], (q, d)
             assert not spine_within(s, np.array([q]), np.nextafter(d, 0.0))[0], (q, d)
 
+    def test_near_the_slope_limit(self, monkeypatch):
+        # at |t| = 1.5e-154 the samples reach about 1e308 and the mean of a
+        # block of 64 of them can overflow; a block's centre is one of its own
+        # samples, so every block stays in the exact stage, with no warning
+        s = SpineSpec(1.5e-154 + 0j, 4096)
+        _, plus, minus = spine_points(s)
+        curve = np.concatenate([plus, minus])
+        rng = np.random.default_rng(154)
+        near = curve[::3] + 0.5 * rng.uniform(0, 1, curve[::3].size) * np.exp(
+            2j * math.pi * rng.uniform(0, 1, curve[::3].size))
+        _assert_matches_oracle(s, near, 0.25)
+        blocks = curve.reshape(-1, spine._BLOCK)
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflowed = np.flatnonzero(~np.isfinite(blocks.mean(axis=1)))
+        assert overflowed.size > 0
+        # with stage 2 finding nothing, stage 3 alone finds a query placed on a
+        # sample of such a block
+        monkeypatch.setattr(spine, "_witnessed", lambda t, q, *_: np.zeros(q.size, dtype=bool))
+        q = blocks[overflowed, 5]
+        assert spine_within(s, q, 0.25).all()
+
+    def test_eps_near_the_float_limit(self):
+        # 2r overflows in the clearing bound; that only leaves the queries to
+        # the exact stages, with no warning
+        _assert_matches_oracle(SpineSpec(2 + 0j, 64), np.array([0.5j, 1e150, 1e300]), 1e308)
+
     def test_memory_independent_of_query_count(self):
         s = SpineSpec(2 * cmath.exp(0.02j))
         a = _polar_lattice(s.t, 0.25, 300)

@@ -1,6 +1,7 @@
 """Sampling-based certification checks and their report plumbing."""
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -140,6 +141,19 @@ class TestOverflowingN:
         ):
             with pytest.raises(HypothesisError, match="binary64"):
                 call()
+
+    def test_ellipse_checks_refuse_a_below_the_normal_range(self):
+        # on the inner arc |z|**n = |a|/2**n, which is subnormal or 0 here, so
+        # a/z**n would overflow: a is refused by name before any sample is formed
+        for n, a in ((5, complex(-5e-324, -0.0)), (8, 1e-310 + 0j)):
+            p = MapParams(n, a, 1e13 + 0j)
+            for call in (lambda: verify_image_ellipse(p, 0, samples=32),
+                         lambda: verify_containment(p, 0, samples=64)):
+                with pytest.raises(HypothesisError, match=r"a = .* is too small"):
+                    call()
+        # the least |a| whose |a|/2**n is normal runs, with no warning
+        p = MapParams(8, math.ldexp(sys.float_info.min, 8) + 0j, 1e13 + 0j)
+        assert verify_image_ellipse(p, 0, samples=32).samples == 128
 
 
 class TestReportPlumbing:
@@ -301,6 +315,12 @@ class TestSpineLocus:
         r = verify_spine_locus(6, 1 + 0j, 0.01, grid=200, max_iter=200)
         assert not r.passed
         assert r.failures == 17  # deterministic lattice
+
+    def test_near_the_slope_limit(self):
+        # the spine's samples reach about 1e308, where the mean of a block of
+        # them overflows; the check runs with no warning
+        r = verify_spine_locus(4, 1.5e-154 + 0j, 0.25, grid=32)
+        assert r.passed and r.samples == 1024
 
     def test_validation(self):
         with pytest.raises(ValueError):
