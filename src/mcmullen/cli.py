@@ -17,7 +17,6 @@ import argparse
 import re
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import (
     RootFindingError,
     UnderSamplingError,
 )
-from .family import MapParams, fixed_point_residual, inner_radius, safe_abs
+from .family import MapParams, check_modulus, fixed_point_residual, inner_radius, safe_abs
 from .regions import ellipse_semi_axes, l_c_rect, polar_contains, sector_index, w_region_contains
 from .render import (
     Diagonal,
@@ -36,7 +35,7 @@ from .render import (
     FixedC,
     RenderConfig,
     Viewport,
-    encode_ppm,
+    _ppm_header,
     render_slice,
 )
 from .solvers import diagonal_fixed_params, fixed_critical_params
@@ -195,7 +194,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     img = render_slice(args.n, slc, vp, cfg)
-    Path(args.out).write_bytes(encode_ppm(img))  # the encoded bytes are freed before the count
+    with open(args.out, "wb") as f:  # the pixels as they are, with no encoded copy
+        f.write(_ppm_header(img))
+        f.write(img.pixels.data)
     elapsed = time.perf_counter() - t0
     # one channel at a time, combined in place: no (height, width, 3) mask
     is_bounded = img.pixels[..., 0] == cfg.bounded_color[0]
@@ -227,7 +228,8 @@ def _containment_reports(args: argparse.Namespace):
                 verify_containment(MapParams(n, spec.a_j, c), spec.k, **sizes)
                 for spec in specs
             ]
-        hits = [spec for spec in specs if w_region_contains(spec, args.a)]
+        a = check_modulus("a", args.a)
+        hits = [spec for spec in specs if w_region_contains(spec, a)]
         if not hits:
             raise HypothesisError(
                 f"a = {args.a} lies in none of the {len(specs)} admissible parameter "

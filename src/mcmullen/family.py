@@ -135,11 +135,15 @@ _MIN_SCALED_SLOPE = 2.0 / math.sqrt(sys.float_info.max)
 def check_slope_scale(t) -> complex:
     """check_slope, and ValueError for a t so small that 4/|t|**2 overflows
     binary64. That is the size of the outer spine radius and of the diagonal
-    centers' a, so neither can be computed below it; a diagonal render can."""
+    centers' a, so neither can be computed below it; a diagonal render can.
+    A t so large that 2/t**2 is nan (t = 1e200 + 1e200j, whose t*t is nan + inf j)
+    is refused too, since the spine's points would be nan."""
     t = check_slope(t)
     if abs(t) < _MIN_SCALED_SLOPE:
         raise ValueError(f"t = {t!r} is too small: 4/|t|**2, the size of the outer "
                          "spine radius and of the diagonal centers' a, overflows binary64")
+    if cmath.isnan(2.0 / (t * t)):
+        raise ValueError(f"t = {t!r} is too large: 2/t**2 is nan in binary64")
     return t
 
 

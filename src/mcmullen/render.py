@@ -50,7 +50,7 @@ _ROW_BAND = 16
 
 # Estimated peak bytes of a render: per pixel, the uint8 grid, the encoded PPM
 # and the CLI's bounded count (the render command's traced peak grows by about
-# 3.6 B per pixel, measured from 800x400 to 800x1600 wide views); per point of
+# 3.1 B per pixel, measured from 800x400 to 800x1600 wide views); per point of
 # one band, the orbit kernel's blocks and pool and the shading blocks; and the
 # orbit pool's own part, which holds up to about 4096 orbits and their window
 # masks whatever the width. With tracemalloc, render_slice plus encode_ppm
@@ -265,20 +265,14 @@ def classify_pixel(n: int, slc: SliceSpec, point: complex, cfg: RenderConfig) ->
     )  # type: ignore[return-value]
 
 
-def _color_block(escaped: np.ndarray, iters: np.ndarray, base: RGB8, cfg: RenderConfig) -> np.ndarray:
-    """Vectorized _orbit_color over a flat block; returns float (len, 3)."""
-    inten = np.minimum(1.0, np.maximum(iters, 1) / cfg.max_iter)
-    scaled = np.maximum(np.minimum(base, 1), np.floor(np.multiply.outer(inten, base) + 0.5))
-    return np.where(escaped[:, None], scaled, np.array(cfg.bounded_color, dtype=float))
-
-
-def _palette(base: RGB8, cfg: RenderConfig, top: int) -> np.ndarray:
-    """Orbit colors by the kernel's iteration count: row m is _color_block of an
-    escape at m = 0..top, the last row (the kernel's -1) is bounded_color. uint16,
-    so that two rows add without overflow. Row m does not depend on top, so
-    render_slice grows one palette per orbit sign only as its counts need."""
-    m = np.arange(top + 2)
-    return _color_block(m <= top, m, base, cfg).astype(np.uint16)
+def _palette(cfg: RenderConfig, k: int, top: int) -> np.ndarray:
+    """One color channel by its orbit's kernel count, for k orbits a pixel that
+    color disjoint channels: row m (0..top) is the channel mean (v + k // 2) // k
+    of an escape at m, v = max(1, round(255 * _intensity(m, max_iter))), and the
+    last row (the kernel's -1) is 0, bounded. Row m does not depend on top."""
+    inten = np.minimum(1.0, np.maximum(np.arange(top + 1), 1) / cfg.max_iter)
+    v = np.maximum(1.0, np.floor(inten * 255 + 0.5))
+    return np.append((v + k // 2) // k, 0).astype(np.uint8)  # v + 1 would wrap in uint8
 
 
 def _band_points(vp: Viewport, row0: int, row1: int) -> np.ndarray:
@@ -300,19 +294,25 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
     """Classify every pixel center of the viewport. Rows are processed in fixed
     16-row bands, one kernel block per band and orbit, so the output is a pure
     function of the inputs. The blocks share one working set of the orbit kernel
-    (iterate_orbit_blocks), and a band is shaded once all its blocks are done.
-    A dynamical slice takes n from its map and ignores the argument. A viewport
-    whose render_bytes exceed the memory budget raises ValueError before any
-    allocation."""
+    (iterate_orbit_blocks), and each block is shaded into its own channels as
+    soon as it is done. A dynamical slice takes n from its map and ignores the
+    argument. A viewport whose render_bytes exceed the memory budget raises
+    ValueError before any allocation."""
     dynamical = isinstance(slc, Dynamical)
     if dynamical:
         n = slc.params.n
     check_exponent(n)
     check_memory_budget(render_bytes(vp), f"a {vp.width}x{vp.height} render")
-    bases = [(255, 255, 255)] if dynamical else [cfg.color_plus, cfg.color_minus]
-    zero_a: dict[int, np.ndarray] = {}  # band -> mask of its a = 0 pixels, if any
+    # a parameter slice's orbits each color the one channel of their base color
+    # and put 0 in the others (green stays 0); a dynamical one colors all three
+    k = 1 if dynamical else 2
+    channels = [slice(0, 3)] if dynamical else [
+        slice(i, i + 1) for i in (cfg.color_plus.index(255), cfg.color_minus.index(255))]
+    zero_a: dict[int, np.ndarray] = {}  # block key -> mask of its a = 0 pixels, if any
+    zero_total = 0
 
     def blocks():
+        nonlocal zero_total
         for band, r0 in enumerate(range(0, vp.height, _ROW_BAND)):
             pts = _band_points(vp, r0, min(r0 + _ROW_BAND, vp.height))
             a, c = _slice_params(slc, pts)
@@ -321,48 +321,34 @@ def render_slice(n: int, slc: SliceSpec, vp: Viewport, cfg: RenderConfig) -> Ima
                 continue
             zero = a == 0
             if zero.any():
-                zero_a[band] = zero
+                zero_a[2 * band] = zero_a[2 * band + 1] = zero
+                zero_total += int(np.count_nonzero(zero))
                 a = np.where(zero, 1.0 + 0.0j, a)
             yield from critical_blocks(a, c)
 
-    grid = np.empty((vp.height, vp.width, 3), dtype=np.uint8)
-    zero_total = 0
-    pending: dict[int, list] = {}
-    k = len(bases)
-    tops = [0] * k
-    palettes = [_palette(base, cfg, 0) for base in bases]
+    grid = np.zeros((vp.height, vp.width, 3), dtype=np.uint8)
+    top, palette = 0, _palette(cfg, k, 0)
     for key, iters in iterate_orbit_blocks(n, blocks(), cfg.max_iter):
         band, j = divmod(key, k)
-        done = pending.setdefault(band, [None] * k)
-        done[j] = iters
-        if any(it is None for it in done):
-            continue
-        del pending[band]
-        for i, it in enumerate(done):
-            top = int(it.max())
-            if top > tops[i]:
-                tops[i] = min(cfg.max_iter, max(top, 2 * tops[i]))
-                palettes[i] = _palette(bases[i], cfg, tops[i])
-        # the channel mean floor(sum / k + 0.5) of the k orbit colors, exact in
-        # integers, formed in place in one uint16 buffer
-        colors = (np.take(pal, it, axis=0) for it, pal in zip(done, palettes))
-        pix = next(colors)
-        for color in colors:
-            pix += color
-        pix += k // 2
-        pix //= k
-        zero = zero_a.pop(band, None)
+        zero = zero_a.pop(key, None)
         if zero is not None:
-            pix[zero] = cfg.bounded_color
-            zero_total += int(np.count_nonzero(zero))
-        grid[band * _ROW_BAND:(band + 1) * _ROW_BAND] = pix.reshape(-1, vp.width, 3)
+            iters[zero] = -1  # bounded_color
+        if iters.max() > top:  # grow the palette as the counts need
+            top = min(cfg.max_iter, max(int(iters.max()), 2 * top))
+            palette = _palette(cfg, k, top)
+        rows = slice(band * _ROW_BAND, (band + 1) * _ROW_BAND)
+        grid[rows, :, channels[j]] = np.take(palette, iters).reshape(-1, vp.width, 1)
     if zero_total:
         logger.info("render: %d pixel(s) at a = 0 rendered as bounded_color", zero_total)
     grid.flags.writeable = False
     return Image(vp.width, vp.height, grid)
 
 
+def _ppm_header(img: Image) -> bytes:
+    """The ASCII header of img's binary PPM (P6, maxval 255)."""
+    return f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+
+
 def encode_ppm(img: Image) -> bytes:
     """Binary PPM (P6, maxval 255): ASCII header then row-major RGB byte triples."""
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return b"".join((header, np.ascontiguousarray(img.pixels).data))  # one copy of the pixels
+    return b"".join((_ppm_header(img), np.ascontiguousarray(img.pixels).data))  # one copy

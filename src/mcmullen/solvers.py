@@ -111,11 +111,22 @@ def _centers(n: int, coeffs: PolyCoeffs, param: str) -> list[tuple[complex, comp
     sorted by (Re a, Im a), where Re parts equal within that tolerance count as equal,
     so each conjugate pair of a-values is adjacent with Im a < 0 first. An a that is
     0 or not finite raises ValueError naming the slice's parameter, param ("c = ..."
-    or "t = ...")."""
-    pairs = [(w, pow_int(w, 2 * n)) for w in poly_roots(coeffs) if w != 0]
+    or "t = ..."). A root, 0 included, with |p(w)| above _ROOT_TOL * sum_j |c_j| |w|**j
+    (poly_roots' bound without its absolute floor, which accepts a wrong root of
+    tiny modulus at a tiny |c|) raises RootFindingError naming param."""
+    roots = poly_roots(coeffs)
+    pairs = [(w, pow_int(w, 2 * n)) for w in roots if w != 0]
     if any(b == 0 or not cmath.isfinite(b) for _, b in pairs):
         raise ValueError(f"{param} puts a center's a = w**(2n) outside binary64: "
                          "0 or not finite")
+    c, w = np.array(coeffs, dtype=complex), np.array(roots)
+    with np.errstate(all="ignore"):
+        residual, bound = np.abs(_horner(c, w)), _ROOT_TOL * _horner(np.abs(c), np.abs(w))
+    failing = np.flatnonzero(~(residual <= bound))
+    if failing.size:
+        i = failing[0]
+        raise RootFindingError(f"{param}: root w = {roots[i]!r} has residual {residual[i]:.3e} "
+                               f"above its relative bound {bound[i]:.3e}")
     a = np.array([b for _, b in pairs], dtype=complex)
     scale = _DEDUPE_TOL * np.maximum(1.0, np.abs(a))
     # close[i, j]: pair j < i has an a-value within tolerance of pair i's

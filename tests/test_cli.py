@@ -1,5 +1,8 @@
 """Command-line surface: flags, CSV/PPM outputs, exit codes."""
+import contextlib
 import hashlib
+import io
+import math
 import re
 import shlex
 import tracemalloc
@@ -7,6 +10,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mcmullen import cli, spine
 from mcmullen.cli import main
@@ -159,9 +164,9 @@ class TestRenderCommand:
 
     def test_peak_grows_by_one_image(self, tmp_path, capsys):
         # from an 800x400 to an 800x1600 wide view the command's traced peak
-        # grows by at most 4 B per pixel: the 3-byte grid, and the encoded
-        # bytes made from it in one copy and freed before the bounded count
-        # (7.6 B per pixel when the bytes were built twice and kept alive)
+        # grows by at most 4 B per pixel: the 3-byte grid, written after its
+        # header with no encoded copy, and the bounded count's masks (7.6 B per
+        # pixel when the encoded bytes were built twice and kept alive)
         peaks = []
         for height in (400, 1600):
             tracemalloc.start()
@@ -357,6 +362,21 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", *argv, "--a", "1.5e308,1.5e308")
         assert code == 2 and out == ""
         assert "a = (1.5e+308+1.5e+308j) has a modulus that overflows" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a", ["inf,0", "nan,0", "0,-inf"])
+    def test_containment_non_finite_a_exit_2_naming_a(self, capsys, a):
+        # refused by name before the region test, which would warn and then
+        # report that a lies in no region
+        code, out, err = run(capsys, "verify", "--check", "containment", "--n", "4",
+                             "--c", "0,6", "--a", a, "--samples", "16")
+        assert code == 2 and out == "" and "a must be finite" in err
+
+    def test_spine_locus_slope_whose_scale_is_nan_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--check", "spine-locus", "--n", "4",
+                             "--t", "-1e300,1e8", "--eps", "13", "--samples", "32",
+                             "--max-iter", "5")
+        assert code == 2 and out == "" and "t = " in err and "too large" in err
 
     def test_overflowing_c_fails_the_large_c_hypotheses(self, capsys):
         code, out, err = run(capsys, "verify", "--check", "winding", "--n", "8",
@@ -597,6 +617,18 @@ class TestCentersCommand:
         assert code == 1 and out == ""
         assert f"t = {complex(t)!r}" in err and "incomplete" in err
 
+    @pytest.mark.parametrize("n, c", [("3", "1e-100"), ("3", "1e-150"), ("4", "1e-100"),
+                                      ("5", "1e-100"), ("3", "5e-324"), ("3", "-5e-324")])
+    def test_tiny_c_wrong_root_exit_1_naming_c(self, capsys, n, c):
+        # a spurious root is refused rather than printed as a center
+        code, out, err = run(capsys, "centers", "--n", n, "--c", c)
+        assert code == 1 and out == ""
+        assert f"c = {complex(float(c))!r}: root w = " in err and "residual" in err
+
+    def test_slope_whose_scale_is_nan_exit_2_naming_t(self, capsys):
+        code, out, err = run(capsys, "centers", "--n", "3", "--t", "1e200,1e200")
+        assert code == 2 and out == "" and "t = (1e+200+1e+200j) is too large" in err
+
     def test_diagonal_rows_unchanged(self, capsys):
         code, out, _ = run(capsys, "centers", "--n", "3", "--t", "2")
         assert code == 0
@@ -635,6 +667,17 @@ class TestSpineCommand:
         code, out, err = run(capsys, "spine", "--t", "1e-200")
         assert code == 2 and out == ""
         assert "t = " in err and "too small" in err
+
+    @pytest.mark.parametrize("t", ["1e200,1e200", "-1e300,1e8"])
+    def test_slope_whose_scale_is_nan_exit_2(self, capsys, t):
+        code, out, err = run(capsys, "spine", "--t", t, "--samples", "16")
+        assert code == 2 and out == "" and "t = " in err and "too large" in err
+
+    @pytest.mark.parametrize("t", ["1e300", "1e154,1e154"])
+    def test_largest_slopes_print_finite_rows(self, capsys, t):
+        code, out, _ = run(capsys, "spine", "--t", t, "--samples", "16")
+        assert code == 0 and len(out.splitlines()) == 33
+        assert "nan" not in out and "inf" not in out
 
     def test_requires_t(self, capsys):
         assert run(capsys, "spine")[0] == 2
@@ -772,7 +815,93 @@ _EXTREME_CASES = {
 }
 
 
+# The grammar fuzz's values, with either sign: as often as not an ordinary
+# size, which the checks' hypotheses admit (|c| = 6 or 13 for winding, say), and
+# else 0's neighbours, the subnormals, the square-root limits, the float limit,
+# inf or nan. A complex value's imaginary part is 0 half the time.
+_ORDINARY = (0.0, 0.2, 0.5, 1.0, 2.0, 3.0, 6.0, 13.0)
+_EXTREME = (5e-324, 1e-310, 1.5e-154, 1e-100, 1e-8, 1e8, 1e154, 1e300, 1.7e308,
+            math.inf, math.nan)
+_real = st.builds(lambda m, neg: -m if neg else m,
+                  st.sampled_from(_ORDINARY) | st.sampled_from(_EXTREME), st.booleans())
+_complex = st.builds(lambda x, y: f"{x!r},{y!r}", _real, st.just(0.0) | _real)
+_n = st.sampled_from([3, 4, 5, 8])
+_view = st.builds(lambda x, y: f"{min(x)!r},{max(x)!r},{min(y)!r},{max(y)!r}",
+                  st.tuples(_real, _real), st.tuples(_real, _real))
+_size = st.builds(lambda w, h: f"{w}x{h}", st.integers(1, 5), st.integers(0, 5))
+
+
+def _command(name, **flags):
+    """argv of a subcommand with a value of each flag, as --flag=value, so that a
+    dash-led value is never read as a flag; a flag named with _ has a - in it."""
+    return st.fixed_dictionaries(flags).map(
+        lambda d: [name] + [f"--{k.replace('_', '-')}={v}" for k, v in d.items()])
+
+
+# Each subcommand with the flags each of its modes reads.
+_ARGV = st.one_of(
+    *(_command("render", slice=st.just(slc), n=_n, view=_view, size=_size,
+               max_iter=st.sampled_from([1, 2, 20]), **dict.fromkeys(needs, _complex))
+      for slc, needs in (("fixed-c", "c"), ("fixed-a", "a"), ("diagonal", "t"),
+                         ("dynamical", "ac"))),
+    *(_command("verify", check=st.just(check), n=_n, samples=st.sampled_from([16, 32]),
+               max_iter=st.sampled_from([1, 5]), **dict.fromkeys(needs, _complex), **eps)
+      for check, needs, eps in (("image-ellipse", "ac", {}), ("containment", "c", {}),
+                                ("containment", "ac", {"eps": _real}), ("winding", "c", {}),
+                                ("annulus", "ac", {}), ("spine-locus", "t", {"eps": _real}),
+                                ("vminus-sign", "ac", {}))),
+    _command("centers", n=_n, c=_complex),
+    _command("centers", n=_n, t=_complex),
+    _command("spine", t=_complex, samples=st.sampled_from([16, 32])),
+)
+
+
+def _run_quietly(argv, out):
+    """(exit code, output file bytes or None, stdout less its timing, stderr) of
+    main(argv + --out); a RuntimeWarning is raised as an error."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, f"--out={out}"])
+    data = out.read_bytes() if out.exists() else None
+    return code, data, re.sub(r"elapsed=\S+", "", stdout.getvalue()), stderr.getvalue()
+
+
+_CSV_HEADERS = {"verify": CSV_HEADER, "centers": "j,k,re_w,im_w,re_a,im_a,residual",
+                "spine": "theta,branch,re,im"}
+
+
 class TestTopLevel:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_ARGV)
+    @example(argv=["spine", "--t=1e200,1e200", "--samples=16"])  # printed nan rows
+    @example(argv=["verify", "--check=containment", "--n=4", "--c=0,6", "--a=inf,0",
+                   "--samples=16"])  # warned in the region test
+    def test_grammar_fuzz(self, tmp_path, argv):
+        # any argv of the four subcommands, with values from 0 through the
+        # subnormals to inf and nan: main returns an exit code of 0 to 3 with no
+        # NumPy warning, the same bytes twice, and on exit 0 a PPM of --size or
+        # a CSV with its header and no nan or inf. The examples are two cases
+        # that random runs of this grammar found
+        first = _run_quietly(argv, tmp_path / "out")
+        code, data, _, _ = first
+        assert 0 <= code <= 3, first
+        assert _run_quietly(argv, tmp_path / "out") == first
+        if code != 0:
+            return
+        if argv[0] == "render":
+            size = next(a for a in argv if a.startswith("--size="))
+            width, height = map(int, size[len("--size="):].split("x"))
+            header = f"P6\n{width} {height}\n255\n".encode()
+            assert data[:len(header)] == header and len(data) == len(header) + 3 * width * height
+        else:
+            text = data.decode("ascii")
+            assert text.splitlines()[0] == _CSV_HEADERS[argv[0]]
+            assert "nan" not in text and "inf" not in text, text
+
     def test_no_args(self, capsys):
         assert run(capsys)[0] == 2
 

@@ -28,7 +28,6 @@ from mcmullen.render import (
 )
 from mcmullen.render import (
     _band_points,
-    _color_block,
     _intensity,
     _palette,
     _round_half_away,
@@ -357,6 +356,13 @@ class TestImageAndEncoding:
         assert not img.pixels.flags.writeable
 
 
+def _color_block(escaped, iters, base, cfg):
+    """_orbit_color over a flat block of kernel results; float (len, 3)."""
+    inten = np.minimum(1.0, np.maximum(iters, 1) / cfg.max_iter)
+    scaled = np.maximum(np.minimum(base, 1), np.floor(np.multiply.outer(inten, base) + 0.5))
+    return np.where(escaped[:, None], scaled, np.array(cfg.bounded_color, dtype=float))
+
+
 def band_by_band(n, slc, vp, cfg):
     """The image render_slice gives, computed one 16-row band and one kernel call at
     a time, each call checked against the gather/scatter oracle, and shaded by
@@ -498,15 +504,43 @@ class TestPooledRender:
         assert peak <= render_bytes(vp)
 
     @pytest.mark.parametrize("max_iter", [1, 255, 511, 1000])
-    def test_palette_is_color_block(self, max_iter):
+    def test_palette_is_channel_mean(self, max_iter):
+        # row m of the k-orbit palette is band_by_band's channel mean of an orbit
+        # that escaped at m, whose base channel is 255, and k - 1 orbits that put 0
+        # in that channel, escaped or bounded; the last row, the kernel's -1, is
+        # bounded. At m = max_iter the channel is 255, whose (255 + 1) // 2 would
+        # wrap in uint8.
         cfg = RenderConfig(max_iter=max_iter)
         m = np.arange(max_iter + 1)
-        for base in (cfg.color_plus, cfg.color_minus, (255, 255, 255)):
-            pal = _palette(base, cfg, max_iter)
-            np.testing.assert_array_equal(pal[:-1], _color_block(m >= 0, m, base, cfg))
-            assert pal[-1].tolist() == list(cfg.bounded_color)  # the kernel's -1
+        bounded = _color_block(np.zeros(1, dtype=bool), m[:1], (255, 255, 255), cfg)
+        assert bounded.tolist() == [[0, 0, 0]]
+        for k, bases in ((1, [(255, 255, 255)]), (2, [cfg.color_plus, cfg.color_minus])):
+            pal = _palette(cfg, k, max_iter)
+            assert pal.dtype == np.uint8 and pal[-1] == 0
+            assert pal[max_iter] == (255 + k // 2) // k
+            for base in bases:
+                color = _color_block(m >= 0, m, base, cfg)
+                own = np.flatnonzero(base)
+                assert color[-1, own].tolist() == [255] * own.size
+                assert not np.delete(color, own, axis=1).any()  # 0 in the other channels
+                for ch in own:
+                    np.testing.assert_array_equal(pal[:-1], np.floor(color[:, ch] / k + 0.5))
             for top in (0, max_iter // 2):  # a smaller palette is a prefix
-                np.testing.assert_array_equal(_palette(base, cfg, top)[:-1], pal[:top + 1])
+                np.testing.assert_array_equal(_palette(cfg, k, top)[:-1], pal[:top + 1])
+
+    def test_parameter_renders_have_no_green(self):
+        # each orbit of a parameter slice writes only its base color's channel,
+        # red for c + 2 sqrt(a) and blue for c - 2 sqrt(a)
+        colors = (RenderConfig.color_plus, RenderConfig.color_minus, RenderConfig.bounded_color)
+        assert [color[1] for color in colors] == [0, 0, 0]
+        lit = np.zeros(3, dtype=bool)
+        for (n, slc, bounds), max_iter in itertools.product(POOLED_CASES, (1, 40, 300)):
+            if isinstance(slc, Dynamical):
+                continue
+            img = render_slice(n, slc, Viewport(*bounds, 24, 20), RenderConfig(max_iter=max_iter))
+            assert not img.pixels[..., 1].any(), (slc, max_iter)
+            lit |= img.pixels.any(axis=(0, 1))
+        assert lit.tolist() == [True, False, True]
 
     def test_integer_channel_mean(self):
         # (sum + k // 2) // k is floor(sum / k + 0.5) for one channel (k = 1) and

@@ -218,6 +218,15 @@ class TestFixedCriticalParams:
         got = sorted((s.a_j for s in specs), key=lambda z: (z.real, z.imag))
         assert got == pytest.approx(frozen, rel=1e-10)
 
+    @pytest.mark.parametrize("n, c", [(3, 1e-100), (3, 1e-150), (4, 1e-100), (5, 1e-100),
+                                      (3, 5e-324), (3, -5e-324)])
+    def test_tiny_c_wrong_root_refused(self, n, c):
+        # the root near c (2*w**n - w + c = 0 has one of modulus about |c|) comes
+        # back as a w of modulus about 1e-17 to 1e-35, or as w = 0 at a subnormal
+        # c; each passes poly_roots' absolute floor, not the relative bound
+        with pytest.raises(RootFindingError, match=r"c = .*: root w = .* residual"):
+            fixed_critical_params(n, complex(c))
+
     def test_dedupe_tol_knob(self, monkeypatch):
         # the solvers dedupe at the fixed _DEDUPE_TOL; the pipeline they share still
         # merges a-values at a loose tolerance

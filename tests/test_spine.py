@@ -50,6 +50,21 @@ class TestSpineSpec:
             with pytest.raises(ValueError, match=r"t = .* is too small"):
                 call()
 
+    @pytest.mark.parametrize("t", [1e200 + 1e200j, -1e300 + 1e8j, 1e300 - 1e300j])
+    def test_slope_whose_scale_is_nan_refused(self, t):
+        # t*t is nan + inf j or inf - inf j, so 2/t**2 and every spine point is nan
+        assert cmath.isnan(2.0 / (t * t))
+        for call in (lambda: SpineSpec(t), lambda: spine_radii(t),
+                     lambda: diagonal_fixed_params(3, t)):
+            with pytest.raises(ValueError, match=r"t = .* is too large: 2/t\*\*2 is nan"):
+                call()
+
+    def test_largest_slopes_sample_finitely(self):
+        # t*t is inf + 0j or inf j here, and 2/t**2 is 0
+        for t in (1e300 + 0j, 1e154 + 1e154j, -1.7e308j):
+            _, plus, minus = spine_points(SpineSpec(t, 64))
+            assert np.isfinite(plus).all() and np.isfinite(minus).all()
+
     def test_smallest_slopes_sample_finitely(self):
         # just above the limit the radii and every sample are finite
         for t in (_MIN_SCALED_SLOPE, 1.5e-154, -1.5e-154j, 1.1e-154 + 1.1e-154j):
