@@ -6,6 +6,10 @@ failure; 2 flag errors, sizes above the memory budget, or parameters outside a
 check's hypotheses (refused rather than reported as a misleading failure); 3 a
 verification ran and failed.
 
+The parser states the flags each subcommand must be given, and _NEEDS those
+each --slice and --check reads besides; a missing flag exits 2 with a message
+naming it.
+
 Complex flags are written "re,im" (a bare real is also accepted); --view is
 "re_min,re_max,im_min,im_max"; --size is "WIDTHxHEIGHT". All subcommands write CSV
 (or PPM for render) deterministically: renders run in fixed 16-row bands, so the
@@ -50,16 +54,6 @@ from .verify import (
     verify_winding,
 )
 
-_CHECKS = (
-    "image-ellipse",
-    "containment",
-    "winding",
-    "annulus",
-    "spine-locus",
-    "vminus-sign",
-)
-
-
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
@@ -85,10 +79,11 @@ def _parse_size(text: str) -> tuple[int, int]:
     return w, h
 
 
-# Values such as "--view -5,5,-5,5" or "--a -13.1,2.0" start with "-" but are
-# data, not flags; argparse only waives dash-led tokens matching its built-in
-# negative-number pattern, so widen that pattern to dash + digit + tuple chars.
-_NEGATIVE_TUPLE = re.compile(r"^-\d[\d.,eEj+\-]*$")
+# Values such as "--view -5,5,-5,5", "--a -13.1,2.0" or "--size -3x4" start with
+# "-" but are data, not flags; argparse only waives dash-led tokens matching its
+# built-in negative-number pattern, so widen that pattern to dash + digit + the
+# characters of a tuple or a size.
+_NEGATIVE_TUPLE = re.compile(r"^-\d[\d.,eEjxX+\-]*$")
 
 
 # The flags several subcommands share: name -> (type, help).
@@ -101,6 +96,14 @@ _SHARED_FLAGS = {
     "samples": (int, "sample/grid count"),
     "max-iter": (int, "iteration budget"),
     "eps": (float, "neighborhood radius"),
+}
+
+# The shared flags each --slice and --check reads beyond its subcommand's
+# required ones; the keys are the flag's choices.
+_NEEDS = {
+    "slice": {"fixed-c": "c", "fixed-a": "a", "diagonal": "t", "dynamical": "a c"},
+    "check": {"image-ellipse": "a c", "containment": "c", "winding": "c",
+              "annulus": "a c", "spine-locus": "t eps", "vminus-sign": "a c"},
 }
 
 
@@ -118,30 +121,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_shared(sp: argparse.ArgumentParser, names: str) -> None:
-        """Add the shared flags a subcommand reads, so any other is refused."""
+    def add_shared(sp, names: str, required: str = "") -> None:
+        """Add the shared flags a subcommand reads, so any other is refused;
+        those in required must be given."""
         for name in names.split():
             kind, help_text = _SHARED_FLAGS[name]
-            sp.add_argument(f"--{name}", type=kind, default=None, help=help_text)
+            sp.add_argument(f"--{name}", type=kind, help=help_text,
+                            required=name in required.split())
 
     p_render = sub.add_parser("render", help="render a slice to a binary PPM image")
-    add_shared(p_render, "n c a t out max-iter")
-    p_render.add_argument(
-        "--slice", choices=("fixed-c", "fixed-a", "diagonal", "dynamical"), default=None
-    )
-    p_render.add_argument("--view", type=_parse_view, default=None,
+    add_shared(p_render, "n c a t out max-iter", required="n out")
+    p_render.add_argument("--slice", choices=_NEEDS["slice"], required=True)
+    p_render.add_argument("--view", type=_parse_view, required=True,
                           help="re_min,re_max,im_min,im_max")
-    p_render.add_argument("--size", type=_parse_size, default=None, help="WIDTHxHEIGHT")
+    p_render.add_argument("--size", type=_parse_size, required=True, help="WIDTHxHEIGHT")
+    p_render.set_defaults(run=_cmd_render)
 
     p_verify = sub.add_parser("verify", help="run a certification check, emit CSV")
-    add_shared(p_verify, "n c a t out samples max-iter eps")
-    p_verify.add_argument("--check", choices=_CHECKS, default=None)
+    add_shared(p_verify, "n c a t out samples max-iter eps", required="n")
+    p_verify.add_argument("--check", choices=_NEEDS["check"], required=True)
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_centers = sub.add_parser("centers", help="fixed-critical-point parameters as CSV")
-    add_shared(p_centers, "n c t out")
+    add_shared(p_centers, "n", required="n")
+    add_shared(p_centers.add_mutually_exclusive_group(required=True), "c t")
+    add_shared(p_centers, "out")
+    p_centers.set_defaults(run=_cmd_centers)
 
     p_spine = sub.add_parser("spine", help="sampled spine curve as CSV")
-    add_shared(p_spine, "t samples out")
+    add_shared(p_spine, "t samples out", required="t")
+    p_spine.set_defaults(run=_cmd_spine)
 
     return parser
 
@@ -149,6 +158,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _check_needs(args: argparse.Namespace) -> None:
+    """Refuse a --slice or --check that was given without all the flags it
+    reads, naming the missing ones."""
+    for mode, needs in _NEEDS.items():
+        if mode in args:
+            value = getattr(args, mode)
+            missing = [f"--{name}" for name in needs[value].split()
+                       if getattr(args, name) is None]
+            if missing:
+                raise ValueError(f"--{mode} {value} requires {' and '.join(missing)}")
 
 
 def _given(**kwargs):
@@ -167,24 +188,13 @@ def _emit(chunks, out: str | None) -> None:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    _require(args.slice is not None, "--slice is required")
-    _require(args.n is not None, "--n is required")
-    _require(args.view is not None, "--view is required")
-    _require(args.size is not None, "--size is required")
-    _require(args.out is not None, "--out is required")
-
     if args.slice == "fixed-c":
-        _require(args.c is not None, "--slice fixed-c requires --c")
         slc = FixedC(args.c)
     elif args.slice == "fixed-a":
-        _require(args.a is not None, "--slice fixed-a requires --a")
         slc = FixedA(args.a)
     elif args.slice == "diagonal":
-        _require(args.t is not None, "--slice diagonal requires --t")
         slc = Diagonal(args.t)
     else:
-        _require(args.a is not None and args.c is not None,
-                 "--slice dynamical requires --a and --c")
         slc = Dynamical(MapParams(args.n, args.a, args.c))
 
     re_min, re_max, im_min, im_max = args.view
@@ -273,24 +283,17 @@ def _containment_reports(args: argparse.Namespace):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _require(args.check is not None, "--check is required")
     check = args.check
-    if check in ("containment", "winding") and args.n is not None:
+    if check in ("containment", "winding"):
         ellipse_semi_axes(args.n, 0.0)  # refuses n >= 1024 before any center is solved
 
     if check == "image-ellipse":
-        _require(args.n is not None and args.a is not None and args.c is not None,
-                 "--check image-ellipse requires --n, --a, --c")
         p = MapParams(args.n, args.a, args.c)
         sizes = _given(samples=args.samples)
         reports = [verify_image_ellipse(p, k, **sizes) for k in range(2 * args.n)]
     elif check == "containment":
-        _require(args.n is not None and args.c is not None,
-                 "--check containment requires --n and --c")
         reports = _containment_reports(args)
     elif check == "winding":
-        _require(args.n is not None and args.c is not None,
-                 "--check winding requires --n and --c")
         if not _mt1_hypotheses(args.n, args.c):
             raise HypothesisError(
                 f"winding requires |c| >= 6 and 4|c|+8 <= 2**(n+1); "
@@ -300,19 +303,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         specs = fixed_critical_params(args.n, args.c)
         reports = [verify_winding(spec, **sizes) for spec in specs]
     elif check == "annulus":
-        _require(args.n is not None and args.a is not None and args.c is not None,
-                 "--check annulus requires --n, --a, --c")
         p = MapParams(args.n, args.a, args.c)
         sizes = _given(grid=args.samples, max_iter=args.max_iter)
         reports = [verify_annulus_escape(p, **sizes)]
     elif check == "spine-locus":
-        _require(args.n is not None and args.t is not None and args.eps is not None,
-                 "--check spine-locus requires --n, --t, --eps")
         sizes = _given(grid=args.samples, max_iter=args.max_iter)
         reports = [verify_spine_locus(args.n, args.t, args.eps, **sizes)]
     else:  # vminus-sign
-        _require(args.n is not None and args.a is not None and args.c is not None,
-                 "--check vminus-sign requires --n, --a, --c")
         _require(args.a.imag == 0.0 and args.c.imag == 0.0,
                  "--check vminus-sign requires real --a and --c")
         reports = [verify_vminus_sign(args.n, args.a.real, args.c.real)]
@@ -322,11 +319,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_centers(args: argparse.Namespace) -> int:
-    _require(args.n is not None, "--n is required")
-    _require(
-        (args.c is None) != (args.t is None),
-        "exactly one of --c or --t is required",
-    )
     n = args.n
     if args.c is not None:
         rows = [(s.w_j, s.a_j, s.k, args.c) for s in fixed_critical_params(n, args.c)]
@@ -342,7 +334,6 @@ def _cmd_centers(args: argparse.Namespace) -> int:
 
 
 def _cmd_spine(args: argparse.Namespace) -> int:
-    _require(args.t is not None, "--t is required")
     spec = SpineSpec(args.t, **_given(samples=args.samples))
     _emit(_spine_csv(*spine_points(spec)), args.out)
     return 0
@@ -370,13 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.subcommand == "render":
-            return _cmd_render(args)
-        if args.subcommand == "verify":
-            return _cmd_verify(args)
-        if args.subcommand == "centers":
-            return _cmd_centers(args)
-        return _cmd_spine(args)
+        _check_needs(args)
+        return args.run(args)
     except HypothesisError as exc:
         print(f"mcmullen: hypothesis not satisfied: {exc}", file=sys.stderr)
         return 2

@@ -163,8 +163,8 @@ def l_c_rect(c: complex, eps: float) -> PolarRect:
     """Closed parameter rectangle containing the boundedness locus for |c| > 1 + eps:
     radii ((|c| -+ (1+eps))**2)/4, centered at twice Arg(c), halfwidth 2*asin((1+eps)/|c|)."""
     c = complex(c)
-    if eps <= 0:
-        raise HypothesisError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise HypothesisError(f"eps must be finite and positive, got {eps}")
     if abs(c) <= 1.0 + eps:
         raise HypothesisError(f"requires |c| > 1 + eps, got |c| = {abs(c)} with eps = {eps}")
     reach = 1.0 + eps

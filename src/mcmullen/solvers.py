@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +33,9 @@ _BYTES_PER_D2 = 24
 _DEDUPE_TOL = 1e-9
 # Relative residual bound of an accepted root (see poly_roots).
 _ROOT_TOL = 1e-12
+# The |c| from which the fixed-c centers' a, about |c|**2/4, is at least twice
+# the float limit, so a component of it overflows: about 3.79e154.
+_MAX_CENTER_C = 4.0 * math.sqrt(sys.float_info.max / 2.0)
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -149,12 +153,17 @@ def fixed_critical_params(n: int, c: complex) -> list[WRegionSpec]:
     (Re a, Im a). The count is asserted to equal n when |c| >= 1 (there the roots'
     a-values are provably distinct); below |c| = 1 the deduped count is returned as
     found, with no law enforced. A c refused by check_modulus, or one whose centers'
-    a = w**(2n) are 0 or not finite, raises ValueError naming c.
+    a = w**(2n) are 0 or not finite, raises ValueError naming c; from |c| =
+    _MAX_CENTER_C that is before solving, since near the float limit the Aberth
+    sweep itself overflows.
     """
     check_exponent(n)
     c = check_modulus("c", c)
     if c == 0:
         raise ValueError("c must be nonzero")
+    if abs(c) >= _MAX_CENTER_C:
+        raise ValueError(f"c = {c!r} is too large: the centers' a, about |c|**2/4, "
+                         "overflows binary64")
     kept = _centers(n, [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, c], f"c = {c!r}")
     if abs(c) >= 1.0 and len(kept) != n:
         raise InconsistencyError(

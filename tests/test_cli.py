@@ -236,6 +236,11 @@ class TestRenderCommand:
             capsys, "render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
             "--view", "-1,1,-1,1", "--size", "4by4", "--out", str(out),
         )[0] == 2
+        code, _, err = run(
+            capsys, "render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
+            "--view", "-1,1,-1,1", "--size", "-3x4", "--out", str(out),
+        )  # a dash-led size is read as a value, and refused by the size check
+        assert code == 2 and "width and height must be integers >= 1, got -3 x 4" in err
         for view in ("0,inf,-5,5", "0,1e308,-1e308,1e308"):  # inf bound; pixel_dy overflows
             code, _, err = run(
                 capsys, "render", "--n", "4", "--slice", "fixed-c", "--c", "0,6",
@@ -526,6 +531,13 @@ class TestVerifyCommand:
         assert code in (0, 3)
         assert len(out.strip().splitlines()) == 1 + 300
 
+    def test_containment_nonfinite_eps_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--check", "containment", "--n", "4", "--c", "-3",
+            "--a", "1", "--eps", "nan",
+        )
+        assert code == 2 and out == "" and "eps must be finite and positive" in err
+
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "report.csv"
         code, stdout, _ = run(
@@ -584,11 +596,12 @@ class TestCentersCommand:
         assert len(rows) == 2 * n - 1
         assert max(float(row.split(",")[6]) for row in rows) <= 1e-8
 
-    @pytest.mark.parametrize("c", ["1.5e308,1.5e308", "1e200"])
+    @pytest.mark.parametrize("c", ["1.5e308,1.5e308", "1e200", "1e307", "1.7e308,2"])
     def test_c_beyond_binary64_exit_2_naming_c(self, capsys, c):
-        # 1.5e308,1.5e308: the modulus of c overflows; 1e200: the centers'
-        # a = w**(2n), near c**2/4, overflows. Both are refused before the dedupe
-        # compares a-values, so nothing warns
+        # 1.5e308,1.5e308: the modulus of c overflows; 1e200, 1e307, 1.7e308,2: the
+        # centers' a = w**(2n), near c**2/4, overflows, and near the float limit
+        # so does the Aberth sweep. All are refused before the dedupe compares
+        # a-values, so nothing warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "centers", "--n", "4", "--c", c)
@@ -873,6 +886,29 @@ _CSV_HEADERS = {"verify": CSV_HEADER, "centers": "j,k,re_w,im_w,re_a,im_a,residu
                 "spine": "theta,branch,re,im"}
 
 
+# A valid argv of each --slice and --check, and of centers and spine, with the
+# flags it cannot run without (--out is appended to each argv).
+_MODE_NEEDS = [
+    *((f"render --slice {slc} --n 4 {flags} --view -1,1,-1,1 --size 4x4",
+       f"--slice --n --view --size --out {needs}")
+      for slc, flags, needs in (("fixed-c", "--c 0,6", "--c"), ("fixed-a", "--a 1", "--a"),
+                                ("diagonal", "--t 0.5", "--t"),
+                                ("dynamical", "--a 1 --c 0,6", "--a --c"))),
+    *((f"verify --check {check} {flags}", f"--check --n {needs}")
+      for check, flags, needs in (
+          ("image-ellipse", "--n 3 --a 1,1 --c 0.5,0 --samples 16", "--a --c"),
+          ("containment", "--n 4 --c 0,6 --samples 64", "--c"),
+          ("winding", "--n 4 --c 0,6 --samples 256", "--c"),
+          ("annulus", "--n 4 --a 0.01 --c 0.1 --samples 8 --max-iter 20", "--a --c"),
+          ("spine-locus", "--n 20 --t 2,0 --eps 0.25 --samples 32 --max-iter 20",
+           "--t --eps"),
+          ("vminus-sign", "--n 4 --a 0.01 --c 0.1", "--a --c"))),
+    ("centers --c 6 --n 3", "--n --c"),
+    ("centers --t 1 --n 3", "--n --t"),
+    ("spine --t 2 --samples 16", "--t"),
+]
+
+
 class TestTopLevel:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -889,6 +925,7 @@ class TestTopLevel:
         first = _run_quietly(argv, tmp_path / "out")
         code, data, _, _ = first
         assert 0 <= code <= 3, first
+        assert code not in (1, 2) or data is None, first  # a refusal writes nothing
         assert _run_quietly(argv, tmp_path / "out") == first
         if code != 0:
             return
@@ -901,6 +938,22 @@ class TestTopLevel:
             text = data.decode("ascii")
             assert text.splitlines()[0] == _CSV_HEADERS[argv[0]]
             assert "nan" not in text and "inf" not in text, text
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(argv, flag, id=f"{' '.join(argv.split()[:3])} {flag}")
+        for argv, needs in _MODE_NEEDS for flag in needs.split()
+    ])
+    def test_each_needed_flag_is_named_when_missing(self, tmp_path, capsys, argv, flag):
+        # each mode's valid argv runs; without any one flag it needs, the run
+        # exits 2, writes no output, and its error line names that flag
+        dest = tmp_path / "out"
+        argv = [*shlex.split(argv), "--out", str(dest)]
+        assert run(capsys, *argv)[0] in (0, 3)
+        dest.unlink()
+        at = argv.index(flag)
+        code, out, err = run(capsys, *argv[:at], *argv[at + 2:])
+        assert code == 2 and out == "" and not dest.exists()
+        assert re.search(rf"{flag}(?![\w-])", err.splitlines()[-1]), err
 
     def test_no_args(self, capsys):
         assert run(capsys)[0] == 2

@@ -279,6 +279,11 @@ class TestLcRect:
         with pytest.raises(HypothesisError):
             l_c_rect(-1.05 + 0j, 0.1)  # |c| <= 1 + eps
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.1])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(HypothesisError, match="eps must be finite and positive"):
+            l_c_rect(-3 + 0j, eps)
+
     def test_critical_value_reach(self):
         # any a in the rectangle keeps one critical value within 1+eps of the map
         # geometry used downstream; spot-check the defining inequality

@@ -241,6 +241,15 @@ class TestFixedCriticalParams:
         with pytest.raises(ValueError):
             fixed_critical_params(3, 0j)
 
+    @pytest.mark.parametrize("c, message", [
+        (1e307 + 0j, r"c = \(1e\+307\+0j\) is too large"),  # refused before the solve
+        (3.8e154j, "is too large"),
+        (3.7e154 + 0j, r"puts a center's a = w\*\*\(2n\) outside binary64"),  # after it
+    ])
+    def test_centers_beyond_binary64_name_c(self, c, message):
+        with pytest.raises(ValueError, match=message):
+            fixed_critical_params(4, c)
+
 
 class TestDiagonalFixedParams:
     def test_frozen_n3_t1(self):
