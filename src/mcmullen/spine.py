@@ -180,8 +180,12 @@ def _witnessed(t: complex, q: np.ndarray, plus: np.ndarray, minus: np.ndarray,
     root = np_principal_sqrt(q)
     hit = np.zeros(q.size, dtype=bool)
     for sign in (1.0, -1.0):
-        k = np.rint(np.angle(t * q + sign * 2.0 * root) * (samples / (2.0 * math.pi)))
-        k = k.astype(np.intp)
+        # A query far from the spine can reach here when its clearing bound
+        # overflowed, and t*q can overflow too; any index is sound, since
+        # _close decides every witness on the samples themselves.
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.rint(np.angle(t * q + sign * 2.0 * root) * (samples / (2.0 * math.pi)))
+            k = k.astype(np.intp)
         for dk in (-1, 0, 1):
             idx = (k + dk) % samples
             hit |= _close(q, plus[idx], eps) | _close(q, minus[idx], eps)

@@ -26,7 +26,7 @@ from .family import (
     critical_values,
     escape_radius,
     inner_radius,
-    iterate_orbits_bulk,
+    iterate_orbit_blocks,
 )
 from .regions import (
     WRegionSpec,
@@ -45,28 +45,28 @@ from .spine import SpineSpec, spine_radii, spine_within
 BOUNDARY_INSET = 1e-6
 BOUNDARY_DILATION = 1e-6
 
-# Estimated peak bytes per sample point of the orbit checks (annulus, spine-locus):
-# the orbit kernel's arrays (at most about 200 B measured).
-_SAMPLE_BYTES = 512
-
-# The sampled geometry checks (image-ellipse, containment, winding) evaluate their
-# samples _CHUNK at a time, so their temporaries stay in a core's cache and no
-# complex temporary reaches NumPy's 256 KiB elision threshold (an elided product is
-# evaluated in place with its operands swapped, which changes its bits). Their
-# estimate is a fixed _CHUNK_BYTES for one chunk's temporaries (at most 1.25 MB
-# measured, in winding) plus the bytes per sample of what they keep at full length:
-# image-ellipse its four boundary pieces (22 B per point measured), containment its
-# four boundary pieces (11 B per sample), winding its walk, v - xi and the winding
-# sum's float passes (73 B per sample).
+# Every sampled check takes its samples _CHUNK at a time. The geometry checks
+# (image-ellipse, containment, winding) evaluate each chunk's map and frame
+# arithmetic, so their temporaries stay in a core's cache and no complex
+# temporary reaches NumPy's 256 KiB elision threshold (an elided product is
+# evaluated in place with its operands swapped, which changes its bits). The
+# orbit checks (annulus, spine-locus) run each chunk of their lattice through
+# the orbit kernel as one block. A check is charged a fixed _CHUNK_BYTES for one
+# chunk's temporaries, the kernel's working set and spine_within's passes, plus
+# the bytes per sample of what it keeps at full length. tracemalloc measured:
+# - annulus and spine-locus (_SAMPLE_BYTES): the lattice, 16 B per point, and
+#   spine-locus's two masks; at most 44 B per point above _CHUNK_BYTES (spine-
+#   locus at grid 100, where spine_within's passes weigh most), 19 B at grid 600;
+# - image-ellipse: its four boundary pieces, 22 B per point;
+# - containment: its four boundary pieces, 11 B per sample;
+# - winding: v - xi over the whole walk and winding_turns' angles and steps, 32 B
+#   per sample; the segments' radii and angles (8 B) are freed by then.
 _CHUNK = 8192
 _CHUNK_BYTES = _CHUNK * 256
+_SAMPLE_BYTES = 48
 _IMAGE_ELLIPSE_BYTES = 32
 _CONTAINMENT_BYTES = 16
-_WINDING_BYTES = 96
-
-
-def _check_points(points: int, what: str) -> None:
-    check_memory_budget(points * _SAMPLE_BYTES, what)
+_WINDING_BYTES = 32
 
 
 def _check_chunked(points: int, point_bytes: int, what: str) -> None:
@@ -238,14 +238,21 @@ def verify_containment(p: MapParams, k: int, samples: int = 2000) -> Verificatio
 
 def winding_turns(deltas: Sequence[complex]) -> tuple[float, float]:
     """Accumulate wrapped argument increments around a closed loop of nonzero complex
-    samples. Returns (total_turns, max_step_radians); a constant loop gives 0 turns."""
+    samples. Returns (total_turns, max_step_radians); a constant loop gives 0 turns.
+    The steps, the last one closing the loop, are wrapped into [-pi, pi) in place,
+    so the loop's angles and steps are the only arrays of its length."""
     d = np.asarray(deltas, dtype=complex)
     if d.size < 1:
         raise ValueError("need at least one sample")
     ang = np.angle(d)
-    steps = np.diff(np.concatenate([ang, ang[:1]]))
-    steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
-    return float(steps.sum() / (2.0 * math.pi)), float(np.max(np.abs(steps)))
+    steps = np.empty_like(ang)
+    np.subtract(ang[1:], ang[:-1], out=steps[:-1])
+    steps[-1] = ang[0] - ang[-1]
+    steps += math.pi
+    np.remainder(steps, 2.0 * math.pi, out=steps)
+    steps -= math.pi
+    turns = float(steps.sum() / (2.0 * math.pi))
+    return turns, float(np.abs(steps, out=steps).max())
 
 
 def _checked_winding(deltas: np.ndarray) -> tuple[float, float]:
@@ -280,32 +287,27 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
     r_in, r_out, th_c, hw = rect.r_inner, rect.r_outer, rect.arg_center, rect.arg_halfwidth
     lo, hi = th_c - hw, th_c + hw
     m = boundary_samples // 4
-    th_fwd = np.linspace(lo, hi, m, endpoint=False)
-    r_down = np.linspace(r_out, r_in, m, endpoint=False)
-    th_bwd = np.linspace(hi, lo, m, endpoint=False)
-    r_up = np.linspace(r_in, r_out, m, endpoint=False)
-    v = np.concatenate(
-        [
-            r_out * np.exp(1j * th_fwd),
-            r_down * np.exp(1j * hi),
-            r_in * np.exp(1j * th_bwd),
-            r_up * np.exp(1j * lo),
-        ]
+    # Each segment's radii or angles at full length, its points _CHUNK at a time.
+    walk = itertools.chain(
+        (r_out * np.exp(1j * th) for th in _chunks(np.linspace(lo, hi, m, endpoint=False))),
+        (r * np.exp(1j * hi) for r in _chunks(np.linspace(r_out, r_in, m, endpoint=False))),
+        (r_in * np.exp(1j * th) for th in _chunks(np.linspace(hi, lo, m, endpoint=False))),
+        (r * np.exp(1j * lo) for r in _chunks(np.linspace(r_in, r_out, m, endpoint=False))),
     )
 
     # v - xi over the whole walk, for one winding sum; everything else per chunk.
-    deltas = np.empty_like(v)
+    deltas = np.empty(4 * m, dtype=complex)
     wjn = (wj - c) / 2.0
-    failures, worst = 0, []
-    for i in range(0, v.size, _CHUNK):
-        vc = v[i:i + _CHUNK]
+    done, failures, worst = 0, 0, []
+    for vc in walk:
         half = (vc - c) / 2.0
         abs_half = np.abs(half)
         # The ellipse at each sample's parameter a(v) = ((v - c)/2)**2; for n >= 1024
         # its semi-axes overflow, which refuses the check at the first chunk.
         semi_major, semi_minor = ellipse_semi_axes(n, abs_half ** 2)
         xi = abs_half ** (1.0 / n) * np.exp(1j * (th_c + np.angle(half / wjn) / n))
-        np.subtract(vc, xi, out=deltas[i:i + _CHUNK])
+        np.subtract(vc, xi, out=deltas[done:done + vc.size])
+        done += vc.size
 
         # Membership of v in (half-ellipse including minor axis) minus the open critical
         # rectangle, at the pulled-back parameter a(v) of each sample.
@@ -335,10 +337,24 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
             n=n, c=c, j=w.j, k=w.k, winding=winding, turns=f"{turns:.6f}",
             max_step=f"{max_step:.6f}",
         ),
-        samples=int(v.size),
+        samples=int(deltas.size),
         failures=failures,
         worst_margin=float(np.min(worst)),
     )
+
+
+def _escape_margin(n, blocks, max_iter, orbits):
+    """(failures, worst_margin) of the points in blocks, run through
+    iterate_orbit_blocks. A block holds `orbits` runs of one orbit per point, a
+    point's orbits at one index of each run, and a point fails when one of them
+    stays bounded. worst_margin is -1 if a point failed, else the smallest unused
+    fraction of the iteration budget: (max_iter + 1 - top)/(max_iter + 1) at the
+    largest escape count top, since the fraction falls as the count grows."""
+    failures, top = 0, 0
+    for _, iters in iterate_orbit_blocks(n, blocks, max_iter):
+        failures += int(np.count_nonzero(iters.reshape(orbits, -1).min(axis=0) < 0))
+        top = max(top, int(iters.max()))
+    return failures, -1.0 if failures else (max_iter + 1 - top) / (max_iter + 1)
 
 
 def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) -> VerificationReport:
@@ -347,11 +363,13 @@ def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) ->
     an inner band (0, t*(1-1e-6)], each a radius x angle lattice. worst_margin is the
     smallest unused fraction of the iteration budget (-1 if a sample failed to escape).
     A lattice whose radii leave binary64 (2s overflows, or t*1e-3 is not a normal
-    float) raises ValueError.
+    float) raises ValueError. The lattice's orbits run through the orbit kernel
+    _CHUNK points a block, and only each block's failures and largest escape count
+    are kept; counts do not depend on the split, so neither does the report.
     """
     if grid < 8:
         raise ValueError(f"grid must be >= 8, got {grid}")
-    _check_points(grid * grid, f"annulus with grid {grid}")
+    _check_chunked(grid * grid, _SAMPLE_BYTES, f"annulus with grid {grid}")
     s = escape_radius(p)
     t = inner_radius(p)
     if not 2.0 * s < math.inf:
@@ -366,16 +384,15 @@ def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) ->
     r_in = np.geomspace(t * (1.0 - BOUNDARY_DILATION), t * 1e-3, n_in)
     radii = np.concatenate([r_out, r_in])
     z0 = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    escaped, iters = iterate_orbits_bulk(p.n, p.a, p.c, z0, max_iter, s)
-    failures = int(np.count_nonzero(~escaped))
-    slack = (max_iter + 1 - iters) / (max_iter + 1)
-    margins = np.where(escaped, slack, -1.0)
+    blocks = ((np.full(z.size, p.a), np.full(z.size, p.c), z, np.full(z.size, s))
+              for z in _chunks(z0))
+    failures, worst = _escape_margin(p.n, blocks, max_iter, 1)
     return VerificationReport(
         check_name="annulus",
         params=_fmt_params(n=p.n, a=p.a, c=p.c, grid=grid, max_iter=max_iter, s=s, t_inner=t),
         samples=int(z0.size),
         failures=failures,
-        worst_margin=float(margins.min()),
+        worst_margin=worst,
     )
 
 
@@ -390,14 +407,17 @@ def verify_spine_locus(
     lattice with no point beyond eps raises HypothesisError: it would certify
     nothing. An eps for which 4*eps, which bounds spine_within's clearing
     diameter, or 2|t|(u(t) + eps), which bounds c = t*a and the critical values
-    on the lattice, overflows binary64 raises ValueError.
+    on the lattice, overflows binary64 raises ValueError. Each _CHUNK of the
+    lattice gives one orbit-kernel block, of its tested points' two critical
+    orbits, and only each block's failures and largest escape count are kept;
+    counts do not depend on the split, so neither does the report.
     """
     check_exponent(n)
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if grid < 32:
         raise ValueError(f"grid must be >= 32, got {grid}")
-    _check_points(grid * grid, f"spine-locus with grid {grid}")
+    _check_chunked(grid * grid, _SAMPLE_BYTES, f"spine-locus with grid {grid}")
     t = complex(t)
     lo_r, hi_r = spine_radii(t)
     r_lo = max(lo_r - eps, 1e-9 * max(1.0, hi_r))
@@ -409,25 +429,31 @@ def verify_spine_locus(
     theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     a = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
     tested = ~spine_within(SpineSpec(t), a, eps)
-    a_t = a[tested]
-    if a_t.size == 0:
+    count = int(np.count_nonzero(tested))
+    if count == 0:
         raise HypothesisError(
             f"no lattice point lies farther than eps = {eps!r} from the spine of "
             f"t = {t!r}: the check would test nothing"
         )
-    (esc_p, it_p), (esc_m, it_m) = (iterate_orbits_bulk(n, a_, c_, z0, max_iter, thr)
-                                    for a_, c_, z0, thr in critical_blocks(a_t, t * a_t))
-    both = esc_p & esc_m
-    slack = (max_iter + 1 - np.maximum(it_p, it_m)) / (max_iter + 1)
+
+    def blocks():
+        # one block per chunk of the lattice: its tested points' v_plus orbits,
+        # then their v_minus orbits
+        for lo in range(0, a.size, _CHUNK):
+            a_c = a[lo:lo + _CHUNK][tested[lo:lo + _CHUNK]]
+            if a_c.size:
+                yield tuple(map(np.concatenate, zip(*critical_blocks(a_c, t * a_c))))
+
+    failures, worst = _escape_margin(n, blocks(), max_iter, 2)
     return VerificationReport(
         check_name="spine-locus",
         params=_fmt_params(
             n=n, t=t, eps=eps, grid=grid, max_iter=max_iter,
-            tested=int(np.count_nonzero(tested)), skipped=int(np.count_nonzero(~tested)),
+            tested=count, skipped=a.size - count,
         ),
         samples=int(a.size),
-        failures=int(np.count_nonzero(~both)),
-        worst_margin=float(np.where(both, slack, -1.0).min()),
+        failures=failures,
+        worst_margin=worst,
     )
 
 

@@ -2,7 +2,6 @@
 import contextlib
 import hashlib
 import io
-import math
 import re
 import shlex
 import tracemalloc
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from _edge_values import complex_value, real
 from mcmullen import cli, spine
 from mcmullen.cli import main
 from mcmullen.family import MapParams, escape_radius, iterate_orbit
@@ -336,6 +336,29 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        "--check containment --n 8 --c 6 --samples 200000",
+        "--check winding --n 8 --c 6 --samples 65536",
+        "--check annulus --n 4 --c 0,6 --a -13.122875503987459,2.008554506696609 "
+        "--max-iter 1000 --samples 128",
+        "--check annulus --n 4 --c 0,6 --a -7.068231743314014,3.172512758208529 "
+        "--max-iter 1000 --samples 128",
+        "--check spine-locus --n 20 --t 2.017228050435922,0.02732673218497765 "
+        "--eps 0.25 --max-iter 200 --samples 300",
+    ])
+    def test_certify_peaks(self, capsys, argv):
+        # the five CSVs pinned above, the benchmark's verify ops, each within a
+        # traced peak of 4.5 MiB: spine-locus streams its orbits through the
+        # kernel and winding keeps no whole walk (8.3 and 5.7 MiB when they did)
+        tracemalloc.start()
+        try:
+            assert main(["verify", *argv.split()]) in (0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 4.5 * 2**20
 
     def test_annulus(self, capsys):
         code, out, _ = run(
@@ -828,19 +851,11 @@ _EXTREME_CASES = {
 }
 
 
-# The grammar fuzz's values, with either sign: as often as not an ordinary
-# size, which the checks' hypotheses admit (|c| = 6 or 13 for winding, say), and
-# else 0's neighbours, the subnormals, the square-root limits, the float limit,
-# inf or nan. A complex value's imaginary part is 0 half the time.
-_ORDINARY = (0.0, 0.2, 0.5, 1.0, 2.0, 3.0, 6.0, 13.0)
-_EXTREME = (5e-324, 1e-310, 1.5e-154, 1e-100, 1e-8, 1e8, 1e154, 1e300, 1.7e308,
-            math.inf, math.nan)
-_real = st.builds(lambda m, neg: -m if neg else m,
-                  st.sampled_from(_ORDINARY) | st.sampled_from(_EXTREME), st.booleans())
-_complex = st.builds(lambda x, y: f"{x!r},{y!r}", _real, st.just(0.0) | _real)
+# The grammar fuzz's values (_edge_values), a complex one as re,im.
+_complex = complex_value.map(lambda z: f"{z.real!r},{z.imag!r}")
 _n = st.sampled_from([3, 4, 5, 8])
 _view = st.builds(lambda x, y: f"{min(x)!r},{max(x)!r},{min(y)!r},{max(y)!r}",
-                  st.tuples(_real, _real), st.tuples(_real, _real))
+                  st.tuples(real, real), st.tuples(real, real))
 _size = st.builds(lambda w, h: f"{w}x{h}", st.integers(1, 5), st.integers(0, 5))
 
 
@@ -860,8 +875,8 @@ _ARGV = st.one_of(
     *(_command("verify", check=st.just(check), n=_n, samples=st.sampled_from([16, 32]),
                max_iter=st.sampled_from([1, 5]), **dict.fromkeys(needs, _complex), **eps)
       for check, needs, eps in (("image-ellipse", "ac", {}), ("containment", "c", {}),
-                                ("containment", "ac", {"eps": _real}), ("winding", "c", {}),
-                                ("annulus", "ac", {}), ("spine-locus", "t", {"eps": _real}),
+                                ("containment", "ac", {"eps": real}), ("winding", "c", {}),
+                                ("annulus", "ac", {}), ("spine-locus", "t", {"eps": real}),
                                 ("vminus-sign", "ac", {}))),
     _command("centers", n=_n, c=_complex),
     _command("centers", n=_n, t=_complex),

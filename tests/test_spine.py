@@ -285,6 +285,13 @@ class TestSpineWithin:
         # the exact stages, with no warning
         _assert_matches_oracle(SpineSpec(2 + 0j, 64), np.array([0.5j, 1e150, 1e300]), 1e308)
 
+    def test_far_query_at_a_huge_slope(self):
+        # at |t| = 1e300 the spine lies within about 1e-300 of 0, and a query at
+        # t overflows the clearing bound and then t*q in the witness stage;
+        # the samples decide it, with no warning
+        for t in (1e300, -1.7e308):
+            _assert_matches_oracle(SpineSpec(complex(t), 64), np.array([0j, complex(t)]), 0.2)
+
     def test_memory_independent_of_query_count(self):
         s = SpineSpec(2 * cmath.exp(0.02j))
         a = _polar_lattice(s.t, 0.25, 300)

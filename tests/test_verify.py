@@ -1,17 +1,28 @@
 """Sampling-based certification checks and their report plumbing."""
 import dataclasses
+import hashlib
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _edge_values import complex_value, real
 from mcmullen import verify
-from mcmullen.errors import HypothesisError, UnderSamplingError
+from mcmullen.errors import (
+    HypothesisError,
+    InconsistencyError,
+    RootFindingError,
+    UnderSamplingError,
+)
 from mcmullen.family import MapParams
 from mcmullen.regions import WRegionSpec, ellipse_spec
 from mcmullen.solvers import fixed_critical_params
+from mcmullen.spine import SpineSpec, spine_within
 from mcmullen.verify import (
     CSV_HEADER,
     VerificationReport,
@@ -63,16 +74,23 @@ class TestMemoryBudget:
         ("winding", 65_536, _WINDING_BYTES),
         ("winding", 262_144, _WINDING_BYTES),
         ("image-ellipse", 50_000, 4 * _IMAGE_ELLIPSE_BYTES),  # four points per sample
+        ("spine-locus", 300**2, _SAMPLE_BYTES),  # grid**2 lattice points
+        ("spine-locus", 600**2, _SAMPLE_BYTES),
+        ("annulus", 128**2, _SAMPLE_BYTES),
+        ("annulus", 256**2, _SAMPLE_BYTES),
     ])
     def test_peak_within_estimate(self, check, samples, point_bytes):
-        # the chunked checks' traced peak stays within what the budget charges:
-        # one chunk's temporaries plus the per-sample arrays kept at full length
+        # every check's traced peak stays within what the budget charges: one
+        # chunk's temporaries plus the per-sample arrays kept at full length
         spec = fixed_critical_params(8, 6 + 0j)[0]
         p = MapParams(8, spec.a_j, 6 + 0j)
+        grid = math.isqrt(samples)
         call = {
             "containment": lambda: verify_containment(p, spec.k, samples),
             "winding": lambda: verify_winding(spec, samples),
             "image-ellipse": lambda: verify_image_ellipse(p, spec.k, samples),
+            "spine-locus": lambda: verify_spine_locus(20, 2 + 0j, 0.25, grid=grid),
+            "annulus": lambda: verify_annulus_escape(p, grid=grid),
         }[check]
         tracemalloc.start()
         try:
@@ -84,8 +102,8 @@ class TestMemoryBudget:
 
 
 class TestChunks:
-    """image-ellipse, containment and winding evaluate their samples
-    verify._CHUNK at a time; no report may depend on the chunk size."""
+    """Every sampled check takes its samples verify._CHUNK at a time; no report
+    may depend on the chunk size."""
 
     @pytest.mark.parametrize("chunks, sizes", [
         ((1, 1000, 8192, 10**6), (1001, 5003, 4100)),
@@ -117,6 +135,32 @@ class TestChunks:
         assert len(texts) == 1
         failures = [int(row.split(",")[3]) for row in texts.pop().splitlines()[1:]]
         assert failures[0] > 0 and failures[3] > 0 and failures[4] > 0
+
+    def test_orbit_checks_do_not_depend_on_the_chunk(self, monkeypatch):
+        # annulus and spine-locus run each chunk of their lattice through the
+        # orbit kernel as one block, and keep only its failures and largest count
+        spec = fixed_critical_params(4, 6j)[0]
+        true_inner = verify.inner_radius
+        texts = set()
+        for chunk in (1, 1000, 8192, 10**6):
+            monkeypatch.setattr(verify, "_CHUNK", chunk)
+            # the benchmark's spine-locus op, whose CSV test_cli pins
+            bench = verify_spine_locus(20, complex(2.017228050435922, 0.02732673218497765),
+                                       0.25, grid=300, max_iter=200)
+            # at max_iter 2, failures fall all over the lattice
+            failing = verify_spine_locus(6, 1 + 0j, 0.01, grid=100, max_iter=2)
+            # an inner band ten times too wide holds orbits that need more steps
+            monkeypatch.setattr(verify, "inner_radius", lambda p: 10 * true_inner(p))
+            annulus = verify_annulus_escape(MapParams(4, spec.a_j, 6j), grid=64, max_iter=1)
+            monkeypatch.setattr(verify, "inner_radius", true_inner)
+            texts.add(reports_to_csv([bench, failing, annulus]))
+        assert len(texts) == 1
+        text = texts.pop()
+        bench_csv = "\n".join(text.splitlines()[:2]) + "\n"
+        assert hashlib.sha256(bench_csv.encode()).hexdigest() == (
+            "44fb5791d23f5c1c4bc9c64f4b4b0867badc45cd9cbc96a071daa5e1d9372017")
+        failures = [int(row.split(",")[3]) for row in text.splitlines()[1:]]
+        assert failures == [0, 289, 116]
 
     def test_winding_product_order(self, monkeypatch):
         # at 16,384 samples one chunk of 10**6 holds 256 KiB complex temporaries,
@@ -362,3 +406,51 @@ class TestVminusSign:
             verify_vminus_sign(3, 2.0, -0.1)  # c <= 0
         with pytest.raises(HypothesisError):
             verify_vminus_sign(3, 0.0, 0.3)
+
+
+def _outcome(call):
+    """call(), or the type and message of the ValueError (HypothesisError is one)
+    or UnderSamplingError it raises; a RuntimeWarning is raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call()
+        except (ValueError, UnderSamplingError) as err:
+            return type(err), str(err)
+
+
+def _winding_specs(n, c):
+    """fixed_critical_params(n, c), or none where the solver refuses c."""
+    try:
+        return fixed_critical_params(n, c)
+    except (ValueError, RootFindingError, InconsistencyError):
+        return []
+
+
+class TestLibraryFuzz:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([3, 4, 5, 8]), a=complex_value, c=complex_value, t=complex_value,
+           eps=real, k=st.integers(0, 15), max_iter=st.sampled_from([1, 5, 20]))
+    def test_entry_points(self, n, a, c, t, eps, k, max_iter):
+        # the check functions and spine_within, at small sizes and with values
+        # from 0 through the subnormals to inf and nan: each returns a report
+        # (spine_within its mask) or raises ValueError or UnderSamplingError,
+        # with no NumPy warning, the same twice, and the two orbit checks the
+        # same at two chunk sizes (their 1,024 lattice points span two chunks
+        # of 1,000)
+        calls = {
+            "annulus": lambda: verify_annulus_escape(MapParams(n, a, c), 32, max_iter),
+            "spine-locus": lambda: verify_spine_locus(n, t, eps, 32, max_iter),
+            "image-ellipse": lambda: verify_image_ellipse(MapParams(n, a, c), k % (2 * n), 16),
+            "containment": lambda: verify_containment(MapParams(n, a, c), k % (2 * n), 64),
+            "winding": lambda: [verify_winding(s, 256) for s in _winding_specs(n, c)],
+            "spine_within": lambda: spine_within(SpineSpec(t, 64), np.array([a, c, t]),
+                                                 eps).tolist(),
+        }
+        outcomes = {name: _outcome(call) for name, call in calls.items()}
+        for name, call in calls.items():
+            assert _outcome(call) == outcomes[name], name
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_CHUNK", 1000)
+            for name in ("annulus", "spine-locus"):
+                assert _outcome(calls[name]) == outcomes[name], name
