@@ -76,7 +76,6 @@ from .verify import (
     verify_spine_locus,
     verify_vminus_sign,
     verify_winding,
-    winding_turns,
 )
 
 __version__ = "0.1.0"

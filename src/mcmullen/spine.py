@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_memory_budget
-from .family import check_slope_scale, np_principal_sqrt, principal_sqrt
+from .family import check_slope_scale, critical_values_bulk, np_principal_sqrt, principal_sqrt
 
 # spine_within answers _CHUNK queries per pass, and its exact stage groups the curve
 # samples into bounding blocks of _BLOCK and holds temporaries of at most _PASS
@@ -177,15 +177,14 @@ def _witnessed(t: complex, q: np.ndarray, plus: np.ndarray, minus: np.ndarray,
     """Stage 2 of spine_within: queries with a sample within eps at the index their
     critical values' arguments point to."""
     samples = plus.size
-    root = np_principal_sqrt(q)
+    # A query far from the spine can reach here when its clearing bound
+    # overflowed, and t*q can overflow too; any index is sound, since _close
+    # decides every witness on the samples themselves.
+    with np.errstate(over="ignore", invalid="ignore"):
+        indices = [np.rint(np.angle(v) * (samples / (2.0 * math.pi))).astype(np.intp)
+                   for v in critical_values_bulk(q, t * q)]
     hit = np.zeros(q.size, dtype=bool)
-    for sign in (1.0, -1.0):
-        # A query far from the spine can reach here when its clearing bound
-        # overflowed, and t*q can overflow too; any index is sound, since
-        # _close decides every witness on the samples themselves.
-        with np.errstate(over="ignore", invalid="ignore"):
-            k = np.rint(np.angle(t * q + sign * 2.0 * root) * (samples / (2.0 * math.pi)))
-            k = k.astype(np.intp)
+    for k in indices:
         for dk in (-1, 0, 1):
             idx = (k + dk) % samples
             hit |= _close(q, plus[idx], eps) | _close(q, minus[idx], eps)

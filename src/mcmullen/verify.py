@@ -13,7 +13,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -59,14 +59,15 @@ BOUNDARY_DILATION = 1e-6
 #   locus at grid 100, where spine_within's passes weigh most), 19 B at grid 600;
 # - image-ellipse: its four boundary pieces, 22 B per point;
 # - containment: its four boundary pieces, 11 B per sample;
-# - winding: v - xi over the whole walk and winding_turns' angles and steps, 32 B
-#   per sample; the segments' radii and angles (8 B) are freed by then.
+# - winding: its four segments' radii and angles, 8 B per sample; the argument
+#   steps are summed per chunk, and 7.9 B per sample were read at 1 M samples.
+# Each charge is the next multiple of 16 B above what was measured.
 _CHUNK = 8192
 _CHUNK_BYTES = _CHUNK * 256
 _SAMPLE_BYTES = 48
 _IMAGE_ELLIPSE_BYTES = 32
 _CONTAINMENT_BYTES = 16
-_WINDING_BYTES = 32
+_WINDING_BYTES = 16
 
 
 def _check_chunked(points: int, point_bytes: int, what: str) -> None:
@@ -236,32 +237,31 @@ def verify_containment(p: MapParams, k: int, samples: int = 2000) -> Verificatio
     )
 
 
-def winding_turns(deltas: Sequence[complex]) -> tuple[float, float]:
-    """Accumulate wrapped argument increments around a closed loop of nonzero complex
-    samples. Returns (total_turns, max_step_radians); a constant loop gives 0 turns.
-    The steps, the last one closing the loop, are wrapped into [-pi, pi) in place,
-    so the loop's angles and steps are the only arrays of its length."""
-    d = np.asarray(deltas, dtype=complex)
-    if d.size < 1:
-        raise ValueError("need at least one sample")
-    ang = np.angle(d)
-    steps = np.empty_like(ang)
-    np.subtract(ang[1:], ang[:-1], out=steps[:-1])
-    steps[-1] = ang[0] - ang[-1]
-    steps += math.pi
-    np.remainder(steps, 2.0 * math.pi, out=steps)
-    steps -= math.pi
-    turns = float(steps.sum() / (2.0 * math.pi))
-    return turns, float(np.abs(steps, out=steps).max())
-
-
-def _checked_winding(deltas: np.ndarray) -> tuple[float, float]:
-    turns, max_step = winding_turns(deltas)
+def _turns(angles: Iterable[np.ndarray]) -> tuple[float, float]:
+    """(turns, max_step_radians) of a closed loop of nonzero complex samples, from
+    their arguments chunk by chunk. A chunk's first step comes from the previous
+    chunk's last angle, and the step from the last angle to the first closes the
+    loop. Each step is wrapped into [-pi, pi) as (d + pi) mod 2*pi - pi, and only
+    the running sum and largest modulus are kept, which a NaN step carries through.
+    Raises UnderSamplingError if a step reaches pi/2."""
+    total, max_step, first, last = 0.0, 0.0, None, None
+    for ang in itertools.chain(angles, [None]):  # None: the closing step
+        if ang is None:
+            steps = np.array([first - last])
+        else:
+            steps = np.diff(ang) if first is None else np.diff(ang, prepend=last)
+            first = ang[0] if first is None else first
+            last = ang[-1]
+        steps += math.pi
+        np.remainder(steps, 2.0 * math.pi, out=steps)
+        steps -= math.pi
+        total += steps.sum()
+        max_step = np.maximum(max_step, np.abs(steps, out=steps).max(initial=0.0))
     if max_step >= math.pi / 2.0:
         raise UnderSamplingError(
             f"largest argument step {max_step:.3f} rad >= pi/2; increase boundary_samples"
         )
-    return turns, max_step
+    return float(total / (2.0 * math.pi)), float(max_step)
 
 
 def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> VerificationReport:
@@ -276,7 +276,9 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
     xi(v) = |(v-c)/2|**(1/n) * exp(i*(Arg w_j + Arg((v-c)/(w_j-c))/n)),
     which satisfies xi**n = (v-c)/2 exactly (so the map sends xi to v). Tracking in
     this frame is branch-free even when the parameter loop crosses the negative real
-    axis. Raises UnderSamplingError if any argument step reaches pi/2.
+    axis, but it needs (v - c)/(w_j - c) in binary64: ValueError refuses the critical
+    point near a small c (w_j - c, about 2*c**n, is 0 at n = 4 from |c| = 1e-6 down).
+    Raises UnderSamplingError if any argument step reaches pi/2.
     """
     if boundary_samples < 256:
         raise ValueError(f"boundary_samples must be >= 256, got {boundary_samples}")
@@ -295,49 +297,50 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
         (r * np.exp(1j * lo) for r in _chunks(np.linspace(r_in, r_out, m, endpoint=False))),
     )
 
-    # v - xi over the whole walk, for one winding sum; everything else per chunk.
-    deltas = np.empty(4 * m, dtype=complex)
     wjn = (wj - c) / 2.0
-    done, failures, worst = 0, 0, []
-    for vc in walk:
-        half = (vc - c) / 2.0
-        abs_half = np.abs(half)
-        # The ellipse at each sample's parameter a(v) = ((v - c)/2)**2; for n >= 1024
-        # its semi-axes overflow, which refuses the check at the first chunk.
-        semi_major, semi_minor = ellipse_semi_axes(n, abs_half ** 2)
-        xi = abs_half ** (1.0 / n) * np.exp(1j * (th_c + np.angle(half / wjn) / n))
-        np.subtract(vc, xi, out=deltas[done:done + vc.size])
-        done += vc.size
+    if not abs(wjn) * sys.float_info.max > (r_out + abs(c)) / 2.0:  # |v - c| <= r_out + |c|
+        raise ValueError(f"w_j - c = {wj - c!r} is too small: (v - c)/(w_j - c) overflows")
+    failed, worst = [], []
 
-        # Membership of v in (half-ellipse including minor axis) minus the open critical
-        # rectangle, at the pulled-back parameter a(v) of each sample.
-        a_vals = half * half
-        psi = np.angle(a_vals + 0.0)  # -0.0 + 0.0 is +0.0, as in np_principal_sqrt
-        x, _, q, ell_margin = ellipse_frame(vc, c, psi / 2.0, semi_major, semi_minor)
+    def angles():
+        # each chunk's failures and worst margin, kept here, and the argument of v - xi
+        for vc in walk:
+            half = (vc - c) / 2.0
+            abs_half = np.abs(half)
+            # The ellipse at each sample's parameter a(v) = ((v - c)/2)**2; for n >= 1024
+            # its semi-axes overflow, which refuses the check at the first chunk.
+            semi_major, semi_minor = ellipse_semi_axes(n, abs_half ** 2)
+            xi = abs_half ** (1.0 / n) * np.exp(1j * (th_c + np.angle(half / wjn) / n))
 
-        r1 = abs_half ** (2.0 / n) / 2.0
-        rv = np.abs(vc)
-        # conj(xi) first: the operand order of a complex product changes its bits.
-        d_ang = np.abs(np.angle(np.conj(xi) * vc))
-        depth = np.minimum(np.minimum(rv - r1, r_out - rv), (hw - d_ang) * rv)
+            # Membership of v in (half-ellipse including minor axis) minus the open
+            # critical rectangle, at the pulled-back parameter a(v) of each sample.
+            a_vals = half * half
+            psi = np.angle(a_vals + 0.0)  # -0.0 + 0.0 is +0.0, as in np_principal_sqrt
+            x, _, q, ell_margin = ellipse_frame(vc, c, psi / 2.0, semi_major, semi_minor)
 
-        bad = (semi_minor <= 0.0) | ~np.isfinite(q)
-        failures += int(np.count_nonzero(bad | (q >= 1.0) | (depth > 1e-9)))
-        margins = np.minimum(np.minimum(ell_margin, -depth), np.abs(x))  # |x|: minor-axis distance
-        worst.append(np.where(bad, -1.0, margins).min())
-    turns, max_step = _checked_winding(deltas)
+            r1 = abs_half ** (2.0 / n) / 2.0
+            rv = np.abs(vc)
+            # conj(xi) first: the operand order of a complex product changes its bits.
+            d_ang = np.abs(np.angle(np.conj(xi) * vc))
+            depth = np.minimum(np.minimum(rv - r1, r_out - rv), (hw - d_ang) * rv)
+
+            bad = (semi_minor <= 0.0) | ~np.isfinite(q)
+            failed.append(int(np.count_nonzero(bad | (q >= 1.0) | (depth > 1e-9))))
+            # |x|: the distance from the minor axis
+            margins = np.minimum(np.minimum(ell_margin, -depth), np.abs(x))
+            worst.append(np.where(bad, -1.0, margins).min())
+            yield np.angle(vc - xi)
+
+    turns, max_step = _turns(angles())
     winding = round(turns)
-    if winding != 1:
-        failures += 1
-    if abs(turns - winding) >= 0.01:
-        failures += 1
+    failures = sum(failed) + (winding != 1) + (abs(turns - winding) >= 0.01)
     return VerificationReport(
         check_name="winding",
         params=_fmt_params(
             n=n, c=c, j=w.j, k=w.k, winding=winding, turns=f"{turns:.6f}",
             max_step=f"{max_step:.6f}",
         ),
-        samples=int(deltas.size),
+        samples=4 * m,
         failures=failures,
         worst_margin=float(np.min(worst)),
     )
@@ -467,6 +470,10 @@ def verify_vminus_sign(n: int, a: float, c: float) -> VerificationReport:
       1: a > a_star            -> claims v_minus > 0
       2: a <= a_star, c < 2*sqrt(a) -> claims v_minus > 0
       3: a <= a_star, c >= 2*sqrt(a) -> claims v_minus <= 0
+
+    As transcribed, regime 2 never passes (c < 2*sqrt(a) makes v_minus < 0) and
+    regime 3 passes only at v_minus = 0; whether that is the paper's reading is
+    open (ROADMAP direction 4).
     """
     check_exponent(n)
     a = float(a)

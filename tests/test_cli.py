@@ -933,26 +933,40 @@ class TestTopLevel:
                    "--samples=16"])  # warned in the region test
     def test_grammar_fuzz(self, tmp_path, argv):
         # any argv of the four subcommands, with values from 0 through the
-        # subnormals to inf and nan: main returns an exit code of 0 to 3 with no
-        # NumPy warning, the same bytes twice, and on exit 0 a PPM of --size or
-        # a CSV with its header and no nan or inf. The examples are two cases
+        # subnormals to inf and nan: main returns an exit code of README's table
+        # with no NumPy warning and the same bytes twice. Exit 1 or 2 writes
+        # nothing and says why in one `mcmullen: ...` line or argparse's usage
+        # error; exit 3 comes only from verify, whose CSV then has a failed row,
+        # and on exit 0 every verify row passes. Exit 0 writes a PPM of --size
+        # or a CSV with its header and no nan or inf. The examples are two cases
         # that random runs of this grammar found
         first = _run_quietly(argv, tmp_path / "out")
-        code, data, _, _ = first
+        code, data, stdout, stderr = first
         assert 0 <= code <= 3, first
-        assert code not in (1, 2) or data is None, first  # a refusal writes nothing
         assert _run_quietly(argv, tmp_path / "out") == first
-        if code != 0:
+        if code in (1, 2):
+            assert data is None and stdout == "", first
+            assert (re.fullmatch(r"mcmullen: [^\n]+\n", stderr)
+                    or re.fullmatch(r"usage: .*\nmcmullen( \w+)?: error: [^\n]+\n", stderr,
+                                    re.DOTALL)), first
             return
         if argv[0] == "render":
+            assert code == 0, first
             size = next(a for a in argv if a.startswith("--size="))
             width, height = map(int, size[len("--size="):].split("x"))
             header = f"P6\n{width} {height}\n255\n".encode()
             assert data[:len(header)] == header and len(data) == len(header) + 3 * width * height
         else:
             text = data.decode("ascii")
-            assert text.splitlines()[0] == _CSV_HEADERS[argv[0]]
+            lines = text.splitlines()
+            assert lines[0] == _CSV_HEADERS[argv[0]]
             assert "nan" not in text and "inf" not in text, text
+            if argv[0] == "verify":
+                passes = {line.rsplit(",", 1)[1] for line in lines[1:]}
+                assert passes <= {"true", "false"} and passes, text
+                assert ("false" in passes) == (code == 3), (code, text)
+            else:
+                assert code == 0, first
 
     @pytest.mark.parametrize("argv, flag", [
         pytest.param(argv, flag, id=f"{' '.join(argv.split()[:3])} {flag}")

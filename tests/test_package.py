@@ -28,7 +28,7 @@ PUBLIC_NAMES = (
     "spine_distances", "spine_point", "spine_points", "spine_radii",
     "CSV_HEADER", "VerificationReport", "reports_to_csv", "verify_annulus_escape",
     "verify_containment", "verify_image_ellipse", "verify_spine_locus", "verify_vminus_sign",
-    "verify_winding", "winding_turns", "__version__",
+    "verify_winding", "__version__",
 )
 
 

@@ -2,9 +2,11 @@
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,15 @@ from mcmullen.errors import (
 )
 from mcmullen.family import MapParams
 from mcmullen.regions import WRegionSpec, ellipse_spec
+from mcmullen.render import (
+    Diagonal,
+    Dynamical,
+    FixedA,
+    FixedC,
+    RenderConfig,
+    Viewport,
+    render_slice,
+)
 from mcmullen.solvers import fixed_critical_params
 from mcmullen.spine import SpineSpec, spine_within
 from mcmullen.verify import (
@@ -33,7 +44,6 @@ from mcmullen.verify import (
     verify_spine_locus,
     verify_vminus_sign,
     verify_winding,
-    winding_turns,
 )
 from mcmullen.errors import MEMORY_BUDGET_BYTES
 from mcmullen.verify import (
@@ -42,8 +52,11 @@ from mcmullen.verify import (
     _IMAGE_ELLIPSE_BYTES,
     _SAMPLE_BYTES,
     _WINDING_BYTES,
-    _checked_winding,
+    _check_chunked,
+    _turns,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestMemoryBudget:
@@ -67,6 +80,37 @@ class TestMemoryBudget:
         # what the chunked winding and containment checks are charged
         for samples, point_bytes in ((65536, _WINDING_BYTES), (200_000, _CONTAINMENT_BYTES)):
             assert _CHUNK_BYTES + samples * point_bytes < MEMORY_BUDGET_BYTES
+
+    def test_readme_limits(self):
+        # README's stated verify limits are (budget - one chunk) // charge, to the
+        # precision it states them, and each is the largest size the budget admits
+        text = (ROOT / "README.md").read_text()
+        text = " ".join(text[text.index("The size limits follow"):].split())
+        stated = re.search(
+            r"refused above about ([\d.]+) million for containment and winding and "
+            r"([\d.]+) million for image-ellipse, and the grid side of annulus and "
+            r"spine-locus above ([\d,]+) ", text)
+        assert stated, "README's size-limit sentence changed; update this test with it"
+        assert "2 MiB for one chunk's temporaries" in text and _CHUNK_BYTES == 2 * 2**20
+        room = MEMORY_BUDGET_BYTES - _CHUNK_BYTES
+        limits = {
+            "containment": (room // _CONTAINMENT_BYTES, _CONTAINMENT_BYTES, stated[1]),
+            "winding": (room // _WINDING_BYTES, _WINDING_BYTES, stated[1]),
+            # four points per --samples
+            "image-ellipse": (room // (4 * _IMAGE_ELLIPSE_BYTES), 4 * _IMAGE_ELLIPSE_BYTES,
+                              stated[2]),
+        }
+        for check, (limit, charge, millions) in limits.items():
+            decimals = len(millions.partition(".")[2])
+            assert round(limit / 1e6, decimals) == float(millions), (check, limit)
+            _check_chunked(limit, charge, check)
+            with pytest.raises(ValueError, match="memory budget"):
+                _check_chunked(limit + 1, charge, check)
+        grid = math.isqrt(room // _SAMPLE_BYTES)
+        assert grid == int(stated[3].replace(",", ""))
+        _check_chunked(grid * grid, _SAMPLE_BYTES, "grid")
+        with pytest.raises(ValueError, match="memory budget"):
+            _check_chunked((grid + 1) ** 2, _SAMPLE_BYTES, "grid")
 
     @pytest.mark.parametrize("check, samples, point_bytes", [
         ("containment", 200_000, _CONTAINMENT_BYTES),
@@ -223,20 +267,86 @@ class TestReportPlumbing:
         # margins serialize via repr: round-trips exactly
         assert float(lines[1].split(",")[4]) == 0.25
 
-    def test_winding_turns(self):
+
+def winding_turns(deltas):
+    """The whole-loop oracle of verify's streamed winding sum: (turns, max_step) of a
+    closed loop of nonzero complex samples, from all its wrapped argument steps at
+    once, the last step closing the loop; a constant loop gives 0 turns."""
+    d = np.asarray(deltas, dtype=complex)
+    if d.size < 1:
+        raise ValueError("need at least one sample")
+    ang = np.angle(d)
+    steps = np.empty_like(ang)
+    np.subtract(ang[1:], ang[:-1], out=steps[:-1])
+    steps[-1] = ang[0] - ang[-1]
+    steps += math.pi
+    np.remainder(steps, 2.0 * math.pi, out=steps)
+    steps -= math.pi
+    turns = float(steps.sum() / (2.0 * math.pi))
+    return turns, float(np.abs(steps, out=steps).max())
+
+
+def _streamed(deltas, chunk):
+    """verify's winding sum over the loop's arguments, `chunk` samples at a time."""
+    ang = np.angle(np.asarray(deltas, dtype=complex))
+    return _turns(ang[i:i + chunk] for i in range(0, ang.size, chunk))
+
+
+def _loop(steps, start=0.3):
+    """Unit samples whose arguments take the given steps from `start`."""
+    return np.exp(1j * (start + np.concatenate([[0.0], np.cumsum(steps)])))
+
+
+class TestWindingSum:
+    CHUNKS = (1, 2, 3, 7, 8, 64, 256, 257, 10**6)
+
+    def test_oracle(self):
         loop = [np.exp(2j * np.pi * k / 64) for k in range(64)] + [1 + 0j]
-        turns, max_step = winding_turns(loop)
-        assert turns == pytest.approx(1.0, abs=1e-12)
-        assert max_step == pytest.approx(2 * math.pi / 64, rel=1e-12)
+        for chunk in (None, *self.CHUNKS):
+            turns, max_step = winding_turns(loop) if chunk is None else _streamed(loop, chunk)
+            assert turns == pytest.approx(1.0, abs=1e-12)
+            assert max_step == pytest.approx(2 * math.pi / 64, rel=1e-12)
         assert winding_turns([1 + 0j, 1 + 0j, 1 + 0j]) == (0.0, 0.0)
+        assert _streamed([1 + 0j, 1 + 0j, 1 + 0j], 2) == (0.0, 0.0)
         with pytest.raises(ValueError):
             winding_turns([])
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_streamed_sum_matches_the_oracle(self, chunk):
+        # 257 samples: small steps, 1.5 rad steps into samples 21, 64 and 256 (a
+        # chunk boundary for every chunk size here but 257 and 10**6), and a
+        # closing step of 1.45 rad; the loops wind -1 to 2 times
+        rng = np.random.default_rng(26)
+        big = [20, 63, 255]
+        for winds in (-1, 0, 1, 2):
+            steps = rng.uniform(-0.2, 0.2, 256)
+            steps[big] = 0.0
+            steps += (2 * math.pi * winds - 1.45 - 4.5 - steps.sum()) / 253
+            steps[big] = 1.5
+            loop = _loop(steps)
+            turns, max_step = _streamed(loop, chunk)
+            want_turns, want_max = winding_turns(loop)
+            assert max_step == want_max, winds
+            assert turns == pytest.approx(want_turns, abs=1e-13) and round(turns) == winds
+            assert max_step == pytest.approx(1.5, abs=1e-9), winds
 
     def test_undersampling_guard(self):
         # a quarter-turn jump in one step is indistinguishable from aliasing
         deltas = np.array([1 + 0j, 1j, -1 + 0j, -1j, 1 + 0j])
-        with pytest.raises(UnderSamplingError):
-            _checked_winding(deltas)
+        for chunk in (1, 2, 5):
+            with pytest.raises(UnderSamplingError, match=r"largest argument step 1\.571 rad"):
+                _streamed(deltas, chunk)
+        # one step of pi/2 or more is enough, across a chunk boundary or closing
+        # the loop, and a step just below it is not
+        across = _loop([0.1, math.pi / 2 + 1e-9, 0.1, 0.1])
+        closing = _loop([0.4, 0.4, 0.4, 0.4])  # closing step -1.6 rad
+        below = _loop([0.4, 0.4, 0.4, 0.35])  # closing step -1.55 rad
+        for chunk in (1, 2, 3, 10):
+            with pytest.raises(UnderSamplingError):
+                _streamed(across, chunk)
+            with pytest.raises(UnderSamplingError):
+                _streamed(closing, chunk)
+            assert _streamed(below, chunk)[1] == pytest.approx(1.55, abs=1e-12)
 
 
 class TestImageEllipse:
@@ -320,6 +430,14 @@ class TestWinding:
         s = fixed_critical_params(4, 6j)[0]
         with pytest.raises(ValueError):
             verify_winding(s, boundary_samples=128)
+
+    def test_critical_point_at_c_refused(self):
+        # the fixed critical point near c = 1e-6 has w_j - c of about 2e-24, which
+        # rounds to 0: the tracking frame (v - c)/(w_j - c) would divide by zero,
+        # so it is refused by name before any sample is formed
+        spec = next(s for s in fixed_critical_params(4, 1e-6) if s.w_j == s.c)
+        with pytest.raises(ValueError, match=r"w_j - c = 0j is too small: \(v - c\)/"):
+            verify_winding(spec, boundary_samples=256)
 
     def test_max_step_small(self, reports):
         for r in reports.values():
@@ -432,12 +550,18 @@ class TestLibraryFuzz:
     @given(n=st.sampled_from([3, 4, 5, 8]), a=complex_value, c=complex_value, t=complex_value,
            eps=real, k=st.integers(0, 15), max_iter=st.sampled_from([1, 5, 20]))
     def test_entry_points(self, n, a, c, t, eps, k, max_iter):
-        # the check functions and spine_within, at small sizes and with values
-        # from 0 through the subnormals to inf and nan: each returns a report
-        # (spine_within its mask) or raises ValueError or UnderSamplingError,
-        # with no NumPy warning, the same twice, and the two orbit checks the
-        # same at two chunk sizes (their 1,024 lattice points span two chunks
-        # of 1,000)
+        # the check functions, spine_within, MapParams and a 4x3 render of each
+        # slice, at small sizes and with values from 0 through the subnormals to
+        # inf and nan: each returns (a check its report, spine_within its mask,
+        # a render its pixel bytes) or raises ValueError or UnderSamplingError,
+        # with no NumPy warning, the same twice, and the two orbit checks and
+        # winding the same at two chunk sizes (the 1,024 lattice points span 26
+        # chunks of 40, and each of winding's four 64-sample segments two)
+        def render(make_slice):
+            return lambda: render_slice(
+                n, make_slice(), Viewport(-abs(eps), abs(eps), -abs(eps), abs(eps), 4, 3),
+                RenderConfig(max_iter)).pixels.tobytes()
+
         calls = {
             "annulus": lambda: verify_annulus_escape(MapParams(n, a, c), 32, max_iter),
             "spine-locus": lambda: verify_spine_locus(n, t, eps, 32, max_iter),
@@ -446,11 +570,16 @@ class TestLibraryFuzz:
             "winding": lambda: [verify_winding(s, 256) for s in _winding_specs(n, c)],
             "spine_within": lambda: spine_within(SpineSpec(t, 64), np.array([a, c, t]),
                                                  eps).tolist(),
+            "MapParams": lambda: MapParams(n, a, c),
+            "render fixed-c": render(lambda: FixedC(c)),
+            "render fixed-a": render(lambda: FixedA(a)),
+            "render diagonal": render(lambda: Diagonal(t)),
+            "render dynamical": render(lambda: Dynamical(MapParams(n, a, c))),
         }
         outcomes = {name: _outcome(call) for name, call in calls.items()}
         for name, call in calls.items():
             assert _outcome(call) == outcomes[name], name
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verify, "_CHUNK", 1000)
-            for name in ("annulus", "spine-locus"):
+            patch.setattr(verify, "_CHUNK", 40)
+            for name in ("annulus", "spine-locus", "winding"):
                 assert _outcome(calls[name]) == outcomes[name], name
