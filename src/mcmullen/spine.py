@@ -165,9 +165,9 @@ def _cleared(t: complex, q: np.ndarray, r: np.ndarray) -> np.ndarray:
         gap = np.abs(q) - r
         curvature = r / gap / (2.0 * np.sqrt(gap))
         rounding = 1.0 + np.abs(t * q) + 2.0 * np.abs(root)
-        for sign in (1.0, -1.0):
+        for sign, v in zip((1.0, -1.0), critical_values_bulk(q, t * q)):
             bound = r * (np.abs(t + sign / root) + curvature)
-            margin = np.abs(np.abs(t * q + sign * 2.0 * root) - 1.0) - bound
+            margin = np.abs(np.abs(v) - 1.0) - bound
             far &= margin > _SLACK * (rounding + bound)
     return far
 

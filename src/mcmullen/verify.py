@@ -45,40 +45,50 @@ from .spine import SpineSpec, spine_radii, spine_within
 BOUNDARY_INSET = 1e-6
 BOUNDARY_DILATION = 1e-6
 
-# Every sampled check takes its samples _CHUNK at a time. The geometry checks
-# (image-ellipse, containment, winding) evaluate each chunk's map and frame
-# arithmetic, so their temporaries stay in a core's cache and no complex
-# temporary reaches NumPy's 256 KiB elision threshold (an elided product is
-# evaluated in place with its operands swapped, which changes its bits). The
-# orbit checks (annulus, spine-locus) run each chunk of their lattice through
-# the orbit kernel as one block. A check is charged a fixed _CHUNK_BYTES for one
-# chunk's temporaries, the kernel's working set and spine_within's passes, plus
-# the bytes per sample of what it keeps at full length. tracemalloc measured:
-# - annulus and spine-locus (_SAMPLE_BYTES): the lattice, 16 B per point, and
-#   spine-locus's two masks; at most 44 B per point above _CHUNK_BYTES (spine-
-#   locus at grid 100, where spine_within's passes weigh most), 19 B at grid 600;
-# - image-ellipse: its four boundary pieces, 22 B per point;
-# - containment: its four boundary pieces, 11 B per sample;
-# - winding: its four segments' radii and angles, 8 B per sample; the argument
-#   steps are summed per chunk, and 7.9 B per sample were read at 1 M samples.
+# Every sampled check takes its samples _CHUNK at a time. The samples of image-
+# ellipse, containment, winding and annulus are points of polar lattices, which
+# _lattice forms chunk by chunk. The geometry checks (image-ellipse, containment,
+# winding) evaluate each chunk's map and frame arithmetic, so their temporaries
+# stay in a core's cache and no complex temporary reaches NumPy's 256 KiB
+# elision threshold (an elided product is evaluated in place with its operands
+# swapped, which changes its bits). The orbit checks (annulus, spine-locus) run
+# each chunk of their lattice through the orbit kernel as one block. A check is
+# charged a fixed _CHUNK_BYTES for one chunk's temporaries, the kernel's working
+# set and spine_within's passes, plus the bytes per point of what it keeps at
+# full length. tracemalloc measured:
+# - _LATTICE_BYTES (image-ellipse, containment, winding, annulus): their radii
+#   and angles; at most 8 B per point above _CHUNK_BYTES (winding's four
+#   segments at 1 M samples);
+# - _SPINE_LOCUS_BYTES: its whole lattice, 16 B per point, for its one
+#   spine_within call, and its two masks; at most 44 B per point above
+#   _CHUNK_BYTES (at grid 100, where spine_within's passes weigh most), 19 B at
+#   grid 600.
 # Each charge is the next multiple of 16 B above what was measured.
 _CHUNK = 8192
 _CHUNK_BYTES = _CHUNK * 256
-_SAMPLE_BYTES = 48
-_IMAGE_ELLIPSE_BYTES = 32
-_CONTAINMENT_BYTES = 16
-_WINDING_BYTES = 16
+_LATTICE_BYTES = 16
+_SPINE_LOCUS_BYTES = 48
 
 
 def _check_chunked(points: int, point_bytes: int, what: str) -> None:
     check_memory_budget(_CHUNK_BYTES + points * point_bytes, what)
 
 
-def _chunks(*pieces: np.ndarray):
-    """Consecutive slices of at most _CHUNK samples, piece after piece."""
-    for piece in pieces:
-        for i in range(0, piece.size, _CHUNK):
-            yield piece[i:i + _CHUNK]
+def _lattice(radii, angles):
+    """The polar lattice radii[i]*exp(1j*angles[j]), radius by radius and each
+    radius's angles in order, at most _CHUNK points at a time."""
+    radii, angles = np.asarray(radii), np.asarray(angles)
+    if radii.size > 1 and angles.size <= _CHUNK:
+        # the radii share one exp of the angles, which fits in a chunk
+        phasors, rows = np.exp(1j * angles), _CHUNK // angles.size
+        for i in range(0, radii.size, rows):
+            yield (radii[i:i + rows, None] * phasors).ravel()
+    else:
+        # a radius at a time, each chunk's exp formed and dropped with its
+        # product: a row longer than a chunk is not kept for the next radius
+        for i in range(radii.size):
+            for j in range(0, angles.size, _CHUNK):
+                yield (radii[i:i + 1, None] * np.exp(1j * angles[j:j + _CHUNK])).ravel()
 
 
 @dataclass(frozen=True)
@@ -134,24 +144,18 @@ def _fmt_params(**kv) -> str:
     return ";".join(parts)
 
 
-def _uprime_boundary_pieces(
-    p: MapParams, k: int, per_piece: int, inset: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample the four boundary pieces (outer arc, inner arc, two rays) of the open
-    critical rectangle; inset > 0 pulls samples inward by that relative amount."""
+def _uprime_boundary(p: MapParams, k: int, per_piece: int, inset: float):
+    """The boundary of the open k-th critical rectangle as two _lattice streams: its
+    outer and inner arcs, then its two rays, per_piece samples each; inset > 0
+    pulls samples inward by that relative amount."""
     rect = u_prime_rect(p, k)
     r1, r2 = rect.r_inner, rect.r_outer
     dr = (r2 - r1) * inset
     da = rect.arg_halfwidth * inset
     lo = rect.arg_center - rect.arg_halfwidth + da
     hi = rect.arg_center + rect.arg_halfwidth - da
-    arc = np.exp(1j * np.linspace(lo, hi, per_piece))
-    rr = np.linspace(r1 + dr, r2 - dr, per_piece)
-    outer = (r2 - dr) * arc
-    inner = (r1 + dr) * arc
-    ray_hi = rr * np.exp(1j * hi)
-    ray_lo = rr * np.exp(1j * lo)
-    return outer, inner, ray_hi, ray_lo
+    return (_lattice([r2 - dr, r1 + dr], np.linspace(lo, hi, per_piece)),
+            _lattice(np.linspace(r1 + dr, r2 - dr, per_piece), [hi, lo]))
 
 
 def verify_image_ellipse(p: MapParams, k: int, samples: int = 1000) -> VerificationReport:
@@ -161,17 +165,16 @@ def verify_image_ellipse(p: MapParams, k: int, samples: int = 1000) -> Verificat
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
-    _check_chunked(4 * samples, _IMAGE_ELLIPSE_BYTES,
-                   f"image-ellipse with {samples} samples per piece")
+    _check_chunked(4 * samples, _LATTICE_BYTES, f"image-ellipse with {samples} samples per piece")
     spec = ellipse_spec(p, 0)
     semi_major, semi_minor = spec.semi_major, spec.semi_minor
-    outer, inner, ray_hi, ray_lo = _uprime_boundary_pieces(p, k, samples, inset=0.0)
+    arcs, rays = _uprime_boundary(p, k, samples, inset=0.0)
 
     tol = 1e-8
     tested, failures, worst = 0, 0, []
     # The outer and inner arcs map onto the ellipse, the two rays onto its minor axis.
-    for on_arc, pieces in ((True, (outer, inner)), (False, (ray_hi, ray_lo))):
-        for z in _chunks(*pieces):
+    for on_arc, pieces in ((True, arcs), (False, rays)):
+        for z in pieces:
             x, y, q, _ = ellipse_frame(
                 _map_array(z, p.n, p.a, p.c), spec.center, spec.rotation, semi_major, semi_minor
             )
@@ -205,25 +208,21 @@ def verify_containment(p: MapParams, k: int, samples: int = 2000) -> Verificatio
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
-    _check_chunked(samples, _CONTAINMENT_BYTES, f"containment with {samples} samples")
+    _check_chunked(samples, _LATTICE_BYTES, f"containment with {samples} samples")
     half_sign = 1 if k % 2 == 0 else -1
     spec = ellipse_spec(p, half_sign)  # refuses n >= 1024 before u_prime_rect refuses a
     rect = u_prime_rect(p, k)
 
     per = max(4, samples // 8)
-    pieces = _uprime_boundary_pieces(p, k, per, inset=BOUNDARY_INSET)
-
     g = max(2, int(math.sqrt(max(samples - 4 * per, 4))))
-    r_lattice = np.linspace(rect.r_inner, rect.r_outer, g + 2)[1:-1]
-    t_lattice = np.linspace(
-        rect.arg_center - rect.arg_halfwidth, rect.arg_center + rect.arg_halfwidth, g + 2
-    )[1:-1]
-    arc = np.exp(1j * t_lattice)
-    rows = max(1, _CHUNK // g)
-    interior = ((r_lattice[i:i + rows, None] * arc[None, :]).ravel() for i in range(0, g, rows))
+    interior = _lattice(
+        np.linspace(rect.r_inner, rect.r_outer, g + 2)[1:-1],
+        np.linspace(rect.arg_center - rect.arg_halfwidth, rect.arg_center + rect.arg_halfwidth,
+                    g + 2)[1:-1],
+    )
 
     tested, failures, worst = 0, 0, []
-    for z in itertools.chain(_chunks(*pieces), interior):
+    for z in itertools.chain(*_uprime_boundary(p, k, per, BOUNDARY_INSET), interior):
         inside, margins = half_ellipse_membership(spec, _map_array(z, p.n, p.a, p.c))
         tested += z.size
         failures += int(np.count_nonzero(~inside))
@@ -282,19 +281,18 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
     """
     if boundary_samples < 256:
         raise ValueError(f"boundary_samples must be >= 256, got {boundary_samples}")
-    _check_chunked(boundary_samples, _WINDING_BYTES,
+    _check_chunked(boundary_samples, _LATTICE_BYTES,
                    f"winding with {boundary_samples} boundary samples")
     n, c, wj = w.n, w.c, w.w_j
     rect = v_rect(w)
     r_in, r_out, th_c, hw = rect.r_inner, rect.r_outer, rect.arg_center, rect.arg_halfwidth
     lo, hi = th_c - hw, th_c + hw
     m = boundary_samples // 4
-    # Each segment's radii or angles at full length, its points _CHUNK at a time.
     walk = itertools.chain(
-        (r_out * np.exp(1j * th) for th in _chunks(np.linspace(lo, hi, m, endpoint=False))),
-        (r * np.exp(1j * hi) for r in _chunks(np.linspace(r_out, r_in, m, endpoint=False))),
-        (r_in * np.exp(1j * th) for th in _chunks(np.linspace(hi, lo, m, endpoint=False))),
-        (r * np.exp(1j * lo) for r in _chunks(np.linspace(r_in, r_out, m, endpoint=False))),
+        _lattice([r_out], np.linspace(lo, hi, m, endpoint=False)),
+        _lattice(np.linspace(r_out, r_in, m, endpoint=False), [hi]),
+        _lattice([r_in], np.linspace(hi, lo, m, endpoint=False)),
+        _lattice(np.linspace(r_in, r_out, m, endpoint=False), [lo]),
     )
 
     wjn = (wj - c) / 2.0
@@ -367,12 +365,12 @@ def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) ->
     smallest unused fraction of the iteration budget (-1 if a sample failed to escape).
     A lattice whose radii leave binary64 (2s overflows, or t*1e-3 is not a normal
     float) raises ValueError. The lattice's orbits run through the orbit kernel
-    _CHUNK points a block, and only each block's failures and largest escape count
-    are kept; counts do not depend on the split, so neither does the report.
+    one _lattice chunk a block, and only each block's failures and largest escape
+    count are kept; counts do not depend on the split, so neither does the report.
     """
     if grid < 8:
         raise ValueError(f"grid must be >= 8, got {grid}")
-    _check_chunked(grid * grid, _SAMPLE_BYTES, f"annulus with grid {grid}")
+    _check_chunked(grid * grid, _LATTICE_BYTES, f"annulus with grid {grid}")
     s = escape_radius(p)
     t = inner_radius(p)
     if not 2.0 * s < math.inf:
@@ -380,20 +378,16 @@ def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) ->
     if not t * 1e-3 >= sys.float_info.min:
         raise ValueError(f"t_inner = {t!r} is too small: the inner band's radius t_inner*1e-3 "
                          "is not a normal binary64 number")
-    n_out = grid // 2
-    n_in = grid - n_out
+    radii = np.concatenate([np.linspace(s * (1.0 + BOUNDARY_DILATION), 2.0 * s, grid // 2),
+                            np.geomspace(t * (1.0 - BOUNDARY_DILATION), t * 1e-3, grid - grid // 2)])
     theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    r_out = np.linspace(s * (1.0 + BOUNDARY_DILATION), 2.0 * s, n_out)
-    r_in = np.geomspace(t * (1.0 - BOUNDARY_DILATION), t * 1e-3, n_in)
-    radii = np.concatenate([r_out, r_in])
-    z0 = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
     blocks = ((np.full(z.size, p.a), np.full(z.size, p.c), z, np.full(z.size, s))
-              for z in _chunks(z0))
+              for z in _lattice(radii, theta))
     failures, worst = _escape_margin(p.n, blocks, max_iter, 1)
     return VerificationReport(
         check_name="annulus",
         params=_fmt_params(n=p.n, a=p.a, c=p.c, grid=grid, max_iter=max_iter, s=s, t_inner=t),
-        samples=int(z0.size),
+        samples=grid * grid,
         failures=failures,
         worst_margin=worst,
     )
@@ -420,7 +414,7 @@ def verify_spine_locus(
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if grid < 32:
         raise ValueError(f"grid must be >= 32, got {grid}")
-    _check_chunked(grid * grid, _SAMPLE_BYTES, f"spine-locus with grid {grid}")
+    _check_chunked(grid * grid, _SPINE_LOCUS_BYTES, f"spine-locus with grid {grid}")
     t = complex(t)
     lo_r, hi_r = spine_radii(t)
     r_lo = max(lo_r - eps, 1e-9 * max(1.0, hi_r))

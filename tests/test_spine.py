@@ -292,6 +292,25 @@ class TestSpineWithin:
         for t in (1e300, -1.7e308):
             _assert_matches_oracle(SpineSpec(complex(t), 64), np.array([0j, complex(t)]), 0.2)
 
+    def test_stage_counts_on_the_bench_lattice(self, monkeypatch):
+        # at t = 2, eps 0.25 and grid 300, stage 1 clears 50,660 of the 90,000
+        # queries and stage 2 witnesses 34,510 of the rest: a change to the
+        # clearing bound shows as a count, not only as time
+        counts = {}
+
+        def counted(stage, decide):
+            def wrapped(*args):
+                found = decide(*args)
+                counts[stage] = counts.get(stage, 0) + int(np.count_nonzero(found))
+                return found
+            return wrapped
+
+        for stage in ("_cleared", "_witnessed"):
+            monkeypatch.setattr(spine, stage, counted(stage, getattr(spine, stage)))
+        a = _polar_lattice(2 + 0j, 0.25, 300)
+        spine_within(SpineSpec(2 + 0j), a, 0.25)
+        assert (a.size, counts) == (90_000, {"_cleared": 50_660, "_witnessed": 34_510})
+
     def test_memory_independent_of_query_count(self):
         s = SpineSpec(2 * cmath.exp(0.02j))
         a = _polar_lattice(s.t, 0.25, 300)

@@ -48,11 +48,10 @@ from mcmullen.verify import (
 from mcmullen.errors import MEMORY_BUDGET_BYTES
 from mcmullen.verify import (
     _CHUNK_BYTES,
-    _CONTAINMENT_BYTES,
-    _IMAGE_ELLIPSE_BYTES,
-    _SAMPLE_BYTES,
-    _WINDING_BYTES,
+    _LATTICE_BYTES,
+    _SPINE_LOCUS_BYTES,
     _check_chunked,
+    _lattice,
     _turns,
 )
 
@@ -74,12 +73,11 @@ class TestMemoryBudget:
                 call()
 
     def test_benchmark_sizes_fit(self):
-        # spine-locus and annulus grids, winding and containment sample counts
-        for points in (300**2, 128**2, 65536, 2 * 200_000):
-            assert points * _SAMPLE_BYTES < MEMORY_BUDGET_BYTES
-        # what the chunked winding and containment checks are charged
-        for samples, point_bytes in ((65536, _WINDING_BYTES), (200_000, _CONTAINMENT_BYTES)):
-            assert _CHUNK_BYTES + samples * point_bytes < MEMORY_BUDGET_BYTES
+        # what the benchmark's spine-locus grid, annulus grid and winding and
+        # containment sample counts are charged
+        assert _CHUNK_BYTES + 300**2 * _SPINE_LOCUS_BYTES < MEMORY_BUDGET_BYTES
+        for points in (128**2, 65536, 200_000):
+            assert _CHUNK_BYTES + points * _LATTICE_BYTES < MEMORY_BUDGET_BYTES
 
     def test_readme_limits(self):
         # README's stated verify limits are (budget - one chunk) // charge, to the
@@ -88,17 +86,15 @@ class TestMemoryBudget:
         text = " ".join(text[text.index("The size limits follow"):].split())
         stated = re.search(
             r"refused above about ([\d.]+) million for containment and winding and "
-            r"([\d.]+) million for image-ellipse, and the grid side of annulus and "
-            r"spine-locus above ([\d,]+) ", text)
+            r"([\d.]+) million for image-ellipse, and the grid side of annulus above "
+            r"([\d,]+) and of spine-locus above ([\d,]+)\.", text)
         assert stated, "README's size-limit sentence changed; update this test with it"
         assert "2 MiB for one chunk's temporaries" in text and _CHUNK_BYTES == 2 * 2**20
         room = MEMORY_BUDGET_BYTES - _CHUNK_BYTES
         limits = {
-            "containment": (room // _CONTAINMENT_BYTES, _CONTAINMENT_BYTES, stated[1]),
-            "winding": (room // _WINDING_BYTES, _WINDING_BYTES, stated[1]),
+            "containment and winding": (room // _LATTICE_BYTES, _LATTICE_BYTES, stated[1]),
             # four points per --samples
-            "image-ellipse": (room // (4 * _IMAGE_ELLIPSE_BYTES), 4 * _IMAGE_ELLIPSE_BYTES,
-                              stated[2]),
+            "image-ellipse": (room // (4 * _LATTICE_BYTES), 4 * _LATTICE_BYTES, stated[2]),
         }
         for check, (limit, charge, millions) in limits.items():
             decimals = len(millions.partition(".")[2])
@@ -106,26 +102,31 @@ class TestMemoryBudget:
             _check_chunked(limit, charge, check)
             with pytest.raises(ValueError, match="memory budget"):
                 _check_chunked(limit + 1, charge, check)
-        grid = math.isqrt(room // _SAMPLE_BYTES)
-        assert grid == int(stated[3].replace(",", ""))
-        _check_chunked(grid * grid, _SAMPLE_BYTES, "grid")
-        with pytest.raises(ValueError, match="memory budget"):
-            _check_chunked((grid + 1) ** 2, _SAMPLE_BYTES, "grid")
+        for side, charge in ((stated[3], _LATTICE_BYTES), (stated[4], _SPINE_LOCUS_BYTES)):
+            grid = math.isqrt(room // charge)
+            assert grid == int(side.replace(",", "")), charge
+            _check_chunked(grid * grid, charge, "grid")
+            with pytest.raises(ValueError, match="memory budget"):
+                _check_chunked((grid + 1) ** 2, charge, "grid")
 
-    @pytest.mark.parametrize("check, samples, point_bytes", [
-        ("containment", 200_000, _CONTAINMENT_BYTES),
-        ("containment", 800_000, _CONTAINMENT_BYTES),
-        ("winding", 65_536, _WINDING_BYTES),
-        ("winding", 262_144, _WINDING_BYTES),
-        ("image-ellipse", 50_000, 4 * _IMAGE_ELLIPSE_BYTES),  # four points per sample
-        ("spine-locus", 300**2, _SAMPLE_BYTES),  # grid**2 lattice points
-        ("spine-locus", 600**2, _SAMPLE_BYTES),
-        ("annulus", 128**2, _SAMPLE_BYTES),
-        ("annulus", 256**2, _SAMPLE_BYTES),
+    @pytest.mark.parametrize("check, samples, point_bytes, pinned_mib", [
+        ("containment", 200_000, _LATTICE_BYTES, None),
+        ("containment", 800_000, _LATTICE_BYTES, None),
+        ("winding", 65_536, _LATTICE_BYTES, None),
+        ("winding", 262_144, _LATTICE_BYTES, None),
+        ("image-ellipse", 50_000, 4 * _LATTICE_BYTES, None),  # four points per sample
+        ("spine-locus", 300**2, _SPINE_LOCUS_BYTES, None),  # grid**2 lattice points
+        ("spine-locus", 600**2, _SPINE_LOCUS_BYTES, None),
+        ("annulus", 128**2, _LATTICE_BYTES, None),
+        ("annulus", 256**2, _LATTICE_BYTES, None),
+        # and within their traced peaks plus 10%, as they stream _lattice's chunks
+        ("image-ellipse", 1_000_000, 4 * _LATTICE_BYTES, 17.8),
+        ("containment", 4_000_000, _LATTICE_BYTES, 9.2),
+        ("annulus", 1000**2, _LATTICE_BYTES, 1.03),
     ])
-    def test_peak_within_estimate(self, check, samples, point_bytes):
+    def test_peak_within_estimate(self, check, samples, point_bytes, pinned_mib):
         # every check's traced peak stays within what the budget charges: one
-        # chunk's temporaries plus the per-sample arrays kept at full length
+        # chunk's temporaries plus the per-point arrays kept at full length
         spec = fixed_critical_params(8, 6 + 0j)[0]
         p = MapParams(8, spec.a_j, 6 + 0j)
         grid = math.isqrt(samples)
@@ -143,6 +144,7 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= _CHUNK_BYTES + samples * point_bytes
+        assert pinned_mib is None or peak <= pinned_mib * 2**20
 
 
 class TestChunks:
@@ -154,6 +156,9 @@ class TestChunks:
         # single chunks of 20,000 samples or more hold complex temporaries above
         # NumPy's 256 KiB elision threshold
         ((1000, 8192, 10**6), (20_001, 70_001, 20_004)),
+        # both arcs, and both rays, in one chunk of 1,000 or more; a piece over
+        # eight chunks of 40
+        ((1, 40, 1000, 8192, 10**6), (300, 2400, 1024)),
     ])
     def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, chunks, sizes):
         spec = fixed_critical_params(8, 6 + 0j)[0]
@@ -179,6 +184,26 @@ class TestChunks:
         assert len(texts) == 1
         failures = [int(row.split(",")[3]) for row in texts.pop().splitlines()[1:]]
         assert failures[0] > 0 and failures[3] > 0 and failures[4] > 0
+
+    @pytest.mark.parametrize("chunk", [1, 40, 8192])
+    def test_lattice_is_the_whole_lattice_in_chunks(self, monkeypatch, chunk):
+        # joined, _lattice's chunks are the whole-lattice formula's points, bit
+        # for bit and in order, and none holds more than _CHUNK; m and g**2 lie on
+        # both sides of the chunk, and g too where g**2 points stay small
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        root = math.isqrt(chunk)
+        shapes = [(1, m) for m in (max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 3)]
+        shapes += [(rows, cols) for m in (max(1, chunk - 1), chunk + 1, 2 * chunk + 3)
+                   for rows, cols in ((m, 1), (2, m), (m, 2))]
+        shapes += [(g, g) for g in (root, root + 1, *([chunk + 1] if chunk <= 40 else []))]
+        for rows, cols in shapes:
+            radii = rng.uniform(1e-3, 1e3, rows)
+            angles = rng.uniform(-math.pi, math.pi, cols)
+            chunks = list(_lattice(radii, angles))
+            assert all(0 < z.size <= chunk for z in chunks), (rows, cols)
+            want = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+            assert np.concatenate(chunks).tobytes() == want.tobytes(), (rows, cols)
 
     def test_orbit_checks_do_not_depend_on_the_chunk(self, monkeypatch):
         # annulus and spine-locus run each chunk of their lattice through the
