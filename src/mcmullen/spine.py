@@ -5,6 +5,7 @@ the within-eps test that spine-locus certification asks."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,25 +16,26 @@ from .family import check_slope_scale, critical_values_bulk, np_principal_sqrt, 
 
 # spine_within answers _CHUNK queries per pass, and its exact stage groups the curve
 # samples into bounding blocks of _BLOCK and holds temporaries of at most _PASS
-# elements, so its memory does not grow with the query count.
+# elements, so its memory does not grow with the query count (at 2**15 they were
+# faulted in again between spine-locus's kernel blocks, 20% slower).
 _CHUNK = 2048
 _BLOCK = 64
-_PASS = 2**15
+_PASS = 2**13
 # Relative rounding slack of spine_within's clearing bound: far above the few ulps
 # by which sampling, evaluating v(q) and the distance formula can each err.
 _SLACK = 2.0**-30
-# Estimated peak bytes per sample of the largest use of a SpineSpec,
-# spine_within; tracemalloc measured 153 to 169 B at 4096 to 262144 samples and
-# three slopes. The `spine` command, which writes its CSV in chunks of rows,
-# measured 88 to 107 B (spine_points alone 88 B).
+# Estimated peak bytes per sample of the largest use of a SpineSpec, spine_within
+# with the index it keeps; tracemalloc measured 120 to 138 B at 4096 to 262144
+# samples and three slopes. The `spine` command, which writes its CSV in chunks
+# of rows, measured 88 to 107 B (spine_points alone 88 B).
 _SAMPLE_BYTES = 192
 
 
 @dataclass(frozen=True)
 class SpineSpec:
-    """Slice slope t and the theta-lattice size used by distance queries. t is
-    refused as spine_radii refuses it, and samples above the memory budget
-    (ValueError) before anything is allocated."""
+    """Slice slope t and the theta-lattice size of distance queries; spine_within's
+    index lives as long as the spec. t is refused as spine_radii refuses it, and
+    samples above the memory budget (ValueError) before anything is allocated."""
 
     t: complex
     samples: int = 8192
@@ -44,6 +46,22 @@ class SpineSpec:
         if self.samples < 16:
             raise ValueError(f"samples must be >= 16, got {self.samples}")
         check_memory_budget(self.samples * _SAMPLE_BYTES, f"spine with samples {self.samples}")
+
+    @functools.cached_property
+    def _index(self):
+        """spine_within's index, built at its first call: both branch curves, in padded
+        blocks of _BLOCK with centres and reach, their finiteness and max(1, u(t))."""
+        _, plus, minus = spine_points(self)
+        # A repeated sample pads the last block; it changes no minimum and no `any`.
+        curve = np.concatenate([plus, minus, np.repeat(minus[-1:], -2 * plus.size % _BLOCK)])
+        finite = bool(np.isfinite(curve).all())
+        blocks = curve.reshape(-1, _BLOCK)
+        # A block's middle sample is its centre: a mean overflows near the slope
+        # limit, and a disc of radius reach about any centre is sound.
+        centres = blocks[:, _BLOCK // 2]
+        reach = np.abs(blocks - centres[:, None]).max(axis=1) if finite else None
+        return (*np.split(curve[:2 * plus.size], 2), blocks, centres, reach, finite,
+                max(1.0, spine_radii(self.t)[1]))
 
 
 def spine_point(s: SpineSpec, theta: float, branch: int) -> complex:
@@ -116,18 +134,9 @@ def spine_within(s: SpineSpec, a: np.ndarray, eps: float) -> np.ndarray:
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     a = np.asarray(a, dtype=complex).ravel()
-    _, plus, minus = spine_points(s)
-    curve = np.concatenate([plus, minus])
-    if not (np.isfinite(a).all() and np.isfinite(curve).all()):
+    plus, minus, blocks, centres, reach, finite, scale = s._index
+    if not (np.isfinite(a).all() and finite):
         raise ValueError("spine_within needs finite parameters and spine samples")
-    # A repeated sample pads the last block; it changes no minimum and no `any`.
-    blocks = np.concatenate([curve, np.repeat(curve[-1:], -curve.size % _BLOCK)])
-    blocks = blocks.reshape(-1, _BLOCK)
-    # A block's middle sample is its centre: a mean overflows near the slope
-    # limit, and a disc of radius reach about any centre is sound.
-    centres = blocks[:, _BLOCK // 2]
-    reach = np.abs(blocks - centres[:, None]).max(axis=1)
-    scale = max(1.0, spine_radii(s.t)[1])
     out = np.zeros(a.size, dtype=bool)
     for lo in range(0, a.size, _CHUNK):
         q = a[lo:lo + _CHUNK]

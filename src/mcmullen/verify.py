@@ -45,33 +45,26 @@ from .spine import SpineSpec, spine_radii, spine_within
 BOUNDARY_INSET = 1e-6
 BOUNDARY_DILATION = 1e-6
 
-# Every sampled check takes its samples _CHUNK at a time. The samples of image-
-# ellipse, containment, winding and annulus are points of polar lattices, which
-# _lattice forms chunk by chunk. The geometry checks (image-ellipse, containment,
-# winding) evaluate each chunk's map and frame arithmetic, so their temporaries
-# stay in a core's cache and no complex temporary reaches NumPy's 256 KiB
-# elision threshold (an elided product is evaluated in place with its operands
-# swapped, which changes its bits). The orbit checks (annulus, spine-locus) run
-# each chunk of their lattice through the orbit kernel as one block. A check is
-# charged a fixed _CHUNK_BYTES for one chunk's temporaries, the kernel's working
-# set and spine_within's passes, plus the bytes per point of what it keeps at
-# full length. tracemalloc measured:
-# - _LATTICE_BYTES (image-ellipse, containment, winding, annulus): their radii
-#   and angles; at most 8 B per point above _CHUNK_BYTES (winding's four
-#   segments at 1 M samples);
-# - _SPINE_LOCUS_BYTES: its whole lattice, 16 B per point, for its one
-#   spine_within call, and its two masks; at most 44 B per point above
-#   _CHUNK_BYTES (at grid 100, where spine_within's passes weigh most), 19 B at
-#   grid 600.
-# Each charge is the next multiple of 16 B above what was measured.
+# Every sampled check takes its samples _CHUNK at a time, as points of polar
+# lattices that _lattice forms chunk by chunk. The geometry checks (image-
+# ellipse, containment, winding) evaluate each chunk's map and frame arithmetic,
+# so their temporaries stay in a core's cache and no complex temporary reaches
+# NumPy's 256 KiB elision threshold (an elided product is evaluated in place with
+# its operands swapped, which changes its bits). The orbit checks (annulus,
+# spine-locus) run each chunk through the orbit kernel as one block, spine-locus
+# after spine_within. A check is charged _CHUNK_BYTES for one chunk's
+# temporaries, the kernel's working set and spine_within's index and passes
+# (tracemalloc: at most 3.4 MiB for a whole spine-locus check, at n 3, t 10, eps
+# 1e-3, grid 160; 3.7 MiB for the kernel alone on 16,384-orbit blocks that all
+# stay bounded), plus _LATTICE_BYTES a point for radii and angles kept at full
+# length (at most 3.7 B a point above 2 MiB, image-ellipse at 1 M samples).
 _CHUNK = 8192
-_CHUNK_BYTES = _CHUNK * 256
+_CHUNK_BYTES = _CHUNK * 512
 _LATTICE_BYTES = 16
-_SPINE_LOCUS_BYTES = 48
 
 
-def _check_chunked(points: int, point_bytes: int, what: str) -> None:
-    check_memory_budget(_CHUNK_BYTES + points * point_bytes, what)
+def _check_chunked(points: int, what: str) -> None:
+    check_memory_budget(_CHUNK_BYTES + points * _LATTICE_BYTES, what)
 
 
 def _lattice(radii, angles):
@@ -165,7 +158,7 @@ def verify_image_ellipse(p: MapParams, k: int, samples: int = 1000) -> Verificat
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
-    _check_chunked(4 * samples, _LATTICE_BYTES, f"image-ellipse with {samples} samples per piece")
+    _check_chunked(4 * samples, f"image-ellipse with {samples} samples per piece")
     spec = ellipse_spec(p, 0)
     semi_major, semi_minor = spec.semi_major, spec.semi_minor
     arcs, rays = _uprime_boundary(p, k, samples, inset=0.0)
@@ -208,7 +201,7 @@ def verify_containment(p: MapParams, k: int, samples: int = 2000) -> Verificatio
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
-    _check_chunked(samples, _LATTICE_BYTES, f"containment with {samples} samples")
+    _check_chunked(samples, f"containment with {samples} samples")
     half_sign = 1 if k % 2 == 0 else -1
     spec = ellipse_spec(p, half_sign)  # refuses n >= 1024 before u_prime_rect refuses a
     rect = u_prime_rect(p, k)
@@ -281,19 +274,19 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
     """
     if boundary_samples < 256:
         raise ValueError(f"boundary_samples must be >= 256, got {boundary_samples}")
-    _check_chunked(boundary_samples, _LATTICE_BYTES,
-                   f"winding with {boundary_samples} boundary samples")
+    _check_chunked(boundary_samples, f"winding with {boundary_samples} boundary samples")
     n, c, wj = w.n, w.c, w.w_j
     rect = v_rect(w)
     r_in, r_out, th_c, hw = rect.r_inner, rect.r_outer, rect.arg_center, rect.arg_halfwidth
     lo, hi = th_c - hw, th_c + hw
     m = boundary_samples // 4
-    walk = itertools.chain(
-        _lattice([r_out], np.linspace(lo, hi, m, endpoint=False)),
-        _lattice(np.linspace(r_out, r_in, m, endpoint=False), [hi]),
-        _lattice([r_in], np.linspace(hi, lo, m, endpoint=False)),
-        _lattice(np.linspace(r_in, r_out, m, endpoint=False), [lo]),
-    )
+
+    def walk():
+        # each segment's radii and angles formed when the walk reaches it
+        yield from _lattice([r_out], np.linspace(lo, hi, m, endpoint=False))
+        yield from _lattice(np.linspace(r_out, r_in, m, endpoint=False), [hi])
+        yield from _lattice([r_in], np.linspace(hi, lo, m, endpoint=False))
+        yield from _lattice(np.linspace(r_in, r_out, m, endpoint=False), [lo])
 
     wjn = (wj - c) / 2.0
     if not abs(wjn) * sys.float_info.max > (r_out + abs(c)) / 2.0:  # |v - c| <= r_out + |c|
@@ -302,7 +295,7 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
 
     def angles():
         # each chunk's failures and worst margin, kept here, and the argument of v - xi
-        for vc in walk:
+        for vc in walk():
             half = (vc - c) / 2.0
             abs_half = np.abs(half)
             # The ellipse at each sample's parameter a(v) = ((v - c)/2)**2; for n >= 1024
@@ -331,7 +324,7 @@ def verify_winding(w: WRegionSpec, boundary_samples: int = 4096) -> Verification
 
     turns, max_step = _turns(angles())
     winding = round(turns)
-    failures = sum(failed) + (winding != 1) + (abs(turns - winding) >= 0.01)
+    failures = sum(failed) + (winding != 1)
     return VerificationReport(
         check_name="winding",
         params=_fmt_params(
@@ -370,7 +363,7 @@ def verify_annulus_escape(p: MapParams, grid: int = 64, max_iter: int = 1000) ->
     """
     if grid < 8:
         raise ValueError(f"grid must be >= 8, got {grid}")
-    _check_chunked(grid * grid, _LATTICE_BYTES, f"annulus with grid {grid}")
+    _check_chunked(grid * grid, f"annulus with grid {grid}")
     s = escape_radius(p)
     t = inner_radius(p)
     if not 2.0 * s < math.inf:
@@ -400,21 +393,21 @@ def verify_spine_locus(
     neighborhood of the spine: on a grid**2 polar lattice over the annulus
     (l(t)-eps, u(t)+eps), every parameter farther than eps from the sampled spine must
     have both critical orbits escape within max_iter. Near-spine lattice points are
-    exempt (the claim says nothing about them) but still counted in `samples`. A
-    lattice with no point beyond eps raises HypothesisError: it would certify
-    nothing. An eps for which 4*eps, which bounds spine_within's clearing
-    diameter, or 2|t|(u(t) + eps), which bounds c = t*a and the critical values
-    on the lattice, overflows binary64 raises ValueError. Each _CHUNK of the
-    lattice gives one orbit-kernel block, of its tested points' two critical
-    orbits, and only each block's failures and largest escape count are kept;
-    counts do not depend on the split, so neither does the report.
+    exempt (the claim says nothing about them) but still counted in `samples`. An
+    eps for which 4*eps, which bounds spine_within's clearing diameter, or
+    2|t|(u(t) + eps), which bounds c = t*a and the critical values on the
+    lattice, overflows binary64 raises ValueError. Each _lattice chunk's tested
+    points give one orbit-kernel block of their two critical orbits, and only
+    the tested count and each block's failures and largest escape count are
+    kept; none depends on the split, so neither does the report. A scan that
+    tested no point raises HypothesisError after it: it certified nothing.
     """
     check_exponent(n)
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if grid < 32:
         raise ValueError(f"grid must be >= 32, got {grid}")
-    _check_chunked(grid * grid, _SPINE_LOCUS_BYTES, f"spine-locus with grid {grid}")
+    _check_chunked(grid * grid, f"spine-locus with grid {grid}")
     t = complex(t)
     lo_r, hi_r = spine_radii(t)
     r_lo = max(lo_r - eps, 1e-9 * max(1.0, hi_r))
@@ -422,33 +415,31 @@ def verify_spine_locus(
     if not (4.0 * eps < math.inf and 2.0 * abs(t) * r_hi < math.inf):
         raise ValueError(f"eps = {eps!r} is too large: 4*eps or 2|t|(u(t) + eps), which bound "
                          "spine_within's clearing diameter and c = t*a, overflows binary64")
-    radii = np.linspace(r_lo, r_hi, grid)
-    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    a = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    tested = ~spine_within(SpineSpec(t), a, eps)
-    count = int(np.count_nonzero(tested))
+    spec, count = SpineSpec(t), 0
+
+    def blocks():
+        # a block per chunk: its tested points' v_plus orbits, then their v_minus
+        nonlocal count
+        for a in _lattice(np.linspace(r_lo, r_hi, grid),
+                          np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)):
+            a = a[~spine_within(spec, a, eps)]
+            count += a.size
+            if a.size:
+                yield tuple(map(np.concatenate, zip(*critical_blocks(a, t * a))))
+
+    failures, worst = _escape_margin(n, blocks(), max_iter, 2)
     if count == 0:
         raise HypothesisError(
             f"no lattice point lies farther than eps = {eps!r} from the spine of "
             f"t = {t!r}: the check would test nothing"
         )
-
-    def blocks():
-        # one block per chunk of the lattice: its tested points' v_plus orbits,
-        # then their v_minus orbits
-        for lo in range(0, a.size, _CHUNK):
-            a_c = a[lo:lo + _CHUNK][tested[lo:lo + _CHUNK]]
-            if a_c.size:
-                yield tuple(map(np.concatenate, zip(*critical_blocks(a_c, t * a_c))))
-
-    failures, worst = _escape_margin(n, blocks(), max_iter, 2)
     return VerificationReport(
         check_name="spine-locus",
         params=_fmt_params(
             n=n, t=t, eps=eps, grid=grid, max_iter=max_iter,
-            tested=count, skipped=a.size - count,
+            tested=count, skipped=grid * grid - count,
         ),
-        samples=int(a.size),
+        samples=grid * grid,
         failures=failures,
         worst_margin=worst,
     )

@@ -339,19 +339,20 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv, bound_mib", [
         ("--check containment --n 8 --c 6 --samples 200000", 1.38),
-        ("--check winding --n 8 --c 6 --samples 65536", 2.68),
+        ("--check winding --n 8 --c 6 --samples 65536", 2.27),
         ("--check annulus --n 4 --c 0,6 --a -13.122875503987459,2.008554506696609 "
          "--max-iter 1000 --samples 128", 1.05),
         ("--check annulus --n 4 --c 0,6 --a -7.068231743314014,3.172512758208529 "
          "--max-iter 1000 --samples 128", 1.05),
         ("--check spine-locus --n 20 --t 2.017228050435922,0.02732673218497765 "
-         "--eps 0.25 --max-iter 200 --samples 300", 4.55),
+         "--eps 0.25 --max-iter 200 --samples 300", 2.56),
     ])
     def test_certify_peaks(self, capsys, argv, bound_mib):
         # the five CSVs pinned above, the benchmark's verify ops, each within its
-        # traced peak plus 10% (1.25, 2.44, 0.95, 0.95 and 4.13 MiB): containment
-        # streams its boundary from _lattice, spine-locus streams its orbits
-        # through the kernel and winding keeps no whole walk
+        # traced peak plus 10% (1.25, 2.06, 0.95, 0.95 and 2.32 MiB): containment
+        # streams its boundary from _lattice, spine-locus its lattice through
+        # spine_within and the kernel, and winding forms each walk segment when
+        # the walk reaches it
         tracemalloc.start()
         try:
             assert main(["verify", *argv.split()]) in (0, 3)

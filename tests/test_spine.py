@@ -193,6 +193,13 @@ def _assert_matches_oracle(s, a, eps):
     assert got.dtype == bool and got.shape == want.shape
     bad = np.flatnonzero(got != want)
     assert bad.size == 0, (s, eps, a[bad[:5]])
+    # the same spec again, on two uneven pieces of a: the index it kept
+    # answers as the one it built
+    cut = max(1, a.size // 3)
+    again = np.concatenate([spine_within(s, a[:cut], eps), spine_within(s, a[cut:], eps)])
+    assert again.tobytes() == got.tobytes(), (s, eps)
+    fresh = SpineSpec(s.t, s.samples)  # the kept index is no field
+    assert (s, hash(s), repr(s)) == (fresh, hash(fresh), repr(fresh))
 
 
 class TestSpineWithin:

@@ -49,7 +49,6 @@ from mcmullen.errors import MEMORY_BUDGET_BYTES
 from mcmullen.verify import (
     _CHUNK_BYTES,
     _LATTICE_BYTES,
-    _SPINE_LOCUS_BYTES,
     _check_chunked,
     _lattice,
     _turns,
@@ -75,8 +74,7 @@ class TestMemoryBudget:
     def test_benchmark_sizes_fit(self):
         # what the benchmark's spine-locus grid, annulus grid and winding and
         # containment sample counts are charged
-        assert _CHUNK_BYTES + 300**2 * _SPINE_LOCUS_BYTES < MEMORY_BUDGET_BYTES
-        for points in (128**2, 65536, 200_000):
+        for points in (300**2, 128**2, 65536, 200_000):
             assert _CHUNK_BYTES + points * _LATTICE_BYTES < MEMORY_BUDGET_BYTES
 
     def test_readme_limits(self):
@@ -86,28 +84,28 @@ class TestMemoryBudget:
         text = " ".join(text[text.index("The size limits follow"):].split())
         stated = re.search(
             r"refused above about ([\d.]+) million for containment and winding and "
-            r"([\d.]+) million for image-ellipse, and the grid side of annulus above "
-            r"([\d,]+) and of spine-locus above ([\d,]+)\.", text)
+            r"([\d.]+) million for image-ellipse, and the grid side of annulus and "
+            r"spine-locus above ([\d,]+)\.", text)
         assert stated, "README's size-limit sentence changed; update this test with it"
-        assert "2 MiB for one chunk's temporaries" in text and _CHUNK_BYTES == 2 * 2**20
+        assert "4 MiB for one chunk's temporaries" in text and _CHUNK_BYTES == 4 * 2**20
+        assert "plus 16 B per point" in text and _LATTICE_BYTES == 16
         room = MEMORY_BUDGET_BYTES - _CHUNK_BYTES
         limits = {
-            "containment and winding": (room // _LATTICE_BYTES, _LATTICE_BYTES, stated[1]),
+            "containment and winding": (room // _LATTICE_BYTES, 1, stated[1]),
             # four points per --samples
-            "image-ellipse": (room // (4 * _LATTICE_BYTES), 4 * _LATTICE_BYTES, stated[2]),
+            "image-ellipse": (room // (4 * _LATTICE_BYTES), 4, stated[2]),
         }
-        for check, (limit, charge, millions) in limits.items():
+        for check, (limit, points, millions) in limits.items():
             decimals = len(millions.partition(".")[2])
             assert round(limit / 1e6, decimals) == float(millions), (check, limit)
-            _check_chunked(limit, charge, check)
+            _check_chunked(points * limit, check)
             with pytest.raises(ValueError, match="memory budget"):
-                _check_chunked(limit + 1, charge, check)
-        for side, charge in ((stated[3], _LATTICE_BYTES), (stated[4], _SPINE_LOCUS_BYTES)):
-            grid = math.isqrt(room // charge)
-            assert grid == int(side.replace(",", "")), charge
-            _check_chunked(grid * grid, charge, "grid")
-            with pytest.raises(ValueError, match="memory budget"):
-                _check_chunked((grid + 1) ** 2, charge, "grid")
+                _check_chunked(points * (limit + 1), check)
+        grid = math.isqrt(room // _LATTICE_BYTES)
+        assert grid == int(stated[3].replace(",", ""))
+        _check_chunked(grid * grid, "grid")
+        with pytest.raises(ValueError, match="memory budget"):
+            _check_chunked((grid + 1) ** 2, "grid")
 
     @pytest.mark.parametrize("check, samples, point_bytes, pinned_mib", [
         ("containment", 200_000, _LATTICE_BYTES, None),
@@ -115,18 +113,24 @@ class TestMemoryBudget:
         ("winding", 65_536, _LATTICE_BYTES, None),
         ("winding", 262_144, _LATTICE_BYTES, None),
         ("image-ellipse", 50_000, 4 * _LATTICE_BYTES, None),  # four points per sample
-        ("spine-locus", 300**2, _SPINE_LOCUS_BYTES, None),  # grid**2 lattice points
-        ("spine-locus", 600**2, _SPINE_LOCUS_BYTES, None),
         ("annulus", 128**2, _LATTICE_BYTES, None),
         ("annulus", 256**2, _LATTICE_BYTES, None),
         # and within their traced peaks plus 10%, as they stream _lattice's chunks
         ("image-ellipse", 1_000_000, 4 * _LATTICE_BYTES, 17.8),
         ("containment", 4_000_000, _LATTICE_BYTES, 9.2),
+        ("winding", 1_000_000, _LATTICE_BYTES, 4.2),
         ("annulus", 1000**2, _LATTICE_BYTES, 1.03),
+        ("spine-locus", 300**2, _LATTICE_BYTES, 2.51),  # grid**2 lattice points
+        ("spine-locus", 600**2, _LATTICE_BYTES, 2.62),
+        ("spine-locus", 1000**2, _LATTICE_BYTES, 2.78),
+        # where bounded orbits hold kernel blocks open, the kernel's working set
+        # sets the peak; the fixed charge covers it
+        ("bounded spine-locus", 160**2, _LATTICE_BYTES, None),
     ])
     def test_peak_within_estimate(self, check, samples, point_bytes, pinned_mib):
         # every check's traced peak stays within what the budget charges: one
-        # chunk's temporaries plus the per-point arrays kept at full length
+        # chunk's temporaries and the kernel's working set, plus the per-point
+        # arrays kept at full length
         spec = fixed_critical_params(8, 6 + 0j)[0]
         p = MapParams(8, spec.a_j, 6 + 0j)
         grid = math.isqrt(samples)
@@ -135,6 +139,7 @@ class TestMemoryBudget:
             "winding": lambda: verify_winding(spec, samples),
             "image-ellipse": lambda: verify_image_ellipse(p, spec.k, samples),
             "spine-locus": lambda: verify_spine_locus(20, 2 + 0j, 0.25, grid=grid),
+            "bounded spine-locus": lambda: verify_spine_locus(3, 10 + 0j, 1e-3, grid=grid),
             "annulus": lambda: verify_annulus_escape(p, grid=grid),
         }[check]
         tracemalloc.start()
@@ -330,6 +335,7 @@ class TestWindingSum:
         for chunk in (None, *self.CHUNKS):
             turns, max_step = winding_turns(loop) if chunk is None else _streamed(loop, chunk)
             assert turns == pytest.approx(1.0, abs=1e-12)
+            assert abs(turns - round(turns)) <= 1e-9  # a closed loop's steps telescope
             assert max_step == pytest.approx(2 * math.pi / 64, rel=1e-12)
         assert winding_turns([1 + 0j, 1 + 0j, 1 + 0j]) == (0.0, 0.0)
         assert _streamed([1 + 0j, 1 + 0j, 1 + 0j], 2) == (0.0, 0.0)
@@ -353,6 +359,9 @@ class TestWindingSum:
             want_turns, want_max = winding_turns(loop)
             assert max_step == want_max, winds
             assert turns == pytest.approx(want_turns, abs=1e-13) and round(turns) == winds
+            # the raw steps telescope to 0, so the wrapped sum is a whole number
+            # of turns up to rounding: winding needs no rule for a fraction
+            assert abs(turns - round(turns)) <= 1e-9, winds
             assert max_step == pytest.approx(1.5, abs=1e-9), winds
 
     def test_undersampling_guard(self):
@@ -508,6 +517,23 @@ class TestSpineLocus:
         # them overflows; the check runs with no warning
         r = verify_spine_locus(4, 1.5e-154 + 0j, 0.25, grid=32)
         assert r.passed and r.samples == 1024
+
+    def test_empty_scan(self, monkeypatch):
+        # with every point exempt the scan tests nothing: HypothesisError comes
+        # after it, so the orbit kernel refuses an invalid max_iter first
+        scanned = []
+
+        def exempt(s, a, eps):
+            scanned.append(a.size)
+            return np.ones(a.size, dtype=bool)
+
+        monkeypatch.setattr(verify, "spine_within", exempt)
+        with pytest.raises(HypothesisError, match="the check would test nothing"):
+            verify_spine_locus(20, 2 + 0j, 0.25, grid=100, max_iter=200)
+        assert sum(scanned) == 100**2
+        with pytest.raises(ValueError, match="max_iter must be an integer") as err:
+            verify_spine_locus(20, 2 + 0j, 0.25, grid=100, max_iter=0)
+        assert not isinstance(err.value, HypothesisError)
 
     def test_validation(self):
         with pytest.raises(ValueError):
