@@ -30,7 +30,7 @@ from .errors import (
     RootFindingError,
     UnderSamplingError,
 )
-from .family import MapParams, check_modulus, fixed_point_residual, inner_radius, safe_abs
+from .family import MapParams, check_modulus, inner_radius, safe_abs
 from .regions import ellipse_semi_axes, l_c_rect, polar_contains, sector_index, w_region_contains
 from .render import (
     Diagonal,
@@ -42,7 +42,7 @@ from .render import (
     _ppm_header,
     render_slice,
 )
-from .solvers import diagonal_fixed_params, fixed_critical_params
+from .solvers import _diagonal_rows, fixed_critical_params
 from .spine import SpineSpec, spine_points
 from .verify import (
     reports_to_csv,
@@ -321,13 +321,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_centers(args: argparse.Namespace) -> int:
     n = args.n
     if args.c is not None:
-        rows = [(s.w_j, s.a_j, s.k, args.c) for s in fixed_critical_params(n, args.c)]
+        rows = [(s.w_j, s.a_j, s.k, s.residual) for s in fixed_critical_params(n, args.c)]
     else:
-        pairs = diagonal_fixed_params(n, args.t)
-        rows = [(w, a, sector_index(n, w, a), args.t * a) for w, a in pairs]
+        rows = [(w, a, sector_index(n, w, a), residual)
+                for w, a, residual in _diagonal_rows(n, args.t)]
     lines = ["j,k,re_w,im_w,re_a,im_a,residual"]
-    for j, (w, a, k, c) in enumerate(rows):
-        residual = fixed_point_residual(MapParams(n, a, c), w)[0]
+    for j, (w, a, k, residual) in enumerate(rows):
         lines.append(f"{j},{k},{w.real!r},{w.imag!r},{a.real!r},{a.imag!r},{residual!r}")
     _emit(["\n".join(lines) + "\n"], args.out)
     return 0

@@ -199,11 +199,16 @@ def fixed_point_residual(p: MapParams, w: complex) -> tuple[float, float]:
     terms R(w) - w adds, as the rounding error of evaluating them does. w = 0
     raises PoleError; a residual that is not finite gets the bound 0."""
     w = complex(w)
-    residual = safe_abs(eval_map(p, w) - w)
-    if not math.isfinite(residual):  # R(w) overflowed, or w**n underflowed to 0
-        return residual, 0.0
+    if w == 0:
+        raise PoleError("the map has a pole at z = 0")
     zn = pow_int(w, p.n)
-    terms = safe_abs(zn) + safe_abs(p.a / zn) + safe_abs(p.c) + safe_abs(w)
+    if zn == 0:  # w**n underflowed, where eval_map gives inf
+        return math.inf, 0.0
+    quotient = p.a / zn
+    residual = safe_abs(zn + quotient + p.c - w)  # eval_map's R(w), less w
+    if not math.isfinite(residual):  # R(w) overflowed
+        return residual, 0.0
+    terms = safe_abs(zn) + safe_abs(quotient) + safe_abs(p.c) + safe_abs(w)
     return residual, 1e-8 * max(1.0, terms)
 
 

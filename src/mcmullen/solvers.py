@@ -25,9 +25,9 @@ from .regions import WRegionSpec, sector_index
 PolyCoeffs = Sequence[complex]
 
 _MAX_SWEEPS = 200
-# Peak bytes per d**2, measured with tracemalloc: 17 for one Aberth sweep (the d x d
-# complex reciprocal matrix and its zero mask), 24 for the d x d comparison of the
-# centers dedupe that follows it; the budget takes the larger.
+# Peak bytes per d**2, measured with tracemalloc: 16 for the Aberth sweeps (the one
+# d x d complex reciprocal matrix that poly_roots reuses across them), 24 for the
+# d x d comparison of the centers dedupe that follows it; the budget takes the larger.
 _BYTES_PER_D2 = 24
 # Relative tolerance within which the slice solvers count two a-values as one.
 _DEDUPE_TOL = 1e-9
@@ -50,13 +50,56 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _horner_steps(monic: np.ndarray) -> list[tuple[complex, complex]]:
+    """The Horner coefficients of a monic p and of p', paired by step for
+    _sweep_values: p' runs one step behind p, so its first step adds nothing."""
+    d = monic.size - 1
+    deriv = monic[:-1] * np.arange(d, 0, -1)
+    return list(zip(monic.tolist(), [0j] + deriv.tolist()))
+
+
+def _sweep_values(steps: list[tuple[complex, complex]], z: np.ndarray):
+    """(p(z), p'(z)) as the two _horner calls give them, bit for bit, from one Horner
+    pass over an array that holds p in its first half and p' in its second: one
+    multiply per step, and each half's coefficient added only where it is nonzero."""
+    d = z.size
+    y = np.zeros(2 * d, dtype=complex)
+    zz = np.concatenate([z, z])
+    pv, dv = y[:d], y[d:]
+    for coeff, coeff_d in steps:
+        np.multiply(y, zz, out=y)
+        if coeff:
+            pv += coeff
+        if coeff_d:
+            dv += coeff_d
+    return pv, dv
+
+
+def _sweep_sums(z: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1/(z_i - z_j) for each i, with diff as the d x d scratch matrix.
+    An exact zero z_i - z_j counts as 1e-300; only a row whose sum comes out not
+    finite can hold one, so only such rows are summed again with that substitution."""
+    np.subtract(z[:, None], z[None, :], out=diff)
+    np.fill_diagonal(diff, 1.0)
+    s = np.divide(1.0, diff, out=diff).sum(axis=1)
+    for i in np.flatnonzero(~np.isfinite(s)):
+        row = z[i] - z
+        row[i] = 1.0
+        row[row == 0] = 1e-300
+        s[i] = np.divide(1.0, row, out=row).sum()
+    s -= 1.0
+    return s
+
+
 def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
     """All d roots (with multiplicity) of a degree-d polynomial, via simultaneous
     Aberth-Ehrlich iteration.
 
     Initial guesses sit evenly on the circle of radius |c_0/c_d|**(1/d), the geometric
     mean of the root moduli (radius 1 when the constant term is 0), at angles
-    (2*pi*k + 0.7)/d, so output is reproducible. Each returned root r satisfies
+    (2*pi*k + 0.7)/d, so output is reproducible. Each sweep evaluates p and p' in one
+    Horner pass (_sweep_values) and fills one d x d reciprocal matrix, allocated once
+    per call (_sweep_sums). Each returned root r satisfies
     |p(r)| <= _ROOT_TOL * max(1 + max_j |c_j|, sum_j |c_j| * |r|**j), a bound that grows
     with the terms evaluated at r (the moduli of large roots), else RootFindingError
     carries the residuals and bounds of up to three failing roots, worst first.
@@ -72,22 +115,18 @@ def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
     coeff_arr = np.array(c, dtype=complex)
     max_mod = float(np.max(np.abs(coeff_arr)))
     monic = coeff_arr / coeff_arr[0]
-    deriv = monic[:-1] * np.arange(d, 0, -1)
+    steps = _horner_steps(monic)
+    diff = np.empty((d, d), dtype=complex)
 
     radius = abs(c[-1] / c[0]) ** (1.0 / d) if c[-1] != 0 else 1.0
     z = radius * np.exp(1j * (2.0 * math.pi * np.arange(d) + 0.7) / d)
 
     with np.errstate(all="ignore"):
         for _ in range(_MAX_SWEEPS):
-            pv = _horner(monic, z)
-            dv = _horner(deriv, z)
+            pv, dv = _sweep_values(steps, z)
             dv = np.where(dv == 0, 1e-300, dv)
             w = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            diff[diff == 0] = 1e-300
-            s = np.divide(1.0, diff, out=diff).sum(axis=1) - 1.0
-            del diff
+            s = _sweep_sums(z, diff)
             denom = 1.0 - w * s
             denom = np.where(denom == 0, 1e-300, denom)
             delta = w / denom
@@ -188,6 +227,12 @@ def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
     t*w**n near -2 at small |t|, the a near 0 at large |t|) the list would be
     incomplete, and InconsistencyError names t instead.
     """
+    return [(w, a) for w, a, _ in _diagonal_rows(n, t)]
+
+
+def _diagonal_rows(n: int, t: complex) -> list[tuple[complex, complex, float]]:
+    """diagonal_fixed_params' pairs, each with the residual |R(w) - w| of its
+    fixed-point check: (w, a, residual)."""
     check_exponent(n)
     # For a small |t|, n of the roots have t*w**n near -2, so their a = w**(2n) is
     # near 4/|t|**2; where that overflows no sweep converges.
@@ -199,6 +244,7 @@ def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
             f"t = {t!r}: {2 * n - 1 - len(kept)} of the {2 * n - 1} centers have an "
             "a-value within the dedupe tolerance of another's, so the list is incomplete"
         )
+    rows = []
     for w, a in kept:
         residual, bound = fixed_point_residual(MapParams(n, a, t * a), w)
         if not residual <= bound:
@@ -206,4 +252,5 @@ def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
                 f"diagonal root w = {w} is not fixed by (n={n}, a={a}, c=t*a): "
                 f"residual {residual:.3e} exceeds {bound:.3e}"
             )
-    return kept
+        rows.append((w, a, residual))
+    return rows

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from _edge_values import complex_value, real
 from mcmullen import cli, spine
 from mcmullen.cli import main
-from mcmullen.family import MapParams, escape_radius, iterate_orbit
+from mcmullen.family import MapParams, escape_radius, fixed_point_residual, iterate_orbit
 from mcmullen.render import (
     FixedC,
     RenderConfig,
@@ -674,6 +674,42 @@ class TestCentersCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "973077f50ae6acb25e590030a1c74f1e9462ee536cbae0de496d032f6aaece21"
         )
+
+    @pytest.mark.parametrize("flag, value, n, digest", [
+        ("--c", "0.0,6.0", 48, "05cf7216b66c9a17275533f33a977f945242b90ed19119e6e57ca7caf3701a4a"),
+        ("--c", "0.0,6.0", 96, "a6eecbfbc65d4c5db0a69306775c090eeb6129ac6ab554fa912be44589f9224e"),
+        ("--c", "0.0,6.0", 144, "f63af3d6f90e1d4988afb182cea6ccf5702193a36c5c0561ee58b5d7f6439c25"),
+        ("--c", "0.0,6.0", 190, "70aebd33d24fb52dfdb4c1942a9fe2d84bc8a8c70f2a56723a172ec89fa9cbd7"),
+        ("--t", "2.0,0.0", 48, "9ed2d7fa321628d927b77f9128e0acdb48ab24a281871766618db84578570bd3"),
+        ("--t", "2.0,0.0", 96, "67a0d820f6cda1f114972eb4610e7d69aa59da1369d410b3b328df68fa54fe89"),
+        ("--t", "2.0,0.0", 144, "efe8e130c94df4c88439535b06c506073394380af1ca98ec5d3397725cc4e9f6"),
+        ("--t", "2.0,0.0", 190, "81b251782ac45c6d35609e072bd20d80bb4a636990e1def1076bfe3043f3f1c8"),
+    ])
+    def test_bench_centers_bytes_unchanged(self, tmp_path, capsys, flag, value, n, digest):
+        # the certify workload's eight centers argvs; sha256 of each CSV as written
+        # before poly_roots evaluated p and p' in one Horner pass
+        dest = tmp_path / "centers.csv"
+        code, _, _ = run(capsys, "centers", "--n", str(n), flag, value, "--out", str(dest))
+        assert code == 0
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flag, value, n", [
+        ("--c", "6,0", 3), ("--c", "0,6", 5), ("--c", "0.5,0", 3), ("--c", "0,6", 48),
+        ("--t", "1,0", 3), ("--t", "2,0", 3), ("--t", "1,0", 48), ("--t", "2,0", 48),
+    ])
+    def test_residual_column_is_the_fixed_point_residual(self, capsys, flag, value, n):
+        # the solvers hand their fixed-point check's residual to the CSV; it must
+        # be the residual of the row's own (n, a, c), c the slice's c or t*a
+        code, out, _ = run(capsys, "centers", "--n", str(n), flag, value)
+        assert code == 0
+        param = complex(*map(float, value.split(",")))
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == (n if flag == "--c" else 2 * n - 1)
+        for row in rows:
+            _, _, re_w, im_w, re_a, im_a, residual = row.split(",")
+            w, a = complex(float(re_w), float(im_w)), complex(float(re_a), float(im_a))
+            c = param if flag == "--c" else param * a
+            assert float(residual) == fixed_point_residual(MapParams(n, a, c), w)[0]
 
     def test_memory_budget_exit_2(self, capsys):
         code, out, err = run(capsys, "centers", "--n", "5000", "--t", "2")

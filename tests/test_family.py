@@ -1,5 +1,6 @@
 """Core map family: branch conventions, critical data, orbit iteration."""
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -39,6 +40,7 @@ from mcmullen.spine import SpineSpec, spine_radii
 from mcmullen.verify import verify_spine_locus, verify_vminus_sign
 
 from _closed_forms import critical_points
+from _edge_values import EXTREME, ORDINARY, complex_value
 
 RNG = np.random.default_rng(20260816)
 
@@ -65,6 +67,27 @@ def where_principal_sqrt(a):
     replaces a zero imaginary part by +0.0."""
     a = np.asarray(a, dtype=complex)
     return np.sqrt(np.where(a.imag == 0.0, a.real + 0.0j, a))
+
+
+def residual_by_eval_map(p, w):
+    """fixed_point_residual as first written: R(w) from eval_map, then w**n and
+    a/w**n formed a second time for the bound."""
+    w = complex(w)
+    residual = safe_abs(eval_map(p, w) - w)
+    if not math.isfinite(residual):
+        return residual, 0.0
+    zn = pow_int(w, p.n)
+    terms = safe_abs(zn) + safe_abs(p.a / zn) + safe_abs(p.c) + safe_abs(w)
+    return residual, 1e-8 * max(1.0, terms)
+
+
+def fixed_point_outcome(residual_fn, p, w):
+    """repr of residual_fn(p, w), which tells nan and -0.0 apart, or the error it
+    raises."""
+    try:
+        return repr(residual_fn(p, w))
+    except PoleError as exc:
+        return f"PoleError: {exc}"
 
 
 def bits(x):
@@ -246,8 +269,32 @@ class TestMapEvaluation:
         for w in (1e-200 + 0j, 1e200 + 0j):
             residual, bound = fixed_point_residual(p, w)
             assert not math.isfinite(residual) and bound == 0.0
+        assert fixed_point_residual(p, 1e-200 + 0j) == (math.inf, 0.0)
+        assert fixed_point_residual(p, 5e-324j) == (math.inf, 0.0)
         with pytest.raises(PoleError):
             fixed_point_residual(p, 0j)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([3, 4, 7, 48]), a=complex_value, c=complex_value, w=complex_value)
+    def test_fixed_point_residual_matches_the_eval_map_form(self, n, a, c, w):
+        # one w**n and one a/w**n give the residual and bound bit for bit as
+        # eval_map's R(w) and a second w**n and a/w**n did
+        try:
+            p = MapParams(n, a, c)
+        except ValueError:
+            return
+        assert fixed_point_outcome(fixed_point_residual, p, w) == \
+            fixed_point_outcome(residual_by_eval_map, p, w)
+
+    def test_fixed_point_residual_matches_on_every_edge_magnitude(self):
+        magnitudes = [m for x in ORDINARY + EXTREME for m in (x, -x)]
+        for n, (a, c) in itertools.product((3, 48), ((2 + 0j, 0.5 + 0j), (1e-300j, 6.0 + 0j),
+                                                      (1e300 + 0j, -1e154 + 1e154j))):
+            p = MapParams(n, a, c)
+            for x, y in itertools.product(magnitudes, (0.0, -0.0, 1e-8, 1.0, 1e154, math.nan)):
+                for w in (complex(x, y), complex(y, x)):
+                    assert fixed_point_outcome(fixed_point_residual, p, w) == \
+                        fixed_point_outcome(residual_by_eval_map, p, w)
 
     def test_critical_points_count_and_equation(self):
         rng = np.random.default_rng(5)

@@ -129,7 +129,7 @@ class TestPolyRoots:
         assert poly_roots([2, 3, 0, 0]) == pytest.approx([-1.5, 0j, 0j], abs=1e-7)
 
     def test_memory_budget(self):
-        # each sweep forms d x d complex matrices: refused before any is allocated
+        # the sweep keeps a d x d complex matrix: refused before it is allocated
         with pytest.raises(ValueError, match="memory budget"):
             poly_roots([1] + [0] * 9998 + [-1])
 
@@ -158,6 +158,95 @@ class TestPolyRoots:
         ratios = [r / b for r, b in zip(residuals, bounds)]
         assert all(q > 1 for q in ratios)
         assert ratios == sorted(ratios, reverse=True)  # worst first
+
+
+def sweep_oracle(monic, z):
+    """One Aberth sweep's p(z), p'(z) and row sums sum_{j != i} 1/(z_i - z_j) as
+    poly_roots first formed them: two _horner calls, then a new d x d reciprocal
+    matrix whose exact zeros are masked to 1e-300."""
+    deriv = monic[:-1] * np.arange(monic.size - 1, 0, -1)
+    pv, dv = solvers._horner(monic, z), solvers._horner(deriv, z)
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    diff[diff == 0] = 1e-300
+    return pv, dv, np.divide(1.0, diff, out=diff).sum(axis=1) - 1.0
+
+
+def sweep(monic, z):
+    """The same three arrays from the one-pass Horner and the reused matrix."""
+    pv, dv = solvers._sweep_values(solvers._horner_steps(monic), z)
+    diff = np.full((z.size, z.size), np.nan + 0j)  # stale contents must not leak in
+    return pv, dv, solvers._sweep_sums(z, diff)
+
+
+def assert_sweep_matches_oracle(monic, z):
+    for got, want in zip(sweep(monic, z), sweep_oracle(monic, z)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def slice_polys(d, rng):
+    """Monic polynomials of degree d: the fixed-c trinomial (c = 6i), the diagonal
+    one (t = 2) where d is odd, and a dense one."""
+    polys = [[2.0] + [0.0] * (d - 2) + [-1.0, 6j],
+             rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)]
+    if d % 2:
+        n = (d + 1) // 2
+        polys.append([2.0] + [0.0] * (n - 1) + [2.0] + [0.0] * (n - 2) + [-1.0])
+    return [np.asarray(cf, dtype=complex) / complex(cf[0]) for cf in polys]
+
+
+class TestAberthSweep:
+    """poly_roots' sweep against the formulas it replaced, bit for bit."""
+
+    def test_degrees_3_to_400(self):
+        rng = np.random.default_rng(29)
+        for d in range(3, 401):
+            # the seed circle at even d, a scattered set as later sweeps see it at odd
+            if d % 2:
+                z = rng.normal(size=d) + 1j * rng.normal(size=d)
+            else:
+                z = 1.3 * np.exp(1j * (2.0 * math.pi * np.arange(d) + 0.7) / d)
+            for monic in slice_polys(d, rng):
+                assert_sweep_matches_oracle(monic, z)
+
+    def test_coinciding_iterates_take_the_row_redo(self):
+        rng = np.random.default_rng(7)
+        monic = slice_polys(9, rng)[1]
+        z = rng.normal(size=9) + 1j * rng.normal(size=9)
+        z[[4, 6]] = z[1]  # three iterates at one point
+        z[7], z[8] = 1.5 + 0.0j, complex(1.5, -0.0)  # equal, with zeros of both signs
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        with np.errstate(all="ignore"):
+            raw = (1.0 / diff).sum(axis=1)
+            # the rows holding an exact zero are the ones whose sum is not finite
+            assert np.flatnonzero(~np.isfinite(raw)).tolist() == [1, 4, 6, 7, 8]
+            assert_sweep_matches_oracle(monic, z)
+
+    def test_signed_zeros_on_the_axes(self):
+        # zeros of both signs, axis points and tiny moduli whose products underflow
+        # make Horner steps of exact zeros, where adding a zero coefficient would
+        # turn a -0.0 into +0.0; a zero constant term (z**d - z) keeps that sign
+        rng = np.random.default_rng(13)
+        z = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                      -1e-200 + 0j, complex(0.0, -1e-200), -2.0 + 0j, 1.5j,
+                      complex(-3e-170, 3e-170)])
+        for d in (3, 8, 9, 48):
+            zero_tail = np.array([1.0] + [0.0] * (d - 2) + [-1.0, 0.0], dtype=complex)
+            for monic in [*slice_polys(d, rng), zero_tail]:
+                with np.errstate(all="ignore"):
+                    assert_sweep_matches_oracle(monic, np.resize(z, d))
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, -math.inf),
+                                     complex(math.nan, 1.0), complex(math.inf, math.nan)])
+    def test_one_non_finite_iterate(self, bad):
+        rng = np.random.default_rng(11)
+        for d in (3, 8, 48):
+            for monic in slice_polys(d, rng):
+                z = rng.normal(size=d) + 1j * rng.normal(size=d)
+                z[d // 2] = bad
+                with np.errstate(all="ignore"):
+                    assert_sweep_matches_oracle(monic, z)
 
 
 class TestFixedCriticalParams:
