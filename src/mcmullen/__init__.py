@@ -56,7 +56,6 @@ from .render import (
 from .solvers import (
     diagonal_fixed_params,
     fixed_critical_params,
-    poly_roots,
 )
 from .spine import (
     SpineSpec,

@@ -8,7 +8,8 @@ verification ran and failed.
 
 The parser states the flags each subcommand must be given, and _NEEDS those
 each --slice and --check reads besides; a missing flag exits 2 with a message
-naming it.
+naming it. main parses with one parser per process, built at its first call;
+build_parser() returns a new one.
 
 Complex flags are written "re,im" (a bare real is also accepted); --view is
 "re_min,re_max,im_min,im_max"; --size is "WIDTHxHEIGHT". All subcommands write CSV
@@ -18,6 +19,7 @@ output is a pure function of the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -353,10 +355,16 @@ def _spine_csv(theta, plus, minus):
             yield "".join(f"{th!r},{branch},{z.real!r},{z.imag!r}\n" for th, z in rows)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main parses with: built at its first call, not at import, and
+    then kept, since parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -25,13 +25,13 @@ from .regions import WRegionSpec, sector_index
 PolyCoeffs = Sequence[complex]
 
 _MAX_SWEEPS = 200
-# Peak bytes per d**2, measured with tracemalloc: 16 for the Aberth sweeps (the one
-# d x d complex reciprocal matrix that poly_roots reuses across them), 24 for the
-# d x d comparison of the centers dedupe that follows it; the budget takes the larger.
-_BYTES_PER_D2 = 24
+# Peak bytes per d**2 of a centers solve, measured with tracemalloc: 17.2, 16.5 and
+# 16.3 at d = 600, 1000 and 1500, nearly all of it the one d x d complex reciprocal
+# matrix that _poly_roots reuses across its sweeps (the dedupe after it is O(d)).
+_BYTES_PER_D2 = 18
 # Relative tolerance within which the slice solvers count two a-values as one.
 _DEDUPE_TOL = 1e-9
-# Relative residual bound of an accepted root (see poly_roots).
+# Relative residual bound of an accepted root (see _poly_roots).
 _ROOT_TOL = 1e-12
 # The |c| from which the fixed-c centers' a, about |c|**2/4, is at least twice
 # the float limit, so a component of it overflows: about 3.79e154.
@@ -91,9 +91,10 @@ def _sweep_sums(z: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return s
 
 
-def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
+def _poly_roots(coeffs: PolyCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All d roots (with multiplicity) of a degree-d polynomial, via simultaneous
-    Aberth-Ehrlich iteration.
+    Aberth-Ehrlich iteration, with the one Horner pair of their acceptance check:
+    (roots, |p(r)|, sum_j |c_j| * |r|**j), each sorted by the roots' (Re, Im).
 
     Initial guesses sit evenly on the circle of radius |c_0/c_d|**(1/d), the geometric
     mean of the root moduli (radius 1 when the constant term is 0), at angles
@@ -103,7 +104,6 @@ def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
     |p(r)| <= _ROOT_TOL * max(1 + max_j |c_j|, sum_j |c_j| * |r|**j), a bound that grows
     with the terms evaluated at r (the moduli of large roots), else RootFindingError
     carries the residuals and bounds of up to three failing roots, worst first.
-    Roots are sorted by (Re, Im).
     """
     c = [complex(x) for x in coeffs]
     if len(c) < 2:
@@ -134,7 +134,8 @@ def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
             if np.all(np.abs(delta) <= 1e-14 * (1.0 + np.abs(z))):
                 break
         residuals = np.abs(_horner(coeff_arr, z))
-        bound = _ROOT_TOL * np.maximum(1.0 + max_mod, _horner(np.abs(coeff_arr), np.abs(z)))
+        terms = _horner(np.abs(coeff_arr), np.abs(z))
+        bound = _ROOT_TOL * np.maximum(1.0 + max_mod, terms)
         failing = np.flatnonzero(~(np.isfinite(residuals) & (residuals <= bound)))
         ratio = np.nan_to_num(residuals[failing] / bound[failing], nan=np.inf)
     if failing.size:
@@ -144,41 +145,60 @@ def poly_roots(coeffs: PolyCoeffs) -> list[complex]:
             f"roots fail; worst residuals {residuals[worst].tolist()} exceed bounds "
             f"{bound[worst].tolist()}"
         )
-    return sorted((complex(r) for r in z), key=lambda r: (r.real, r.imag))
+    order = np.lexsort((z.imag, z.real))
+    return z[order], residuals[order], terms[order]
+
+
+def _dedupe(a: np.ndarray, scale: np.ndarray, by_re: np.ndarray) -> np.ndarray:
+    """Which a-values to keep: each, in index order, unless |a_i - a_j| <=
+    max(scale_i, scale_j) for an earlier kept a_j. by_re sorts a by Re. A close
+    pair is at most max(scale) apart in Re, and the Re gap of pairs k places apart
+    in by_re only grows with k, so offsets k = 1, 2, ... are compared until one has
+    no pair within max(scale) in Re: O(d log d) for a-values spread out in Re."""
+    re, reach = a.real[by_re], scale.max(initial=0.0)
+    later, earlier = [], []
+    for k in range(1, a.size):
+        near = np.flatnonzero(re[k:] - re[:-k] <= reach)
+        if not near.size:
+            break
+        i, j = by_re[near + k], by_re[near]
+        close = np.abs(a[i] - a[j]) <= np.maximum(scale[i], scale[j])
+        later.extend(np.maximum(i, j)[close].tolist())
+        earlier.extend(np.minimum(i, j)[close].tolist())
+    keep = np.ones(a.size, dtype=bool)
+    for i, j in sorted(zip(later, earlier)):  # keep[j], j < i, is final at i
+        if keep[j]:
+            keep[i] = False
+    return keep
 
 
 def _centers(n: int, coeffs: PolyCoeffs, param: str) -> list[tuple[complex, complex]]:
     """The slices' one centers pipeline: roots w != 0 of coeffs, paired with
     a = w**(2n); a pair is dropped when its a equals an already kept pair's a within
-    relative _DEDUPE_TOL (|a - b| <= _DEDUPE_TOL * max(1, |a|, |b|)). The kept pairs are
+    relative _DEDUPE_TOL (|a - b| <= _DEDUPE_TOL * max(1, |a|, |b|)), compared only
+    with its neighbours in Re order (_dedupe). The kept pairs are
     sorted by (Re a, Im a), where Re parts equal within that tolerance count as equal,
     so each conjugate pair of a-values is adjacent with Im a < 0 first. An a that is
     0 or not finite raises ValueError naming the slice's parameter, param ("c = ..."
     or "t = ..."). A root, 0 included, with |p(w)| above _ROOT_TOL * sum_j |c_j| |w|**j
-    (poly_roots' bound without its absolute floor, which accepts a wrong root of
-    tiny modulus at a tiny |c|) raises RootFindingError naming param."""
-    roots = poly_roots(coeffs)
-    pairs = [(w, pow_int(w, 2 * n)) for w in roots if w != 0]
+    (_poly_roots' bound without its absolute floor, which accepts a wrong root of
+    tiny modulus at a tiny |c|) raises RootFindingError naming param; both bounds
+    read the one Horner pair that _poly_roots evaluates."""
+    roots, residual, terms = _poly_roots(coeffs)
+    pairs = [(w, pow_int(w, 2 * n)) for w in roots.tolist() if w != 0]
     if any(b == 0 or not cmath.isfinite(b) for _, b in pairs):
         raise ValueError(f"{param} puts a center's a = w**(2n) outside binary64: "
                          "0 or not finite")
-    c, w = np.array(coeffs, dtype=complex), np.array(roots)
-    with np.errstate(all="ignore"):
-        residual, bound = np.abs(_horner(c, w)), _ROOT_TOL * _horner(np.abs(c), np.abs(w))
+    bound = _ROOT_TOL * terms
     failing = np.flatnonzero(~(residual <= bound))
     if failing.size:
         i = failing[0]
-        raise RootFindingError(f"{param}: root w = {roots[i]!r} has residual {residual[i]:.3e} "
-                               f"above its relative bound {bound[i]:.3e}")
+        raise RootFindingError(f"{param}: root w = {complex(roots[i])!r} has residual "
+                               f"{residual[i]:.3e} above its relative bound {bound[i]:.3e}")
     a = np.array([b for _, b in pairs], dtype=complex)
     scale = _DEDUPE_TOL * np.maximum(1.0, np.abs(a))
-    # close[i, j]: pair j < i has an a-value within tolerance of pair i's
-    close = np.tril(np.abs(a[:, None] - a[None, :]) <= np.maximum.outer(scale, scale), -1)
-    keep = np.ones(a.size, dtype=bool)
-    for i in np.flatnonzero(close.any(axis=1)):  # only pairs near an earlier one
-        keep[i] = not (close[i] & keep).any()
-    kept = np.flatnonzero(keep)
-    by_re = kept[np.argsort(a.real[kept], kind="stable")]
+    by_re = np.argsort(a.real, kind="stable")
+    by_re = by_re[_dedupe(a, scale, by_re)[by_re]]
     tied = np.diff(a.real[by_re]) <= np.maximum(scale[by_re[1:]], scale[by_re[:-1]])
     group = np.concatenate([[0], np.cumsum(~tied)])
     return [pairs[i] for i in by_re[np.lexsort((a.imag[by_re], group))]]

@@ -2,8 +2,11 @@
 import contextlib
 import hashlib
 import io
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -37,6 +40,8 @@ from mcmullen.verify import (
     verify_vminus_sign,
     verify_winding,
 )
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -574,6 +579,72 @@ class TestVerifyCommand:
         assert stdout == ""
 
 
+_SOLVER = "mcmullen: solver failure: "
+_INVALID = "mcmullen: invalid arguments: "
+
+# centers argvs with their exit code, stderr and CSV sha256 (None: no file), as
+# taken before the solver handed its residuals to _centers and the dedupe compared
+# only Re-order neighbours: the dedupe merges, the tiny-|c| and tiny-|t| refusals,
+# the overflow refusal, small and complex c, and the real slices at n = 3 to 8.
+_CENTERS_PINS = [
+    ("--n 4 --c 1e13", 1, _SOLVER + (
+        "expected 4 distinct fixed-critical parameters for |c| >= 1, found 1\n"), None),
+    ("--n 5 --t 1e-20", 1, _SOLVER + (
+        "t = (1e-20+0j): 6 of the 9 centers have an a-value within the dedupe tolerance "
+        "of another's, so the list is incomplete\n"), None),
+    ("--n 3 --t 1e-14", 1, _SOLVER + (
+        "t = (1e-14+0j): 3 of the 5 centers have an a-value within the dedupe tolerance "
+        "of another's, so the list is incomplete\n"), None),
+    ("--n 3 --t 1e8", 1, _SOLVER + (
+        "t = (100000000+0j): 4 of the 5 centers have an a-value within the dedupe "
+        "tolerance of another's, so the list is incomplete\n"), None),
+    ("--n 5 --c 1e-30", 1, _SOLVER + (
+        "c = (1e-30+0j): root w = (9.860761315262648e-31+0j) has residual 1.392e-32 "
+        "above its relative bound 1.986e-42\n"), None),
+    ("--n 3 --c 1e-100", 1, _SOLVER + (
+        "c = (1e-100+0j): root w = (-1.4187937561952724e-17-1.340233903960401e-17j) has "
+        "residual 1.952e-17 above its relative bound 1.952e-29\n"), None),
+    ("--n 3 --t 1e-100", 1, _SOLVER + (
+        "no convergence within 200 iterations: 1 of 5 roots fail; worst residuals "
+        "[3.462044073508329e+39] exceed bounds [3.462044073508329e+27]\n"), None),
+    ("--n 4 --c 1e200", 2, _INVALID + (
+        "c = (1e+200+0j) is too large: the centers' a, about |c|**2/4, overflows "
+        "binary64\n"), None),
+    ("--n 4 --c 0.375", 0, "",
+     "c7a397ad18582d4473b83e13a52ccde60ae32903d2d462135a906960506a2a96"),
+    ("--n 4 --c 0.05,0.02", 0, "",
+     "997d257ac6140ab9aa0fa73d7ccda2216746a646d2aa27d6604d23250db8eeab"),
+    ("--n 6 --c -3,2", 0, "",
+     "c48442924101dbafbeb9b8f052f2935e3511957800a913afd2c3ef7ea5006cc6"),
+    ("--n 4 --t 0.1,0.3", 0, "",
+     "e9b7c6d88db1b119777270c0ce1ef08e084b34f43493af2431bce0f09205c758"),
+    ("--n 3 --c 6,0", 0, "",
+     "a7cd67d8cbcf1cdedce24842984e3f0d0e601c6d732e407d143f57ca5c7170d1"),
+    ("--n 4 --c 6,0", 0, "",
+     "c789d89e8bb6f90beadb44d8134deebe19b00de18e145f9b46490e60ea4fabeb"),
+    ("--n 5 --c 6,0", 0, "",
+     "543d544177661544c2228f7fed4cb77183e45e559b995090e6632c1c8b046323"),
+    ("--n 6 --c 6,0", 0, "",
+     "aece3fe4a03dcd150fb6f44479f403bfc8ddd33501982d02265f54553f1b7b21"),
+    ("--n 7 --c 6,0", 0, "",
+     "0cd05203f1a0a0c29493dd3674e0562168a84167f87b4eaf9bdf80fdb1dddac4"),
+    ("--n 8 --c 6,0", 0, "",
+     "2ee0381f3157ad7d97dd65c940ea99029e534ff03605279404d5ed574da26f63"),
+    ("--n 3 --t 2,0", 0, "",
+     "973077f50ae6acb25e590030a1c74f1e9462ee536cbae0de496d032f6aaece21"),
+    ("--n 4 --t 2,0", 0, "",
+     "f5d0b1a387877854acf328faa3dd3956d9c42a08f5574511857148b383342a39"),
+    ("--n 5 --t 2,0", 0, "",
+     "1761e94456b225064fe4e73dea2ce8dd10daffa1e33a4d637a4ba119ac218d74"),
+    ("--n 6 --t 2,0", 0, "",
+     "8b39ca4eb1a951b53e04879a4a12c2856a78874756d7bd1b5679ef91d33fefd0"),
+    ("--n 7 --t 2,0", 0, "",
+     "208c004ea55447671bf5e4cde88874f0db25aad7241993fc44f8dceb5c319042"),
+    ("--n 8 --t 2,0", 0, "",
+     "c85e9e5aa0bbe23b105786d777fb02477037ad16d7e2d358072bb7e4a05c1f4d"),
+]
+
+
 class TestCentersCommand:
     def test_fixed_c_rows(self, capsys):
         code, out, _ = run(capsys, "centers", "--n", "5", "--c", "6,0")
@@ -692,6 +763,13 @@ class TestCentersCommand:
         code, _, _ = run(capsys, "centers", "--n", str(n), flag, value, "--out", str(dest))
         assert code == 0
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, code, stderr, digest", _CENTERS_PINS)
+    def test_pinned_exit_stderr_and_bytes(self, tmp_path, capsys, argv, code, stderr, digest):
+        dest = tmp_path / "centers.csv"
+        assert run(capsys, "centers", *argv.split(), "--out", str(dest)) == (code, "", stderr)
+        data = dest.read_bytes() if dest.exists() else None
+        assert (data and hashlib.sha256(data).hexdigest()) == digest
 
     @pytest.mark.parametrize("flag, value, n", [
         ("--c", "6,0", 3), ("--c", "0,6", 5), ("--c", "0.5,0", 3), ("--c", "0,6", 48),
@@ -1069,6 +1147,55 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+
+# One process's mix of argvs for the kept parser (--out is appended to each):
+# every subcommand, argparse usage errors, a _NEEDS refusal, and centers --c
+# then --t, whose mutually exclusive flags must not carry over.
+_REUSE_MIX = [
+    "render --slice fixed-c --n 4 --c 0,6 --view -5,5,-5,5 --size 6x5",
+    "verify --check image-ellipse --n 3 --a 1,1 --c 0.5,0 --samples 16",
+    "centers --n 4 --c 0,6",
+    "centers --n 4 --t 2",
+    "centers --n 3",
+    "centers --n 3 --c 6 --t 1",
+    "verify --check winding --n 4",
+    "render --slice diagonal --n 4 --view -1,1,-1,1 --size 4x4",
+    "spine --t 2 --samples 16",
+    "verify --check spine-locus --n 20 --t 2,0 --eps 0.25 --samples 32 --max-iter 20",
+    "centers --n 5 --c 1e-30",
+    "frobnicate",
+    "centers --n 3 --t 1",
+    "centers --n 3 --c 6",
+]
+
+
+class TestParserReuse:
+    def test_kept_parser_matches_a_fresh_one(self, tmp_path, monkeypatch):
+        # the mix through main's one parser gives each argv's exit code, stdout,
+        # stderr and output bytes as a run with a parser of its own does
+        cli._parser.cache_clear()
+        kept = [_run_quietly(shlex.split(argv), tmp_path / "out") for argv in _REUSE_MIX]
+        parser = cli._parser()
+        assert cli._parser() is parser and cli._parser.cache_info().currsize == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [_run_quietly(shlex.split(argv), tmp_path / "out") for argv in _REUSE_MIX]
+        assert kept == fresh
+        assert sorted({code for code, *_ in kept}) == [0, 1, 2]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_parser_not_built_at_import(self):
+        code = ("import mcmullen.cli as cli; "
+                "assert cli._parser.cache_info().currsize == 0; "
+                "cli.main(['centers', '--n', '3', '--c', '6']); "
+                "assert cli._parser.cache_info().currsize == 1")
+        env = {**os.environ, "PYTHONPATH": str(_SRC)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
 
 
 def _readme_block(heading, fence):

@@ -24,7 +24,7 @@ PUBLIC_NAMES = (
     "w_region_contains",
     "Diagonal", "Dynamical", "FixedA", "FixedC", "Image", "RenderConfig", "SliceSpec",
     "Viewport", "classify_pixel", "encode_ppm", "render_slice",
-    "diagonal_fixed_params", "fixed_critical_params", "poly_roots", "SpineSpec",
+    "diagonal_fixed_params", "fixed_critical_params", "SpineSpec",
     "spine_distances", "spine_point", "spine_points", "spine_radii",
     "CSV_HEADER", "VerificationReport", "reports_to_csv", "verify_annulus_escape",
     "verify_containment", "verify_image_ellipse", "verify_spine_locus", "verify_vminus_sign",
@@ -36,6 +36,8 @@ def test_public_names_importable():
     for name in PUBLIC_NAMES:
         assert name in mcmullen.__all__, name  # so `from mcmullen import *` brings it
         assert hasattr(mcmullen, name), name
+    # the root finder is the solvers' private core, no longer exported
+    assert not hasattr(mcmullen, "poly_roots")
 
 
 def _read_names(path):
@@ -120,7 +122,7 @@ def test_settable_surface():
     # the solvers dedupe, and the root finder accepts roots, at one fixed tolerance
     for solver, params in ((mcmullen.fixed_critical_params, ["n", "c"]),
                            (mcmullen.diagonal_fixed_params, ["n", "t"]),
-                           (mcmullen.poly_roots, ["coeffs"])):
+                           (mcmullen.solvers._poly_roots, ["coeffs"])):
         assert list(inspect.signature(solver).parameters) == params, solver
     # a report's status is derived from its failure count, not stored
     fields = [f.name for f in dataclasses.fields(mcmullen.VerificationReport)]

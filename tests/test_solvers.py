@@ -3,20 +3,30 @@ import cmath
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _edge_values import complex_value
 
 from mcmullen import solvers
-from mcmullen.errors import InconsistencyError, RootFindingError
+from mcmullen.errors import MEMORY_BUDGET_BYTES, InconsistencyError, RootFindingError
 from mcmullen.family import MapParams, eval_map, pow_int
 from mcmullen.regions import sector_index
 from mcmullen.solvers import (
     _centers,
+    _poly_roots,
     diagonal_fixed_params,
     fixed_critical_params,
-    poly_roots,
 )
+
+
+def poly_roots(coeffs):
+    """_poly_roots' roots, sorted by (Re, Im), as a list of Python complex."""
+    return _poly_roots(coeffs)[0].tolist()
 
 
 def bisect_real_root(f, lo, hi, steps=200):
@@ -129,9 +139,25 @@ class TestPolyRoots:
         assert poly_roots([2, 3, 0, 0]) == pytest.approx([-1.5, 0j, 0j], abs=1e-7)
 
     def test_memory_budget(self):
-        # the sweep keeps a d x d complex matrix: refused before it is allocated
+        # the sweep keeps a d x d complex matrix, charged _BYTES_PER_D2 a d**2 entry:
+        # the budget admits degrees up to 7723 and refuses the next before allocating
+        assert solvers._BYTES_PER_D2 * 7723**2 <= MEMORY_BUDGET_BYTES
         with pytest.raises(ValueError, match="memory budget"):
-            poly_roots([1] + [0] * 9998 + [-1])
+            poly_roots([1] + [0] * 7723 + [-1])
+
+    @pytest.mark.parametrize("n, coeffs", [
+        (600, [2.0] + [0] * 598 + [-1.0, 6j]),  # fixed c = 6i
+        (300, [2.0] + [0] * 299 + [2.0] + [0] * 298 + [-1.0]),  # diagonal t = 2
+    ])
+    def test_centers_peak_within_the_charge(self, n, coeffs):
+        tracemalloc.start()
+        try:
+            _centers(n, coeffs, "c")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = len(coeffs) - 1
+        assert 16 * d * d < peak <= solvers._BYTES_PER_D2 * d * d
 
     def test_nonconvergence_error_carries_residuals(self, monkeypatch):
         # an out-of-reach bound produces the error path with residual payload
@@ -159,10 +185,28 @@ class TestPolyRoots:
         assert all(q > 1 for q in ratios)
         assert ratios == sorted(ratios, reverse=True)  # worst first
 
+    @pytest.mark.parametrize("coeffs", [
+        [2.0, 0, 0, -1.0, 6j],  # fixed c = 6i, n = 4
+        [2.0] + [0] * 46 + [-1.0, 6.0],  # fixed c = 6, n = 48
+        [2.0] + [0] * 94 + [-1.0, 1e8],  # fixed c = 1e8, n = 96
+        [2.0] + [0] * 4 + [2.0] + [0] * 4 + [-1.0],  # diagonal t = 2, n = 6
+        [1e-6] + [0] * 2 + [2.0, 0, -1.0],  # diagonal t = 1e-6, n = 3
+        [1, 0, -4, 0],  # a zero root
+    ])
+    def test_residuals_and_terms_are_the_horner_pair(self, coeffs):
+        # the arrays _centers checks its relative bound on are, bit for bit, the
+        # two Horner passes it once ran itself on the sorted roots
+        roots, residuals, terms = _poly_roots(coeffs)
+        c = np.array(coeffs, dtype=complex)
+        assert roots.tolist() == sorted(roots.tolist(), key=lambda r: (r.real, r.imag))
+        for got, want in ((residuals, np.abs(solvers._horner(c, roots))),
+                          (terms, solvers._horner(np.abs(c), np.abs(roots)))):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 def sweep_oracle(monic, z):
     """One Aberth sweep's p(z), p'(z) and row sums sum_{j != i} 1/(z_i - z_j) as
-    poly_roots first formed them: two _horner calls, then a new d x d reciprocal
+    the solver first formed them: two _horner calls, then a new d x d reciprocal
     matrix whose exact zeros are masked to 1e-300."""
     deriv = monic[:-1] * np.arange(monic.size - 1, 0, -1)
     pv, dv = solvers._horner(monic, z), solvers._horner(deriv, z)
@@ -196,7 +240,7 @@ def slice_polys(d, rng):
 
 
 class TestAberthSweep:
-    """poly_roots' sweep against the formulas it replaced, bit for bit."""
+    """_poly_roots' sweep against the formulas it replaced, bit for bit."""
 
     def test_degrees_3_to_400(self):
         rng = np.random.default_rng(29)
@@ -247,6 +291,80 @@ class TestAberthSweep:
                 z[d // 2] = bad
                 with np.errstate(all="ignore"):
                     assert_sweep_matches_oracle(monic, z)
+
+
+
+def dedupe_oracle(a, scale):
+    """The centers dedupe as a d x d comparison: the indices it keeps, in order.
+    close[i, j]: pair j < i has an a-value within tolerance of pair i's."""
+    close = np.tril(np.abs(a[:, None] - a[None, :]) <= np.maximum.outer(scale, scale), -1)
+    keep = np.ones(a.size, dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):
+        keep[i] = not (close[i] & keep).any()
+    return np.flatnonzero(keep)
+
+
+def assert_dedupe_matches_oracle(values):
+    a = np.array(values, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # |a| or a gap may overflow
+        scale = solvers._DEDUPE_TOL * np.maximum(1.0, np.abs(a))
+        keep = solvers._dedupe(a, scale, np.argsort(a.real, kind="stable"))
+        want = dedupe_oracle(a, scale)
+    assert np.flatnonzero(keep).tolist() == want.tolist()
+    return want
+
+
+_FINITE = complex_value.filter(cmath.isfinite)
+
+
+class TestDedupe:
+    """The Re-order window dedupe against the d x d rule it replaced."""
+
+    def test_pair_exactly_at_the_tolerance_merges(self):
+        tol = solvers._DEDUPE_TOL
+        at, past = 1e-9, math.nextafter(1e-9, 1.0)
+        assert tol == at  # |a| <= 1, so both scales are the tolerance itself
+        assert assert_dedupe_matches_oracle([0.0, at, 5.0, 0.25, 0.25 + at * 1j]).tolist() == [
+            0, 2, 3]
+        assert assert_dedupe_matches_oracle([0.0, past, 0.25, 0.25 + past * 1j]).size == 4
+
+    def test_planted_near_duplicates(self):
+        rng = np.random.default_rng(30)
+        for d in (2, 5, 48, 191, 379):
+            a = rng.normal(size=d) * 10.0 ** rng.integers(-3, 12, size=d) + 1j * rng.normal(
+                size=d)
+            # copies within, at about and beyond the tolerance, in any index order
+            src = rng.integers(0, d, size=d // 2 + 1)
+            rel = rng.choice([0.0, 0.3e-9, 0.999e-9, 1e-9, 1.001e-9, 3e-9], size=src.size)
+            planted = a[src] * (1.0 + rel * np.exp(1j * rng.uniform(0, 2 * np.pi, src.size)))
+            a = np.concatenate([a, planted])
+            assert_dedupe_matches_oracle(a[rng.permutation(a.size)])
+
+    def test_conjugate_pairs_with_equal_re(self):
+        rng = np.random.default_rng(31)
+        re = rng.normal(size=40) * 100.0
+        im = np.where(np.arange(40) % 3, rng.normal(size=40), 1e-10 * np.abs(re))
+        a = np.concatenate([re + 1j * im, re - 1j * im, re + 1j * im * (1 + 1e-10)])
+        kept = assert_dedupe_matches_oracle(a[rng.permutation(a.size)])
+        assert 40 < kept.size < 120
+
+    @pytest.mark.parametrize("step", [2e-9, 5e-9, 1.0])
+    def test_every_re_equal(self, step):
+        # each offset has pairs within the window, so every offset is compared;
+        # at 2e-9 (the tolerance here is about 3e-9) neighbours merge
+        rng = np.random.default_rng(32)
+        a = 3.0 + 1j * step * np.arange(200)
+        kept = assert_dedupe_matches_oracle(a[rng.permutation(a.size)])
+        assert (kept.size < 200) == (step == 2e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_FINITE, min_size=1, max_size=24),
+           st.lists(st.tuples(st.integers(0, 23), st.sampled_from([0.0, 0.5e-9, 1e-9, 2e-9])),
+                    max_size=8))
+    def test_edge_magnitudes(self, values, copies):
+        with np.errstate(over="ignore", invalid="ignore"):
+            planted = [values[i % len(values)] * (1.0 + rel) for i, rel in copies]
+        assert_dedupe_matches_oracle(values + [b for b in planted if cmath.isfinite(b)])
 
 
 class TestFixedCriticalParams:
@@ -312,7 +430,7 @@ class TestFixedCriticalParams:
     def test_tiny_c_wrong_root_refused(self, n, c):
         # the root near c (2*w**n - w + c = 0 has one of modulus about |c|) comes
         # back as a w of modulus about 1e-17 to 1e-35, or as w = 0 at a subnormal
-        # c; each passes poly_roots' absolute floor, not the relative bound
+        # c; each passes _poly_roots' absolute floor, not the relative bound
         with pytest.raises(RootFindingError, match=r"c = .*: root w = .* residual"):
             fixed_critical_params(n, complex(c))
 
