@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import InconsistencyError, RootFindingError, check_memory_budget
 from .family import (
+    _U,
     MapParams,
     check_exponent,
     check_modulus,
@@ -91,14 +92,56 @@ def _sweep_sums(z: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return s
 
 
+def _seeds(c: list[complex]) -> np.ndarray:
+    """Aberth's d starting points for the coefficients c (highest degree first), read
+    off the upper convex hull of the points (m, log|c_m|), c_m the nonzero
+    coefficient of w**m (Bini 1996). An edge from power i to power k stands for
+    k - i roots of modulus about |c_i/c_k|**(1/(k-i)), taken in logs so that no
+    ratio overflows; adjacent edges whose radii differ by less than a factor 4
+    form one group. A lone edge's seeds are the roots of its binomial
+    c_k w**(k-i) + c_i, a group's sit at angles (2*pi*j + 0.7)/(k-i) on its
+    circle. A group spanning the whole degree, or a zero constant term, gives the
+    one circle of radius |c_0/c_d|**(1/d) (1 for a zero c_0) bit for bit, so the
+    rows of such slices (the diagonal at t = 2) do not move."""
+    d = len(c) - 1
+    if c[-1] == 0:
+        return np.exp(1j * (2.0 * math.pi * np.arange(d) + 0.7) / d)
+    hull: list[tuple[int, float]] = []
+    for p in [(m, math.log(abs(x))) for m, x in enumerate(reversed(c)) if x]:
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  >= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    log_r = [(y0 - y1) / (m1 - m0) for (m0, y0), (m1, y1) in zip(hull, hull[1:])]
+    groups = [[0, 1]]  # hull indices [first, last] of each group of edges
+    for e in range(1, len(log_r)):
+        if abs(log_r[e] - log_r[e - 1]) < math.log(4.0):
+            groups[-1][1] = e + 1
+        else:
+            groups.append([e, e + 1])
+    parts = []
+    for first, last in groups:
+        (i, yi), (k, yk) = hull[first], hull[last]
+        j = np.arange(k - i)
+        radius = math.exp((yi - yk) / (k - i))
+        if last == first + 1:
+            turn = cmath.phase(-c[d - i]) - cmath.phase(c[d - k]) + 2.0 * math.pi * j
+        else:
+            turn = 2.0 * math.pi * j + 0.7
+            if k - i == d and 0 < abs(c[-1] / c[0]) < math.inf:
+                radius = abs(c[-1] / c[0]) ** (1.0 / d)
+        parts.append(radius * np.exp(1j * turn / (k - i)))
+    return np.concatenate(parts)
+
+
 def _poly_roots(coeffs: PolyCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All d roots (with multiplicity) of a degree-d polynomial, via simultaneous
     Aberth-Ehrlich iteration, with the one Horner pair of their acceptance check:
     (roots, |p(r)|, sum_j |c_j| * |r|**j), each sorted by the roots' (Re, Im).
 
-    Initial guesses sit evenly on the circle of radius |c_0/c_d|**(1/d), the geometric
-    mean of the root moduli (radius 1 when the constant term is 0), at angles
-    (2*pi*k + 0.7)/d, so output is reproducible. Each sweep evaluates p and p' in one
+    Initial guesses are read off the Newton polygon of the coefficients (_seeds),
+    with no randomness: 4 sweeps at the fixed-c trinomial with c = 6i, n = 48 to 190,
+    against 14-16 from one circle. Each sweep evaluates p and p' in one
     Horner pass (_sweep_values) and fills one d x d reciprocal matrix, allocated once
     per call (_sweep_sums). Each returned root r satisfies
     |p(r)| <= _ROOT_TOL * max(1 + max_j |c_j|, sum_j |c_j| * |r|**j), a bound that grows
@@ -118,8 +161,7 @@ def _poly_roots(coeffs: PolyCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     steps = _horner_steps(monic)
     diff = np.empty((d, d), dtype=complex)
 
-    radius = abs(c[-1] / c[0]) ** (1.0 / d) if c[-1] != 0 else 1.0
-    z = radius * np.exp(1j * (2.0 * math.pi * np.arange(d) + 0.7) / d)
+    z = _seeds(c)
 
     with np.errstate(all="ignore"):
         for _ in range(_MAX_SWEEPS):
@@ -149,12 +191,56 @@ def _poly_roots(coeffs: PolyCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return z[order], residuals[order], terms[order]
 
 
-def _dedupe(a: np.ndarray, scale: np.ndarray, by_re: np.ndarray) -> np.ndarray:
+def _root_radii(c: PolyCoeffs, z: np.ndarray, residual: np.ndarray,
+                terms: np.ndarray) -> np.ndarray:
+    """Radii r with exactly one root of p = sum_m c_m w**m (c highest degree first)
+    in each disc |w - z_i| < r_i, inf where that is not proved, from _poly_roots'
+    residual |p(z)| and terms sum_m |c_m| |z|**m. By Rouche against p'(z) h: with
+    B >= |p(z)|, D <= |p'(z)| and Q(r) = sum_{m>=2} |c_m| C(m, 2) (|z| + r)**(m-2),
+    the radius r = 2B/D holds one root when D r > B + Q(r) r**2. B adds Horner's
+    rounding (relative 8(d + 1)u of the terms, plus an absolute part for
+    underflow) to the residual, D takes p' over the nonzero terms less its
+    rounding, and every bound is rounded up (D down). O(d) per root."""
+    d = len(c) - 1
+    monomials = [(d - k, x) for k, x in enumerate(c) if x != 0]
+    with np.errstate(all="ignore"):
+        az = np.abs(z) * (1 + 2 * _U)
+        tiny = (d + 2) * 2.0**-1070 * (1.0 + az**d)
+        b = (residual * (1 + 2 * _U) + 8 * (d + 1) * _U * terms + tiny) * (1 + 8 * _U)
+        dp = sum(m * x * (pow_int(z, m - 1) if m > 1 else 1) for m, x in monomials if m)
+        dmod = sum(m * abs(x) * az ** (m - 1) for m, x in monomials if m)
+        dlow = np.abs(dp) * (1 - 8 * _U) - 2 * (8 * (d + 2) * _U * dmod + tiny)
+        dlow *= 1 - 4 * _U
+        r = 2 * b / dlow
+        q = sum(abs(x) * (m * (m - 1) // 2) * (az + r) ** (m - 2)
+                for m, x in monomials if m > 1) * (1 + 8 * (d + 2) * _U)
+        proved = (dlow > 0) & (dlow * r * (1 - 4 * _U) > (b + q * r * r) * (1 + 8 * _U))
+    return np.where(proved, r, np.inf)
+
+
+def _a_radii(n: int, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Radii that hold, about each pow_int(z_i, 2n), the a = w**(2n) of every w with
+    |w - z_i| < r_i: 2n r (|z| + r)**(2n-1) for the move of w, plus pow_int's
+    rounding ((1 + 3u)**(2n-1) - 1)|z|**(2n) and its absolute part (family's
+    rounding comment), rounded up."""
+    m = 2 * n
+    with np.errstate(all="ignore"):
+        az = np.abs(z) * (1 + 2 * _U)
+        power = az ** (m - 1)
+        moved = m * r * (az + r) ** (m - 1)
+        rounding = math.expm1((m - 1) * math.log1p(3 * _U)) * power * az
+        tiny = m * 2.0**-1070 * (1.0 + power)
+        return (moved + rounding + tiny) * (1 + 8 * (m + 2) * _U)
+
+
+def _dedupe(a: np.ndarray, scale: np.ndarray, by_re: np.ndarray,
+            radius: np.ndarray) -> np.ndarray:
     """Which a-values to keep: each, in index order, unless |a_i - a_j| <=
-    max(scale_i, scale_j) for an earlier kept a_j. by_re sorts a by Re. A close
-    pair is at most max(scale) apart in Re, and the Re gap of pairs k places apart
-    in by_re only grows with k, so offsets k = 1, 2, ... are compared until one has
-    no pair within max(scale) in Re: O(d log d) for a-values spread out in Re."""
+    max(scale_i, scale_j) and <= radius_i + radius_j (the discs meet) for an
+    earlier kept a_j. by_re sorts a by Re. A close pair is at most max(scale)
+    apart in Re, and the Re gap of pairs k places apart in by_re only grows with
+    k, so offsets k = 1, 2, ... are compared until one has no pair within
+    max(scale) in Re: O(d log d) for a-values spread out in Re."""
     re, reach = a.real[by_re], scale.max(initial=0.0)
     later, earlier = [], []
     for k in range(1, a.size):
@@ -162,7 +248,8 @@ def _dedupe(a: np.ndarray, scale: np.ndarray, by_re: np.ndarray) -> np.ndarray:
         if not near.size:
             break
         i, j = by_re[near + k], by_re[near]
-        close = np.abs(a[i] - a[j]) <= np.maximum(scale[i], scale[j])
+        gap = np.abs(a[i] - a[j])
+        close = (gap <= np.maximum(scale[i], scale[j])) & (gap <= radius[i] + radius[j])
         later.extend(np.maximum(i, j)[close].tolist())
         earlier.extend(np.minimum(i, j)[close].tolist())
     keep = np.ones(a.size, dtype=bool)
@@ -175,17 +262,19 @@ def _dedupe(a: np.ndarray, scale: np.ndarray, by_re: np.ndarray) -> np.ndarray:
 def _centers(n: int, coeffs: PolyCoeffs, param: str) -> list[tuple[complex, complex]]:
     """The slices' one centers pipeline: roots w != 0 of coeffs, paired with
     a = w**(2n); a pair is dropped when its a equals an already kept pair's a within
-    relative _DEDUPE_TOL (|a - b| <= _DEDUPE_TOL * max(1, |a|, |b|)), compared only
-    with its neighbours in Re order (_dedupe). The kept pairs are
-    sorted by (Re a, Im a), where Re parts equal within that tolerance count as equal,
-    so each conjugate pair of a-values is adjacent with Im a < 0 first. An a that is
-    0 or not finite raises ValueError naming the slice's parameter, param ("c = ..."
-    or "t = ..."). A root, 0 included, with |p(w)| above _ROOT_TOL * sum_j |c_j| |w|**j
-    (_poly_roots' bound without its absolute floor, which accepts a wrong root of
-    tiny modulus at a tiny |c|) raises RootFindingError naming param; both bounds
-    read the one Horner pair that _poly_roots evaluates."""
+    relative _DEDUPE_TOL (|a - b| <= _DEDUPE_TOL * max(1, |a|, |b|)) and their
+    a-discs (_root_radii mapped by _a_radii) meet, compared only with its
+    neighbours in Re order (_dedupe): disjoint discs prove distinct a-values. The
+    kept pairs are sorted by (Re a, Im a), where Re parts equal within that
+    tolerance count as equal, so each conjugate pair of a-values is adjacent with
+    Im a < 0 first. An a that is 0 or not finite raises ValueError naming the
+    slice's parameter, param ("c = ..." or "t = ..."). A root, 0 included, with
+    |p(w)| above _ROOT_TOL * sum_j |c_j| |w|**j (_poly_roots' bound without its
+    absolute floor) raises RootFindingError naming param; both bounds and the
+    discs read the one Horner pair that _poly_roots evaluates."""
     roots, residual, terms = _poly_roots(coeffs)
-    pairs = [(w, pow_int(w, 2 * n)) for w in roots.tolist() if w != 0]
+    nonzero = roots != 0
+    pairs = [(w, pow_int(w, 2 * n)) for w in roots[nonzero].tolist()]
     if any(b == 0 or not cmath.isfinite(b) for _, b in pairs):
         raise ValueError(f"{param} puts a center's a = w**(2n) outside binary64: "
                          "0 or not finite")
@@ -195,10 +284,12 @@ def _centers(n: int, coeffs: PolyCoeffs, param: str) -> list[tuple[complex, comp
         i = failing[0]
         raise RootFindingError(f"{param}: root w = {complex(roots[i])!r} has residual "
                                f"{residual[i]:.3e} above its relative bound {bound[i]:.3e}")
+    r = _root_radii(coeffs, roots, residual, terms)
+    radius = _a_radii(n, roots[nonzero], r[nonzero])
     a = np.array([b for _, b in pairs], dtype=complex)
     scale = _DEDUPE_TOL * np.maximum(1.0, np.abs(a))
     by_re = np.argsort(a.real, kind="stable")
-    by_re = by_re[_dedupe(a, scale, by_re)[by_re]]
+    by_re = by_re[_dedupe(a, scale, by_re, radius)[by_re]]
     tied = np.diff(a.real[by_re]) <= np.maximum(scale[by_re[1:]], scale[by_re[:-1]])
     group = np.concatenate([[0], np.cumsum(~tied)])
     return [pairs[i] for i in by_re[np.lexsort((a.imag[by_re], group))]]
@@ -208,13 +299,14 @@ def fixed_critical_params(n: int, c: complex) -> list[WRegionSpec]:
     """Fixed critical points of the fixed-c slice: roots w of 2*w**n - w + c = 0, each
     giving the parameter a = w**(2n) whose member fixes its k-th critical point w.
 
-    Returns one spec per distinct a (relative dedupe within _DEDUPE_TOL), sorted by
-    (Re a, Im a). The count is asserted to equal n when |c| >= 1 (there the roots'
-    a-values are provably distinct); below |c| = 1 the deduped count is returned as
-    found, with no law enforced. A c refused by check_modulus, or one whose centers'
-    a = w**(2n) are 0 or not finite, raises ValueError naming c; from |c| =
-    _MAX_CENTER_C that is before solving, since near the float limit the Aberth
-    sweep itself overflows.
+    Returns one spec per distinct a (_centers' dedupe: within _DEDUPE_TOL, with
+    a-discs that meet), sorted by (Re a, Im a). The count is asserted to equal n
+    when |c| >= 1 (there the roots' a-values are provably distinct); below |c| = 1
+    the deduped count is returned as found, with no law enforced. A c refused by
+    check_modulus, or one whose centers' a = w**(2n) are 0 or not finite (the root
+    near a tiny c gives an a that underflows), raises ValueError naming c; from
+    |c| = _MAX_CENTER_C that is before solving, since near the float limit the
+    Aberth sweep itself overflows.
     """
     check_exponent(n)
     c = check_modulus("c", c)
@@ -243,8 +335,8 @@ def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
     family.fixed_point_residual for (n, a, t*a). A slope whose centers' a leave
     binary64 (check_slope_scale, or some a = w**(2n) 0 or not finite) raises
     ValueError naming t. Distinct roots give distinct a except at isolated t, so
-    where the dedupe merges any (their a agree within _DEDUPE_TOL: the n roots with
-    t*w**n near -2 at small |t|, the a near 0 at large |t|) the list would be
+    where the dedupe merges any (their a agree within _DEDUPE_TOL and their a-discs
+    meet: the n roots with t*w**n near -2 at small |t|) the list would be
     incomplete, and InconsistencyError names t instead.
     """
     return [(w, a) for w, a, _ in _diagonal_rows(n, t)]

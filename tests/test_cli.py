@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -309,14 +310,15 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("check, samples, rc, digest", [
         ("containment", "200000", 0,
-         "b178e9e86b8d53d486f8e6d4cefcb547ab0a14437c279e159f6df2af039c57db"),
+         "c87cb1744f4c53828f5e63dc0df3ce919cde8793907bb605c667ea6964c4178f"),
         ("winding", "65536", 3,
          "186d7e65d4de2ed1c558835f02e98a3fa2b03e3dd7dacd70bc529aede5833c1b"),
     ])
     def test_golden_csv(self, capsys, check, samples, rc, digest):
-        # sha256 of the CSV, taken before the checks ran in chunks: the
-        # benchmark's own containment and winding ops. The chunking may change;
-        # these bytes may not.
+        # sha256 of the CSV: the benchmark's own containment and winding ops.
+        # The chunking may change; these bytes may not. Containment's centers
+        # moved by ulps with the Newton-polygon seeds, and its worst margins by
+        # up to 4.3e-9 relative.
         code, out, _ = run(capsys, "verify", "--check", check, "--n", "8", "--c", "6",
                            "--samples", samples)
         assert code == rc
@@ -583,39 +585,48 @@ _SOLVER = "mcmullen: solver failure: "
 _INVALID = "mcmullen: invalid arguments: "
 
 # centers argvs with their exit code, stderr and CSV sha256 (None: no file), as
-# taken before the solver handed its residuals to _centers and the dedupe compared
-# only Re-order neighbours: the dedupe merges, the tiny-|c| and tiny-|t| refusals,
-# the overflow refusal, small and complex c, and the real slices at n = 3 to 8.
+# written since Aberth starts from the Newton polygon's seeds and the dedupe keeps
+# a-values whose discs are disjoint; every row of each CSV lies within a ulp of
+# mpmath's root. Disjoint discs separate the a-values of --c 1e13 up to n = 16 and
+# of --t 1e8, whose a-values lie near 0; the tiny-|t| a-values lie ulps apart and
+# still merge. At --c 1e-30 the root near c is found; at a subnormal c its a
+# underflows. Then the overflow refusal, small and complex c, and the real
+# slices at n = 3 to 8.
 _CENTERS_PINS = [
-    ("--n 4 --c 1e13", 1, _SOLVER + (
-        "expected 4 distinct fixed-critical parameters for |c| >= 1, found 1\n"), None),
+    ("--n 4 --c 1e13", 0, "",
+     "6a46524530ea191adb157cb7da1bae812ded59637db49669850b5f11f591d81a"),
+    ("--n 16 --c 1e13", 0, "",
+     "217a77ed7f44d15b6ba89cf314a4bd7d1d4d2f1e69dda36f508b4b579c4dd762"),
+    ("--n 24 --c 1e13", 1, _SOLVER + (
+        "expected 24 distinct fixed-critical parameters for |c| >= 1, found 8\n"), None),
     ("--n 5 --t 1e-20", 1, _SOLVER + (
         "t = (1e-20+0j): 6 of the 9 centers have an a-value within the dedupe tolerance "
         "of another's, so the list is incomplete\n"), None),
     ("--n 3 --t 1e-14", 1, _SOLVER + (
-        "t = (1e-14+0j): 3 of the 5 centers have an a-value within the dedupe tolerance "
+        "t = (1e-14+0j): 1 of the 5 centers have an a-value within the dedupe tolerance "
         "of another's, so the list is incomplete\n"), None),
-    ("--n 3 --t 1e8", 1, _SOLVER + (
-        "t = (100000000+0j): 4 of the 5 centers have an a-value within the dedupe "
-        "tolerance of another's, so the list is incomplete\n"), None),
-    ("--n 5 --c 1e-30", 1, _SOLVER + (
-        "c = (1e-30+0j): root w = (9.860761315262648e-31+0j) has residual 1.392e-32 "
-        "above its relative bound 1.986e-42\n"), None),
-    ("--n 3 --c 1e-100", 1, _SOLVER + (
-        "c = (1e-100+0j): root w = (-1.4187937561952724e-17-1.340233903960401e-17j) has "
-        "residual 1.952e-17 above its relative bound 1.952e-29\n"), None),
+    ("--n 3 --t 1e8", 0, "",
+     "7fdfb16809e120ff75d231c59d6dfcdaecbc370ed1e4ea0f7e2816875467e745"),
+    ("--n 5 --c 1e-30", 0, "",
+     "bb321c5da30c567f22ef996efb835bdce01f3edaf18f50720c29af44a7f93f38"),
+    ("--n 3 --c 1e-100", 2, _INVALID + (
+        "c = (1e-100+0j) puts a center's a = w**(2n) outside binary64: 0 or not "
+        "finite\n"), None),
+    ("--n 3 --c 5e-324", 2, _INVALID + (
+        "c = (5e-324+0j) puts a center's a = w**(2n) outside binary64: 0 or not "
+        "finite\n"), None),
     ("--n 3 --t 1e-100", 1, _SOLVER + (
-        "no convergence within 200 iterations: 1 of 5 roots fail; worst residuals "
-        "[3.462044073508329e+39] exceed bounds [3.462044073508329e+27]\n"), None),
+        "t = (1e-100+0j): 3 of the 5 centers have an a-value within the dedupe tolerance "
+        "of another's, so the list is incomplete\n"), None),
     ("--n 4 --c 1e200", 2, _INVALID + (
         "c = (1e+200+0j) is too large: the centers' a, about |c|**2/4, overflows "
         "binary64\n"), None),
     ("--n 4 --c 0.375", 0, "",
      "c7a397ad18582d4473b83e13a52ccde60ae32903d2d462135a906960506a2a96"),
     ("--n 4 --c 0.05,0.02", 0, "",
-     "997d257ac6140ab9aa0fa73d7ccda2216746a646d2aa27d6604d23250db8eeab"),
+     "d091113860d2be6566f1b04c94a55c2da7e4c1536d6260b0a30813d351c86827"),
     ("--n 6 --c -3,2", 0, "",
-     "c48442924101dbafbeb9b8f052f2935e3511957800a913afd2c3ef7ea5006cc6"),
+     "c13104eee8f5755b2cda54c3a57b24e472bb3a32f0156be7597bfb3f82dec145"),
     ("--n 4 --t 0.1,0.3", 0, "",
      "e9b7c6d88db1b119777270c0ce1ef08e084b34f43493af2431bce0f09205c758"),
     ("--n 3 --c 6,0", 0, "",
@@ -623,13 +634,13 @@ _CENTERS_PINS = [
     ("--n 4 --c 6,0", 0, "",
      "c789d89e8bb6f90beadb44d8134deebe19b00de18e145f9b46490e60ea4fabeb"),
     ("--n 5 --c 6,0", 0, "",
-     "543d544177661544c2228f7fed4cb77183e45e559b995090e6632c1c8b046323"),
+     "fa4895b125982020d8a4488a1a4626cac03626810758208216e88e0f8bdb6f46"),
     ("--n 6 --c 6,0", 0, "",
      "aece3fe4a03dcd150fb6f44479f403bfc8ddd33501982d02265f54553f1b7b21"),
     ("--n 7 --c 6,0", 0, "",
-     "0cd05203f1a0a0c29493dd3674e0562168a84167f87b4eaf9bdf80fdb1dddac4"),
+     "fae79b30a3c5565a543912feb0b6f6a622505cea741ab4df4e556acae485398c"),
     ("--n 8 --c 6,0", 0, "",
-     "2ee0381f3157ad7d97dd65c940ea99029e534ff03605279404d5ed574da26f63"),
+     "9accbc769558ff218d071bc98b9b0b054fcd7d05662b00fe5ba1eb51b8725dee"),
     ("--n 3 --t 2,0", 0, "",
      "973077f50ae6acb25e590030a1c74f1e9462ee536cbae0de496d032f6aaece21"),
     ("--n 4 --t 2,0", 0, "",
@@ -717,22 +728,48 @@ class TestCentersCommand:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == (4 if argv[2] == "--c" else 2 * int(argv[1]) - 1)
 
-    @pytest.mark.parametrize("n,t", [("5", "1e-20"), ("3", "1e-14"), ("3", "1e8")])
+    @pytest.mark.parametrize("n,t", [("5", "1e-20"), ("3", "1e-14"), ("12", "1e-20")])
     def test_merged_diagonal_centers_exit_1_naming_t(self, capsys, n, t):
-        # 1e-20, 1e-14: the n roots with t*w**n near -2 have a-values near 4/t**2
-        # that agree within the dedupe tolerance; 1e8: the a-values lie near 0,
-        # within its absolute floor. An incomplete list is refused, not printed
+        # the n roots with t*w**n near -2 have a-values near 4/t**2 that agree
+        # within the dedupe tolerance, with discs that meet. An incomplete list
+        # is refused, not printed
         code, out, err = run(capsys, "centers", "--n", n, "--t", t)
         assert code == 1 and out == ""
         assert f"t = {complex(t)!r}" in err and "incomplete" in err
 
+    @pytest.mark.parametrize("argv", [("--n", "3", "--t", "1e8"), ("--n", "4", "--c", "1e-30"),
+                                      ("--n", "5", "--c", "1e-30"), ("--n", "4", "--c", "1e13")])
+    def test_rows_are_mpmath_roots(self, capsys, argv):
+        # a-values near 0 (t = 1e8), a root near c (c = 1e-30) and a-values that
+        # agree to 4e-10 relative (c = 1e13): each row's w is a root to within a
+        # ulp by mpmath, and no two rows share one
+        code, out, err = run(capsys, "centers", *argv)
+        assert code == 0 and err == ""
+        n, value = int(argv[1]), float(argv[3])
+        with mpmath.workprec(200):
+            roots = []
+            for row in out.strip().splitlines()[1:]:
+                w = complex(float(row.split(",")[2]), float(row.split(",")[3]))
+                x = mpmath.mpc(w)
+                for _ in range(6):
+                    if argv[2] == "--c":
+                        x -= (2 * x**n - x + value) / (2 * n * x**(n - 1) - 1)
+                    else:
+                        x -= ((value * x**(2 * n - 1) + 2 * x**(n - 1) - 1)
+                              / ((2 * n - 1) * value * x**(2 * n - 2) + 2 * (n - 1) * x**(n - 2)))
+                assert abs(mpmath.mpc(w) - x) <= 2.0**-52 * abs(x), (w, x)
+                assert all(abs(x - y) > 1e-30 * abs(x) for y in roots)
+                roots.append(x)
+        assert any(abs(r - value) < 1e-40 for r in roots) == (value == 1e-30)
+
     @pytest.mark.parametrize("n, c", [("3", "1e-100"), ("3", "1e-150"), ("4", "1e-100"),
-                                      ("5", "1e-100"), ("3", "5e-324"), ("3", "-5e-324")])
-    def test_tiny_c_wrong_root_exit_1_naming_c(self, capsys, n, c):
-        # a spurious root is refused rather than printed as a center
+                                      ("5", "1e-100"), ("8", "1e-30"), ("3", "5e-324"),
+                                      ("3", "-5e-324")])
+    def test_tiny_c_whose_a_underflows_exit_2_naming_c(self, capsys, n, c):
+        # the root near c is found; its a = w**(2n) underflows to 0
         code, out, err = run(capsys, "centers", "--n", n, "--c", c)
-        assert code == 1 and out == ""
-        assert f"c = {complex(float(c))!r}: root w = " in err and "residual" in err
+        assert code == 2 and out == ""
+        assert f"c = {complex(float(c))!r} puts a center's a = w**(2n) outside binary64" in err
 
     def test_slope_whose_scale_is_nan_exit_2_naming_t(self, capsys):
         code, out, err = run(capsys, "centers", "--n", "3", "--t", "1e200,1e200")
@@ -747,10 +784,10 @@ class TestCentersCommand:
         )
 
     @pytest.mark.parametrize("flag, value, n, digest", [
-        ("--c", "0.0,6.0", 48, "05cf7216b66c9a17275533f33a977f945242b90ed19119e6e57ca7caf3701a4a"),
-        ("--c", "0.0,6.0", 96, "a6eecbfbc65d4c5db0a69306775c090eeb6129ac6ab554fa912be44589f9224e"),
-        ("--c", "0.0,6.0", 144, "f63af3d6f90e1d4988afb182cea6ccf5702193a36c5c0561ee58b5d7f6439c25"),
-        ("--c", "0.0,6.0", 190, "70aebd33d24fb52dfdb4c1942a9fe2d84bc8a8c70f2a56723a172ec89fa9cbd7"),
+        ("--c", "0.0,6.0", 48, "b88f876e9022cd8e5a1fd711e4b7f0ec3c6e112c1dae82ead14e063333f2ba59"),
+        ("--c", "0.0,6.0", 96, "cfac8c9f1d8879451fb3283f393cb7af0f181f8df3965a99208d5b8515ae7769"),
+        ("--c", "0.0,6.0", 144, "ce6bafee3655b7ee63f4736acfb088df7481788db12db6bd4670eaffe0ece40d"),
+        ("--c", "0.0,6.0", 190, "c655fdb9ff947d0b98e11087aba9f403e9a08e46d67dd5aa760768f232226350"),
         ("--t", "2.0,0.0", 48, "9ed2d7fa321628d927b77f9128e0acdb48ab24a281871766618db84578570bd3"),
         ("--t", "2.0,0.0", 96, "67a0d820f6cda1f114972eb4610e7d69aa59da1369d410b3b328df68fa54fe89"),
         ("--t", "2.0,0.0", 144, "efe8e130c94df4c88439535b06c506073394380af1ca98ec5d3397725cc4e9f6"),
@@ -758,7 +795,8 @@ class TestCentersCommand:
     ])
     def test_bench_centers_bytes_unchanged(self, tmp_path, capsys, flag, value, n, digest):
         # the certify workload's eight centers argvs; sha256 of each CSV as written
-        # before poly_roots evaluated p and p' in one Horner pass
+        # before poly_roots evaluated p and p' in one Horner pass (t = 2), and since
+        # the Newton-polygon seeds moved the c = 6i rows by ulps
         dest = tmp_path / "centers.csv"
         code, _, _ = run(capsys, "centers", "--n", str(n), flag, value, "--out", str(dest))
         assert code == 0
@@ -1164,7 +1202,7 @@ _REUSE_MIX = [
     "render --slice diagonal --n 4 --view -1,1,-1,1 --size 4x4",
     "spine --t 2 --samples 16",
     "verify --check spine-locus --n 20 --t 2,0 --eps 0.25 --samples 32 --max-iter 20",
-    "centers --n 5 --c 1e-30",
+    "centers --n 5 --t 1e-20",
     "frobnicate",
     "centers --n 3 --t 1",
     "centers --n 3 --c 6",

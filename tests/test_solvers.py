@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,9 +168,9 @@ class TestPolyRoots:
             poly_roots([1, 0, -2])
 
     @pytest.mark.parametrize("coeffs, tol, failing, listed", [
-        # the diagonal slice's trinomial at n = 3, t = 1e-100: one of five roots
-        # misses its bound by 12 orders, the four others are within theirs
-        ([1e-100, 0, 0, 2, 0, -1], 1e-12, 1, 1),
+        # the diagonal slice's trinomial at n = 3, t = 1e-100, at a bound between
+        # its worst root's residual ratio (2.2e-16) and the next one's (1.2e-16)
+        ([1e-100, 0, 0, 2, 0, -1], 1.5e-16, 1, 1),
         # every root misses a bound far below rounding; three are listed
         ([1, 0, 0, 0, -2], 1e-300, 4, 3),
     ])
@@ -294,22 +295,26 @@ class TestAberthSweep:
 
 
 
-def dedupe_oracle(a, scale):
+def dedupe_oracle(a, scale, radius):
     """The centers dedupe as a d x d comparison: the indices it keeps, in order.
-    close[i, j]: pair j < i has an a-value within tolerance of pair i's."""
-    close = np.tril(np.abs(a[:, None] - a[None, :]) <= np.maximum.outer(scale, scale), -1)
+    close[i, j]: pair j < i has an a-value within tolerance of pair i's, and
+    their discs meet."""
+    gap = np.abs(a[:, None] - a[None, :])
+    close = np.tril((gap <= np.maximum.outer(scale, scale))
+                    & (gap <= np.add.outer(radius, radius)), -1)
     keep = np.ones(a.size, dtype=bool)
     for i in np.flatnonzero(close.any(axis=1)):
         keep[i] = not (close[i] & keep).any()
     return np.flatnonzero(keep)
 
 
-def assert_dedupe_matches_oracle(values):
+def assert_dedupe_matches_oracle(values, radius=None):
     a = np.array(values, dtype=complex)
+    radius = np.full(a.size, np.inf) if radius is None else np.asarray(radius)
     with np.errstate(over="ignore", invalid="ignore"):  # |a| or a gap may overflow
         scale = solvers._DEDUPE_TOL * np.maximum(1.0, np.abs(a))
-        keep = solvers._dedupe(a, scale, np.argsort(a.real, kind="stable"))
-        want = dedupe_oracle(a, scale)
+        keep = solvers._dedupe(a, scale, np.argsort(a.real, kind="stable"), radius)
+        want = dedupe_oracle(a, scale, radius)
     assert np.flatnonzero(keep).tolist() == want.tolist()
     return want
 
@@ -318,7 +323,8 @@ _FINITE = complex_value.filter(cmath.isfinite)
 
 
 class TestDedupe:
-    """The Re-order window dedupe against the d x d rule it replaced."""
+    """The Re-order window dedupe against the d x d rule it replaced (discs of
+    infinite radius, unless a test gives them)."""
 
     def test_pair_exactly_at_the_tolerance_merges(self):
         tol = solvers._DEDUPE_TOL
@@ -356,6 +362,18 @@ class TestDedupe:
         a = 3.0 + 1j * step * np.arange(200)
         kept = assert_dedupe_matches_oracle(a[rng.permutation(a.size)])
         assert (kept.size < 200) == (step == 2e-9)
+
+    def test_disjoint_discs_never_merge(self):
+        # copies within the tolerance whose discs just touch (they merge) or
+        # fall 2% short of each other (they are kept)
+        rng = np.random.default_rng(33)
+        a = rng.normal(size=60) * 10.0 ** rng.integers(-3, 9, size=60) + 1j * rng.normal(size=60)
+        planted = a * (1.0 + 1e-10)
+        gap = np.abs(planted - a)
+        short = np.arange(60) % 2 == 1
+        r = np.where(short, 0.49, 0.5) * gap
+        kept = assert_dedupe_matches_oracle(np.concatenate([a, planted]), np.concatenate([r, r]))
+        assert kept.tolist() == list(range(60)) + (60 + np.flatnonzero(short)).tolist()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(_FINITE, min_size=1, max_size=24),
@@ -425,22 +443,47 @@ class TestFixedCriticalParams:
         got = sorted((s.a_j for s in specs), key=lambda z: (z.real, z.imag))
         assert got == pytest.approx(frozen, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    @pytest.mark.parametrize("modulus", [1e-30, 1e-100, 1e-150])
+    def test_tiny_c_root_matches_mpmath(self, n, modulus):
+        # 2*w**n - w + c = 0 has one root of modulus about |c|; its hull seed is
+        # -c_0/c_1 = c, and the root comes back as mpmath's to within a ulp
+        for arg in (0.0, 1.0, math.pi / 2, 2.5, -2.0, math.pi):
+            c = modulus * cmath.exp(1j * arg)
+            roots = _poly_roots([2.0] + [0.0] * (n - 2) + [-1.0, c])[0]
+            w = roots[np.argmin(np.abs(roots - c))]
+            with mp.workprec(200):
+                x = mp.mpc(c)
+                for _ in range(4):
+                    x -= (2 * x**n - x + c) / (2 * n * x**(n - 1) - 1)
+                assert abs(mp.mpc(complex(w)) - x) <= 2.0**-52 * abs(x), (c, w)
+
+    def test_tiny_c_center_is_listed(self):
+        # a = w**(2n) of the root near c is about 1e-240 at n = 4, c = 1e-30
+        specs = fixed_critical_params(4, 1e-30 + 0j)
+        assert min(abs(s.w_j) for s in specs) == pytest.approx(1e-30, rel=1e-15)
+
     @pytest.mark.parametrize("n, c", [(3, 1e-100), (3, 1e-150), (4, 1e-100), (5, 1e-100),
-                                      (3, 5e-324), (3, -5e-324)])
-    def test_tiny_c_wrong_root_refused(self, n, c):
-        # the root near c (2*w**n - w + c = 0 has one of modulus about |c|) comes
-        # back as a w of modulus about 1e-17 to 1e-35, or as w = 0 at a subnormal
-        # c; each passes _poly_roots' absolute floor, not the relative bound
-        with pytest.raises(RootFindingError, match=r"c = .*: root w = .* residual"):
+                                      (8, 1e-30), (3, 5e-324), (3, -5e-324)])
+    def test_tiny_c_whose_a_underflows_names_c(self, n, c):
+        # the root near c is found, but its a = w**(2n) underflows to 0
+        with pytest.raises(ValueError, match=r"c = .* puts a center's a = w\*\*\(2n\) outside"):
             fixed_critical_params(n, complex(c))
 
     def test_dedupe_tol_knob(self, monkeypatch):
-        # the solvers dedupe at the fixed _DEDUPE_TOL; the pipeline they share still
-        # merges a-values at a loose tolerance
+        # at a loose tolerance the pipeline still merges a-values whose discs meet,
+        # and never merges disjoint ones: at c = 0.5 (n = 3) all three a-values lie
+        # within 1 of each other, but every disc is proved and they are disjoint;
+        # at c = 0.375 (n = 4) the double root w = 1/2 gets no disc, so its two
+        # copies merge with each other and with one of the two proved a-values
         coeffs = [2.0 + 0j, 0j, -1.0 + 0j, 0.5 + 0j]  # 2*w**3 - w + 0.5 (n = 3, c = 0.5)
+        double = [2.0 + 0j, 0j, 0j, -1.0 + 0j, 0.375 + 0j]
         assert len(_centers(3, coeffs, "c = 0.5")) == 3
+        assert len(_centers(4, double, "c = 0.375")) == 3
         monkeypatch.setattr(solvers, "_DEDUPE_TOL", 1.0)
-        assert len(_centers(3, coeffs, "c = 0.5")) < 3
+        a = [b for _, b in _centers(3, coeffs, "c = 0.5")]
+        assert len(a) == 3 and max(abs(x - y) for x in a for y in a) <= 1.0
+        assert len(_centers(4, double, "c = 0.375")) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -534,3 +577,191 @@ class TestLargeN:
     def test_diagonal_counts(self):
         assert len(diagonal_fixed_params(300, 2 + 0j)) == 599
         assert len(diagonal_fixed_params(600, 2 + 0j)) == 1199
+
+
+def circle_seeds(c):
+    """The seeds _poly_roots took before the hull: the one circle of radius
+    |c_0/c_d|**(1/d) (1 for a zero c_0), at angles (2*pi*k + 0.7)/d."""
+    d = len(c) - 1
+    radius = abs(c[-1] / c[0]) ** (1.0 / d) if c[-1] != 0 else 1.0
+    return radius * np.exp(1j * (2.0 * math.pi * np.arange(d) + 0.7) / d)
+
+
+def fixed_c_poly(n, c):
+    return [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, complex(c)]
+
+
+def diagonal_poly(n, t):
+    return [complex(t)] + [0j] * (n - 1) + [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """sweeps(coeffs, seeds=None): the _sweep_sums calls (Aberth sweeps) of one
+    _poly_roots solve, from _seeds or from the seeds given; 200 where it fails."""
+    calls = []
+    real = solvers._sweep_sums
+
+    def counted(z, diff):
+        calls.append(None)
+        return real(z, diff)
+
+    monkeypatch.setattr(solvers, "_sweep_sums", counted)
+
+    def count(coeffs, seeds=None):
+        calls.clear()
+        with monkeypatch.context() as m:
+            if seeds is not None:
+                m.setattr(solvers, "_seeds", seeds)
+            try:
+                _poly_roots(coeffs)
+            except RootFindingError:
+                pass
+        return len(calls)
+
+    return count
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("n, circle", [(48, 14), (96, 14), (144, 14), (190, 16)])
+    def test_bench_sweep_counts(self, sweeps, n, circle):
+        # the certify workload's eight solves: fixed c = 6i and the diagonal t = 2
+        assert sweeps(fixed_c_poly(n, 6j)) == 4
+        assert sweeps(fixed_c_poly(n, 6j), circle_seeds) == circle
+        assert sweeps(diagonal_poly(n, 2)) == sweeps(diagonal_poly(n, 2), circle_seeds) == 4
+
+    def test_never_more_sweeps_than_the_circle(self, sweeps):
+        total = {"hull": 0, "circle": 0}
+        for n in (3, 4, 5, 8, 30):
+            for arg in (0.0, 0.9, 2.0, -2.7):
+                turn = cmath.exp(1j * arg)
+                polys = [fixed_c_poly(n, m * turn) for m in (1e-100, 1e-30, 1e-3, 0.3, 1, 6, 1e13)]
+                polys += [diagonal_poly(n, m * turn) for m in (1e-8, 1e-3, 0.3, 1, 2, 1e3, 1e6)]
+                for coeffs in polys:
+                    hull, circle = sweeps(coeffs), sweeps(coeffs, circle_seeds)
+                    assert hull <= circle, (n, coeffs[0], coeffs[-1])
+                    total["hull"] += hull
+                    total["circle"] += circle
+        assert total["hull"] < 0.7 * total["circle"]
+
+    @pytest.mark.parametrize("coeffs", [
+        diagonal_poly(8, 2), diagonal_poly(190, 2),  # one group of two edges
+        fixed_c_poly(4, 0.5),  # radii 0.5 and 2**(-1/3), within a factor 4
+        [1, -1, 0], [2, 3, 0, 0],  # a zero constant term
+    ])
+    def test_one_group_over_the_whole_degree_keeps_the_circle(self, coeffs):
+        got = solvers._seeds([complex(x) for x in coeffs])
+        np.testing.assert_array_equal(got.view(np.uint64), circle_seeds(coeffs).view(np.uint64))
+
+    def test_a_lone_edge_seeds_its_binomial_roots(self):
+        # 2w**5 - w + 6i: one edge from power 0 to 5, seeds at (-3i)**(1/5)
+        seeds = solvers._seeds(fixed_c_poly(5, 6j))
+        np.testing.assert_allclose(seeds**5, np.full(5, -3j), rtol=1e-14)
+        assert len({round(cmath.phase(s), 12) for s in seeds}) == 5
+        # 2w**5 - w + 1e-30: the edge 0-1 seeds w = 1e-30, the edge 1-5 seeds
+        # the four roots of 2w**4 = 1
+        seeds = solvers._seeds(fixed_c_poly(5, 1e-30))
+        assert seeds[0] == pytest.approx(1e-30, rel=1e-13)
+        np.testing.assert_allclose(seeds[1:]**4, np.full(4, 0.5), rtol=1e-14)
+
+    @pytest.mark.parametrize("coeffs, moduli", [
+        # |c_2/c_4| = 1e600 overflows, its square root 1e300 does not
+        ([1e-300, 0, 1e300, 0, 1], [1e-150, 1e-150, 1e300, 1e300]),
+        # one group of two edges whose |c_0/c_4| = 1e-330 underflows
+        ([1e30, 0, 1.5e-135, 0, 1e-300], [10.0**-82.5] * 4),
+    ])
+    def test_radii_in_logs(self, coeffs, moduli):
+        seeds = solvers._seeds([complex(x) for x in coeffs])
+        np.testing.assert_allclose(np.sort(np.abs(seeds)), moduli, rtol=1e-12)
+
+
+def sparse(coeffs):
+    """(power, coefficient) of each nonzero term of coeffs (highest degree first)."""
+    d = len(coeffs) - 1
+    return [(d - k, mp.mpc(x)) for k, x in enumerate(coeffs) if x != 0]
+
+
+def true_roots(coeffs, roots):
+    """Every root of coeffs at 200 bits: Newton from each float root, or mpmath's
+    polyroots where two of those land on one root."""
+    terms = sparse(coeffs)
+    found = []
+    for z in roots.tolist():
+        x = mp.mpc(z)
+        for _ in range(50):
+            step = (sum(c * x**m for m, c in terms)
+                    / sum(m * c * x**(m - 1) for m, c in terms if m))
+            x -= step
+            if abs(step) <= abs(x) * mp.mpf(2)**-190:
+                break
+        found.append(x)
+    if all(abs(x - y) > 1e-40 * abs(x) for i, x in enumerate(found) for y in found[:i]):
+        return found
+    return mp.polyroots([mp.mpc(x) for x in coeffs], maxsteps=400, extraprec=600)
+
+
+def assert_discs_hold_the_roots(coeffs, n=None):
+    """Each finite disc of _root_radii holds exactly one true root, and where every
+    disc is finite each true root lies in exactly one; with n, each a-disc of
+    _a_radii holds the true a = w**(2n) of its root. Returns the finite count."""
+    roots, residual, terms = _poly_roots(coeffs)
+    r = solvers._root_radii([complex(x) for x in coeffs], roots, residual, terms)
+    radius = solvers._a_radii(n, roots, r) if n else r
+    with mp.workprec(200):
+        exact = true_roots(coeffs, roots)
+        for z, ri, big in zip(roots.tolist(), r.tolist(), radius.tolist()):
+            if math.isinf(ri):
+                continue
+            inside = [x for x in exact if abs(x - mp.mpc(z)) < ri]
+            assert len(inside) == 1, (z, ri, len(inside))
+            if n:
+                assert abs(inside[0]**(2 * n) - mp.mpc(pow_int(z, 2 * n))) <= big, (z, big)
+        if np.all(np.isfinite(r)):
+            for x in exact:
+                assert sum(abs(x - mp.mpc(z)) < ri for z, ri in zip(roots.tolist(), r)) == 1
+    return int(np.isfinite(r).sum())
+
+
+class TestDiscs:
+    """_root_radii and _a_radii against mpmath roots at 200 bits."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12, 16, 24])
+    def test_differential_slices(self, n):
+        slices = [fixed_c_poly(n, c) for c in (6j, 6, 1, 0.5, 0.05 + 0.02j, -3 + 2j, 20 + 1j,
+                                                1e13, 1e-30, 0.375)]
+        slices += [diagonal_poly(n, t) for t in (2, 1, 0.1 + 0.3j, -2 + 1j, 1e-8, 10, 1e-20)]
+        proved = sum(assert_discs_hold_the_roots(coeffs, n) for coeffs in slices)
+        # every root but the double root w = 1/2 of n = 4, c = 0.375
+        assert proved == 24 * n - 7 - 2 * (n == 4)
+
+    def test_random_trinomials(self):
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            d = int(rng.integers(2, 25))
+            j = int(rng.integers(1, d))
+            coeffs = [0j] * (d + 1)
+            for power in (d, j, 0):
+                coeffs[d - power] = 10.0 ** rng.uniform(-6, 6) * cmath.exp(
+                    1j * rng.uniform(-math.pi, math.pi))
+            assert assert_discs_hold_the_roots(coeffs, int(rng.integers(3, 9))) >= d - 1
+
+    def test_a_double_root_gets_no_disc(self):
+        # c = 0.375 is a double-root c* for n = 4 (w = 1/2): Rouche's Q term
+        # refuses both roots there, and proves the two others
+        roots, residual, terms = _poly_roots(fixed_c_poly(4, 0.375))
+        r = solvers._root_radii(fixed_c_poly(4, 0.375), roots, residual, terms)
+        assert np.isinf(r[np.abs(roots - 0.5) < 1e-6]).sum() == 2
+        assert np.isfinite(r).sum() == 2
+
+    def test_a_radius_covers_pow_int_rounding(self):
+        # at r = 0 the a-disc is pow_int's rounding bound alone, and holds the
+        # exact z**(2n) of the float z, down to subnormal a
+        rng = np.random.default_rng(35)
+        for n in (3, 4, 8, 48, 190):
+            z = 10.0 ** rng.uniform(-300 / (2 * n), 300 / (2 * n), 200) * np.exp(
+                1j * rng.uniform(-np.pi, np.pi, 200))
+            z[:5] = 10.0 ** (-309 / (2 * n)) * np.exp(1j * np.arange(5))
+            radius = solvers._a_radii(n, z, np.zeros(z.size))
+            with mp.workprec(200):
+                for zi, ri in zip(z.tolist(), radius.tolist()):
+                    assert abs(mp.mpc(zi)**(2 * n) - mp.mpc(pow_int(zi, 2 * n))) <= ri, (n, zi)
