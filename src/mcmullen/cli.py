@@ -33,7 +33,7 @@ from .errors import (
     UnderSamplingError,
 )
 from .family import MapParams, check_modulus, inner_radius, safe_abs
-from .regions import ellipse_semi_axes, l_c_rect, polar_contains, sector_index, w_region_contains
+from .regions import ellipse_semi_axes, l_c_rect, polar_contains, w_region_contains
 from .render import (
     Diagonal,
     Dynamical,
@@ -44,7 +44,7 @@ from .render import (
     _ppm_header,
     render_slice,
 )
-from .solvers import _diagonal_rows, fixed_critical_params
+from .solvers import _diagonal_rows, _fixed_rows, fixed_critical_params
 from .spine import SpineSpec, spine_points
 from .verify import (
     reports_to_csv,
@@ -321,12 +321,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_centers(args: argparse.Namespace) -> int:
-    n = args.n
-    if args.c is not None:
-        rows = [(s.w_j, s.a_j, s.k, s.residual) for s in fixed_critical_params(n, args.c)]
-    else:
-        rows = [(w, a, sector_index(n, w, a), residual)
-                for w, a, residual in _diagonal_rows(n, args.t)]
+    rows = _fixed_rows(args.n, args.c) if args.c is not None else _diagonal_rows(args.n, args.t)
     lines = ["j,k,re_w,im_w,re_a,im_a,residual"]
     for j, (w, a, k, residual) in enumerate(rows):
         lines.append(f"{j},{k},{w.real!r},{w.imag!r},{a.real!r},{a.imag!r},{residual!r}")

@@ -194,8 +194,8 @@ def sector_index(n: int, w_j: complex, a_j: complex) -> int:
 class WRegionSpec:
     """A fixed critical point w_j of the member (n, a_j, c) with a_j = w_j**(2n),
     its sector index k, and the enumeration index j. Anchors the V and W regions.
-    residual, not a field, keeps |R(w_j) - w_j| from the fixed-point check that
-    construction runs (family.fixed_point_residual)."""
+    Construction checks that the member fixes w_j (family.fixed_point_residual)
+    and that k matches Arg(w_j), else ValueError."""
 
     c: complex
     n: int
@@ -217,7 +217,6 @@ class WRegionSpec:
                 f"w_j is not fixed by the member (n={self.n}, a_j={self.a_j}, c={self.c}): "
                 f"residual {residual:.3e} exceeds {bound:.3e}"
             )
-        object.__setattr__(self, "residual", residual)
         expected = wrap_angle((principal_arg(self.a_j) + 2.0 * math.pi * self.k) / (2 * self.n))
         if abs(wrap_angle(principal_arg(self.w_j) - expected)) > 1e-10:
             raise ValueError(

@@ -32,7 +32,7 @@ _MAX_SWEEPS = 200
 _BYTES_PER_D2 = 18
 # Relative tolerance within which the slice solvers count two a-values as one.
 _DEDUPE_TOL = 1e-9
-# Relative residual bound of an accepted root (see _poly_roots).
+# Relative residual bound of an accepted root (see _centers).
 _ROOT_TOL = 1e-12
 # The |c| from which the fixed-c centers' a, about |c|**2/4, is at least twice
 # the float limit, so a component of it overflows: about 3.79e154.
@@ -136,17 +136,15 @@ def _seeds(c: list[complex]) -> np.ndarray:
 
 def _poly_roots(coeffs: PolyCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All d roots (with multiplicity) of a degree-d polynomial, via simultaneous
-    Aberth-Ehrlich iteration, with the one Horner pair of their acceptance check:
+    Aberth-Ehrlich iteration, with the one Horner pair that judges them:
     (roots, |p(r)|, sum_j |c_j| * |r|**j), each sorted by the roots' (Re, Im).
 
     Initial guesses are read off the Newton polygon of the coefficients (_seeds),
     with no randomness: 4 sweeps at the fixed-c trinomial with c = 6i, n = 48 to 190,
     against 14-16 from one circle. Each sweep evaluates p and p' in one
     Horner pass (_sweep_values) and fills one d x d reciprocal matrix, allocated once
-    per call (_sweep_sums). Each returned root r satisfies
-    |p(r)| <= _ROOT_TOL * max(1 + max_j |c_j|, sum_j |c_j| * |r|**j), a bound that grows
-    with the terms evaluated at r (the moduli of large roots), else RootFindingError
-    carries the residuals and bounds of up to three failing roots, worst first.
+    per call (_sweep_sums). The roots are returned after at most _MAX_SWEEPS sweeps,
+    whatever they read: the caller holds them to its residual rule (_centers).
     """
     c = [complex(x) for x in coeffs]
     if len(c) < 2:
@@ -156,7 +154,6 @@ def _poly_roots(coeffs: PolyCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     d = len(c) - 1
     check_memory_budget(_BYTES_PER_D2 * d * d, f"root finding at degree {d}")
     coeff_arr = np.array(c, dtype=complex)
-    max_mod = float(np.max(np.abs(coeff_arr)))
     monic = coeff_arr / coeff_arr[0]
     steps = _horner_steps(monic)
     diff = np.empty((d, d), dtype=complex)
@@ -177,16 +174,6 @@ def _poly_roots(coeffs: PolyCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]
                 break
         residuals = np.abs(_horner(coeff_arr, z))
         terms = _horner(np.abs(coeff_arr), np.abs(z))
-        bound = _ROOT_TOL * np.maximum(1.0 + max_mod, terms)
-        failing = np.flatnonzero(~(np.isfinite(residuals) & (residuals <= bound)))
-        ratio = np.nan_to_num(residuals[failing] / bound[failing], nan=np.inf)
-    if failing.size:
-        worst = failing[np.argsort(-ratio, kind="stable")[:3]]
-        raise RootFindingError(
-            f"no convergence within {_MAX_SWEEPS} iterations: {failing.size} of {d} "
-            f"roots fail; worst residuals {residuals[worst].tolist()} exceed bounds "
-            f"{bound[worst].tolist()}"
-        )
     order = np.lexsort((z.imag, z.real))
     return z[order], residuals[order], terms[order]
 
@@ -259,32 +246,49 @@ def _dedupe(a: np.ndarray, scale: np.ndarray, by_re: np.ndarray,
     return keep
 
 
-def _centers(n: int, coeffs: PolyCoeffs, param: str) -> list[tuple[complex, complex]]:
-    """The slices' one centers pipeline: roots w != 0 of coeffs, paired with
-    a = w**(2n); a pair is dropped when its a equals an already kept pair's a within
-    relative _DEDUPE_TOL (|a - b| <= _DEDUPE_TOL * max(1, |a|, |b|)) and their
-    a-discs (_root_radii mapped by _a_radii) meet, compared only with its
+Row = tuple[complex, complex, int, float]  # a center row: (w, a, k, residual)
+
+
+def _centers(n: int, c: complex | None = None, t: complex | None = None) -> list[Row]:
+    """The slices' one path from roots to center rows, for the roots w of
+    2*w**n - w + c (c given) or t*w**(2n-1) + 2*w**(n-1) - 1 (t given); errors
+    name "c = ..." or "t = ...". One residual rule: every root, 0 included, needs
+    a finite |p(w)| <= _ROOT_TOL * sum_j |c_j| |w|**j (_poly_roots' Horner pair),
+    else RootFindingError lists up to three failing roots, worst (nan) first.
+    Each w != 0 gives a = w**(2n), and an a that is 0 or not finite raises
+    ValueError. A pair is dropped when its a equals an already kept pair's a
+    within relative _DEDUPE_TOL (|a - b| <= _DEDUPE_TOL * max(1, |a|, |b|)) and
+    their a-discs (_root_radii mapped by _a_radii) meet, compared only with its
     neighbours in Re order (_dedupe): disjoint discs prove distinct a-values. The
     kept pairs are sorted by (Re a, Im a), where Re parts equal within that
     tolerance count as equal, so each conjugate pair of a-values is adjacent with
-    Im a < 0 first. An a that is 0 or not finite raises ValueError naming the
-    slice's parameter, param ("c = ..." or "t = ..."). A root, 0 included, with
-    |p(w)| above _ROOT_TOL * sum_j |c_j| |w|**j (_poly_roots' bound without its
-    absolute floor) raises RootFindingError naming param; both bounds and the
-    discs read the one Horner pair that _poly_roots evaluates."""
-    roots, residual, terms = _poly_roots(coeffs)
+    Im a < 0 first. Each gives the row (w, a, sector_index(n, w, a), residual),
+    whose family.fixed_point_residual for (n, a, c or t*a) above its bound
+    raises InconsistencyError."""
+    if t is None:
+        param = f"c = {c!r}"
+        coeffs = [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, c]
+    else:
+        param = f"t = {t!r}"
+        coeffs = [t] + [0j] * (n - 1) + [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j]
+    roots, p_abs, terms = _poly_roots(coeffs)
+    with np.errstate(all="ignore"):
+        limit = _ROOT_TOL * terms
+        failing = np.flatnonzero(~(np.isfinite(p_abs) & (p_abs <= limit)))
+        ratio = np.nan_to_num(p_abs[failing] / limit[failing], nan=np.inf)
+    if failing.size:
+        worst = failing[np.argsort(-ratio, kind="stable")[:3]]
+        raise RootFindingError(
+            f"{param}: no convergence within {_MAX_SWEEPS} iterations: {failing.size} of "
+            f"{roots.size} roots fail; worst residuals {p_abs[worst].tolist()} exceed "
+            f"bounds {limit[worst].tolist()}"
+        )
     nonzero = roots != 0
     pairs = [(w, pow_int(w, 2 * n)) for w in roots[nonzero].tolist()]
     if any(b == 0 or not cmath.isfinite(b) for _, b in pairs):
         raise ValueError(f"{param} puts a center's a = w**(2n) outside binary64: "
                          "0 or not finite")
-    bound = _ROOT_TOL * terms
-    failing = np.flatnonzero(~(residual <= bound))
-    if failing.size:
-        i = failing[0]
-        raise RootFindingError(f"{param}: root w = {complex(roots[i])!r} has residual "
-                               f"{residual[i]:.3e} above its relative bound {bound[i]:.3e}")
-    r = _root_radii(coeffs, roots, residual, terms)
+    r = _root_radii(coeffs, roots, p_abs, terms)
     radius = _a_radii(n, roots[nonzero], r[nonzero])
     a = np.array([b for _, b in pairs], dtype=complex)
     scale = _DEDUPE_TOL * np.maximum(1.0, np.abs(a))
@@ -292,22 +296,19 @@ def _centers(n: int, coeffs: PolyCoeffs, param: str) -> list[tuple[complex, comp
     by_re = by_re[_dedupe(a, scale, by_re, radius)[by_re]]
     tied = np.diff(a.real[by_re]) <= np.maximum(scale[by_re[1:]], scale[by_re[:-1]])
     group = np.concatenate([[0], np.cumsum(~tied)])
-    return [pairs[i] for i in by_re[np.lexsort((a.imag[by_re], group))]]
+    rows = []
+    for w, b in (pairs[i] for i in by_re[np.lexsort((a.imag[by_re], group))]):
+        k = sector_index(n, w, b)
+        residual, bound = fixed_point_residual(MapParams(n, b, c if t is None else t * b), w)
+        if not residual <= bound:
+            raise InconsistencyError(f"{param}: root w = {w!r} is not fixed by its member "
+                                     f"a = {b!r}: residual {residual:.3e} > {bound:.3e}")
+        rows.append((w, b, k, residual))
+    return rows
 
 
-def fixed_critical_params(n: int, c: complex) -> list[WRegionSpec]:
-    """Fixed critical points of the fixed-c slice: roots w of 2*w**n - w + c = 0, each
-    giving the parameter a = w**(2n) whose member fixes its k-th critical point w.
-
-    Returns one spec per distinct a (_centers' dedupe: within _DEDUPE_TOL, with
-    a-discs that meet), sorted by (Re a, Im a). The count is asserted to equal n
-    when |c| >= 1 (there the roots' a-values are provably distinct); below |c| = 1
-    the deduped count is returned as found, with no law enforced. A c refused by
-    check_modulus, or one whose centers' a = w**(2n) are 0 or not finite (the root
-    near a tiny c gives an a that underflows), raises ValueError naming c; from
-    |c| = _MAX_CENTER_C that is before solving, since near the float limit the
-    Aberth sweep itself overflows.
-    """
+def _fixed_rows(n: int, c: complex) -> list[Row]:
+    """fixed_critical_params' rows, from _centers after the checks of n and c."""
     check_exponent(n)
     c = check_modulus("c", c)
     if c == 0:
@@ -315,15 +316,28 @@ def fixed_critical_params(n: int, c: complex) -> list[WRegionSpec]:
     if abs(c) >= _MAX_CENTER_C:
         raise ValueError(f"c = {c!r} is too large: the centers' a, about |c|**2/4, "
                          "overflows binary64")
-    kept = _centers(n, [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j, c], f"c = {c!r}")
-    if abs(c) >= 1.0 and len(kept) != n:
+    rows = _centers(n, c=c)
+    if abs(c) >= 1.0 and len(rows) != n:
         raise InconsistencyError(
-            f"expected {n} distinct fixed-critical parameters for |c| >= 1, found {len(kept)}"
+            f"expected {n} distinct fixed-critical parameters for |c| >= 1, found {len(rows)}"
         )
-    return [
-        WRegionSpec(c=c, n=n, j=j, w_j=w, a_j=a, k=sector_index(n, w, a))
-        for j, (w, a) in enumerate(kept)
-    ]
+    return rows
+
+
+def fixed_critical_params(n: int, c: complex) -> list[WRegionSpec]:
+    """Fixed critical points of the fixed-c slice: roots w of 2*w**n - w + c = 0, each
+    giving the parameter a = w**(2n) whose member fixes its k-th critical point w.
+
+    Returns one spec per row of _centers (one per distinct a, sorted by (Re a, Im a)).
+    The count is asserted to equal n when |c| >= 1 (there the roots' a-values are
+    provably distinct); below |c| = 1 the deduped count is returned as found, with
+    no law enforced. A c refused by check_modulus, or one whose centers' a = w**(2n)
+    are 0 or not finite (the root near a tiny c gives an a that underflows), raises
+    ValueError naming c; from |c| = _MAX_CENTER_C that is before solving, since near
+    the float limit the Aberth sweep itself overflows.
+    """
+    return [WRegionSpec(c=c, n=n, j=j, w_j=w, a_j=a, k=k)
+            for j, (w, a, k, _) in enumerate(_fixed_rows(n, c))]
 
 
 def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
@@ -331,38 +345,27 @@ def diagonal_fixed_params(n: int, t: complex) -> list[tuple[complex, complex]]:
     t*w**(2n-1) + 2*w**(n-1) - 1 = 0 (the fixed-point condition 2*w**n + c = w with
     c = t*w**(2n), divided by w), each giving a = w**(2n).
 
-    Returns the 2n-1 (w, a) pairs, w != 0, sorted by (Re a, Im a); every w passes
-    family.fixed_point_residual for (n, a, t*a). A slope whose centers' a leave
-    binary64 (check_slope_scale, or some a = w**(2n) 0 or not finite) raises
-    ValueError naming t. Distinct roots give distinct a except at isolated t, so
-    where the dedupe merges any (their a agree within _DEDUPE_TOL and their a-discs
-    meet: the n roots with t*w**n near -2 at small |t|) the list would be
-    incomplete, and InconsistencyError names t instead.
+    Returns the 2n-1 (w, a) pairs, w != 0, sorted by (Re a, Im a): _centers' rows
+    less their k and residual, so every w has passed family.fixed_point_residual
+    for (n, a, t*a). A slope whose centers' a leave binary64 (check_slope_scale, or
+    some a = w**(2n) 0 or not finite) raises ValueError naming t. Distinct roots give
+    distinct a except at isolated t, so where the dedupe merges any (their a agree
+    within _DEDUPE_TOL and their a-discs meet: the n roots with t*w**n near -2 at
+    small |t|) the list would be incomplete, and InconsistencyError names t instead.
     """
-    return [(w, a) for w, a, _ in _diagonal_rows(n, t)]
+    return [(w, a) for w, a, _, _ in _diagonal_rows(n, t)]
 
 
-def _diagonal_rows(n: int, t: complex) -> list[tuple[complex, complex, float]]:
-    """diagonal_fixed_params' pairs, each with the residual |R(w) - w| of its
-    fixed-point check: (w, a, residual)."""
+def _diagonal_rows(n: int, t: complex) -> list[Row]:
+    """diagonal_fixed_params' rows, from _centers after the checks of n and t."""
     check_exponent(n)
     # For a small |t|, n of the roots have t*w**n near -2, so their a = w**(2n) is
     # near 4/|t|**2; where that overflows no sweep converges.
     t = check_slope_scale(t)
-    coeffs = [t] + [0j] * (n - 1) + [2.0 + 0j] + [0j] * (n - 2) + [-1.0 + 0j]
-    kept = _centers(n, coeffs, f"t = {t!r}")
-    if len(kept) != 2 * n - 1:
+    rows = _centers(n, t=t)
+    if len(rows) != 2 * n - 1:
         raise InconsistencyError(
-            f"t = {t!r}: {2 * n - 1 - len(kept)} of the {2 * n - 1} centers have an "
+            f"t = {t!r}: {2 * n - 1 - len(rows)} of the {2 * n - 1} centers have an "
             "a-value within the dedupe tolerance of another's, so the list is incomplete"
         )
-    rows = []
-    for w, a in kept:
-        residual, bound = fixed_point_residual(MapParams(n, a, t * a), w)
-        if not residual <= bound:
-            raise InconsistencyError(
-                f"diagonal root w = {w} is not fixed by (n={n}, a={a}, c=t*a): "
-                f"residual {residual:.3e} exceeds {bound:.3e}"
-            )
-        rows.append((w, a, residual))
     return rows

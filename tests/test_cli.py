@@ -2,6 +2,7 @@
 import contextlib
 import hashlib
 import io
+import math
 import os
 import re
 import shlex
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _edge_values import complex_value, real
-from mcmullen import cli, spine
+from mcmullen import cli, solvers, spine
 from mcmullen.cli import main
 from mcmullen.family import MapParams, escape_radius, fixed_point_residual, iterate_orbit
 from mcmullen.render import (
@@ -591,7 +592,9 @@ _INVALID = "mcmullen: invalid arguments: "
 # of --t 1e8, whose a-values lie near 0; the tiny-|t| a-values lie ulps apart and
 # still merge. At --c 1e-30 the root near c is found; at a subnormal c its a
 # underflows. Then the overflow refusal, small and complex c, and the real
-# slices at n = 3 to 8.
+# slices at n = 3 to 8. The diagonal does not converge from n = 48 at small |t|
+# (ROADMAP Known defects), and the sector of the negative real a of --n 3 --c 0,6
+# follows the rounding of its Im a (mpmath gives k = 1, the CSV k = 2).
 _CENTERS_PINS = [
     ("--n 4 --c 1e13", 0, "",
      "6a46524530ea191adb157cb7da1bae812ded59637db49669850b5f11f591d81a"),
@@ -653,6 +656,21 @@ _CENTERS_PINS = [
      "208c004ea55447671bf5e4cde88874f0db25aad7241993fc44f8dceb5c319042"),
     ("--n 8 --t 2,0", 0, "",
      "c85e9e5aa0bbe23b105786d777fb02477037ad16d7e2d358072bb7e4a05c1f4d"),
+    ("--n 48 --t 1e-7", 1, _SOLVER + (
+        "t = (1e-07+0j): no convergence within 200 iterations: 47 of 95 roots fail; "
+        "worst residuals [1.00002893057758, 1.0000159865327825, 1.000009136179653] "
+        "exceed bounds [1.0000289457720597e-12, 1.0000163849853057e-12, "
+        "1.0000100737891325e-12]\n"), None),
+    ("--n 96 --t 1e-6", 1, _SOLVER + (
+        "t = (1e-06+0j): no convergence within 200 iterations: 191 of 191 roots fail; "
+        "worst residuals [1.550640123115443e+23, 3.4421496838706074e+24, "
+        "3.9209642089494067e+24] exceed bounds [155064012311.56058, 3442149683871.424, "
+        "3920964208950.5874]\n"), None),
+    ("--n 190 --t 1e-6", 1, _SOLVER + (
+        "t = (1e-06+0j): no convergence within 200 iterations: 379 of 379 roots fail; "
+        "worst residuals [nan, nan, nan] exceed bounds [nan, nan, nan]\n"), None),
+    ("--n 3 --c 0,6", 0, "",
+     "a421178cba8b520f9dd8dec4c5d51fbc108333d040469f8b2d0e4851fe324eb4"),
 ]
 
 
@@ -826,6 +844,30 @@ class TestCentersCommand:
             w, a = complex(float(re_w), float(im_w)), complex(float(re_a), float(im_a))
             c = param if flag == "--c" else param * a
             assert float(residual) == fixed_point_residual(MapParams(n, a, c), w)[0]
+
+    @pytest.mark.parametrize("flag, value, name", [("--c", "0,6", "c = 6j"),
+                                                   ("--t", "2", "t = (2+0j)")])
+    def test_failed_fixed_point_check_exits_1_naming_the_parameter(
+            self, capsys, monkeypatch, flag, value, name):
+        # both slices' rows pass the one fixed-point check in solvers._centers
+        monkeypatch.setattr(solvers, "fixed_point_residual", lambda p, w: (1.0, 0.0))
+        code, out, err = run(capsys, "centers", "--n", "4", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith(f"{_SOLVER}{name}: root w = ") and "is not fixed" in err
+
+    @pytest.mark.parametrize("c, k", [("0,6", 2), ("0,-6", 4)])
+    def test_sector_of_a_negative_real_a_follows_the_sign_of_im_a(self, capsys, c, k):
+        # at n = 3, c = +-6i one root w lies on the imaginary axis, so its exact
+        # a = w**6 is negative real: principal argument pi, sector 1 (6i) or 4
+        # (-6i) by mpmath. The float a keeps a rounding residue in Im a, and the
+        # row's k follows its sign (Im a < 0 reads Arg a = -pi): 2 for 6i
+        code, out, _ = run(capsys, "centers", "--n", "3", "--c", c)
+        assert code == 0
+        rows = [[float(x) for x in row.split(",")] for row in out.splitlines()[1:]]
+        (_, got, re_w, im_w, re_a, im_a, _), = [r for r in rows if abs(r[2]) < 1e-50]
+        assert 0 < abs(im_a) < 1e-50 * abs(re_a)
+        turns = (6 * math.atan2(im_w, re_w) - math.copysign(math.pi, im_a)) / (2 * math.pi)
+        assert got == k == round(turns) % 6
 
     def test_memory_budget_exit_2(self, capsys):
         code, out, err = run(capsys, "centers", "--n", "5000", "--t", "2")

@@ -119,7 +119,8 @@ def test_settable_surface():
     assert (cfg.color_plus, cfg.color_minus, cfg.bounded_color) == (
         (255, 0, 0), (0, 0, 255), (0, 0, 0))
     assert mcmullen.RenderConfig.bounded_color == (0, 0, 0)
-    # the solvers dedupe, and the root finder accepts roots, at one fixed tolerance
+    # the solvers dedupe, and hold each root to their one residual rule, at fixed
+    # tolerances that no parameter sets; the root finder has no tolerance of its own
     for solver, params in ((mcmullen.fixed_critical_params, ["n", "c"]),
                            (mcmullen.diagonal_fixed_params, ["n", "t"]),
                            (mcmullen.solvers._poly_roots, ["coeffs"])):

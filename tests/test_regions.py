@@ -12,7 +12,6 @@ from mcmullen.family import (
     MapParams,
     critical_values,
     eval_map,
-    fixed_point_residual,
     principal_arg,
     wrap_angle,
 )
@@ -325,16 +324,6 @@ class TestWRegion:
         assert real_spec.j == 4 and real_spec.k == 5
         assert real_spec.w_j.real == pytest.approx(-1.2953997832657647, rel=1e-12)
         assert real_spec.a_j.real == pytest.approx(13.305714499418555, rel=1e-12)
-
-    def test_spec_keeps_its_check_residual_outside_the_fields(self, real_spec):
-        # the fixed-point check's residual is kept, but equality, hash and repr
-        # still read only the six fields
-        s = real_spec
-        assert s.residual == fixed_point_residual(MapParams(s.n, s.a_j, s.c), s.w_j)[0]
-        assert [f.name for f in dataclasses.fields(s)] == ["c", "n", "j", "w_j", "a_j", "k"]
-        assert "residual" not in repr(s)
-        twin = dataclasses.replace(s)
-        assert twin == s and hash(twin) == hash(s) and twin.residual == s.residual
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -146,40 +146,49 @@ class TestPolyRoots:
         with pytest.raises(ValueError, match="memory budget"):
             poly_roots([1] + [0] * 7723 + [-1])
 
-    @pytest.mark.parametrize("n, coeffs", [
-        (600, [2.0] + [0] * 598 + [-1.0, 6j]),  # fixed c = 6i
-        (300, [2.0] + [0] * 299 + [2.0] + [0] * 298 + [-1.0]),  # diagonal t = 2
+    @pytest.mark.parametrize("n, param, d", [
+        (600, {"c": 6j}, 600),  # fixed c = 6i
+        (300, {"t": 2 + 0j}, 599),  # diagonal t = 2
     ])
-    def test_centers_peak_within_the_charge(self, n, coeffs):
+    def test_centers_peak_within_the_charge(self, n, param, d):
         tracemalloc.start()
         try:
-            _centers(n, coeffs, "c")
+            _centers(n, **param)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        d = len(coeffs) - 1
         assert 16 * d * d < peak <= solvers._BYTES_PER_D2 * d * d
+
+    def test_poly_roots_has_no_acceptance_check(self, monkeypatch):
+        # the roots come back whatever they read; only _centers' rule refuses them
+        monkeypatch.setattr(solvers, "_ROOT_TOL", 1e-300)
+        monkeypatch.setattr(solvers, "_MAX_SWEEPS", 1)
+        roots, residuals, terms = _poly_roots(fixed_c_poly(4, 6j))
+        assert roots.size == 4 and np.all(residuals > solvers._ROOT_TOL * terms)
 
     def test_nonconvergence_error_carries_residuals(self, monkeypatch):
         # an out-of-reach bound produces the error path with residual payload
-        # (roots +-sqrt(2) are irrational, so the residual floor is ~1e-16, not 0)
+        # (the roots are irrational, so the residual floor is ~1e-16, not 0)
         monkeypatch.setattr(solvers, "_ROOT_TOL", 1e-300)
-        with pytest.raises(RootFindingError, match="residual"):
-            poly_roots([1, 0, -2])
+        with pytest.raises(RootFindingError, match=r"^c = 6j: no convergence .* residual"):
+            _centers(4, c=6j)
 
-    @pytest.mark.parametrize("coeffs, tol, failing, listed", [
-        # the diagonal slice's trinomial at n = 3, t = 1e-100, at a bound between
-        # its worst root's residual ratio (2.2e-16) and the next one's (1.2e-16)
-        ([1e-100, 0, 0, 2, 0, -1], 1.5e-16, 1, 1),
+    @pytest.mark.parametrize("n, param, tol, failing, listed", [
+        # the diagonal slice at n = 3, t = 1e-100, at a bound between its worst
+        # root's residual ratio (2.2e-16) and the next one's (1.2e-16)
+        (3, {"t": 1e-100 + 0j}, 1.5e-16, 1, 1),
         # every root misses a bound far below rounding; three are listed
-        ([1, 0, 0, 0, -2], 1e-300, 4, 3),
+        (4, {"c": 6j}, 1e-300, 4, 3),
     ])
-    def test_error_lists_only_failing_roots(self, monkeypatch, coeffs, tol, failing, listed):
+    def test_error_lists_only_failing_roots(self, monkeypatch, n, param, tol, failing, listed):
         monkeypatch.setattr(solvers, "_ROOT_TOL", tol)
         with pytest.raises(RootFindingError) as info:
-            poly_roots(coeffs)
+            _centers(n, **param)
         message = str(info.value)
-        assert f"{failing} of {len(coeffs) - 1} roots fail" in message
+        (name, value), = param.items()
+        degree = n if name == "c" else 2 * n - 1
+        assert message.startswith(f"{name} = {value!r}: no convergence within 200 iterations")
+        assert f"{failing} of {degree} roots fail" in message
         residuals, bounds = (json.loads(x) for x in re.findall(r"\[[^\]]*\]", message))
         assert len(residuals) == len(bounds) == listed
         ratios = [r / b for r, b in zip(residuals, bounds)]
@@ -195,7 +204,7 @@ class TestPolyRoots:
         [1, 0, -4, 0],  # a zero root
     ])
     def test_residuals_and_terms_are_the_horner_pair(self, coeffs):
-        # the arrays _centers checks its relative bound on are, bit for bit, the
+        # the arrays _centers checks its residual rule on are, bit for bit, the
         # two Horner passes it once ran itself on the sorted roots
         roots, residuals, terms = _poly_roots(coeffs)
         c = np.array(coeffs, dtype=complex)
@@ -476,14 +485,12 @@ class TestFixedCriticalParams:
         # within 1 of each other, but every disc is proved and they are disjoint;
         # at c = 0.375 (n = 4) the double root w = 1/2 gets no disc, so its two
         # copies merge with each other and with one of the two proved a-values
-        coeffs = [2.0 + 0j, 0j, -1.0 + 0j, 0.5 + 0j]  # 2*w**3 - w + 0.5 (n = 3, c = 0.5)
-        double = [2.0 + 0j, 0j, 0j, -1.0 + 0j, 0.375 + 0j]
-        assert len(_centers(3, coeffs, "c = 0.5")) == 3
-        assert len(_centers(4, double, "c = 0.375")) == 3
+        assert len(_centers(3, c=0.5 + 0j)) == 3
+        assert len(_centers(4, c=0.375 + 0j)) == 3
         monkeypatch.setattr(solvers, "_DEDUPE_TOL", 1.0)
-        a = [b for _, b in _centers(3, coeffs, "c = 0.5")]
+        a = [row[1] for row in _centers(3, c=0.5 + 0j)]
         assert len(a) == 3 and max(abs(x - y) for x in a for y in a) <= 1.0
-        assert len(_centers(4, double, "c = 0.375")) == 2
+        assert len(_centers(4, c=0.375 + 0j)) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -598,7 +605,8 @@ def diagonal_poly(n, t):
 @pytest.fixture
 def sweeps(monkeypatch):
     """sweeps(coeffs, seeds=None): the _sweep_sums calls (Aberth sweeps) of one
-    _poly_roots solve, from _seeds or from the seeds given; 200 where it fails."""
+    _poly_roots solve, from _seeds or from the seeds given; _MAX_SWEEPS where a
+    root fails _centers' residual rule."""
     calls = []
     real = solvers._sweep_sums
 
@@ -613,11 +621,10 @@ def sweeps(monkeypatch):
         with monkeypatch.context() as m:
             if seeds is not None:
                 m.setattr(solvers, "_seeds", seeds)
-            try:
-                _poly_roots(coeffs)
-            except RootFindingError:
-                pass
-        return len(calls)
+            _, residual, terms = _poly_roots(coeffs)
+        if np.all(np.isfinite(residual) & (residual <= solvers._ROOT_TOL * terms)):
+            return len(calls)
+        return solvers._MAX_SWEEPS
 
     return count
 
